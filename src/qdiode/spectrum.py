@@ -107,6 +107,28 @@ def _correlation_via_eig(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
     return np.array([np.sum(c_k * np.exp(evals * t)) for t in taus])
 
 
+def inelastic_spectrum(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
+                       omegas) -> np.ndarray:
+    """S(omega) = -(1/pi) Re Tr{A^dag (L + i omega - P)^-1 dv} on the grid.
+
+    dv = vec(A rho) - <A> vec(rho) is the fluctuation part of vec(A rho), and
+    P = |vec rho><vec 1| removes the stationary mode so omega = 0 is
+    solvable. Because Tr dv = 0 the solution is traceless, P x = 0, and P
+    leaves every other frequency unchanged. All frequencies are solved in
+    one batched call.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    out_op = np.asarray(out_op, dtype=complex)
+    rho_ss = np.asarray(rho_ss, dtype=complex)
+    n = lv.shape[0]
+    rho_v = vec(rho_ss)
+    dv = vec(out_op @ rho_ss) - np.trace(out_op @ rho_ss) * rho_v
+    shifted = lv - np.outer(rho_v, vec(np.eye(rho_ss.shape[0])))
+    mats = shifted[None, :, :] + 1j * omegas[:, None, None] * np.eye(n)
+    x = np.linalg.solve(mats, np.broadcast_to(dv[:, None], (omegas.size, n, 1)))
+    return -(x[:, :, 0] @ vec(out_op).conj()).real / np.pi
+
+
 def geometric_tau_grid(rate_slow: float, rate_fast: float,
                        n_taus: int = 6000, tail_factor: float = 20.0) -> np.ndarray:
     """Geometric tau grid from well inside 1/rate_fast out to tail_factor/rate_slow."""

@@ -33,6 +33,7 @@ from qdiode.spectrum import (
     fit_lorentzian,
     geometric_tau_grid,
     half_sided_transform,
+    inelastic_spectrum,
     integrated_inelastic,
     linewidth_estimate,
     predicted_linewidth,
@@ -262,6 +263,27 @@ class TestDevicePsd:
         s = psd(c, "reverse", "reflected", grid, n_taus=2000)
         assert np.all(np.isfinite(s.inelastic_psd))
         assert np.min(s.inelastic_psd) >= 0.0
+
+
+class TestResolventMatchesQuadrature:
+    """The resolvent spectrum reproduces the tau-grid quadrature of psd()."""
+
+    @pytest.mark.parametrize("side,direction,port", [
+        ("a", "forward", "transmitted"), ("b", "reverse", "reflected")])
+    def test_matches_psd(self, side, direction, port):
+        c = ideal_diode(drive_side=side)
+        pred = predicted_linewidth(DELTA, GAMMA, 0.0, 0.0)
+        grid = np.linspace(-8.0 * pred, 8.0 * pred, 401)
+        old = psd(c, direction, port, grid)
+        lv = build_diode_liouvillian(c)
+        a_out, b_out = diode_output_ops(c)
+        out = a_out if (direction == "forward") == (port == "transmitted") else b_out
+        new = inelastic_spectrum(lv, steady_state(lv), out, grid)
+        peak = old.inelastic_psd.max()
+        assert np.max(np.abs(new - old.inelastic_psd)) <= 1e-5 * peak
+        fit_old = fit_lorentzian(old)
+        fit_new = fit_lorentzian(SpectrumResult(0.0, grid, new))
+        np.testing.assert_allclose(fit_new.fwhm, fit_old.fwhm, rtol=1e-3)
 
 
 class TestPsdValidation:
