@@ -45,7 +45,6 @@ from .spectrum import (
     SpectrumError,
     SpectrumResult,
     fit_lorentzian,
-    inelastic_spectrum,
     predicted_linewidth,
     psd,
     two_time_correlation,
@@ -77,7 +76,6 @@ __all__ = [
     "expectation",
     "fit_lorentzian",
     "fit_single_qubit",
-    "inelastic_spectrum",
     "iq_variance",
     "operating_point",
     "optimal_tuning",

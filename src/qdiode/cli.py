@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    qdiode <mode> --config <file.json> [--out <dir>] [--seed <n>] [--threads <n>]
+    qdiode <mode> --config <file.json> [--out <dir>] [--seed <n>]
 
 Modes: steady-state, sweep-power, sweep-frequency, spectrum, fit, mirror-mc.
 Each run writes its data files plus run_manifest.json into the output
@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import io
 from .config import MODES, ConfigError, RunConfig, load
 from .diode import (DiodeConfig, SweepRow, build_diode_liouvillian,
                     dark_state_population, diode_efficiency, diode_output_ops,
-                    operating_point, transmission)
+                    operating_point)
 from .fitting import FitError, fit_single_qubit
 from .mirror import spawn_seeds, sweep_row
 from .operators import SolverError, expectation, steady_state
@@ -68,18 +67,11 @@ def _sweep_sides(p: dict) -> tuple[str, ...]:
     return ("forward", "reverse")
 
 
-def _pmap(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -----------------------------------------------------------------------------
 #                               Modes
 # -----------------------------------------------------------------------------
 
-def _run_steady_state(cfg: RunConfig, out_dir: str, threads: int):
+def _run_steady_state(cfg: RunConfig, out_dir: str):
     p = cfg.params
     c = _diode_config(p)
     gamma_bar = c.gamma_bar
@@ -119,7 +111,7 @@ def _run_steady_state(cfg: RunConfig, out_dir: str, threads: int):
     return [path], [], EXIT_OK
 
 
-def _run_sweep_power(cfg: RunConfig, out_dir: str, threads: int):
+def _run_sweep_power(cfg: RunConfig, out_dir: str):
     p = cfg.params
     c = _diode_config(p)
     gamma_bar = c.gamma_bar
@@ -129,21 +121,25 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str, threads: int):
     sides = _sweep_sides(p)
     nan = float("nan")
 
+    def solve_side(side: str, amp: float) -> tuple[complex, float]:
+        """Transmission and dark population from one steady state."""
+        forward = side == "forward"
+        cc = (c.with_amplitudes(amp, 0.0) if forward
+              else c.with_amplitudes(0.0, amp))
+        rho = steady_state(build_diode_liouvillian(cc))
+        a_out, b_out = diode_output_ops(cc)
+        t = expectation(a_out if forward else b_out, rho) / amp
+        return t, dark_state_population(rho)
+
     def solve(power: float) -> SweepRow:
         try:
             t_f = t_r = complex(nan, nan)
             d_f = d_r = nan
             amp = math.sqrt(power)
             if "forward" in sides:
-                cc = c.with_amplitudes(amp, 0.0)
-                t_f = transmission(cc, "forward")
-                d_f = dark_state_population(
-                    steady_state(build_diode_liouvillian(cc)))
+                t_f, d_f = solve_side("forward", amp)
             if "reverse" in sides:
-                cc = c.with_amplitudes(0.0, amp)
-                t_r = transmission(cc, "reverse")
-                d_r = dark_state_population(
-                    steady_state(build_diode_liouvillian(cc)))
+                t_r, d_r = solve_side("reverse", amp)
             eff = (diode_efficiency(t_f, t_r) if len(sides) == 2 else nan)
             return SweepRow(power=power, t_forward=t_f, t_reverse=t_r,
                             efficiency=eff, dark_population_forward=d_f,
@@ -154,7 +150,7 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str, threads: int):
                             dark_population_forward=nan,
                             dark_population_reverse=nan, error=str(exc))
 
-    rows = _pmap(solve, powers, threads)
+    rows = [solve(power) for power in powers]
     path = os.path.join(out_dir, "power_sweep.csv")
     io.write_sweep_csv(path, rows, gamma_bar)
     notes = [f"p/gammabar = {r.power / gamma_bar:.6g}: {r.error}"
@@ -162,7 +158,7 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str, threads: int):
     return [path], notes, EXIT_OK
 
 
-def _run_sweep_frequency(cfg: RunConfig, out_dir: str, threads: int):
+def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     p = cfg.params
     q = QubitParams(omega_q=0.0, gamma_r=p["gamma_r_hz"],
                     gamma_nr=p.get("gamma_nr_hz", 0.0),
@@ -184,13 +180,13 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str, threads: int):
         out = b_out if drive_beta else a_out
         return complex(expectation(out, rho)) / amp
 
-    t_vals = np.array(_pmap(solve, grid, threads))
+    t_vals = np.array([solve(delta_omega) for delta_omega in grid])
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
     return [path], [], EXIT_OK
 
 
-def _run_spectrum(cfg: RunConfig, out_dir: str, threads: int):
+def _run_spectrum(cfg: RunConfig, out_dir: str):
     p = cfg.params
     c = _diode_config(p)
     gamma_bar = c.gamma_bar
@@ -204,7 +200,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, threads: int):
     half_span = 0.5 * p["span_linewidths"] * width_scale
     grid = np.linspace(-half_span, half_span, p["n_freq"])
 
-    result = psd(cc, direction, p["port"], grid, n_taus=p["n_taus"])
+    result = psd(cc, direction, p["port"], grid)
     notes = []
     code = EXIT_OK
     if p["fit"]:
@@ -224,7 +220,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, threads: int):
     return [path, sidecar], notes, code
 
 
-def _run_fit(cfg: RunConfig, out_dir: str, threads: int):
+def _run_fit(cfg: RunConfig, out_dir: str):
     p = cfg.params
     delta_omega, t = io.read_transmission_csv(p["input_csv"])
     alpha = math.sqrt(p.get("power_over_gamma_r", 0.0) * p["initial_gamma_r_hz"])
@@ -253,7 +249,7 @@ def _run_fit(cfg: RunConfig, out_dir: str, threads: int):
     return [path], [], EXIT_OK
 
 
-def _run_mirror_mc(cfg: RunConfig, out_dir: str, threads: int):
+def _run_mirror_mc(cfg: RunConfig, out_dir: str):
     p = cfg.params
     notes = []
     if "p_dark_fwd" in p:
@@ -268,12 +264,10 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str, threads: int):
     powers = np.linspace(p["power_min"], p["power_max"], p["n_powers"])
     seeds = spawn_seeds(cfg.seed, 2 * powers.size)
 
-    def solve(k: int):
-        return sweep_row(powers[k], p_fwd, p_rev, p["sigma_w"],
-                         p["n_samples"], seeds[2 * k], seeds[2 * k + 1],
-                         p.get("dwell_samples", 0.0))
-
-    rows = _pmap(solve, range(powers.size), threads)
+    rows = [sweep_row(power, p_fwd, p_rev, p["sigma_w"], p["n_samples"],
+                      seeds[2 * k], seeds[2 * k + 1],
+                      p.get("dwell_samples", 0.0))
+            for k, power in enumerate(powers)]
     path = os.path.join(out_dir, "mirror_sweep.csv")
     io.write_mirror_csv(path, rows, cfg.seed)
     return [path], notes, EXIT_OK
@@ -304,8 +298,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep points")
     return parser
 
 
@@ -319,10 +311,8 @@ def run(argv=None) -> int:
                 raise ConfigError("--seed must be nonnegative")
             cfg = RunConfig(mode=cfg.mode, echo=cfg.echo, params=cfg.params,
                             seed=args.seed)
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         os.makedirs(args.out, exist_ok=True)
-        outputs, notes, code = _RUNNERS[cfg.mode](cfg, args.out, args.threads)
+        outputs, notes, code = _RUNNERS[cfg.mode](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

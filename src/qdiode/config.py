@@ -94,7 +94,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "port": Field(str, required=True, choices=("transmitted", "reflected")),
         "span_linewidths": _num(default=16.0, minimum=6.0),
         "n_freq": _int(default=401, minimum=9),
-        "n_taus": _int(default=6000, minimum=100),
         "gamma_exc_hz": _num(default=0.0, minimum=0.0),
         "fit": Field(bool, default=True),
     },

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .operators import (
     IDENTITY_4,
@@ -45,6 +44,7 @@ from .operators import (
 from .single_qubit import DriveConfig, QubitParams
 
 PI = np.pi
+SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by SI definition
 
 SIGMA_MINUS_1 = embed_qubit1(SIGMA_MINUS)
 SIGMA_MINUS_2 = embed_qubit2(SIGMA_MINUS)

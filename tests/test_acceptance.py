@@ -197,8 +197,7 @@ def test_linewidth_scaling():
         cc = c.with_amplitudes(np.sqrt(PLATEAU_POWER), 0.0)
         pred = predicted_linewidth(delta, 1.0, 0.0, 0.0)
         grid = np.linspace(-8.0 * pred, 8.0 * pred, 401)
-        fit = fit_lorentzian(psd(cc, "forward", "transmitted", grid,
-                                 n_taus=4000))
+        fit = fit_lorentzian(psd(cc, "forward", "transmitted", grid))
         widths.append(fit.fwhm)
         predictions.append(pred)
     widths = np.array(widths)
@@ -228,10 +227,8 @@ def test_spectral_asymmetry():
     half = np.concatenate([np.linspace(0.0, 8.0 * pred, 401),
                            np.geomspace(8.0 * pred, 4.0, 300)[1:]])
     grid = np.concatenate([-half[:0:-1], half])
-    fwd = psd(c.with_amplitudes(amp, 0.0), "forward", "transmitted", grid,
-              n_taus=5000)
-    rev = psd(c.with_amplitudes(0.0, amp), "reverse", "reflected", grid,
-              n_taus=5000)
+    fwd = psd(c.with_amplitudes(amp, 0.0), "forward", "transmitted", grid)
+    rev = psd(c.with_amplitudes(0.0, amp), "reverse", "reflected", grid)
     ratio = integrated_inelastic(fwd) / integrated_inelastic(rev)
     ok = ratio >= 3.0
     detail = f"inelastic forward/reverse = {ratio:.2f} (minimum 3)"
@@ -334,7 +331,7 @@ def test_deterministic_reruns(tmp_path):
                             "power_over_gamma_r": 1e-4, "n_points": 101},
         "spectrum": {**device, "p_over_gammabar": 0.05,
                      "direction": "forward", "port": "transmitted",
-                     "n_freq": 33, "n_taus": 800, "span_linewidths": 8.0},
+                     "n_freq": 33, "span_linewidths": 8.0},
         "fit": {"input_csv": str(scan_out / "frequency_sweep.csv"),
                 "initial_gamma_r_hz": 80e6},
         "mirror-mc": {"p_dark_fwd": 0.64, "p_dark_rev": 0.003,

@@ -367,7 +367,7 @@ class TestCliRuns:
     def test_spectrum_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path, steady_payload(
             direction="forward", port="transmitted", n_freq=65,
-            n_taus=1500, span_linewidths=10.0))
+            span_linewidths=10.0))
         out = tmp_path / "out"
         assert run(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
         w, p = io.read_spectrum_csv(str(out / "spectrum.csv"))
@@ -377,7 +377,8 @@ class TestCliRuns:
         assert meta["direction"] == "forward"
         assert meta["elastic_weight_photons_per_s"] > 0.0
         # At this drive power the measured line runs about twice the
-        # weak-drive analytic width (see the spectrum module tests).
+        # predicted_linewidth formula (see the width-versus-power table in
+        # its docstring).
         ratio = meta["lorentzian_fit"]["fwhm_hz"] / meta["predicted_fwhm_hz"]
         assert 1.5 < ratio < 2.5
 
@@ -411,18 +412,6 @@ class TestCliRuns:
         _, rows = io.read_mirror_csv(str(out / "mirror_sweep.csv"))
         assert rows[-1]["var_i_fwd"] > rows[-1]["var_i_rev"]
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
-            "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1.0,
-            "n_powers": 4})
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run(["sweep-power", "--config", cfg, "--out", str(out1)])
-        run(["sweep-power", "--config", cfg, "--out", str(out2),
-             "--threads", "2"])
-        assert filecmp.cmp(out1 / "power_sweep.csv", out2 / "power_sweep.csv",
-                           shallow=False)
-
     def test_console_script_smoke(self, tmp_path):
         exe = shutil.which("qdiode")
         if exe is None:
@@ -443,6 +432,13 @@ class TestExitCodes:
         assert run(["steady-state", "--config", cfg,
                     "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "run_manifest.json").exists()
+
+    def test_removed_n_taus_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, steady_payload(
+            direction="forward", port="transmitted", n_taus=6000))
+        assert run(["spectrum", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'n_taus'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run(["steady-state", "--config", str(tmp_path / "nope.json"),
@@ -469,9 +465,3 @@ class TestExitCodes:
         assert run(["steady-state", "--config", cfg,
                     "--out", str(tmp_path / "out"),
                     "--seed", "-3"]) == EXIT_CONFIG
-
-    def test_zero_threads(self, tmp_path):
-        cfg = write_config(tmp_path, steady_payload())
-        assert run(["steady-state", "--config", cfg,
-                    "--out", str(tmp_path / "out"),
-                    "--threads", "0"]) == EXIT_CONFIG
