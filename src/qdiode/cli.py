@@ -15,20 +15,19 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import io
 from .config import MODES, ConfigError, RunConfig, load
-from .diode import (DiodeConfig, SweepRow, build_diode_liouvillian,
-                    dark_state_population, diode_efficiency, diode_output_ops,
-                    operating_point)
+from .diode import (DiodeConfig, build_diode_liouvillian,
+                    dark_state_population, diode_output_ops, operating_point,
+                    power_sweep)
 from .fitting import FitError, fit_single_qubit
 from .mirror import spawn_seeds, sweep_row
 from .operators import SolverError, expectation, steady_state
-from .single_qubit import (DriveConfig, QubitParams,
-                           build_single_qubit_liouvillian,
-                           single_qubit_output_ops)
+from .single_qubit import DriveConfig, QubitParams, transmission_numeric
 from .spectrum import (SpectrumError, fit_lorentzian, linewidth_estimate,
                        predicted_linewidth, psd)
 
@@ -118,39 +117,7 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
     powers = np.geomspace(p["power_min_over_gammabar"],
                           p["power_max_over_gammabar"],
                           p["n_powers"]) * gamma_bar
-    sides = _sweep_sides(p)
-    nan = float("nan")
-
-    def solve_side(side: str, amp: float) -> tuple[complex, float]:
-        """Transmission and dark population from one steady state."""
-        forward = side == "forward"
-        cc = (c.with_amplitudes(amp, 0.0) if forward
-              else c.with_amplitudes(0.0, amp))
-        rho = steady_state(build_diode_liouvillian(cc))
-        a_out, b_out = diode_output_ops(cc)
-        t = expectation(a_out if forward else b_out, rho) / amp
-        return t, dark_state_population(rho)
-
-    def solve(power: float) -> SweepRow:
-        try:
-            t_f = t_r = complex(nan, nan)
-            d_f = d_r = nan
-            amp = math.sqrt(power)
-            if "forward" in sides:
-                t_f, d_f = solve_side("forward", amp)
-            if "reverse" in sides:
-                t_r, d_r = solve_side("reverse", amp)
-            eff = (diode_efficiency(t_f, t_r) if len(sides) == 2 else nan)
-            return SweepRow(power=power, t_forward=t_f, t_reverse=t_r,
-                            efficiency=eff, dark_population_forward=d_f,
-                            dark_population_reverse=d_r)
-        except (SolverError, ValueError) as exc:
-            return SweepRow(power=power, t_forward=complex(nan, nan),
-                            t_reverse=complex(nan, nan), efficiency=nan,
-                            dark_population_forward=nan,
-                            dark_population_reverse=nan, error=str(exc))
-
-    rows = [solve(power) for power in powers]
+    rows = power_sweep(c, powers, _sweep_sides(p))
     path = os.path.join(out_dir, "power_sweep.csv")
     io.write_sweep_csv(path, rows, gamma_bar)
     notes = [f"p/gammabar = {r.power / gamma_bar:.6g}: {r.error}"
@@ -166,21 +133,13 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     amp = math.sqrt(p["power_over_gamma_r"] * q.gamma_r)
     half_span = p["span_linewidths"] * q.gamma_2
     grid = np.linspace(-half_span, half_span, p["n_points"])
-    drive_beta = p.get("beta", 0.0) != 0.0
-
-    def solve(delta_omega: float) -> complex:
-        # The file axis is delta_omega = omega_q - omega_d; in the rotating
-        # frame only this difference enters.
-        qq = QubitParams(omega_q=delta_omega, gamma_r=q.gamma_r,
-                         gamma_nr=q.gamma_nr, gamma_phi=q.gamma_phi)
-        d = (DriveConfig(omega_d=0.0, alpha=0.0, beta=amp) if drive_beta
-             else DriveConfig(omega_d=0.0, alpha=amp, beta=0.0))
-        rho = steady_state(build_single_qubit_liouvillian(qq, d))
-        a_out, b_out = single_qubit_output_ops(qq, d)
-        out = b_out if drive_beta else a_out
-        return complex(expectation(out, rho)) / amp
-
-    t_vals = np.array([solve(delta_omega) for delta_omega in grid])
+    drive = (DriveConfig(omega_d=0.0, beta=amp) if p.get("beta", 0.0) != 0.0
+             else DriveConfig(omega_d=0.0, alpha=amp))
+    # The file axis is delta_omega = omega_q - omega_d; in the rotating frame
+    # only this difference enters.
+    t_vals = np.array([transmission_numeric(replace(q, omega_q=delta_omega),
+                                            drive)
+                       for delta_omega in grid])
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
     return [path], [], EXIT_OK

@@ -205,6 +205,20 @@ def build_diode_liouvillian(c: DiodeConfig) -> np.ndarray:
     return liouvillian_matrix(h, jumps)
 
 
+def _solve_direction(c: DiodeConfig, direction: str,
+                     amp: complex) -> tuple[complex, np.ndarray]:
+    """Steady state under drive amplitude ``amp`` from one side only, and its
+    transmission: <a_out>/amp forward, <b_out>/amp reverse, 0 at amp = 0."""
+    forward = direction == "forward"
+    cc = (c.with_amplitudes(amp, 0.0) if forward
+          else c.with_amplitudes(0.0, amp))
+    rho = steady_state(build_diode_liouvillian(cc))
+    if amp == 0:
+        return 0.0, rho
+    a_out, b_out = diode_output_ops(cc)
+    return expectation(a_out if forward else b_out, rho) / amp, rho
+
+
 def transmission(c: DiodeConfig, direction: str) -> complex:
     """Directional steady-state transmission amplitude.
 
@@ -214,16 +228,12 @@ def transmission(c: DiodeConfig, direction: str) -> complex:
     if direction == "forward":
         if c.drive.alpha == 0 or c.drive.beta != 0:
             raise ValueError("forward transmission needs alpha != 0 and beta = 0")
-    elif direction == "reverse":
+        return _solve_direction(c, direction, c.drive.alpha)[0]
+    if direction == "reverse":
         if c.drive.beta == 0 or c.drive.alpha != 0:
             raise ValueError("reverse transmission needs beta != 0 and alpha = 0")
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    rho = steady_state(build_diode_liouvillian(c))
-    a_out, b_out = diode_output_ops(c)
-    if direction == "forward":
-        return expectation(a_out, rho) / c.drive.alpha
-    return expectation(b_out, rho) / c.drive.beta
+        return _solve_direction(c, direction, c.drive.beta)[0]
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def diode_efficiency(t_f: complex, t_r: complex) -> float:
@@ -241,14 +251,8 @@ def diode_efficiency(t_f: complex, t_r: complex) -> float:
 def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
     """Solve both drive directions at photon flux ``power`` = |amplitude|^2."""
     amp = np.sqrt(power)
-    fwd = c.with_amplitudes(amp, 0.0)
-    rev = c.with_amplitudes(0.0, amp)
-    rho_f = steady_state(build_diode_liouvillian(fwd))
-    rho_r = steady_state(build_diode_liouvillian(rev))
-    a_out_f, _ = diode_output_ops(fwd)
-    _, b_out_r = diode_output_ops(rev)
-    t_f = expectation(a_out_f, rho_f) / amp if amp > 0 else 0.0
-    t_r = expectation(b_out_r, rho_r) / amp if amp > 0 else 0.0
+    t_f, rho_f = _solve_direction(c, "forward", amp)
+    t_r, rho_r = _solve_direction(c, "reverse", amp)
     return DiodeOperatingPoint(
         t_forward=t_f, t_reverse=t_r,
         efficiency=diode_efficiency(t_f, t_r),
@@ -270,27 +274,43 @@ class SweepRow:
     error: str | None = None
 
 
-def power_sweep(c: DiodeConfig, powers) -> list[SweepRow]:
-    """Operating points over ascending drive powers (photon flux |amp|^2).
+def power_sweep(c: DiodeConfig, powers,
+                sides=("forward", "reverse")) -> list[SweepRow]:
+    """Transmission, efficiency and dark population over ascending drive
+    powers (photon flux |amp|^2), driving from each side in ``sides``.
 
-    Solver failures are recorded per row rather than aborting the sweep.
+    Each (power, side) steady state is solved once. A side not in ``sides``
+    gets NaN transmission and dark population, so the efficiency is NaN
+    unless both sides are solved. A power whose solve fails becomes a row of
+    NaN values with the message in ``error``; the sweep goes on.
     """
     powers = list(powers)
     if any(p2 < p1 for p1, p2 in zip(powers, powers[1:])):
         raise ValueError("powers must be sorted ascending")
+    unknown = set(sides) - {"forward", "reverse"}
+    if unknown:
+        raise ValueError(f"unknown direction(s) {sorted(unknown)}")
+    nan_t = complex(np.nan, np.nan)
     rows = []
     for p in powers:
+        t = {"forward": nan_t, "reverse": nan_t}
+        dark = {"forward": np.nan, "reverse": np.nan}
         try:
-            op = operating_point(c, p)
-            rows.append(SweepRow(
-                power=p, t_forward=op.t_forward, t_reverse=op.t_reverse,
-                efficiency=op.efficiency,
-                dark_population_forward=op.dark_population_forward,
-                dark_population_reverse=op.dark_population_reverse))
+            amp = np.sqrt(p)
+            for side in sides:
+                t[side], rho = _solve_direction(c, side, amp)
+                dark[side] = dark_state_population(rho)
         except (SolverError, ValueError) as exc:
-            rows.append(SweepRow(power=p, t_forward=np.nan, t_reverse=np.nan,
+            rows.append(SweepRow(power=p, t_forward=nan_t, t_reverse=nan_t,
                                  efficiency=np.nan,
                                  dark_population_forward=np.nan,
                                  dark_population_reverse=np.nan,
                                  error=str(exc)))
+            continue
+        # NaN from a side not solved propagates into the efficiency.
+        rows.append(SweepRow(
+            power=p, t_forward=t["forward"], t_reverse=t["reverse"],
+            efficiency=diode_efficiency(t["forward"], t["reverse"]),
+            dark_population_forward=dark["forward"],
+            dark_population_reverse=dark["reverse"]))
     return rows

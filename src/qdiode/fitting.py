@@ -12,10 +12,15 @@ with the fitted s reported directly. When a QubitParams is constructed from
 the result it uses the convention gamma_nr = 0, gamma_phi = s/2, which leaves
 gamma_1 equal to the fitted radiative rate.
 
-Algorithm: damped Gauss-Newton (Levenberg damping on the normal equations)
-with a numerically differenced Jacobian, in log-rate coordinates so rates stay
-positive. Damping starts at 1e-3, the iteration cap is 200, and convergence is
-declared when the relative residual change drops below 1e-10.
+Algorithm: ``scipy.optimize.least_squares`` (trust-region reflective, with
+its forward-difference Jacobian and tolerances of 1e-12) in the coordinates
+(ln gamma_r, ln s, dc / gamma_2_initial). Log rates keep the rates positive;
+the center is measured in initial linewidths because the finite-difference
+step is relative to each coordinate, and at the zero start of dc it would be
+about 1e-8 rad/s against a linewidth of about 2e8 rad/s. The optimizer may
+evaluate the residuals at most 200 times (not counting the Jacobian's
+evaluations); hitting that cap is a FitError. Standard errors come from the
+Jacobian at the optimum by the delta method.
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .single_qubit import QubitParams, transmission_analytic
 
-DAMPING_INIT = 1e-3
-MAX_ITERATIONS = 200
-REL_RESIDUAL_TOL = 1e-10
+MAX_EVALUATIONS = 200
+# ftol, xtol and gtol of least_squares. At their 1e-8 defaults a noiseless
+# trace can stop up to 1e-6 relative short of the optimum in s.
+TOLERANCE = 1e-12
 
 
 class FitError(RuntimeError):
@@ -37,7 +44,11 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit diagnostics: residual norm, standard errors, iteration record."""
+    """Fit diagnostics: residual norm, standard errors, iteration record.
+
+    ``n_iterations`` is the number of Jacobian evaluations the optimizer
+    made, one per accepted step plus the one at the start.
+    """
 
     residual_norm: float
     gamma_r: float
@@ -51,37 +62,24 @@ class FitReport:
     magnitude_only: bool
 
 
-def _model(theta: np.ndarray, delta_omega: np.ndarray, alpha: complex,
-           omega_q0: float) -> np.ndarray:
-    """Transmission model at log-rate parameters theta = (ln gr, ln s, dc)."""
-    gamma_r = np.exp(theta[0])
-    s = np.exp(theta[1])
-    q = QubitParams(omega_q=omega_q0 + theta[2], gamma_r=gamma_r,
+def _model(x: np.ndarray, delta_omega: np.ndarray, alpha: complex,
+           omega_q0: float, center_scale: float) -> np.ndarray:
+    """Transmission model at x = (ln gr, ln s, dc / center_scale)."""
+    gamma_r = np.exp(x[0])
+    s = np.exp(x[1])
+    dc = x[2] * center_scale
+    q = QubitParams(omega_q=omega_q0 + dc, gamma_r=gamma_r,
                     gamma_nr=0.0, gamma_phi=0.5 * s)
-    return transmission_analytic(q, delta_omega + theta[2], alpha)
+    return transmission_analytic(q, delta_omega + dc, alpha)
 
 
-def _residuals(theta, delta_omega, target, alpha, omega_q0, magnitude_only):
-    t = _model(theta, delta_omega, alpha, omega_q0)
+def _residuals(x, delta_omega, target, alpha, omega_q0, center_scale,
+               magnitude_only):
+    t = _model(x, delta_omega, alpha, omega_q0, center_scale)
     if magnitude_only:
         return np.abs(t) - target
     diff = t - target
     return np.concatenate([diff.real, diff.imag])
-
-
-def _jacobian(theta, delta_omega, target, alpha, omega_q0, magnitude_only,
-              linewidth_scale):
-    """Forward-difference Jacobian of the residual vector."""
-    r0 = _residuals(theta, delta_omega, target, alpha, omega_q0, magnitude_only)
-    jac = np.empty((r0.size, theta.size))
-    # Log-rate coordinates are O(1); the center offset scales with the linewidth.
-    steps = np.array([1e-7, 1e-7, 1e-7 * linewidth_scale])
-    for k in range(theta.size):
-        tp = theta.copy()
-        tp[k] += steps[k]
-        jac[:, k] = (_residuals(tp, delta_omega, target, alpha, omega_q0,
-                                magnitude_only) - r0) / steps[k]
-    return r0, jac
 
 
 def _noise_floor(values: np.ndarray) -> float:
@@ -98,7 +96,8 @@ def fit_single_qubit(data, alpha: complex, initial: QubitParams,
 
     ``data`` is a sequence of (delta_omega, t) pairs; t may be complex or a
     real magnitude |t|. Returns (QubitParams, FitReport). Raises FitError for
-    unidentifiable (flat) data or non-convergence.
+    non-finite points, unidentifiable (flat) data, or when the optimizer
+    reaches its evaluation cap.
     """
     pairs = list(data)
     if len(pairs) < 6:
@@ -112,6 +111,11 @@ def fit_single_qubit(data, alpha: complex, initial: QubitParams,
     else:
         target = t_raw.astype(complex)
 
+    n_bad = int(np.count_nonzero(~(np.isfinite(delta_omega)
+                                   & np.isfinite(target))))
+    if n_bad:
+        raise FitError(f"{n_bad} of {len(pairs)} data points are not finite")
+
     # Identifiability guard: a trace with no resonance feature above its own
     # noise floor pins none of the parameters.
     order = np.argsort(delta_omega)
@@ -124,75 +128,40 @@ def fit_single_qubit(data, alpha: complex, initial: QubitParams,
     s0 = initial.gamma_nr + 2.0 * initial.gamma_phi
     if s0 <= 0:
         s0 = 1e-4 * initial.gamma_r
-    theta = np.array([np.log(initial.gamma_r), np.log(s0), 0.0])
-    linewidth_scale = initial.gamma_2
+    center_scale = initial.gamma_2
+    x0 = np.array([np.log(initial.gamma_r), np.log(s0), 0.0])
+    sol = least_squares(_residuals, x0, ftol=TOLERANCE, xtol=TOLERANCE,
+                        gtol=TOLERANCE, max_nfev=MAX_EVALUATIONS,
+                        args=(delta_omega, target, alpha, initial.omega_q,
+                              center_scale, magnitude_only))
+    if sol.status == 0:
+        raise FitError(f"no convergence after {sol.nfev} evaluations "
+                       f"(residual norm {np.linalg.norm(sol.fun):.3e})")
 
-    lam = DAMPING_INIT
-    r = _residuals(theta, delta_omega, target, alpha, initial.omega_q, magnitude_only)
-    rss = float(r @ r)
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, MAX_ITERATIONS + 1):
-        r, jac = _jacobian(theta, delta_omega, target, alpha, initial.omega_q,
-                           magnitude_only, linewidth_scale)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        for _ in range(25):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
-            try:
-                step = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            theta_new = theta + step
-            r_new = _residuals(theta_new, delta_omega, target, alpha,
-                               initial.omega_q, magnitude_only)
-            rss_new = float(r_new @ r_new)
-            if np.isfinite(rss_new) and rss_new <= rss:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # Damping saturated: the current point is a numerical minimum.
-            converged = True
-            break
-        improvement = rss - rss_new
-        theta, rss = theta_new, rss_new
-        lam = max(lam / 10.0, 1e-15)
-        if improvement <= REL_RESIDUAL_TOL * max(rss, 1e-300):
-            converged = True
-            break
+    gamma_r = float(np.exp(sol.x[0]))
+    s = float(np.exp(sol.x[1]))
+    omega_q = initial.omega_q + float(sol.x[2]) * center_scale
 
-    if not converged:
-        raise FitError(f"no convergence after {MAX_ITERATIONS} iterations "
-                       f"(residual norm {np.sqrt(rss):.3e}, damping {lam:.1e})")
-
-    gamma_r = float(np.exp(theta[0]))
-    s = float(np.exp(theta[1]))
-    omega_q = initial.omega_q + float(theta[2])
-
-    # Standard errors: delta method on the log-rate covariance from the
+    # Standard errors: delta method on the covariance of x from the
     # Jacobian at the optimum.
-    r, jac = _jacobian(theta, delta_omega, target, alpha, initial.omega_q,
-                       magnitude_only, linewidth_scale)
-    dof = max(r.size - theta.size, 1)
+    r, jac = sol.fun, sol.jac
+    dof = max(r.size - x0.size, 1)
     sigma2 = float(r @ r) / dof
     try:
         cov = sigma2 * np.linalg.inv(jac.T @ jac)
         errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
         stderr_gamma_r = gamma_r * errs[0]
         stderr_s = s * errs[1]
-        stderr_omega_q = errs[2]
+        stderr_omega_q = center_scale * errs[2]
     except np.linalg.LinAlgError:
         stderr_gamma_r = stderr_s = stderr_omega_q = np.inf
 
     params = QubitParams(omega_q=omega_q, gamma_r=gamma_r,
                          gamma_nr=0.0, gamma_phi=0.5 * s)
-    report = FitReport(residual_norm=float(np.sqrt(rss)),
+    report = FitReport(residual_norm=float(np.sqrt(r @ r)),
                        gamma_r=gamma_r, s=s, omega_q=omega_q,
                        stderr_gamma_r=stderr_gamma_r, stderr_s=stderr_s,
                        stderr_omega_q=stderr_omega_q,
-                       n_iterations=n_iter, converged=converged,
+                       n_iterations=int(sol.njev), converged=bool(sol.success),
                        magnitude_only=magnitude_only)
     return params, report

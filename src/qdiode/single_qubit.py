@@ -126,10 +126,16 @@ def build_single_qubit_liouvillian(q: QubitParams, d: DriveConfig) -> np.ndarray
 
 
 def transmission_numeric(q: QubitParams, d: DriveConfig) -> complex:
-    """Steady-state <a_out>/alpha from the full master equation."""
-    if d.alpha == 0:
-        raise ValueError("transmission requires a nonzero forward drive")
+    """Steady-state transmission from the full master equation.
+
+    <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
+    drive from the right only. Raises ValueError for an undriven emitter.
+    """
+    if d.alpha == 0 and d.beta == 0:
+        raise ValueError("transmission requires a nonzero drive")
     lv = build_single_qubit_liouvillian(q, d)
     rho = steady_state(lv)
-    a_out, _ = single_qubit_output_ops(q, d)
-    return expectation(a_out, rho) / d.alpha
+    a_out, b_out = single_qubit_output_ops(q, d)
+    if d.alpha != 0:
+        return expectation(a_out, rho) / d.alpha
+    return expectation(b_out, rho) / d.beta

@@ -142,6 +142,13 @@ def test_dark_state_trapping(plateau_op):
     tests/test_diode.py checks that limit and the weak-drive limit
     2p/(3p + gamma_D) against the full model. Reverse drive flips the sign
     of the J drive, so the two paths into |+> cancel instead.
+
+    The reverse limit 5 delta^2 is not an O(delta^2) bound. With the pump
+    cancelled, the reverse population is about 0.9 p^2 + 0.5 delta^2 near
+    this power, so it stays O(p^2) as delta -> 0: at p = 0.05 it is 2.75e-3
+    at delta^2 = 1e-3 and still 2.25e-3 at delta^2 = 1e-7. The limit holds
+    because p^2 = 2.5 delta^2 at this operating point; on the same device
+    it is crossed near p = 0.073.
     """
     d2 = 1e-3
     gamma_d = 0.5 * d2

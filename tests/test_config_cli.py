@@ -8,16 +8,20 @@ disagreement points at the plumbing rather than the model.
 
 import filecmp
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qdiode
 from qdiode import io
-from qdiode.cli import EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SOLVER, run
+from qdiode.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SOLVER,
+                        _diode_config, run)
 from qdiode.config import TWO_PI, ConfigError, load, validate
-from qdiode.diode import SweepRow
+from qdiode.diode import SweepRow, power_sweep
 from qdiode.spectrum import LorentzianFit, SpectrumResult
 
 DELTA = float(np.sqrt(1e-3))
@@ -341,6 +345,50 @@ class TestCliRuns:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["notes"]
 
+    def test_sweep_power_reverse_only(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
+            "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1.0,
+            "n_powers": 3, "beta": 1.0})
+        out = tmp_path / "out"
+        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        table = np.genfromtxt(out / "power_sweep.csv", delimiter=",",
+                              names=True)
+        for col in ("t_rev_abs", "t_rev_arg", "dark_pop_rev"):
+            assert np.all(np.isfinite(table[col]))
+        for col in ("t_fwd_abs", "dark_pop_fwd", "efficiency"):
+            assert np.all(np.isnan(table[col]))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "notes" not in manifest
+
+    def test_sweep_power_file_is_library_sweep(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 65e6, "gamma_nr_hz": 2e5,
+            "delta": DELTA, "power_min_over_gammabar": 1e-3,
+            "power_max_over_gammabar": 3.0, "n_powers": 7})
+        out = tmp_path / "out"
+        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        c = _diode_config(load("sweep-power", cfg).params)
+        powers = np.geomspace(1e-3, 3.0, 7) * c.gamma_bar
+        lib = str(tmp_path / "library.csv")
+        io.write_sweep_csv(lib, power_sweep(c, powers), c.gamma_bar)
+        assert filecmp.cmp(out / "power_sweep.csv", lib, shallow=False)
+
+    def test_sweep_frequency_beta_matches_alpha(self, tmp_path):
+        # A lone drive from either side sees the same emitter.
+        scan = {"gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
+                "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
+                "span_linewidths": 4.0, "n_points": 41}
+        outs = []
+        for name, extra in (("alpha", {}), ("beta", {"beta": 1.0})):
+            cfg = write_config(tmp_path, {**scan, **extra},
+                               name=f"{name}.json")
+            outs.append(tmp_path / name)
+            assert run(["sweep-frequency", "--config", cfg,
+                        "--out", str(outs[-1])]) == EXIT_OK
+        assert filecmp.cmp(outs[0] / "frequency_sweep.csv",
+                           outs[1] / "frequency_sweep.csv", shallow=False)
+
     def test_sweep_frequency_then_fit(self, tmp_path):
         # Weak probe: the fitter reconstructs the drive amplitude from the
         # initial rate guess, so saturation must stay negligible for the
@@ -413,14 +461,18 @@ class TestCliRuns:
         assert rows[-1]["var_i_fwd"] > rows[-1]["var_i_rev"]
 
     def test_console_script_smoke(self, tmp_path):
+        # Without the installed console script, run the package as a module,
+        # from the source tree this test imported it from.
         exe = shutil.which("qdiode")
-        if exe is None:
-            pytest.skip("console script not installed")
+        cmd = [exe] if exe else [sys.executable, "-m", "qdiode"]
+        src = os.path.dirname(os.path.dirname(qdiode.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         cfg = write_config(tmp_path, steady_payload())
         out = tmp_path / "out"
-        proc = subprocess.run([exe, "steady-state", "--config", cfg,
-                               "--out", str(out)],
-                              capture_output=True, text=True)
+        proc = subprocess.run(cmd + ["steady-state", "--config", cfg,
+                                     "--out", str(out)],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "steady_state.json").exists()
 

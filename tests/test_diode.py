@@ -303,6 +303,23 @@ class TestPowerSweep:
         assert effs[0] < 0.1 and effs[-1] < 0.1
         assert all(r.error is None for r in rows)
 
+    def test_one_sided_sweep(self):
+        c = ideal_diode()
+        powers = [0.01 * c.gamma_bar, 0.05 * c.gamma_bar]
+        rows = power_sweep(c, powers, sides=("reverse",))
+        for p, r in zip(powers, rows):
+            op = operating_point(c, p)
+            assert r.error is None
+            assert np.isnan(r.t_forward) and np.isnan(r.efficiency)
+            assert np.isnan(r.dark_population_forward)
+            assert r.t_reverse == op.t_reverse
+            assert r.dark_population_reverse == op.dark_population_reverse
+
+    def test_unknown_side_rejected(self):
+        c = ideal_diode()
+        with pytest.raises(ValueError, match="sideways"):
+            power_sweep(c, [0.01 * c.gamma_bar], sides=("sideways",))
+
     def test_failed_rows_are_marked_not_fatal(self):
         q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
         c = DiodeConfig.from_delta(q, q, omega_d=0.0, delta=0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qdiode import fitting
 from qdiode.fitting import FitError, fit_single_qubit
 from qdiode.single_qubit import QubitParams, transmission_analytic
 
@@ -102,12 +103,26 @@ class TestDegenerateInputs:
         with pytest.raises(FitError):
             fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
 
+    def test_non_finite_point_rejected(self):
+        delta, t = make_trace()
+        t[17] = np.nan
+        with pytest.raises(FitError, match="1 of 200 data points"):
+            fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
+
     def test_numerical_noise_floor_rejected(self):
         rng = np.random.default_rng(9)
         delta = np.linspace(-1.0, 1.0, 80) * GR_TRUE
         t = 1.0 + 1e-14 * (rng.standard_normal(80)
                            + 1j * rng.standard_normal(80))
         with pytest.raises(FitError):
+            fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
+
+
+class TestEvaluationCap:
+    def test_cap_reached_is_a_fit_error(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 2)
+        delta, t = make_trace()
+        with pytest.raises(FitError, match="no convergence after 2"):
             fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
 
 

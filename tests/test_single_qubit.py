@@ -118,9 +118,19 @@ class TestNumericAgreement:
         np.testing.assert_allclose(steady_state(stronger)[1, 1].real, 0.5,
                                    atol=2e-5)
 
-    def test_transmission_requires_forward_drive(self):
+    def test_transmission_requires_a_drive(self):
         with pytest.raises(ValueError):
             transmission_numeric(make_qubit(), DriveConfig(omega_d=0.0))
+
+    def test_beta_only_drive_gives_left_moving_ratio(self):
+        q = make_qubit(gamma_phi=0.05 * GAMMA_R, omega_q=0.3 * GAMMA_R)
+        amp = np.sqrt(0.4 * GAMMA_R)
+        # The emitter couples equally to both directions, so <b_out>/beta
+        # under a drive from the right is the forward closed form.
+        d = DriveConfig(omega_d=0.0, beta=amp)
+        np.testing.assert_allclose(transmission_numeric(q, d),
+                                   transmission_analytic(q, q.omega_q, amp),
+                                   atol=1e-12)
 
 
 class TestFluxConservation:
