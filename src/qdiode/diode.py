@@ -248,8 +248,15 @@ def diode_efficiency(t_f: complex, t_r: complex) -> float:
     return af * (af - ar) / total
 
 
+def _check_power(power: float) -> None:
+    """Raise ValueError unless ``power`` is a finite, nonnegative photon flux."""
+    if not (np.isfinite(power) and power >= 0):
+        raise ValueError(f"drive power must be finite and >= 0, got {power}")
+
+
 def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
     """Solve both drive directions at photon flux ``power`` = |amplitude|^2."""
+    _check_power(power)
     amp = np.sqrt(power)
     t_f, rho_f = _solve_direction(c, "forward", amp)
     t_r, rho_r = _solve_direction(c, "reverse", amp)
@@ -285,6 +292,8 @@ def power_sweep(c: DiodeConfig, powers,
     NaN values with the message in ``error``; the sweep goes on.
     """
     powers = list(powers)
+    for p in powers:
+        _check_power(p)
     if any(p2 < p1 for p1, p2 in zip(powers, powers[1:])):
         raise ValueError("powers must be sorted ascending")
     unknown = set(sides) - {"forward", "reverse"}

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from .diode import DiodeConfig, build_diode_liouvillian, dark_bright_rates, diode_output_ops
 from .operators import steady_state, unvec, vec
@@ -206,21 +205,53 @@ def psd(c: DiodeConfig, direction: str, port: str,
 #                     Lorentzian fitting and prediction
 # -----------------------------------------------------------------------------
 
+def _prominent_peak_count(x: np.ndarray, min_prominence: float) -> int:
+    """Number of peaks of ``x`` whose prominence is at least ``min_prominence``.
+
+    The definitions are those of ``scipy.signal.find_peaks``. A peak is an
+    interior local maximum; a flat top counts once, and only if a rise enters
+    it and a fall leaves it. Its prominence is its height above the higher of
+    the two minima reached on each side before a strictly higher sample (or a
+    NaN) or the edge of the array.
+    """
+    x = np.asarray(x, dtype=float)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    v = x[keep]                    # each flat run collapsed to one sample
+    peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    count = 0
+    for p in peaks:
+        barrier = ~(v <= v[p])     # what a walk away from the peak stops at
+        left = np.flatnonzero(barrier[:p])
+        right = np.flatnonzero(barrier[p:])
+        lo = left[-1] + 1 if left.size else 0
+        hi = p + right[0] if right.size else v.size
+        base = max(v[lo:p].min(), v[p + 1:hi].min())
+        count += v[p] - base >= min_prominence
+    return int(count)
+
+
 def _unimodality_check(s: np.ndarray) -> None:
     """Reject flat or multimodal spectra before fitting.
 
-    Peaks are counted on a lightly smoothed copy with a prominence floor at
-    15% of the full span, so percent-level measurement noise does not
-    register as extra modes while a genuine secondary line does.
+    Peaks are counted on a lightly smoothed copy (a moving average over a
+    twentieth of the grid). A peak is an interior local maximum, a flat top
+    counting once, and its prominence is its height above the higher of the
+    lowest points reached on each side before a higher sample or the grid
+    edge. Only peaks with a prominence of at least 15% of the full span
+    count, so percent-level measurement noise does not register as extra
+    modes while a genuine secondary line does. No such peak means the
+    maximum sits at a grid edge.
     """
     span = s.max() - s.min()
     if span <= 1e-12 * max(abs(s.max()), 1.0):
         raise SpectrumError("spectrum is flat; nothing to fit")
-    window = max(s.size // 20, 3)
-    kernel = np.ones(window) / window
-    smooth = np.convolve(s, kernel, mode="same")
-    peaks, _ = find_peaks(smooth, prominence=0.15 * span)
-    n_peaks = peaks.size
+    window = np.ones(max(s.size // 20, 3))
+    # Mean over the samples inside the grid: zero padding would pull both
+    # edges down and turn a maximum at an edge into an interior peak.
+    smooth = (np.convolve(s, window, mode="same")
+              / np.convolve(np.ones(s.size), window, mode="same"))
+    n_peaks = _prominent_peak_count(smooth, 0.15 * span)
     if n_peaks == 0:
         # The maximum sits at a grid edge; a line centered in the grid
         # always produces one interior peak.

@@ -476,6 +476,18 @@ class TestCliRuns:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "steady_state.json").exists()
 
+    def test_cold_import_skips_scipy_signal_and_stats(self):
+        # A cold start pays for every module the CLI imports; scipy.signal
+        # and the scipy.stats it pulls in cost about half of it.
+        src = os.path.dirname(os.path.dirname(qdiode.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import qdiode.cli; "
+                "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):

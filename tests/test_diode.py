@@ -328,3 +328,31 @@ class TestPowerSweep:
         for r in rows:
             assert r.error is not None
             assert np.isnan(r.efficiency)
+
+
+class TestBadPowers:
+    """Negative and non-finite powers are named in a ValueError before any
+    steady state is solved (np.sqrt would otherwise hand the solver NaN)."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a steady state was solved")
+        monkeypatch.setattr("qdiode.diode.steady_state", fail)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_operating_point_rejects(self, bad, no_solve):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            operating_point(ideal_diode(), bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_power_sweep_rejects_up_front(self, bad, no_solve):
+        c = ideal_diode()
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            power_sweep(c, [0.01 * c.gamma_bar, bad])
+
+    def test_zero_power_still_allowed(self):
+        c = ideal_diode()
+        op = operating_point(c, 0.0)
+        assert op.t_forward == 0 and op.t_reverse == 0
+        assert power_sweep(c, [0.0])[0].error is None

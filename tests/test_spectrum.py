@@ -27,6 +27,7 @@ from qdiode.spectrum import (
     SpectrumError,
     SpectrumResult,
     _correlation_via_eig,
+    _prominent_peak_count,
     fit_lorentzian,
     inelastic_spectrum,
     integrated_inelastic,
@@ -328,6 +329,11 @@ class TestFitLorentzian:
         with pytest.raises(SpectrumError, match="flat"):
             fit_lorentzian(SpectrumResult(0.0, w, np.full(101, 0.3)))
 
+    def test_maximum_on_grid_edge_rejected(self):
+        w = np.linspace(0.0, 10.0, 201)
+        with pytest.raises(SpectrumError, match="no interior peak"):
+            fit_lorentzian(SpectrumResult(0.0, w, lorentzian(w, 1.0, 0.0, 1.0, 0.0)))
+
     def test_multimodal_spectrum_rejected(self):
         w = np.linspace(-10.0, 10.0, 801)
         y = lorentzian(w, 1.0, -4.0, 0.5, 0.0) + lorentzian(w, 1.0, 4.0, 0.5, 0.0)
@@ -346,6 +352,55 @@ class TestFitLorentzian:
         fitted = s.with_fit(fit_lorentzian(s))
         assert s.fitted is None
         assert isinstance(fitted.fitted, LorentzianFit)
+
+
+class TestProminentPeakCount:
+    """The numpy peak count against scipy.signal.find_peaks, the reference
+    it replaces (imported here only as that reference)."""
+
+    @staticmethod
+    def reference(x, h):
+        from scipy.signal import find_peaks
+        return find_peaks(x, prominence=h)[0].size
+
+    @pytest.mark.parametrize("x, h, expected", [
+        ([0, 1, 1, 1, 0], 1.0, 1),            # plateau entered and left
+        ([0, 1, 1, 2, 2, 1, 0], 2.0, 1),      # stepped plateau
+        ([0, 2, 2, 2], 0.0, 0),               # plateau running into the edge
+        ([3, 1, 2, 0], 0.0, 1),               # edge maximum is no peak
+        ([5, 4, 3, 2], 0.0, 0),               # monotone: maximum at the edge
+        ([0, 2, 1, 2, 0], 2.0, 2),            # twin peaks of equal height:
+        ([0, 2, 1, 2, 0], 2.5, 0),            # neither stops the other's walk
+        ([0, 3, 1, 2, 0], 3.0, 1),            # prominence equals the threshold
+        ([0, 3, 1, 2, 0], 3.0 + 1e-12, 0),
+        ([0, 3, 1, 2, 0], 1.0, 2),            # lower peak: base 1 behind the 3
+        ([0, 3, 1, 2, 0], 1.0 + 1e-12, 1),
+        ([1, 0, 4, 0, 2, 0, 3, 1], 2.0, 3),   # bases behind higher neighbours
+        ([], 0.0, 0),
+        ([1.0], 0.0, 0),
+    ])
+    def test_cases(self, x, h, expected):
+        x = np.asarray(x, dtype=float)
+        assert _prominent_peak_count(x, h) == expected
+        assert self.reference(x, h) == expected
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(2024)
+        for k in range(2000):
+            n = int(rng.integers(3, 40))
+            if k % 2:
+                x = rng.integers(0, 4, n).astype(float)      # plateaus
+            else:
+                x = rng.standard_normal(n)
+            h = float(rng.uniform(0.0, 2.0)) * float(x.max() - x.min())
+            assert _prominent_peak_count(x, h) == self.reference(x, h), (x, h)
+
+    def test_smoothed_noisy_line(self):
+        rng = np.random.default_rng(7)
+        w = np.linspace(-10.0, 10.0, 401)
+        y = lorentzian(w, 1.0, 0.0, 0.9, 0.0) + 0.05 * rng.standard_normal(w.size)
+        for h in (0.0, 0.01, 0.15, 0.5):
+            assert _prominent_peak_count(y, h) == self.reference(y, h)
 
 
 class TestPredictedLinewidth:
