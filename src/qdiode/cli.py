@@ -25,7 +25,7 @@ from .diode import (DiodeConfig, build_diode_liouvillian,
                     dark_state_population, diode_output_ops, operating_point,
                     power_sweep)
 from .fitting import FitError, fit_single_qubit
-from .mirror import spawn_seeds, sweep_row
+from .mirror import variance_vs_power
 from .operators import SolverError, expectation, steady_state
 from .single_qubit import DriveConfig, QubitParams, transmission_numeric
 from .spectrum import (SpectrumError, fit_lorentzian, linewidth_estimate,
@@ -221,12 +221,8 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str):
         notes.append(f"p_dark from diode steady state: fwd = {p_fwd:.6g}, "
                      f"rev = {p_rev:.6g}")
     powers = np.linspace(p["power_min"], p["power_max"], p["n_powers"])
-    seeds = spawn_seeds(cfg.seed, 2 * powers.size)
-
-    rows = [sweep_row(power, p_fwd, p_rev, p["sigma_w"], p["n_samples"],
-                      seeds[2 * k], seeds[2 * k + 1],
-                      p.get("dwell_samples", 0.0))
-            for k, power in enumerate(powers)]
+    rows = variance_vs_power(p_fwd, p_rev, powers, p["sigma_w"], cfg.seed,
+                             p["n_samples"], p.get("dwell_samples", 0.0))
     path = os.path.join(out_dir, "mirror_sweep.csv")
     io.write_mirror_csv(path, rows, cfg.seed)
     return [path], notes, EXIT_OK

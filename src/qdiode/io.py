@@ -202,8 +202,6 @@ def write_json(path: str, payload: dict) -> None:
 def write_manifest(out_dir: str, mode: str, echo: dict, seed: int,
                    wall_time_s: float, outputs: Iterable[str],
                    notes: Sequence[str] = ()) -> str:
-    import scipy
-
     from . import __version__
 
     payload = {
@@ -215,7 +213,6 @@ def write_manifest(out_dir: str, mode: str, echo: dict, seed: int,
         "versions": {
             "qdiode": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

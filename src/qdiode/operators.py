@@ -12,7 +12,6 @@ Basis conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 # -----------------------------------------------------------------------------
 #                           Elementary operators
@@ -156,6 +155,8 @@ def steady_state(lv: np.ndarray, gap_factor: float = 1e6) -> np.ndarray:
 
 def evolve(rho0: np.ndarray, lv: np.ndarray, t: float) -> np.ndarray:
     """Propagate rho0 for time t under the Liouvillian: unvec(expm(L t) vec(rho0))."""
+    from scipy.linalg import expm  # imported here: no CLI mode needs scipy
+
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
     if t == 0.0:

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
 
 from .diode import DiodeConfig, build_diode_liouvillian, dark_bright_rates, diode_output_ops
+from .fitting import _least_squares
 from .operators import steady_state, unvec, vec
 
 # Fraction of the peak below zero tolerated as rounding noise in the computed
@@ -78,6 +77,8 @@ def two_time_correlation(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
 
     Negative taus are rejected; use g(-tau) = g(tau)* instead.
     """
+    from scipy.linalg import expm  # imported here: no CLI mode needs scipy
+
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("negative tau; use conjugate symmetry g(-tau) = g(tau)*")
@@ -263,35 +264,58 @@ def _unimodality_check(s: np.ndarray) -> None:
             "fit a single Lorentzian")
 
 
+def _lower_decile(y: np.ndarray) -> float:
+    """np.percentile(y, 10) with its linear interpolation, which imports
+    numpy.ma; the two order statistics are blended exactly as numpy does."""
+    ordered = np.sort(y)
+    position = (ordered.size - 1) * 0.1
+    i = int(position)
+    frac = position - i
+    lo, hi = ordered[i], ordered[min(i + 1, ordered.size - 1)]
+    if frac < 0.5:
+        return float(lo + (hi - lo) * frac)
+    return float(hi - (hi - lo) * (1.0 - frac))
+
+
 def fit_lorentzian(s: SpectrumResult) -> LorentzianFit:
     """Least-squares Lorentzian fit of the inelastic PSD.
 
     Model: a (hw)^2 / ((w - center)^2 + hw^2) + offset with hw the half width.
+    The fit runs on fitting's least-squares engine in units of the starting
+    guesses: amplitude and offset over a0, center and half width over hw0.
     """
     w = np.asarray(s.freq_offsets, dtype=float)
     y = np.asarray(s.inelastic_psd, dtype=float)
     _unimodality_check(y)
 
-    offset0 = float(np.percentile(y, 10))
+    offset0 = _lower_decile(y)
     a0 = float(y.max() - offset0)
     center0 = float(w[np.argmax(y)])
     # Half-width seed from the half-maximum crossing distance.
     above = w[y > offset0 + 0.5 * a0]
     hw0 = 0.5 * (above.max() - above.min()) if above.size > 1 else 0.05 * (w.max() - w.min())
+    wn, yn = w / hw0, y / a0
 
     def resid(p):
         a, center, hw, offset = p
-        return a * hw * hw / ((w - center) ** 2 + hw * hw) + offset - y
+        return a * hw * hw / ((wn - center) ** 2 + hw * hw) + offset - yn
 
-    sol = least_squares(resid, x0=[a0, center0, hw0, offset0])
+    def jac(p):
+        a, center, hw, _ = p
+        u = wn - center
+        q = u * u + hw * hw
+        return np.column_stack([hw * hw / q, 2.0 * a * hw * hw * u / (q * q),
+                                2.0 * a * hw * u * u / (q * q), np.ones_like(u)])
+
+    sol = _least_squares(resid, jac, [1.0, center0 / hw0, 1.0, offset0 / a0])
     if not sol.success:
         raise SpectrumError(f"Lorentzian fit failed: {sol.message}")
-    a, center, hw, offset = sol.x
+    a, center, hw, offset = sol.x * np.array([a0, hw0, hw0, a0])
     hw = abs(hw)
     return LorentzianFit(center=float(center), fwhm=float(2.0 * hw),
                          area=float(np.pi * a * hw), peak_height=float(a),
                          offset=float(offset),
-                         residual_norm=float(np.linalg.norm(sol.fun)))
+                         residual_norm=float(a0 * np.linalg.norm(sol.fun)))
 
 
 def predicted_linewidth(delta: float, gamma_bar: float, gamma_nr: float,

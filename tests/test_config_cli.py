@@ -476,17 +476,47 @@ class TestCliRuns:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "steady_state.json").exists()
 
-    def test_cold_import_skips_scipy_signal_and_stats(self):
-        # A cold start pays for every module the CLI imports; scipy.signal
-        # and the scipy.stats it pulls in cost about half of it.
+    def test_cold_import_skips_scipy_signal_and_stats(self, tmp_path):
+        # A cold start pays for every module the CLI loads. No mode needs
+        # scipy, and numpy.ma (which np.median and np.percentile import)
+        # would cost tens of milliseconds inside the run.
+        dev = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 66e6, "gamma_nr_hz": 2e5,
+               "gamma_phi_hz": 2e5, "delta": DELTA}
+        point = {**dev, "p_over_gammabar": 0.05}
+        scan = str(tmp_path / "freq" / "frequency_sweep.csv")
+        jobs = [
+            ("steady-state", point),
+            ("sweep-power", {**dev, "power_min_over_gammabar": 0.01,
+                             "power_max_over_gammabar": 1.0, "n_powers": 3}),
+            ("sweep-frequency", {"gamma_r_hz": 72.4299e6,
+                                 "gamma_phi_hz": 211.4e3,
+                                 "power_over_gamma_r": 1e-4,
+                                 "n_points": 41}),
+            ("fit", {"input_csv": scan, "initial_gamma_r_hz": 80e6,
+                     "power_over_gamma_r": 1e-4}),
+            ("spectrum", {**point, "direction": "forward",
+                          "port": "transmitted", "n_freq": 65}),
+            ("mirror-mc", {**point, "sigma_w": 0.05, "n_samples": 4096,
+                           "power_min": 0.0, "power_max": 1.0,
+                           "n_powers": 3}),
+        ]
+        argvs = []
+        for mode, payload in jobs:
+            name = "freq" if mode == "sweep-frequency" else mode
+            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+            argvs.append([mode, "--config", cfg,
+                          "--out", str(tmp_path / name)])
         src = os.path.dirname(os.path.dirname(qdiode.__file__))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import qdiode.cli; "
-                "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') "
-                "if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code, src],
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+                "import qdiode.cli; "
+                "codes = [qdiode.cli.run(a) for a in json.loads(sys.argv[2])]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+        proc = subprocess.run([sys.executable, "-c", code, src,
+                               json.dumps(argvs)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
+        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0] []"
 
 
 class TestExitCodes:
