@@ -35,7 +35,6 @@ from .mirror import (
 )
 from .operators import SolverError, evolve, expectation, steady_state
 from .single_qubit import (
-    DriveConfig,
     QubitParams,
     transmission_analytic,
     transmission_numeric,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DiodeConfig",
     "DiodeOperatingPoint",
-    "DriveConfig",
     "FitError",
     "FitReport",
     "IQRecord",

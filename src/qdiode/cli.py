@@ -23,11 +23,11 @@ from . import io
 from .config import MODES, ConfigError, RunConfig, load
 from .diode import (DiodeConfig, build_diode_liouvillian,
                     dark_state_population, diode_output_ops, operating_point,
-                    power_sweep)
+                    optimal_tuning, power_sweep)
 from .fitting import FitError, fit_single_qubit
 from .mirror import variance_vs_power
 from .operators import SolverError, expectation, steady_state
-from .single_qubit import DriveConfig, QubitParams, transmission_numeric
+from .single_qubit import QubitParams, transmission_numeric
 from .spectrum import (SpectrumError, fit_lorentzian, linewidth_estimate,
                        predicted_linewidth, psd)
 
@@ -40,22 +40,19 @@ EXIT_FIT = 4
 
 
 def _diode_config(p: dict) -> DiodeConfig:
-    """Two-qubit device from validated internal-unit parameters."""
+    """Two-qubit device from validated internal-unit parameters; detunings
+    not given take their optimal-tuning values."""
     gamma_bar = math.sqrt(p["gamma_r1_hz"] * p["gamma_r2_hz"])
-    delta = p["delta"]
-    det1 = p.get("detuning1_hz")
-    det2 = p.get("detuning2_hz")
-    if det1 is None:
-        det1 = -delta * gamma_bar
-    if det2 is None:
-        det2 = 0.0
-    q1 = QubitParams(omega_q=det1, gamma_r=p["gamma_r1_hz"],
+    det1, det2 = optimal_tuning(p["delta"], gamma_bar)
+    q1 = QubitParams(omega_q=p.get("detuning1_hz", det1),
+                     gamma_r=p["gamma_r1_hz"],
                      gamma_nr=p.get("gamma_nr_hz", 0.0),
                      gamma_phi=p.get("gamma_phi_hz", 0.0))
-    q2 = QubitParams(omega_q=det2, gamma_r=p["gamma_r2_hz"],
+    q2 = QubitParams(omega_q=p.get("detuning2_hz", det2),
+                     gamma_r=p["gamma_r2_hz"],
                      gamma_nr=p.get("gamma_nr_hz", 0.0),
                      gamma_phi=p.get("gamma_phi_hz", 0.0))
-    return DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
+    return DiodeConfig(q1, q2, p["delta"])
 
 
 def _sweep_sides(p: dict) -> tuple[str, ...]:
@@ -79,9 +76,8 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
     alpha = p.get("alpha", 0.0) * math.sqrt(gamma_bar)
     beta = p.get("beta", 0.0) * math.sqrt(gamma_bar)
     if alpha != 0.0 or beta != 0.0:
-        cc = c.with_amplitudes(alpha, beta)
-        rho = steady_state(build_diode_liouvillian(cc))
-        a_out, b_out = diode_output_ops(cc)
+        rho = steady_state(build_diode_liouvillian(c, alpha, beta))
+        a_out, b_out = diode_output_ops(c, alpha, beta)
         payload["general"] = {
             "alpha_over_sqrt_gammabar": p.get("alpha", 0.0),
             "beta_over_sqrt_gammabar": p.get("beta", 0.0),
@@ -133,12 +129,10 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     amp = math.sqrt(p["power_over_gamma_r"] * q.gamma_r)
     half_span = p["span_linewidths"] * q.gamma_2
     grid = np.linspace(-half_span, half_span, p["n_points"])
-    drive = (DriveConfig(omega_d=0.0, beta=amp) if p.get("beta", 0.0) != 0.0
-             else DriveConfig(omega_d=0.0, alpha=amp))
-    # The file axis is delta_omega = omega_q - omega_d; in the rotating frame
-    # only this difference enters.
+    alpha, beta = (0.0, amp) if p.get("beta", 0.0) != 0.0 else (amp, 0.0)
+    # The file axis is the qubit's detuning from the drive.
     t_vals = np.array([transmission_numeric(replace(q, omega_q=delta_omega),
-                                            drive)
+                                            alpha, beta)
                        for delta_omega in grid])
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
@@ -149,17 +143,15 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     p = cfg.params
     c = _diode_config(p)
     gamma_bar = c.gamma_bar
-    amp = math.sqrt(p["p_over_gammabar"] * gamma_bar)
     direction = p["direction"]
-    cc = (c.with_amplitudes(amp, 0.0) if direction == "forward"
-          else c.with_amplitudes(0.0, amp))
     predicted = predicted_linewidth(c.delta, gamma_bar,
                                     c.q1.gamma_nr, c.q1.gamma_phi)
     width_scale = 2.0 * linewidth_estimate(c)
     half_span = 0.5 * p["span_linewidths"] * width_scale
     grid = np.linspace(-half_span, half_span, p["n_freq"])
 
-    result = psd(cc, direction, p["port"], grid)
+    result = psd(c, direction, p["port"], p["p_over_gammabar"] * gamma_bar,
+                 grid)
     notes = []
     code = EXIT_OK
     if p["fit"]:

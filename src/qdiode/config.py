@@ -123,11 +123,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
 }
 
-# Keys holding plain-Hz values that become rad/s internally.
-_HZ_KEYS = ("gamma_r_hz", "gamma_r1_hz", "gamma_r2_hz", "gamma_nr_hz",
-            "gamma_phi_hz", "detuning1_hz", "detuning2_hz", "gamma_exc_hz",
-            "initial_gamma_r_hz", "initial_s_hz")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -240,7 +235,9 @@ def validate(mode: str, raw: dict) -> RunConfig:
             echo[key] = f.default
     _mode_checks(mode, echo)
 
-    params = {k: (v * TWO_PI if k in _HZ_KEYS else v) for k, v in echo.items()}
+    # Keys ending in _hz hold plain-Hz values that become rad/s internally.
+    params = {k: (v * TWO_PI if k.endswith("_hz") else v)
+              for k, v in echo.items()}
     return RunConfig(mode=mode, echo=dict(echo), params=params, seed=int(seed))
 
 

@@ -2,7 +2,8 @@
 
 Two emitters couple to the same waveguide a fixed propagation phase phi apart.
 Writing L_k = sqrt(gamma_r,k/2) sigma_-^(k) and working in the drive's
-rotating frame (Delta_k = omega_k - omega_d), the cascaded master equation is
+rotating frame, where Delta_k is qubit k's detuning from the drive
+(``QubitParams.omega_q``), the cascaded master equation is
 
     drho/dt = -i[H_T, rho] + D[a_out] + D[b_out]
               + gamma_nr (D[sigma_-^(1)] + D[sigma_-^(2)])
@@ -16,6 +17,11 @@ rotating frame (Delta_k = omega_k - omega_d), the cascaded master equation is
     a_out = (alpha + L_1) e^{i phi} + L_2      (right-moving, past qubit 2)
     b_out = (beta + L_2) e^{i phi} + L_1       (left-moving, past qubit 1)
 
+The device (``DiodeConfig``) holds the two emitters and delta; the drive
+amplitudes alpha and beta are arguments of each solve. A probe entering from
+the left (forward, alpha) is transmitted into a_out and reflected into
+b_out; one entering from the right (reverse, beta) the other way round.
+
 Near phase matching, phi = pi - delta, the symmetric superposition
 |+> = (|ge> + |eg>)/sqrt(2) radiates only at gamma_D = delta^2 gbar / 2 while
 |-> superradiates at gamma_B = 2 gbar, gbar = sqrt(gamma_r,1 gamma_r,2); the
@@ -26,7 +32,7 @@ the device a diode.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +47,7 @@ from .operators import (
     liouvillian_matrix,
     steady_state,
 )
-from .single_qubit import DriveConfig, QubitParams
+from .single_qubit import QubitParams
 
 PI = np.pi
 SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by SI definition
@@ -58,41 +64,26 @@ BRIGHT_STATE = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DiodeConfig:
-    """Two emitters, one drive, and the propagation phase offset delta.
-
-    The drive's phi and delta are stored redundantly (phi = pi - delta) and
-    checked for consistency.
-    """
+    """Two emitters a propagation phase phi = pi - delta apart."""
 
     q1: QubitParams
     q2: QubitParams
-    drive: DriveConfig
     delta: float
 
     def __post_init__(self):
-        phi_from_delta = (PI - self.delta) % (2.0 * PI)
-        if abs(phi_from_delta - self.drive.phi) > 1e-12:
-            raise ValueError(
-                f"inconsistent phase: drive.phi={self.drive.phi!r} but "
-                f"pi - delta = {phi_from_delta!r}")
         if abs(self.delta) >= 1.0:
             warnings.warn(f"|delta| = {abs(self.delta):.3f} is outside the "
                           "perturbative regime the dark/bright analysis assumes",
                           stacklevel=2)
 
-    @classmethod
-    def from_delta(cls, q1: QubitParams, q2: QubitParams, omega_d: float,
-                   delta: float, alpha: complex = 0.0, beta: complex = 0.0):
-        drive = DriveConfig(omega_d=omega_d, alpha=alpha, beta=beta,
-                            phi=(PI - delta) % (2.0 * PI))
-        return cls(q1=q1, q2=q2, drive=drive, delta=delta)
-
     @property
     def gamma_bar(self) -> float:
         return float(np.sqrt(self.q1.gamma_r * self.q2.gamma_r))
 
-    def with_amplitudes(self, alpha: complex, beta: complex) -> "DiodeConfig":
-        return replace(self, drive=replace(self.drive, alpha=alpha, beta=beta))
+    @property
+    def phase(self) -> complex:
+        """Propagation phase factor e^{i phi}, phi = (pi - delta) mod 2 pi."""
+        return np.exp(1j * ((PI - self.delta) % (2.0 * PI)))
 
 
 @dataclass(frozen=True)
@@ -130,12 +121,10 @@ def dispersive_phase(f: float, f_c: float, d: float) -> float:
     return (2.0 * PI * f * d / SPEED_OF_LIGHT) * np.sqrt(1.0 - (f_c / f) ** 2)
 
 
-def optimal_tuning(omega_d: float, delta: float, gamma_bar: float) -> tuple[float, float]:
-    """Qubit frequencies compensating the phase asymmetry at phi = pi - delta.
-
-    omega_1 = omega_d - delta*gamma_bar, omega_2 = omega_d.
-    """
-    return omega_d - delta * gamma_bar, omega_d
+def optimal_tuning(delta: float, gamma_bar: float) -> tuple[float, float]:
+    """Qubit detunings from the drive that compensate the phase asymmetry at
+    phi = pi - delta: (-delta*gamma_bar, 0)."""
+    return -delta * gamma_bar, 0.0
 
 
 def dark_bright_rates(delta: float, gr1: float, gr2: float) -> tuple[float, float]:
@@ -160,16 +149,14 @@ def dark_state_population(rho: np.ndarray) -> float:
 #                      Master equation and steady states
 # -----------------------------------------------------------------------------
 
-def diode_hamiltonian(c: DiodeConfig) -> np.ndarray:
+def diode_hamiltonian(c: DiodeConfig, alpha: complex = 0.0,
+                      beta: complex = 0.0) -> np.ndarray:
     """H_T in the drive's rotating frame, including drive and cascade terms."""
-    d1 = c.q1.omega_q - c.drive.omega_d
-    d2 = c.q2.omega_q - c.drive.omega_d
     l1 = np.sqrt(c.q1.gamma_r / 2.0) * SIGMA_MINUS_1
     l2 = np.sqrt(c.q2.gamma_r / 2.0) * SIGMA_MINUS_2
-    alpha, beta = c.drive.alpha, c.drive.beta
-    phase = np.exp(1j * c.drive.phi)
+    phase = c.phase
 
-    h = -0.5 * d1 * SIGMA_Z_1 - 0.5 * d2 * SIGMA_Z_2
+    h = -0.5 * c.q1.omega_q * SIGMA_Z_1 - 0.5 * c.q2.omega_q * SIGMA_Z_2
     h = h - 0.5j * (alpha * l1.conj().T - np.conj(alpha) * l1)
     h = h - 0.5j * (beta * l2.conj().T - np.conj(beta) * l2)
     casc1 = phase * l2.conj().T @ (l1 + alpha * IDENTITY_4)
@@ -179,61 +166,64 @@ def diode_hamiltonian(c: DiodeConfig) -> np.ndarray:
     return h
 
 
-def diode_output_ops(c: DiodeConfig) -> tuple[np.ndarray, np.ndarray]:
+def diode_output_ops(c: DiodeConfig, alpha: complex = 0.0,
+                     beta: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Right- and left-moving output field operators (a_out, b_out)."""
     l1 = np.sqrt(c.q1.gamma_r / 2.0) * SIGMA_MINUS_1
     l2 = np.sqrt(c.q2.gamma_r / 2.0) * SIGMA_MINUS_2
-    phase = np.exp(1j * c.drive.phi)
-    a_out = (c.drive.alpha * IDENTITY_4 + l1) * phase + l2
-    b_out = (c.drive.beta * IDENTITY_4 + l2) * phase + l1
+    phase = c.phase
+    a_out = (alpha * IDENTITY_4 + l1) * phase + l2
+    b_out = (beta * IDENTITY_4 + l2) * phase + l1
     return a_out, b_out
 
 
-def build_diode_liouvillian(c: DiodeConfig) -> np.ndarray:
+def build_diode_liouvillian(c: DiodeConfig, alpha: complex = 0.0,
+                            beta: complex = 0.0) -> np.ndarray:
     """16x16 Liouvillian of the cascaded two-qubit master equation."""
-    h = diode_hamiltonian(c)
-    a_out, b_out = diode_output_ops(c)
-    jumps = [(1.0, a_out), (1.0, b_out)]
-    if c.q1.gamma_nr > 0:
-        jumps.append((c.q1.gamma_nr, SIGMA_MINUS_1))
-    if c.q2.gamma_nr > 0:
-        jumps.append((c.q2.gamma_nr, SIGMA_MINUS_2))
-    if c.q1.gamma_phi > 0:
-        jumps.append((c.q1.gamma_phi, SIGMA_Z_1))
-    if c.q2.gamma_phi > 0:
-        jumps.append((c.q2.gamma_phi, SIGMA_Z_2))
-    return liouvillian_matrix(h, jumps)
+    h = diode_hamiltonian(c, alpha, beta)
+    a_out, b_out = diode_output_ops(c, alpha, beta)
+    return liouvillian_matrix(h, [(1.0, a_out), (1.0, b_out),
+                                  (c.q1.gamma_nr, SIGMA_MINUS_1),
+                                  (c.q2.gamma_nr, SIGMA_MINUS_2),
+                                  (c.q1.gamma_phi, SIGMA_Z_1),
+                                  (c.q2.gamma_phi, SIGMA_Z_2)])
+
+
+def _one_sided(c: DiodeConfig, direction: str, amp: complex):
+    """Liouvillian and (transmitted, reflected) output operators for a drive
+    of amplitude ``amp`` from one side: alpha = amp forward (a_out carries
+    the transmitted field), beta = amp reverse (b_out does)."""
+    if direction == "forward":
+        alpha, beta = amp, 0.0
+    elif direction == "reverse":
+        alpha, beta = 0.0, amp
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    a_out, b_out = diode_output_ops(c, alpha, beta)
+    ports = (a_out, b_out) if direction == "forward" else (b_out, a_out)
+    return build_diode_liouvillian(c, alpha, beta), ports
 
 
 def _solve_direction(c: DiodeConfig, direction: str,
                      amp: complex) -> tuple[complex, np.ndarray]:
     """Steady state under drive amplitude ``amp`` from one side only, and its
     transmission: <a_out>/amp forward, <b_out>/amp reverse, 0 at amp = 0."""
-    forward = direction == "forward"
-    cc = (c.with_amplitudes(amp, 0.0) if forward
-          else c.with_amplitudes(0.0, amp))
-    rho = steady_state(build_diode_liouvillian(cc))
+    lv, (transmitted, _) = _one_sided(c, direction, amp)
+    rho = steady_state(lv)
     if amp == 0:
         return 0.0, rho
-    a_out, b_out = diode_output_ops(cc)
-    return expectation(a_out if forward else b_out, rho) / amp, rho
+    return expectation(transmitted, rho) / amp, rho
 
 
-def transmission(c: DiodeConfig, direction: str) -> complex:
-    """Directional steady-state transmission amplitude.
+def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
+    """Directional steady-state transmission amplitude at photon flux
+    ``power`` = |amplitude|^2.
 
     forward: t = <a_out>/alpha with beta = 0; reverse: t = <b_out>/beta with
-    alpha = 0.
+    alpha = 0. As in ``operating_point``, t = 0 at zero power.
     """
-    if direction == "forward":
-        if c.drive.alpha == 0 or c.drive.beta != 0:
-            raise ValueError("forward transmission needs alpha != 0 and beta = 0")
-        return _solve_direction(c, direction, c.drive.alpha)[0]
-    if direction == "reverse":
-        if c.drive.beta == 0 or c.drive.alpha != 0:
-            raise ValueError("reverse transmission needs beta != 0 and alpha = 0")
-        return _solve_direction(c, direction, c.drive.beta)[0]
-    raise ValueError(f"unknown direction {direction!r}")
+    _check_power(power)
+    return _solve_direction(c, direction, np.sqrt(power))[0]
 
 
 def diode_efficiency(t_f: complex, t_r: complex) -> float:

@@ -1,10 +1,10 @@
 """Least-squares spectroscopy fitter for single-emitter transmission traces.
 
-The data axis is the detuning delta_omega = omega_q_nominal - omega_d swept by
-the drive; the fitter estimates a center correction dc so the returned qubit
-frequency is initial.omega_q + dc. A single low-power magnitude trace cannot
-separate gamma_nr from gamma_phi (they enter the lineshape through gamma_2
-nearly degenerately), so the fit parameters are
+The data axis is the nominal qubit's detuning from the drive, delta_omega,
+swept by the drive; the fitter estimates a center correction dc so the
+returned qubit frequency is initial.omega_q + dc. A single low-power
+magnitude trace cannot separate gamma_nr from gamma_phi (they enter the
+lineshape through gamma_2 nearly degenerately), so the fit parameters are
 
     gamma_r,   s = gamma_nr + 2 gamma_phi,   omega_q
 

@@ -30,6 +30,9 @@ SIGMA_PLUS = SIGMA_MINUS.conj().T
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
+# With no singular value below 1e-10 of the largest, the smallest must sit
+# this factor below the next one for a one-dimensional null space.
+GAP_FACTOR = 1e6
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,7 +100,8 @@ def liouvillian_matrix(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> 
     """Build the full Liouvillian for -i[H,.] + sum_k gamma_k D[X_k].
 
     ``jumps`` is a list of (rate, operator) pairs; rates must be nonnegative
-    and H must be Hermitian.
+    and H must be Hermitian. A zero-rate jump is skipped, so callers list
+    every channel.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[0] != h.shape[1]:
@@ -121,7 +125,7 @@ class SolverError(RuntimeError):
     """Steady-state or propagation failure (degenerate null space etc.)."""
 
 
-def steady_state(lv: np.ndarray, gap_factor: float = 1e6) -> np.ndarray:
+def steady_state(lv: np.ndarray) -> np.ndarray:
     """Steady state from the Liouvillian null space via SVD.
 
     The smallest singular vector gives vec(rho_ss); a degenerate null space
@@ -135,7 +139,7 @@ def steady_state(lv: np.ndarray, gap_factor: float = 1e6) -> np.ndarray:
     if null_dim == 0:
         # Fall back on a separation test: the smallest singular value must sit
         # far below the next one for a numerically one-dimensional null space.
-        if svals[-1] * gap_factor > svals[-2]:
+        if svals[-1] * GAP_FACTOR > svals[-2]:
             raise SolverError(
                 f"no clear Liouvillian null space (smallest singular values "
                 f"{svals[-1]:.3e}, {svals[-2]:.3e})")
@@ -173,18 +177,19 @@ def evolve(rho0: np.ndarray, lv: np.ndarray, t: float) -> np.ndarray:
     return unvec(v)
 
 
-def check_density_matrix(rho: np.ndarray,
-                         trace_tol: float = TRACE_TOL,
-                         herm_tol: float = TRACE_TOL,
-                         eig_floor: float = EIG_FLOOR) -> None:
-    """Raise ValueError unless rho is a valid density matrix."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is a valid density matrix.
+
+    Trace and Hermiticity are both held to TRACE_TOL; eigenvalues may dip to
+    EIG_FLOOR.
+    """
     rho = np.asarray(rho)
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(np.trace(rho) - 1.0):.3e}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > TRACE_TOL:
         raise ValueError("state is not Hermitian")
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals.min() < eig_floor:
+    if evals.min() < EIG_FLOOR:
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
 

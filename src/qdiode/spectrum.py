@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diode import DiodeConfig, build_diode_liouvillian, dark_bright_rates, diode_output_ops
+from .diode import DiodeConfig, _check_power, _one_sided, dark_bright_rates
 from .fitting import _least_squares
 from .operators import steady_state, unvec, vec
 
@@ -137,19 +137,6 @@ def inelastic_spectrum(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
 #                          Diode field spectra
 # -----------------------------------------------------------------------------
 
-def _select_output(c: DiodeConfig, direction: str, port: str) -> np.ndarray:
-    a_out, b_out = diode_output_ops(c)
-    if direction == "forward":
-        if c.drive.alpha == 0 or c.drive.beta != 0:
-            raise ValueError("forward spectra need alpha != 0 and beta = 0")
-        return a_out if port == "transmitted" else b_out
-    if direction == "reverse":
-        if c.drive.beta == 0 or c.drive.alpha != 0:
-            raise ValueError("reverse spectra need beta != 0 and alpha = 0")
-        return b_out if port == "transmitted" else a_out
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def linewidth_estimate(c: DiodeConfig) -> float:
     """Decay-rate scale of the narrow spectral feature, for grid construction.
 
@@ -166,16 +153,18 @@ def linewidth_estimate(c: DiodeConfig) -> float:
     return max(est, 1e-6 * c.gamma_bar)
 
 
-def psd(c: DiodeConfig, direction: str, port: str,
+def psd(c: DiodeConfig, direction: str, port: str, power: float,
         freq_offsets) -> SpectrumResult:
     """Power spectral density of a diode output field on the given grid.
 
-    ``direction`` is forward|reverse (which side is driven), ``port`` is
-    transmitted|reflected. The grid must be symmetric around zero and span at
-    least six expected linewidths of the narrow feature.
+    ``direction`` is forward|reverse (which side is driven, at photon flux
+    ``power``), ``port`` is transmitted|reflected. The grid must be symmetric
+    around zero and span at least six expected linewidths of the narrow
+    feature.
     """
     if port not in ("transmitted", "reflected"):
         raise ValueError(f"unknown port {port!r}")
+    _check_power(power)
     omegas = np.asarray(freq_offsets, dtype=float)
     if omegas.size < 8:
         raise ValueError("frequency grid too small")
@@ -185,8 +174,8 @@ def psd(c: DiodeConfig, direction: str, port: str,
     if omegas.max() - omegas.min() < 6.0 * gamma_est:
         raise ValueError("frequency grid must span at least 6 expected linewidths")
 
-    out_op = _select_output(c, direction, port)
-    lv = build_diode_liouvillian(c)
+    lv, (transmitted, reflected) = _one_sided(c, direction, np.sqrt(power))
+    out_op = transmitted if port == "transmitted" else reflected
     rho = steady_state(lv)
     elastic = float(abs(np.trace(out_op @ rho)) ** 2)
     spectrum = inelastic_spectrum(lv, rho, out_op, omegas)

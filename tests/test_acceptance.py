@@ -29,7 +29,6 @@ from qdiode.fitting import FitError, fit_single_qubit
 from qdiode.mirror import variance_vs_power
 from qdiode.operators import expectation, steady_state
 from qdiode.single_qubit import (
-    DriveConfig,
     QubitParams,
     transmission_analytic,
     transmission_numeric,
@@ -62,12 +61,12 @@ PLATEAU_POWER = 0.05              # p / gamma_bar at the canonical optimum
 def ideal_device(delta, gamma_nr=0.0, gamma_phi=0.0,
                  gamma_r1=1.0, gamma_r2=1.0):
     gbar = np.sqrt(gamma_r1 * gamma_r2)
-    w1, w2 = optimal_tuning(0.0, delta, gbar)
+    w1, w2 = optimal_tuning(delta, gbar)
     q1 = QubitParams(omega_q=w1, gamma_r=gamma_r1, gamma_nr=gamma_nr,
                      gamma_phi=gamma_phi)
     q2 = QubitParams(omega_q=w2, gamma_r=gamma_r2, gamma_nr=gamma_nr,
                      gamma_phi=gamma_phi)
-    return DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
+    return DiodeConfig(q1, q2, delta)
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +183,7 @@ def test_single_emitter_extinction():
     q = QubitParams(omega_q=0.0, gamma_r=RATES_B["gamma_r"],
                     gamma_nr=RATES_B["gamma_nr"],
                     gamma_phi=RATES_B["gamma_phi"])
-    d = DriveConfig(alpha=np.sqrt(1e-6 * q.gamma_r), omega_d=0.0)
-    power_t = abs(transmission_numeric(q, d)) ** 2
+    power_t = abs(transmission_numeric(q, np.sqrt(1e-6 * q.gamma_r))) ** 2
     ok = power_t < 0.004
     detail = f"|t|^2 on resonance = {power_t:.3e} (limit 4e-3)"
     assert scorecard.record(4, ok, detail), detail
@@ -205,8 +203,7 @@ def test_analytic_numeric_equivalence():
         for det in detunings:
             qq = QubitParams(omega_q=det, gamma_r=q.gamma_r,
                              gamma_nr=q.gamma_nr, gamma_phi=q.gamma_phi)
-            t_num = transmission_numeric(qq, DriveConfig(alpha=alpha,
-                                                         omega_d=0.0))
+            t_num = transmission_numeric(qq, alpha)
             t_ana = transmission_analytic(qq, det, alpha)
             worst = max(worst, abs(t_num - t_ana))
     ok = worst <= 1e-8
@@ -225,17 +222,16 @@ def test_flux_conservation_random_configs():
         gbar = np.sqrt(gamma_r1 * gamma_r2)
         delta = float(rng.uniform(0.02, 0.25) * rng.choice([-1.0, 1.0]))
         gamma_phi = float(rng.uniform(0.0, 0.02) * gbar)
-        w1, w2 = optimal_tuning(0.0, delta, gbar)
+        w1, w2 = optimal_tuning(delta, gbar)
         w1 += rng.uniform(-0.2, 0.2) * gbar
         w2 += rng.uniform(-0.2, 0.2) * gbar
         q1 = QubitParams(omega_q=w1, gamma_r=gamma_r1, gamma_phi=gamma_phi)
         q2 = QubitParams(omega_q=w2, gamma_r=gamma_r2, gamma_phi=gamma_phi)
-        c = DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
+        c = DiodeConfig(q1, q2, delta)
         amp = np.sqrt(10.0 ** rng.uniform(-3.0, 0.5) * gbar)
-        cc = (c.with_amplitudes(amp, 0.0) if rng.random() < 0.5
-              else c.with_amplitudes(0.0, amp))
-        rho = steady_state(build_diode_liouvillian(cc))
-        a_out, b_out = diode_output_ops(cc)
+        drive = (amp, 0.0) if rng.random() < 0.5 else (0.0, amp)
+        rho = steady_state(build_diode_liouvillian(c, *drive))
+        a_out, b_out = diode_output_ops(c, *drive)
         out_flux = (expectation(a_out.conj().T @ a_out, rho).real
                     + expectation(b_out.conj().T @ b_out, rho).real)
         worst = max(worst, abs(out_flux - amp ** 2) / amp ** 2)
@@ -253,10 +249,10 @@ def test_linewidth_scaling():
     for d2 in d2_values:
         delta = np.sqrt(d2)
         c = ideal_device(delta)
-        cc = c.with_amplitudes(np.sqrt(PLATEAU_POWER), 0.0)
         pred = predicted_linewidth(delta, 1.0, 0.0, 0.0)
         grid = np.linspace(-8.0 * pred, 8.0 * pred, 401)
-        fit = fit_lorentzian(psd(cc, "forward", "transmitted", grid))
+        fit = fit_lorentzian(psd(c, "forward", "transmitted", PLATEAU_POWER,
+                                 grid))
         widths.append(fit.fwhm)
         predictions.append(pred)
     widths = np.array(widths)
@@ -279,15 +275,15 @@ def test_spectral_asymmetry():
     """8: integrated inelastic power, forward transmitted vs reverse
     reflected at the delta^2 = 1e-3 optimum -> ratio >= 3."""
     c = ideal_device(np.sqrt(1e-3))
-    amp = np.sqrt(PLATEAU_POWER * c.gamma_bar)
+    power = PLATEAU_POWER * c.gamma_bar
     pred = predicted_linewidth(c.delta, c.gamma_bar, 0.0, 0.0)
     # Dense core across the narrow line plus geometric tails out to the
     # broad bright-state background, so both integrals are near-total.
     half = np.concatenate([np.linspace(0.0, 8.0 * pred, 401),
                            np.geomspace(8.0 * pred, 4.0, 300)[1:]])
     grid = np.concatenate([-half[:0:-1], half])
-    fwd = psd(c.with_amplitudes(amp, 0.0), "forward", "transmitted", grid)
-    rev = psd(c.with_amplitudes(0.0, amp), "reverse", "reflected", grid)
+    fwd = psd(c, "forward", "transmitted", power, grid)
+    rev = psd(c, "reverse", "reflected", power, grid)
     ratio = integrated_inelastic(fwd) / integrated_inelastic(rev)
     ok = ratio >= 3.0
     detail = f"inelastic forward/reverse = {ratio:.2f} (minimum 3)"

@@ -264,7 +264,8 @@ class TestFileRoundTrips:
         w2, p2 = io.read_spectrum_csv(path)
         np.testing.assert_array_equal(w2, w)
         np.testing.assert_array_equal(p2, s.inelastic_psd)
-        meta = json.loads(open(sidecar, encoding="utf-8").read())
+        with open(sidecar, encoding="utf-8") as fh:
+            meta = json.load(fh)
         assert meta["elastic_weight_photons_per_s"] == 0.3
         np.testing.assert_allclose(meta["lorentzian_fit"]["fwhm_hz"],
                                    2.0 / TWO_PI)

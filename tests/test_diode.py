@@ -25,8 +25,19 @@ from qdiode.diode import (
     power_sweep,
     transmission,
 )
-from qdiode.operators import SolverError, evolve, expectation, steady_state
-from qdiode.single_qubit import DriveConfig, QubitParams, transmission_analytic
+from qdiode.operators import (
+    SIGMA_MINUS,
+    SolverError,
+    evolve,
+    expectation,
+    steady_state,
+    vec,
+)
+from qdiode.single_qubit import (
+    QubitParams,
+    build_single_qubit_liouvillian,
+    transmission_analytic,
+)
 
 GAMMA = 2.0 * np.pi * 70e6
 DELTA = np.sqrt(1e-3)
@@ -34,12 +45,12 @@ DELTA = np.sqrt(1e-3)
 
 def ideal_diode(delta=DELTA, gamma_nr=0.0, gamma_phi=0.0, gamma2_scale=1.0):
     gbar = GAMMA * np.sqrt(gamma2_scale)
-    w1, w2 = optimal_tuning(0.0, delta, gbar)
+    w1, w2 = optimal_tuning(delta, gbar)
     q1 = QubitParams(omega_q=w1, gamma_r=GAMMA, gamma_nr=gamma_nr,
                      gamma_phi=gamma_phi)
     q2 = QubitParams(omega_q=w2, gamma_r=GAMMA * gamma2_scale,
                      gamma_nr=gamma_nr, gamma_phi=gamma_phi)
-    return DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
+    return DiodeConfig(q1, q2, delta)
 
 
 # ----------------------------------------------------------------------------
@@ -47,25 +58,21 @@ def ideal_diode(delta=DELTA, gamma_nr=0.0, gamma_phi=0.0, gamma2_scale=1.0):
 # ----------------------------------------------------------------------------
 
 class TestConfigAndHelpers:
-    def test_phase_is_locked_to_delta(self):
-        q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
-        with pytest.raises(ValueError):
-            DiodeConfig(q1=q, q2=q,
-                        drive=DriveConfig(omega_d=0.0, phi=np.pi / 2),
-                        delta=DELTA)
-
     def test_from_delta_sets_consistent_phase(self):
+        """The propagation phase factor follows delta: e^{i(pi - delta)}."""
         c = ideal_diode()
-        np.testing.assert_allclose(c.drive.phi, np.pi - DELTA)
+        np.testing.assert_allclose(c.phase, np.exp(1j * (np.pi - DELTA)))
+        np.testing.assert_allclose(ideal_diode(delta=-DELTA).phase,
+                                   np.exp(1j * (np.pi + DELTA)))
 
     def test_gamma_bar_is_geometric_mean(self):
         c = ideal_diode(gamma2_scale=4.0)
         np.testing.assert_allclose(c.gamma_bar, 2.0 * GAMMA)
 
     def test_optimal_tuning_offsets(self):
-        w1, w2 = optimal_tuning(5.0, 0.1, 2.0)
-        np.testing.assert_allclose(w1, 5.0 - 0.2)
-        np.testing.assert_allclose(w2, 5.0)
+        w1, w2 = optimal_tuning(0.1, 2.0)
+        np.testing.assert_allclose(w1, -0.2)
+        assert w2 == 0.0
 
     def test_dark_bright_rates_values(self):
         gd, gb = dark_bright_rates(0.1, 4.0, 9.0)
@@ -136,10 +143,32 @@ class TestCollectiveDecay:
         """At exactly half-wavelength-compensated spacing the antisymmetric
         channel closes: the driven device has no unique steady state."""
         q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
-        c = DiodeConfig.from_delta(q, q, omega_d=0.0, delta=0.0)
+        c = DiodeConfig(q, q, 0.0)
         with pytest.raises(SolverError, match="degenerate"):
-            transmission(c.with_amplitudes(np.sqrt(0.05 * GAMMA), 0.0),
-                         "forward")
+            transmission(c, "forward", 0.05 * GAMMA)
+
+
+@pytest.mark.parametrize("model", [
+    "single_qubit",
+    pytest.param("diode", marks=pytest.mark.xfail(strict=True, reason=(
+        "the diode model applies gamma_phi D[sigma_z] to each qubit where "
+        "the single-qubit model applies (gamma_phi/2) D[sigma_z], so qubit "
+        "1's coherence decays at gamma_1/2 + 2 gamma_phi = 1.1, not at "
+        "gamma_2 = 0.8"))),
+])
+def test_isolated_emitter_coherence_decays_at_gamma_2(model):
+    """An undriven emitter's coherence |g><e| should decay at gamma_2 in
+    either model. The rate is minus the real part of the coherence's
+    diagonal Liouvillian element; in the diode, qubit 2 stays in |g>."""
+    q = QubitParams(omega_q=0.0, gamma_r=1.0, gamma_phi=0.3)
+    if model == "single_qubit":
+        lv, x = build_single_qubit_liouvillian(q), SIGMA_MINUS
+    else:
+        lv = build_diode_liouvillian(DiodeConfig(q, q, DELTA))
+        x = np.kron(SIGMA_MINUS, np.diag([1.0, 0.0]))      # |gg><eg|
+    v = vec(x)
+    np.testing.assert_allclose(-(v.conj() @ lv @ v).real, q.gamma_2,
+                               rtol=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -149,50 +178,44 @@ class TestCollectiveDecay:
 class TestTransmission:
     def test_drive_pattern_validation(self):
         c = ideal_diode()
-        amp = np.sqrt(0.05 * c.gamma_bar)
-        with pytest.raises(ValueError):
-            transmission(c.with_amplitudes(amp, amp), "forward")
-        with pytest.raises(ValueError):
-            transmission(c.with_amplitudes(amp, 0.0), "reverse")
-        with pytest.raises(ValueError):
-            transmission(c.with_amplitudes(amp, 0.0), "sideways")
+        with pytest.raises(ValueError, match="sideways"):
+            transmission(c, "sideways", 0.05 * c.gamma_bar)
 
     def test_symmetric_device_is_reciprocal(self):
         """delta = 0 with dephasing: swapping the emitters maps forward to
         reverse, so transmission magnitudes must coincide."""
         q = QubitParams(omega_q=0.0, gamma_r=GAMMA, gamma_phi=0.01 * GAMMA)
-        c = DiodeConfig.from_delta(q, q, omega_d=0.0, delta=0.0)
-        amp = np.sqrt(0.05 * GAMMA)
-        t_f = transmission(c.with_amplitudes(amp, 0.0), "forward")
-        t_r = transmission(c.with_amplitudes(0.0, amp), "reverse")
+        c = DiodeConfig(q, q, 0.0)
+        t_f = transmission(c, "forward", 0.05 * GAMMA)
+        t_r = transmission(c, "reverse", 0.05 * GAMMA)
         np.testing.assert_allclose(abs(t_f), abs(t_r), atol=1e-10)
 
     def test_mirrored_offset_gives_same_magnitudes(self):
         """delta -> -delta with the opposite frequency offset is the same
         device seen in a mirror."""
-        amp = np.sqrt(0.05 * GAMMA)
+        power = 0.05 * GAMMA
         results = []
         for sign in (+1.0, -1.0):
             delta = sign * DELTA
-            w1, w2 = optimal_tuning(0.0, delta, GAMMA)
+            w1, w2 = optimal_tuning(delta, GAMMA)
             q1 = QubitParams(omega_q=w1, gamma_r=GAMMA)
             q2 = QubitParams(omega_q=w2, gamma_r=GAMMA)
-            c = DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
-            results.append((abs(transmission(c.with_amplitudes(amp, 0), "forward")),
-                            abs(transmission(c.with_amplitudes(0, amp), "reverse"))))
+            c = DiodeConfig(q1, q2, delta)
+            results.append((abs(transmission(c, "forward", power)),
+                            abs(transmission(c, "reverse", power))))
         np.testing.assert_allclose(results[0], results[1], atol=1e-10)
 
     def test_single_emitter_limit(self):
         """Second emitter detuned far away and barely coupled: forward
         transmission reduces to the one-atom closed form."""
         delta = DELTA
-        w1, _ = optimal_tuning(0.0, delta, GAMMA)
+        w1, _ = optimal_tuning(delta, GAMMA)
         q1 = QubitParams(omega_q=w1, gamma_r=GAMMA)
         q2 = QubitParams(omega_q=100.0 * GAMMA, gamma_r=1e-5 * GAMMA)
-        c = DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
-        amp = np.sqrt(0.05 * GAMMA)
-        t_two = transmission(c.with_amplitudes(amp, 0.0), "forward")
-        t_one = transmission_analytic(q1, q1.omega_q, amp)
+        c = DiodeConfig(q1, q2, delta)
+        power = 0.05 * GAMMA
+        t_two = transmission(c, "forward", power)
+        t_one = transmission_analytic(q1, q1.omega_q, np.sqrt(power))
         np.testing.assert_allclose(abs(t_two), abs(t_one), rtol=1e-4)
 
     def test_flux_conservation_without_absorption(self):
@@ -205,12 +228,11 @@ class TestTransmission:
             q2 = QubitParams(omega_q=rng.uniform(-1, 1) * GAMMA,
                              gamma_r=GAMMA * rng.uniform(0.5, 2.0),
                              gamma_phi=rng.uniform(0, 0.2) * GAMMA)
-            c = DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
+            c = DiodeConfig(q1, q2, delta)
             alpha = np.sqrt(rng.uniform(0.001, 2.0) * c.gamma_bar)
             beta = np.sqrt(rng.uniform(0.0, 1.0) * c.gamma_bar)
-            cc = c.with_amplitudes(alpha, beta)
-            rho = steady_state(build_diode_liouvillian(cc))
-            a_out, b_out = diode_output_ops(cc)
+            rho = steady_state(build_diode_liouvillian(c, alpha, beta))
+            a_out, b_out = diode_output_ops(c, alpha, beta)
             flux = (expectation(a_out.conj().T @ a_out, rho).real
                     + expectation(b_out.conj().T @ b_out, rho).real)
             np.testing.assert_allclose(flux, abs(alpha) ** 2 + abs(beta) ** 2,
@@ -322,7 +344,7 @@ class TestPowerSweep:
 
     def test_failed_rows_are_marked_not_fatal(self):
         q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
-        c = DiodeConfig.from_delta(q, q, omega_d=0.0, delta=0.0)
+        c = DiodeConfig(q, q, 0.0)
         rows = power_sweep(c, [0.01 * GAMMA, 0.1 * GAMMA])
         assert len(rows) == 2
         for r in rows:
@@ -344,6 +366,11 @@ class TestBadPowers:
     def test_operating_point_rejects(self, bad, no_solve):
         with pytest.raises(ValueError, match=f"got {bad}"):
             operating_point(ideal_diode(), bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_transmission_rejects(self, bad, no_solve):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            transmission(ideal_diode(), "forward", bad)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_power_sweep_rejects_up_front(self, bad, no_solve):

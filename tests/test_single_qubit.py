@@ -10,7 +10,6 @@ import pytest
 
 from qdiode.operators import expectation, steady_state
 from qdiode.single_qubit import (
-    DriveConfig,
     QubitParams,
     build_single_qubit_liouvillian,
     single_qubit_output_ops,
@@ -39,11 +38,6 @@ class TestParams:
     def test_rejects_negative_dephasing(self):
         with pytest.raises(ValueError):
             QubitParams(omega_q=0.0, gamma_r=1.0, gamma_phi=-0.1)
-
-    def test_drive_phase_wraps(self):
-        d = DriveConfig(omega_d=0.0, phi=-np.pi)
-        assert 0.0 <= d.phi < 2.0 * np.pi
-        np.testing.assert_allclose(d.phi, np.pi)
 
 
 class TestAnalyticLimits:
@@ -92,15 +86,14 @@ class TestNumericAgreement:
             for d in detunings:
                 qq = QubitParams(omega_q=d, gamma_r=q.gamma_r,
                                  gamma_nr=q.gamma_nr, gamma_phi=q.gamma_phi)
-                t_num = transmission_numeric(
-                    qq, DriveConfig(omega_d=0.0, alpha=alpha))
+                t_num = transmission_numeric(qq, alpha)
                 t_ana = transmission_analytic(qq, d, alpha)
                 worst = max(worst, abs(t_num - t_ana))
         assert worst < 1e-8
 
     def test_undriven_steady_state_is_ground(self):
         q = make_qubit(gamma_phi=0.1 * GAMMA_R)
-        lv = build_single_qubit_liouvillian(q, DriveConfig(omega_d=0.0))
+        lv = build_single_qubit_liouvillian(q)
         rho = steady_state(lv)
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -109,26 +102,23 @@ class TestNumericAgreement:
         # at |alpha|^2 = 100 gamma_r the residual is 1.25e-3 exactly.
         q = make_qubit()
         alpha = np.sqrt(100.0 * GAMMA_R)
-        lv = build_single_qubit_liouvillian(
-            q, DriveConfig(omega_d=0.0, alpha=alpha))
+        lv = build_single_qubit_liouvillian(q, alpha)
         rho = steady_state(lv)
         np.testing.assert_allclose(rho[1, 1].real, 0.5, atol=2e-3)
-        stronger = build_single_qubit_liouvillian(
-            q, DriveConfig(omega_d=0.0, alpha=np.sqrt(1e4 * GAMMA_R)))
+        stronger = build_single_qubit_liouvillian(q, np.sqrt(1e4 * GAMMA_R))
         np.testing.assert_allclose(steady_state(stronger)[1, 1].real, 0.5,
                                    atol=2e-5)
 
     def test_transmission_requires_a_drive(self):
         with pytest.raises(ValueError):
-            transmission_numeric(make_qubit(), DriveConfig(omega_d=0.0))
+            transmission_numeric(make_qubit())
 
     def test_beta_only_drive_gives_left_moving_ratio(self):
         q = make_qubit(gamma_phi=0.05 * GAMMA_R, omega_q=0.3 * GAMMA_R)
         amp = np.sqrt(0.4 * GAMMA_R)
         # The emitter couples equally to both directions, so <b_out>/beta
         # under a drive from the right is the forward closed form.
-        d = DriveConfig(omega_d=0.0, beta=amp)
-        np.testing.assert_allclose(transmission_numeric(q, d),
+        np.testing.assert_allclose(transmission_numeric(q, beta=amp),
                                    transmission_analytic(q, q.omega_q, amp),
                                    atol=1e-12)
 
@@ -142,9 +132,8 @@ class TestFluxConservation:
                            omega_q=rng.uniform(-1, 1) * GAMMA_R)
             alpha = np.sqrt(rng.uniform(0.001, 3.0) * GAMMA_R)
             beta = np.sqrt(rng.uniform(0.0, 0.5) * GAMMA_R)
-            d = DriveConfig(omega_d=0.0, alpha=alpha, beta=beta)
-            rho = steady_state(build_single_qubit_liouvillian(q, d))
-            a_out, b_out = single_qubit_output_ops(q, d)
+            rho = steady_state(build_single_qubit_liouvillian(q, alpha, beta))
+            a_out, b_out = single_qubit_output_ops(q, alpha, beta)
             flux = (expectation(a_out.conj().T @ a_out, rho).real
                     + expectation(b_out.conj().T @ b_out, rho).real)
             total_in = abs(alpha) ** 2 + abs(beta) ** 2
@@ -153,9 +142,8 @@ class TestFluxConservation:
     def test_nonradiative_decay_absorbs(self):
         q = make_qubit(gamma_nr=0.2 * GAMMA_R)
         alpha = np.sqrt(0.05 * GAMMA_R)
-        d = DriveConfig(omega_d=0.0, alpha=alpha)
-        rho = steady_state(build_single_qubit_liouvillian(q, d))
-        a_out, b_out = single_qubit_output_ops(q, d)
+        rho = steady_state(build_single_qubit_liouvillian(q, alpha))
+        a_out, b_out = single_qubit_output_ops(q, alpha)
         flux = (expectation(a_out.conj().T @ a_out, rho).real
                 + expectation(b_out.conj().T @ b_out, rho).real)
         assert flux < abs(alpha) ** 2 * (1.0 - 1e-3)

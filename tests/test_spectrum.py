@@ -19,7 +19,6 @@ from qdiode.diode import (
 )
 from qdiode.operators import expectation, steady_state, vec
 from qdiode.single_qubit import (
-    DriveConfig,
     QubitParams,
     build_single_qubit_liouvillian,
 )
@@ -41,20 +40,18 @@ from qdiode.spectrum import (
 
 GAMMA = 1.0
 DELTA = np.sqrt(1e-3)
+POWER = 0.05                      # drive photon flux in units of GAMMA
+AMP = np.sqrt(POWER)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def ideal_diode(delta=DELTA, amp=np.sqrt(0.05), drive_side="a",
-                gamma_nr=0.0, gamma_phi=0.0):
-    w1, w2 = optimal_tuning(0.0, delta, GAMMA)
+def ideal_diode(delta=DELTA, gamma_nr=0.0, gamma_phi=0.0):
+    w1, w2 = optimal_tuning(delta, GAMMA)
     q1 = QubitParams(omega_q=w1, gamma_r=GAMMA, gamma_nr=gamma_nr,
                      gamma_phi=gamma_phi)
     q2 = QubitParams(omega_q=w2, gamma_r=GAMMA, gamma_nr=gamma_nr,
                      gamma_phi=gamma_phi)
-    c = DiodeConfig.from_delta(q1, q2, omega_d=0.0, delta=delta)
-    if drive_side == "a":
-        return c.with_amplitudes(amp, 0.0)
-    return c.with_amplitudes(0.0, amp)
+    return DiodeConfig(q1, q2, delta)
 
 
 # ----------------------------------------------------------------------------
@@ -64,26 +61,26 @@ def ideal_diode(delta=DELTA, amp=np.sqrt(0.05), drive_side="a",
 class TestTwoTimeCorrelation:
     def test_zero_tau_equals_moment(self):
         c = ideal_diode()
-        lv = build_diode_liouvillian(c)
+        lv = build_diode_liouvillian(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c)
+        a_out, _ = diode_output_ops(c, AMP)
         g0 = two_time_correlation(lv, rho, a_out, [0.0])[0]
         direct = expectation(a_out.conj().T @ a_out, rho)
         np.testing.assert_allclose(g0, direct, rtol=1e-12)
 
     def test_negative_tau_rejected(self):
         c = ideal_diode()
-        lv = build_diode_liouvillian(c)
+        lv = build_diode_liouvillian(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c)
+        a_out, _ = diode_output_ops(c, AMP)
         with pytest.raises(ValueError, match="negative tau"):
             two_time_correlation(lv, rho, a_out, [-0.1, 0.0, 0.1])
 
     def test_input_order_preserved(self):
         c = ideal_diode()
-        lv = build_diode_liouvillian(c)
+        lv = build_diode_liouvillian(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c)
+        a_out, _ = diode_output_ops(c, AMP)
         taus = np.array([0.0, 0.3, 1.1, 2.7, 5.0])
         rng = np.random.default_rng(7)
         perm = rng.permutation(taus.size)
@@ -93,8 +90,7 @@ class TestTwoTimeCorrelation:
 
     def test_propagator_matches_eigendecomposition(self):
         q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
-        d = DriveConfig(alpha=np.sqrt(25.0 * GAMMA), omega_d=0.0)
-        lv = build_single_qubit_liouvillian(q, d)
+        lv = build_single_qubit_liouvillian(q, np.sqrt(25.0 * GAMMA))
         rho = steady_state(lv)
         taus = np.concatenate([[0.0], np.geomspace(5e-5, 20.0, 400)])
         g_step = two_time_correlation(lv, rho, SIGMA_MINUS, taus)
@@ -115,7 +111,7 @@ def forward_psd_wide():
     coarse = np.geomspace(30.0 * est, 8.0 * 2.0 * GAMMA, 800)
     pos = np.unique(np.concatenate([dense, coarse]))
     grid = np.concatenate([-pos[::-1][:-1], pos])
-    return c, psd(c, "forward", "transmitted", grid)
+    return c, psd(c, "forward", "transmitted", POWER, grid)
 
 
 @pytest.fixture(scope="module")
@@ -123,15 +119,15 @@ def forward_psd_narrow():
     c = ideal_diode()
     pred = predicted_linewidth(DELTA, GAMMA, 0.0, 0.0)
     grid = np.linspace(-8.0 * pred, 8.0 * pred, 401)
-    return c, psd(c, "forward", "transmitted", grid)
+    return c, psd(c, "forward", "transmitted", POWER, grid)
 
 
 class TestDevicePsd:
     def test_elastic_plus_inelastic_matches_flux(self, forward_psd_wide):
         c, s = forward_psd_wide
-        lv = build_diode_liouvillian(c)
+        lv = build_diode_liouvillian(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c)
+        a_out, _ = diode_output_ops(c, AMP)
         flux = expectation(a_out.conj().T @ a_out, rho).real
         total = s.elastic_weight + integrated_inelastic(s)
         np.testing.assert_allclose(total, flux, rtol=1e-3)
@@ -143,7 +139,7 @@ class TestDevicePsd:
     def test_narrow_line_matches_slow_liouvillian_mode(self, forward_psd_narrow):
         c, s = forward_psd_narrow
         fit = fit_lorentzian(s)
-        evals = np.linalg.eigvals(build_diode_liouvillian(c))
+        evals = np.linalg.eigvals(build_diode_liouvillian(c, AMP))
         nonzero = evals[np.abs(evals.real) > 1e-12 * GAMMA]
         slow = nonzero[np.argmin(np.abs(nonzero.real))]
         np.testing.assert_allclose(fit.fwhm, 2.0 * abs(slow.real), rtol=0.02)
@@ -167,18 +163,18 @@ class TestDevicePsd:
 
     def test_elastic_weight_is_coherent_flux(self, forward_psd_wide):
         c, s = forward_psd_wide
-        lv = build_diode_liouvillian(c)
+        lv = build_diode_liouvillian(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c)
+        a_out, _ = diode_output_ops(c, AMP)
         np.testing.assert_allclose(s.elastic_weight,
                                    abs(expectation(a_out, rho)) ** 2,
                                    rtol=1e-10)
 
     def test_reverse_reflected_runs(self):
-        c = ideal_diode(drive_side="b")
+        c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-10.0 * est, 10.0 * est, 65)
-        s = psd(c, "reverse", "reflected", grid)
+        s = psd(c, "reverse", "reflected", POWER, grid)
         assert np.all(np.isfinite(s.inelastic_psd))
         assert np.min(s.inelastic_psd) >= 0.0
 
@@ -194,14 +190,15 @@ def spectrum_via_eig(lv, rho, out_op, omegas):
 
 
 class TestResolventMatchesEigendecomposition:
-    @pytest.mark.parametrize("side", ["a", "b"])
-    def test_diode_ports(self, side):
-        # Forward/transmitted (a driven) and reverse/reflected (b driven)
-        # both observe the a_out field.
-        c = ideal_diode(drive_side=side)
-        lv = build_diode_liouvillian(c)
+    @pytest.mark.parametrize("alpha, beta", [(AMP, 0.0), (0.0, AMP)],
+                             ids=["a", "b"])
+    def test_diode_ports(self, alpha, beta):
+        # Forward/transmitted (alpha driven) and reverse/reflected (beta
+        # driven) both observe the a_out field.
+        c = ideal_diode()
+        lv = build_diode_liouvillian(c, alpha, beta)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c)
+        a_out, _ = diode_output_ops(c, alpha, beta)
         pred = predicted_linewidth(DELTA, GAMMA, 0.0, 0.0)
         for grid in (np.linspace(-8.0 * pred, 8.0 * pred, 401),
                      np.linspace(-10.0 * GAMMA, 10.0 * GAMMA, 401)):
@@ -223,41 +220,46 @@ class TestPsdValidation:
         est = linewidth_estimate(c)
         grid = np.linspace(-5.0 * est, 9.0 * est, 33)
         with pytest.raises(ValueError, match="symmetric"):
-            psd(c, "forward", "transmitted", grid)
+            psd(c, "forward", "transmitted", POWER, grid)
 
     def test_narrow_span_rejected(self):
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-2.0 * est, 2.0 * est, 33)
         with pytest.raises(ValueError, match="span"):
-            psd(c, "forward", "transmitted", grid)
+            psd(c, "forward", "transmitted", POWER, grid)
 
     def test_tiny_grid_rejected(self):
         c = ideal_diode()
         est = linewidth_estimate(c)
         with pytest.raises(ValueError, match="grid too small"):
-            psd(c, "forward", "transmitted", np.linspace(-9 * est, 9 * est, 5))
+            psd(c, "forward", "transmitted", POWER,
+                np.linspace(-9 * est, 9 * est, 5))
 
     def test_unknown_port_rejected(self):
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)
         with pytest.raises(ValueError, match="port"):
-            psd(c, "forward", "sideways", grid)
+            psd(c, "forward", "sideways", POWER, grid)
 
     def test_unknown_direction_rejected(self):
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)
         with pytest.raises(ValueError, match="direction"):
-            psd(c, "up", "transmitted", grid)
+            psd(c, "up", "transmitted", POWER, grid)
 
-    def test_drive_pattern_mismatch_rejected(self):
-        c = ideal_diode(drive_side="b")
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_power_rejected_before_solve(self, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a steady state was solved")
+        monkeypatch.setattr("qdiode.spectrum.steady_state", fail)
+        c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)
-        with pytest.raises(ValueError, match="forward spectra"):
-            psd(c, "forward", "transmitted", grid)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            psd(c, "forward", "transmitted", bad, grid)
 
 
 # ----------------------------------------------------------------------------
@@ -269,8 +271,7 @@ def fluorescence():
     """Strongly driven single emitter: Liouvillian, steady state, Rabi frequency."""
     q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
     alpha = np.sqrt(25.0 * GAMMA)
-    d = DriveConfig(alpha=alpha, omega_d=0.0)
-    lv = build_single_qubit_liouvillian(q, d)
+    lv = build_single_qubit_liouvillian(q, alpha)
     rho = steady_state(lv)
     omega_eff = np.sqrt(2.0 * GAMMA) * alpha
     return lv, rho, omega_eff
@@ -471,9 +472,9 @@ class TestPredictedLinewidth:
         delta, p = 1e-3, 5e-4
         gamma_d = 0.5 * delta ** 2 * GAMMA
         gnr, gphi = nr_over_d * gamma_d, phi_over_d * gamma_d
-        c = ideal_diode(delta=delta, amp=np.sqrt(p * GAMMA), gamma_nr=gnr,
-                        gamma_phi=gphi)
-        evals = np.linalg.eigvals(build_diode_liouvillian(c))
+        c = ideal_diode(delta=delta, gamma_nr=gnr, gamma_phi=gphi)
+        amp = np.sqrt(p * GAMMA)
+        evals = np.linalg.eigvals(build_diode_liouvillian(c, amp))
         nonzero = evals[np.abs(evals.real) > 1e-12 * GAMMA]
         slowest = np.min(np.abs(nonzero.real))
         np.testing.assert_allclose(
@@ -504,6 +505,7 @@ class TestPredictedLinewidth:
             c = ideal_diode(delta=delta)
             pred = predicted_linewidth(delta, GAMMA, 0.0, 0.0)
             grid = np.linspace(-8.0 * pred, 8.0 * pred, 301)
-            fit = fit_lorentzian(psd(c, "forward", "transmitted", grid))
+            fit = fit_lorentzian(psd(c, "forward", "transmitted", POWER,
+                                     grid))
             widths.append(fit.fwhm)
         np.testing.assert_allclose(widths[1] / widths[0], 3.0, rtol=0.15)
