@@ -33,11 +33,18 @@ from .mirror import (
     simulate_mirror,
     variance_vs_power,
 )
-from .operators import SolverError, evolve, expectation, steady_state
+from .operators import (
+    SolverError,
+    evolve,
+    expectation,
+    steady_state,
+    steady_states,
+)
 from .single_qubit import (
     QubitParams,
     transmission_analytic,
     transmission_numeric,
+    transmission_vs_detuning,
 )
 from .spectrum import (
     LorentzianFit,
@@ -83,9 +90,11 @@ __all__ = [
     "psd",
     "simulate_mirror",
     "steady_state",
+    "steady_states",
     "transmission",
     "transmission_analytic",
     "transmission_numeric",
+    "transmission_vs_detuning",
     "two_time_correlation",
     "variance_vs_power",
     "__version__",

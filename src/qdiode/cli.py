@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .diode import (DiodeConfig, build_diode_liouvillian,
 from .fitting import FitError, fit_single_qubit
 from .mirror import variance_vs_power
 from .operators import SolverError, expectation, steady_state
-from .single_qubit import QubitParams, transmission_numeric
+from .single_qubit import QubitParams, transmission_vs_detuning
 from .spectrum import (SpectrumError, fit_lorentzian, linewidth_estimate,
                        predicted_linewidth, psd)
 
@@ -131,9 +130,7 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     grid = np.linspace(-half_span, half_span, p["n_points"])
     alpha, beta = (0.0, amp) if p.get("beta", 0.0) != 0.0 else (amp, 0.0)
     # The file axis is the qubit's detuning from the drive.
-    t_vals = np.array([transmission_numeric(replace(q, omega_q=delta_omega),
-                                            alpha, beta)
-                       for delta_omega in grid])
+    t_vals = transmission_vs_detuning(q, grid, alpha, beta)
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
     return [path], [], EXIT_OK

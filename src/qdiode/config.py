@@ -73,6 +73,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "power_max_over_gammabar": _num(required=True, minimum=0.0,
                                         exclusive_min=True),
         "n_powers": _int(required=True, minimum=2),
+        # In both sweeps a nonzero alpha or beta only picks the driven side
+        # (alpha: from the left, beta: from the right; neither: both sides);
+        # its value is not used, since the power keys set the drive.
         "alpha": _num(default=0.0),
         "beta": _num(default=0.0),
     },
@@ -84,6 +87,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                                    exclusive_min=True),
         "span_linewidths": _num(default=4.0, minimum=0.0, exclusive_min=True),
         "n_points": _int(default=201, minimum=2),
+        # Side selection only, as in sweep-power (neither: from the left).
         "alpha": _num(default=0.0),
         "beta": _num(default=0.0),
     },

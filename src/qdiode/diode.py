@@ -27,6 +27,14 @@ Near phase matching, phi = pi - delta, the symmetric superposition
 |-> superradiates at gamma_B = 2 gbar, gbar = sqrt(gamma_r,1 gamma_r,2); the
 asymmetry between drive directions in populating the quasi-dark state makes
 the device a diode.
+
+For a drive of real amplitude a from one side, H_T and the displaced
+dissipators are affine in a (the |a|^2 terms of D[a_out] and D[b_out]
+cancel), so the Liouvillian is L(a) = L0 + a L1 with L0 = L(0) and
+L1 = L(1) - L0, and the transmitted-port operator is affine in a as well.
+``power_sweep``, ``operating_point`` and ``transmission`` build L0 and L1
+once per side and solve the stack L0 + a L1 over all their amplitudes in one
+``steady_states`` call.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from .operators import (
     embed_qubit2,
     expectation,
     liouvillian_matrix,
-    steady_state,
+    steady_states,
 )
 from .single_qubit import QubitParams
 
@@ -204,15 +212,39 @@ def _one_sided(c: DiodeConfig, direction: str, amp: complex):
     return build_diode_liouvillian(c, alpha, beta), ports
 
 
-def _solve_direction(c: DiodeConfig, direction: str,
-                     amp: complex) -> tuple[complex, np.ndarray]:
-    """Steady state under drive amplitude ``amp`` from one side only, and its
-    transmission: <a_out>/amp forward, <b_out>/amp reverse, 0 at amp = 0."""
-    lv, (transmitted, _) = _one_sided(c, direction, amp)
-    rho = steady_state(lv)
-    if amp == 0:
-        return 0.0, rho
-    return expectation(transmitted, rho) / amp, rho
+def _solve_side(c: DiodeConfig, direction: str, amps) -> list:
+    """Steady state and transmission under a drive from one side, for each
+    real amplitude in ``amps``: a (t, rho) pair, or the point's SolverError.
+
+    For a real amplitude a the Liouvillian is affine, L(a) = L0 + a L1 with
+    L0 = L(0) and L1 = L(1) - L0, and so is the transmitted-port operator.
+    The side is therefore assembled twice whatever the number of amplitudes,
+    and the stack L0 + a L1 is solved in one ``steady_states`` call.
+    t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
+    """
+    lv0, (out0, _) = _one_sided(c, direction, 0.0)
+    lv1, (out1, _) = _one_sided(c, direction, 1.0)
+    amps = np.asarray(amps, dtype=float)
+    states = steady_states(lv0 + amps[:, None, None] * (lv1 - lv0))
+    results = []
+    for amp, rho in zip(amps, states):
+        if isinstance(rho, SolverError):
+            results.append(rho)
+        elif amp == 0:
+            results.append((0.0, rho))
+        else:
+            results.append((expectation(out0 + amp * (out1 - out0), rho) / amp,
+                            rho))
+    return results
+
+
+def _solve_point(c: DiodeConfig, direction: str,
+                 amp: float) -> tuple[complex, np.ndarray]:
+    """``_solve_side`` at one amplitude, raising its SolverError."""
+    result = _solve_side(c, direction, [amp])[0]
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
@@ -223,7 +255,7 @@ def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
     alpha = 0. As in ``operating_point``, t = 0 at zero power.
     """
     _check_power(power)
-    return _solve_direction(c, direction, np.sqrt(power))[0]
+    return _solve_point(c, direction, np.sqrt(power))[0]
 
 
 def diode_efficiency(t_f: complex, t_r: complex) -> float:
@@ -248,8 +280,8 @@ def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
     """Solve both drive directions at photon flux ``power`` = |amplitude|^2."""
     _check_power(power)
     amp = np.sqrt(power)
-    t_f, rho_f = _solve_direction(c, "forward", amp)
-    t_r, rho_r = _solve_direction(c, "reverse", amp)
+    t_f, rho_f = _solve_point(c, "forward", amp)
+    t_r, rho_r = _solve_point(c, "reverse", amp)
     return DiodeOperatingPoint(
         t_forward=t_f, t_reverse=t_r,
         efficiency=diode_efficiency(t_f, t_r),
@@ -276,10 +308,13 @@ def power_sweep(c: DiodeConfig, powers,
     """Transmission, efficiency and dark population over ascending drive
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
-    Each (power, side) steady state is solved once. A side not in ``sides``
+    Each (power, side) steady state is solved once: a side's Liouvillian is
+    affine in the real amplitude, L0 + amp L1, so it is assembled twice and
+    all its powers are solved in one stacked SVD. A side not in ``sides``
     gets NaN transmission and dark population, so the efficiency is NaN
-    unless both sides are solved. A power whose solve fails becomes a row of
-    NaN values with the message in ``error``; the sweep goes on.
+    unless both sides are solved. A power whose solve fails on any side
+    becomes a row of NaN values with the message of the first failed side in
+    ``error``; the sweep goes on.
     """
     powers = list(powers)
     for p in powers:
@@ -289,23 +324,25 @@ def power_sweep(c: DiodeConfig, powers,
     unknown = set(sides) - {"forward", "reverse"}
     if unknown:
         raise ValueError(f"unknown direction(s) {sorted(unknown)}")
+    amps = np.sqrt(np.asarray(powers, dtype=float))
+    solved = {side: _solve_side(c, side, amps) for side in sides}
     nan_t = complex(np.nan, np.nan)
     rows = []
-    for p in powers:
+    for k, p in enumerate(powers):
         t = {"forward": nan_t, "reverse": nan_t}
         dark = {"forward": np.nan, "reverse": np.nan}
-        try:
-            amp = np.sqrt(p)
-            for side in sides:
-                t[side], rho = _solve_direction(c, side, amp)
-                dark[side] = dark_state_population(rho)
-        except (SolverError, ValueError) as exc:
+        errors = [solved[side][k] for side in sides
+                  if isinstance(solved[side][k], SolverError)]
+        if errors:
             rows.append(SweepRow(power=p, t_forward=nan_t, t_reverse=nan_t,
                                  efficiency=np.nan,
                                  dark_population_forward=np.nan,
                                  dark_population_reverse=np.nan,
-                                 error=str(exc)))
+                                 error=str(errors[0])))
             continue
+        for side in sides:
+            t[side], rho = solved[side][k]
+            dark[side] = dark_state_population(rho)
         # NaN from a side not solved propagates into the efficiency.
         rows.append(SweepRow(
             power=p, t_forward=t["forward"], t_reverse=t["reverse"],

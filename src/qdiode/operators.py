@@ -125,36 +125,75 @@ class SolverError(RuntimeError):
     """Steady-state or propagation failure (degenerate null space etc.)."""
 
 
-def steady_state(lv: np.ndarray) -> np.ndarray:
-    """Steady state from the Liouvillian null space via SVD.
+def steady_states(lvs) -> list:
+    """Steady states of a stack of Liouvillians, from one batched SVD.
 
-    The smallest singular vector gives vec(rho_ss); a degenerate null space
-    (second singular value not well separated from the smallest) raises
-    SolverError with the estimated multiplicity.
+    ``lvs`` has shape (N, d^2, d^2). For each matrix the smallest singular
+    vector gives vec(rho_ss), and the matrix gets its density matrix or the
+    SolverError it fails with, in input order:
+
+    - with no singular value below 1e-10 of the largest, the smallest must
+      sit GAP_FACTOR below the next, or there is no clear null space;
+    - a degenerate null space (more than one singular value below that
+      threshold) is reported with its estimated dimension;
+    - a null vector of vanishing trace cannot be normalized;
+    - the residual ||L vec(rho)|| must stay below 1e-9 max(||L||, 1);
+    - rho must pass ``check_density_matrix``, whose message the error keeps.
     """
-    lv = np.asarray(lv, dtype=complex)
-    _, svals, vh = np.linalg.svd(lv)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    null_dim = int(np.sum(svals < scale * 1e-10))
-    if null_dim == 0:
-        # Fall back on a separation test: the smallest singular value must sit
+    lvs = np.asarray(lvs, dtype=complex)
+    if lvs.ndim != 3 or lvs.shape[1] != lvs.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {lvs.shape}")
+    n, d2 = lvs.shape[:2]
+    d = int(round(np.sqrt(d2)))
+    if d * d != d2:
+        raise ValueError(f"Liouvillian of size {d2} does not act on square matrices")
+    if n == 0:
+        return []
+    _, svals, vh = np.linalg.svd(lvs)
+    scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
+    null_dim = np.sum(svals < scale[:, None] * 1e-10, axis=1)
+    # vec is column stacking, so the C-order reshape of a null vector is rho^T.
+    rho = vh[:, -1].conj().reshape(n, d, d).transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    vanishing = np.abs(tr) < 1e-14
+    rho = rho / np.where(vanishing, 1.0, tr)[:, None, None]
+    resid = np.linalg.norm(lvs @ rho.transpose(0, 2, 1).reshape(n, d2, 1),
+                           axis=(1, 2))
+    bound = 1e-9 * np.maximum(np.linalg.norm(lvs, axis=(1, 2)), 1.0)
+    problems = _density_matrix_problems(rho)
+    results = []
+    for k in range(n):
+        # With no singular value below the threshold, the smallest must sit
         # far below the next one for a numerically one-dimensional null space.
-        if svals[-1] * GAP_FACTOR > svals[-2]:
-            raise SolverError(
+        if null_dim[k] == 0 and svals[k, -1] * GAP_FACTOR > svals[k, -2]:
+            results.append(SolverError(
                 f"no clear Liouvillian null space (smallest singular values "
-                f"{svals[-1]:.3e}, {svals[-2]:.3e})")
-    elif null_dim > 1:
-        raise SolverError(f"degenerate steady state: null space dimension {null_dim}")
-    rho = unvec(vh[-1].conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise SolverError("null vector has vanishing trace; cannot normalize")
-    rho = rho / tr
-    resid = np.linalg.norm(lv @ vec(rho))
-    if resid > 1e-9 * max(np.linalg.norm(lv), 1.0):
-        raise SolverError(f"steady-state residual too large: {resid:.3e}")
-    return rho
+                f"{svals[k, -1]:.3e}, {svals[k, -2]:.3e})"))
+        elif null_dim[k] > 1:
+            results.append(SolverError(
+                f"degenerate steady state: null space dimension {null_dim[k]}"))
+        elif vanishing[k]:
+            results.append(SolverError(
+                "null vector has vanishing trace; cannot normalize"))
+        elif resid[k] > bound[k]:
+            results.append(SolverError(
+                f"steady-state residual too large: {resid[k]:.3e}"))
+        elif problems[k] is not None:
+            results.append(SolverError(
+                f"steady state is not a density matrix: {problems[k]}"))
+        else:
+            results.append(rho[k])
+    return results
+
+
+def steady_state(lv: np.ndarray) -> np.ndarray:
+    """Steady state of one Liouvillian: ``steady_states`` on a stack of one,
+    raising its SolverError."""
+    result = steady_states(np.asarray(lv, dtype=complex)[None])[0]
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 def evolve(rho0: np.ndarray, lv: np.ndarray, t: float) -> np.ndarray:
@@ -177,20 +216,40 @@ def evolve(rho0: np.ndarray, lv: np.ndarray, t: float) -> np.ndarray:
     return unvec(v)
 
 
+def _density_matrix_problems(rhos: np.ndarray) -> list:
+    """For each state in a stack, the first density-matrix test it fails
+    (as a message), or None.
+
+    Trace and Hermiticity are both held to TRACE_TOL; eigenvalues may dip to
+    EIG_FLOOR. One eigvalsh call covers the whole stack.
+    """
+    rhos = np.asarray(rhos)
+    trace_err = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
+    rhos_h = rhos.conj().swapaxes(-1, -2)
+    herm_err = np.max(np.abs(rhos - rhos_h), axis=(-2, -1))
+    eig_min = np.linalg.eigvalsh(0.5 * (rhos + rhos_h)).min(axis=-1)
+    problems = []
+    for t_err, h_err, e_min in zip(trace_err, herm_err, eig_min):
+        if t_err > TRACE_TOL:
+            problems.append(f"trace deviates from 1 by {t_err:.3e}")
+        elif h_err > TRACE_TOL:
+            problems.append("state is not Hermitian")
+        elif e_min < EIG_FLOOR:
+            problems.append(f"negative eigenvalue {e_min:.3e}")
+        else:
+            problems.append(None)
+    return problems
+
+
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is a valid density matrix.
 
     Trace and Hermiticity are both held to TRACE_TOL; eigenvalues may dip to
     EIG_FLOOR.
     """
-    rho = np.asarray(rho)
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace deviates from 1 by {abs(np.trace(rho) - 1.0):.3e}")
-    if np.max(np.abs(rho - rho.conj().T)) > TRACE_TOL:
-        raise ValueError("state is not Hermitian")
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals.min() < EIG_FLOOR:
-        raise ValueError(f"negative eigenvalue {evals.min():.3e}")
+    problem = _density_matrix_problems(np.asarray(rho)[None])[0]
+    if problem is not None:
+        raise ValueError(problem)
 
 
 def expectation(op: np.ndarray, rho: np.ndarray) -> complex:

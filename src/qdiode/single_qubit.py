@@ -18,11 +18,17 @@ they enter both the Hamiltonian and the displaced output-field dissipators:
 |alpha|^2 and |beta|^2 are photon fluxes in photons/s. The steady-state
 transmission <a_out>/alpha has the closed form implemented in
 ``transmission_analytic``.
+
+The detuning enters only through H, so the Liouvillian is affine in it:
+L(omega_q) = L(0) + omega_q DETUNING_SUPEROP, with DETUNING_SUPEROP the
+superoperator of -i[-sigma_z/2, .]. ``transmission_vs_detuning`` assembles
+L(0) once and solves every detuning of a grid in one stacked
+``steady_states`` call; ``transmission_numeric`` is its one-point case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,10 +37,15 @@ from .operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    SolverError,
     expectation,
+    hamiltonian_superop,
     liouvillian_matrix,
-    steady_state,
+    steady_states,
 )
+
+# d L / d omega_q: the detuning enters only through H = -(omega_q/2) sigma_z.
+DETUNING_SUPEROP = hamiltonian_superop(-0.5 * SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -116,18 +127,35 @@ def build_single_qubit_liouvillian(q: QubitParams, alpha: complex = 0.0,
                                   (0.5 * q.gamma_phi, SIGMA_Z)])
 
 
-def transmission_numeric(q: QubitParams, alpha: complex = 0.0,
-                         beta: complex = 0.0) -> complex:
-    """Steady-state transmission from the full master equation.
+def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
+                             beta: complex = 0.0) -> np.ndarray:
+    """Steady-state transmission from the full master equation at each
+    detuning from the drive in ``detunings`` (``q.omega_q`` is not used).
 
     <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
-    drive from the right only. Raises ValueError for an undriven emitter.
+    drive from the right only. The detuning enters only through
+    H = -(Delta/2) sigma_z, so L(Delta) = L(0) + Delta DETUNING_SUPEROP:
+    the Liouvillian is assembled once and every point is solved in one
+    stacked SVD. Raises ValueError for an undriven emitter and the first
+    failed point's SolverError.
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
-    lv = build_single_qubit_liouvillian(q, alpha, beta)
-    rho = steady_state(lv)
+    lv0 = build_single_qubit_liouvillian(replace(q, omega_q=0.0), alpha, beta)
+    detunings = np.asarray(detunings, dtype=float)
+    states = steady_states(lv0 + detunings[:, None, None] * DETUNING_SUPEROP)
     a_out, b_out = single_qubit_output_ops(q, alpha, beta)
-    if alpha != 0:
-        return expectation(a_out, rho) / alpha
-    return expectation(b_out, rho) / beta
+    port, amp = (a_out, alpha) if alpha != 0 else (b_out, beta)
+    t = []
+    for rho in states:
+        if isinstance(rho, SolverError):
+            raise rho
+        t.append(expectation(port, rho) / amp)
+    return np.array(t, dtype=complex)
+
+
+def transmission_numeric(q: QubitParams, alpha: complex = 0.0,
+                         beta: complex = 0.0) -> complex:
+    """Steady-state transmission from the full master equation at the
+    emitter's own detuning: ``transmission_vs_detuning`` at ``q.omega_q``."""
+    return complex(transmission_vs_detuning(q, [q.omega_q], alpha, beta)[0])

@@ -346,6 +346,28 @@ class TestCliRuns:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["notes"]
 
+    def test_near_degenerate_sweep_keeps_its_failed_rows(self, tmp_path):
+        # delta = 2e-5 and no loss: the dark state's decay, delta^2 gbar/2,
+        # sinks below the solver's null-space threshold from p = 1.417 gbar.
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": 2e-5,
+            "power_min_over_gammabar": 1e-3, "power_max_over_gammabar": 10.0,
+            "n_powers": 100})
+        out = tmp_path / "out"
+        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        table = np.genfromtxt(out / "power_sweep.csv", delimiter=",",
+                              names=True)
+        columns = [n for n in table.dtype.names if n != "p_over_gammabar"]
+        failed = np.flatnonzero(np.isnan(table["t_fwd_abs"]))
+        np.testing.assert_array_equal(failed, np.arange(78, 100))
+        for name in columns:
+            assert np.all(np.isnan(table[name][failed]))
+            assert np.all(np.isfinite(table[name][:78]))
+        notes = json.loads((out / "run_manifest.json").read_text())["notes"]
+        assert notes == [f"p/gammabar = {p:.6g}: degenerate steady state: "
+                         "null space dimension 2"
+                         for p in np.geomspace(1e-3, 10.0, 100)[78:]]
+
     def test_sweep_power_reverse_only(self, tmp_path):
         cfg = write_config(tmp_path, {
             "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,

@@ -360,7 +360,7 @@ class TestBadPowers:
     def no_solve(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.diode.steady_state", fail)
+        monkeypatch.setattr("qdiode.diode.steady_states", fail)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_operating_point_rejects(self, bad, no_solve):

@@ -22,6 +22,7 @@ from qdiode.operators import (
     kron,
     liouvillian_matrix,
     steady_state,
+    steady_states,
     unvec,
     vec,
 )
@@ -169,6 +170,80 @@ class TestSteadyState:
         lv = decaying_liouvillian()
         np.testing.assert_allclose(steady_state(lv), steady_state(1e9 * lv),
                                    atol=1e-10)
+
+
+def annihilating(rho, seed):
+    """A generic Liouvillian-shaped matrix whose only null vector is vec(rho)."""
+    u = vec(rho) / np.linalg.norm(vec(rho))
+    projector = np.eye(u.size) - np.outer(u, u.conj())
+    return random_matrix(u.size, seed) @ projector
+
+
+class TestSteadyStates:
+    """The stacked solver against one solve per matrix."""
+
+    @staticmethod
+    def mixed_stack():
+        from qdiode.diode import DiodeConfig, build_diode_liouvillian
+        from qdiode.single_qubit import QubitParams
+
+        q1 = QubitParams(omega_q=-0.03, gamma_r=1.0, gamma_nr=0.02,
+                         gamma_phi=0.01)
+        q2 = QubitParams(omega_q=0.0, gamma_r=0.9, gamma_nr=0.02,
+                         gamma_phi=0.01)
+        lossy = DiodeConfig(q1, q2, 0.03)
+        ideal = QubitParams(omega_q=0.0, gamma_r=1.0)
+        return [
+            build_diode_liouvillian(lossy, 0.3, 0.0),
+            # delta = 0, lossless: the dark state never decays.
+            build_diode_liouvillian(DiodeConfig(ideal, ideal, 0.0), 0.2, 0.0),
+            # No null space at all.
+            random_matrix(16, 60),
+            build_diode_liouvillian(lossy, 0.0, 1.5),
+            annihilating(np.diag([1.0, -1.0, 0.0, 0.0]), 61),
+            annihilating(np.diag([0.6, 0.5, 0.1, -0.2]), 62),
+            build_diode_liouvillian(lossy, 0.0, 0.0),
+        ]
+
+    def test_matches_one_solve_per_matrix(self):
+        stack = self.mixed_stack()
+        results = steady_states(np.array(stack))
+        kinds = []
+        for lv, got in zip(stack, results):
+            try:
+                want = steady_state(lv)
+            except SolverError as exc:
+                assert isinstance(got, SolverError)
+                assert str(got) == str(exc)
+                kinds.append(str(exc).split(":")[0].split(" (")[0])
+            else:
+                np.testing.assert_array_equal(got, want)
+                kinds.append("ok")
+        assert kinds == ["ok", "degenerate steady state",
+                         "no clear Liouvillian null space", "ok",
+                         "null vector has vanishing trace; cannot normalize",
+                         "steady state is not a density matrix", "ok"]
+
+    def test_invalid_state_carries_the_check_message(self):
+        rho = np.diag([0.6, 0.5, 0.1, -0.2])
+        with pytest.raises(ValueError) as check:
+            check_density_matrix(rho)
+        assert str(check.value) == "negative eigenvalue -2.000e-01"
+        with pytest.raises(SolverError, match=str(check.value)):
+            steady_state(annihilating(rho, 62))
+
+    def test_solved_states_pass_the_density_matrix_check(self):
+        for got in steady_states(np.array(self.mixed_stack())):
+            if not isinstance(got, SolverError):
+                check_density_matrix(got)
+
+    def test_empty_stack(self):
+        assert steady_states(np.zeros((0, 4, 4), dtype=complex)) == []
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 3, 3)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError):
+            steady_states(np.zeros(shape, dtype=complex))
 
 
 class TestEvolve:
