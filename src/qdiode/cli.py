@@ -102,7 +102,7 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
         }
     path = os.path.join(out_dir, "steady_state.json")
     io.write_json(path, payload)
-    return [path], [], EXIT_OK
+    return [path], [], EXIT_OK, {}
 
 
 def _run_sweep_power(cfg: RunConfig, out_dir: str):
@@ -112,12 +112,13 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
     powers = np.geomspace(p["power_min_over_gammabar"],
                           p["power_max_over_gammabar"],
                           p["n_powers"]) * gamma_bar
-    rows = power_sweep(c, powers, _sweep_sides(p))
+    info: dict = {}
+    rows = power_sweep(c, powers, _sweep_sides(p), info)
     path = os.path.join(out_dir, "power_sweep.csv")
     io.write_sweep_csv(path, rows, gamma_bar)
     notes = [f"p/gammabar = {r.power / gamma_bar:.6g}: {r.error}"
              for r in rows if r.error]
-    return [path], notes, EXIT_OK
+    return [path], notes, EXIT_OK, {"min_null_gap": info["min_null_gap"]}
 
 
 def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
@@ -133,7 +134,7 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     t_vals = transmission_vs_detuning(q, grid, alpha, beta)
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
-    return [path], [], EXIT_OK
+    return [path], [], EXIT_OK, {}
 
 
 def _run_spectrum(cfg: RunConfig, out_dir: str):
@@ -165,7 +166,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
         "predicted_fwhm_hz": (predicted + p.get("gamma_exc_hz", 0.0)) / TWO_PI,
         "p_over_gammabar": p["p_over_gammabar"],
     })
-    return [path, sidecar], notes, code
+    return [path, sidecar], notes, code, {}
 
 
 def _run_fit(cfg: RunConfig, out_dir: str):
@@ -194,7 +195,7 @@ def _run_fit(cfg: RunConfig, out_dir: str):
     }
     path = os.path.join(out_dir, "fit_result.json")
     io.write_json(path, payload)
-    return [path], [], EXIT_OK
+    return [path], [], EXIT_OK, {}
 
 
 def _run_mirror_mc(cfg: RunConfig, out_dir: str):
@@ -214,7 +215,7 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str):
                              p["n_samples"], p.get("dwell_samples", 0.0))
     path = os.path.join(out_dir, "mirror_sweep.csv")
     io.write_mirror_csv(path, rows, cfg.seed)
-    return [path], notes, EXIT_OK
+    return [path], notes, EXIT_OK, {}
 
 
 _RUNNERS = {
@@ -256,7 +257,7 @@ def run(argv=None) -> int:
             cfg = RunConfig(mode=cfg.mode, echo=cfg.echo, params=cfg.params,
                             seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        outputs, notes, code = _RUNNERS[cfg.mode](cfg, args.out)
+        outputs, notes, code, diagnostics = _RUNNERS[cfg.mode](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -272,7 +273,7 @@ def run(argv=None) -> int:
 
     wall = time.perf_counter() - t0
     io.write_manifest(args.out, cfg.mode, cfg.echo, cfg.seed, wall,
-                      outputs, notes)
+                      outputs, notes, diagnostics)
     for path in outputs:
         print(path)
     for note in notes:

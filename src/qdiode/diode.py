@@ -33,8 +33,9 @@ dissipators are affine in a (the |a|^2 terms of D[a_out] and D[b_out]
 cancel), so the Liouvillian is L(a) = L0 + a L1 with L0 = L(0) and
 L1 = L(1) - L0, and the transmitted-port operator is affine in a as well.
 ``power_sweep``, ``operating_point`` and ``transmission`` build L0 and L1
-once per side and solve the stack L0 + a L1 over all their amplitudes in one
-``steady_states`` call.
+once per side, solve the stack L0 + a L1 over all their amplitudes in one
+``steady_states`` call, and read t and the dark population of every solved
+point out of the stack at once.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .operators import (
     SolverError,
     embed_qubit1,
     embed_qubit2,
-    expectation,
     liouvillian_matrix,
     steady_states,
 )
@@ -212,34 +212,39 @@ def _one_sided(c: DiodeConfig, direction: str, amp: complex):
     return build_diode_liouvillian(c, alpha, beta), ports
 
 
-def _solve_side(c: DiodeConfig, direction: str, amps) -> list:
-    """Steady state and transmission under a drive from one side, for each
-    real amplitude in ``amps``: a (t, rho) pair, or the point's SolverError.
+def _solve_side(c: DiodeConfig, direction: str, amps,
+                info: dict | None = None) -> list:
+    """Steady state under a drive from one side, for each real amplitude in
+    ``amps``: a (t, dark population, rho) triple, or the point's SolverError.
 
     For a real amplitude a the Liouvillian is affine, L(a) = L0 + a L1 with
     L0 = L(0) and L1 = L(1) - L0, and so is the transmitted-port operator.
     The side is therefore assembled twice whatever the number of amplitudes,
-    and the stack L0 + a L1 is solved in one ``steady_states`` call.
-    t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
+    the stack L0 + a L1 is solved in one ``steady_states`` call (which fills
+    ``info``), and t and the dark population of every solved point are read
+    out together. t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
     """
     lv0, (out0, _) = _one_sided(c, direction, 0.0)
     lv1, (out1, _) = _one_sided(c, direction, 1.0)
     amps = np.asarray(amps, dtype=float)
-    states = steady_states(lv0 + amps[:, None, None] * (lv1 - lv0))
-    results = []
-    for amp, rho in zip(amps, states):
-        if isinstance(rho, SolverError):
-            results.append(rho)
-        elif amp == 0:
-            results.append((0.0, rho))
-        else:
-            results.append((expectation(out0 + amp * (out1 - out0), rho) / amp,
-                            rho))
+    states = steady_states(lv0 + amps[:, None, None] * (lv1 - lv0), info)
+    solved = [k for k, rho in enumerate(states)
+              if not isinstance(rho, SolverError)]
+    rhos = np.array([states[k] for k in solved]).reshape(-1, 4, 4)
+    a = amps[solved]
+    # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = out0 + a (out1 - out0).
+    out = (np.einsum("ij,nji->n", out0, rhos)
+           + a * np.einsum("ij,nji->n", out1 - out0, rhos))
+    t = np.divide(out, a, out=np.zeros_like(out), where=a != 0)
+    dark = np.einsum("i,nij,j->n", DARK_STATE.conj(), rhos, DARK_STATE).real
+    results = list(states)
+    for k, t_k, dark_k, rho in zip(solved, t.tolist(), dark.tolist(), rhos):
+        results[k] = (t_k, dark_k, rho)
     return results
 
 
 def _solve_point(c: DiodeConfig, direction: str,
-                 amp: float) -> tuple[complex, np.ndarray]:
+                 amp: float) -> tuple[complex, float, np.ndarray]:
     """``_solve_side`` at one amplitude, raising its SolverError."""
     result = _solve_side(c, direction, [amp])[0]
     if isinstance(result, SolverError):
@@ -280,14 +285,13 @@ def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
     """Solve both drive directions at photon flux ``power`` = |amplitude|^2."""
     _check_power(power)
     amp = np.sqrt(power)
-    t_f, rho_f = _solve_point(c, "forward", amp)
-    t_r, rho_r = _solve_point(c, "reverse", amp)
+    t_f, dark_f, rho_f = _solve_point(c, "forward", amp)
+    t_r, dark_r, rho_r = _solve_point(c, "reverse", amp)
     return DiodeOperatingPoint(
         t_forward=t_f, t_reverse=t_r,
         efficiency=diode_efficiency(t_f, t_r),
         rho_ss_forward=rho_f, rho_ss_reverse=rho_r,
-        dark_population_forward=dark_state_population(rho_f),
-        dark_population_reverse=dark_state_population(rho_r))
+        dark_population_forward=dark_f, dark_population_reverse=dark_r)
 
 
 @dataclass(frozen=True)
@@ -303,18 +307,23 @@ class SweepRow:
     error: str | None = None
 
 
-def power_sweep(c: DiodeConfig, powers,
-                sides=("forward", "reverse")) -> list[SweepRow]:
+def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
+                info: dict | None = None) -> list[SweepRow]:
     """Transmission, efficiency and dark population over ascending drive
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
     Each (power, side) steady state is solved once: a side's Liouvillian is
     affine in the real amplitude, L0 + amp L1, so it is assembled twice and
-    all its powers are solved in one stacked SVD. A side not in ``sides``
-    gets NaN transmission and dark population, so the efficiency is NaN
-    unless both sides are solved. A power whose solve fails on any side
-    becomes a row of NaN values with the message of the first failed side in
-    ``error``; the sweep goes on.
+    all its powers are solved together, from one batched singular-value
+    check and one bordered linear solve (``steady_states``). A side not in
+    ``sides`` gets NaN transmission and dark population, so the efficiency
+    is NaN unless both sides are solved. A power whose solve fails on any
+    side becomes a row of NaN values with the message of the first failed
+    side in ``error``; the sweep goes on.
+
+    If ``info`` is a dict, ``info["min_null_gap"]`` is set to the smallest
+    s_{-2} / s_max (see ``steady_states``) over the solved sides of the rows
+    that did not fail, or None if every row failed.
     """
     powers = list(powers)
     for p in powers:
@@ -325,9 +334,14 @@ def power_sweep(c: DiodeConfig, powers,
     if unknown:
         raise ValueError(f"unknown direction(s) {sorted(unknown)}")
     amps = np.sqrt(np.asarray(powers, dtype=float))
-    solved = {side: _solve_side(c, side, amps) for side in sides}
+    solved, gaps = {}, {}
+    for side in sides:
+        side_info: dict = {}
+        solved[side] = _solve_side(c, side, amps, side_info)
+        gaps[side] = side_info["null_gap"]
     nan_t = complex(np.nan, np.nan)
     rows = []
+    accepted_gaps = []
     for k, p in enumerate(powers):
         t = {"forward": nan_t, "reverse": nan_t}
         dark = {"forward": np.nan, "reverse": np.nan}
@@ -341,12 +355,15 @@ def power_sweep(c: DiodeConfig, powers,
                                  error=str(errors[0])))
             continue
         for side in sides:
-            t[side], rho = solved[side][k]
-            dark[side] = dark_state_population(rho)
+            t[side], dark[side], _ = solved[side][k]
+            accepted_gaps.append(gaps[side][k])
         # NaN from a side not solved propagates into the efficiency.
         rows.append(SweepRow(
             power=p, t_forward=t["forward"], t_reverse=t["reverse"],
             efficiency=diode_efficiency(t["forward"], t["reverse"]),
             dark_population_forward=dark["forward"],
             dark_population_reverse=dark["reverse"]))
+    if info is not None:
+        info["min_null_gap"] = (float(min(accepted_gaps)) if accepted_gaps
+                                else None)
     return rows

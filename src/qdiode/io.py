@@ -201,7 +201,8 @@ def write_json(path: str, payload: dict) -> None:
 
 def write_manifest(out_dir: str, mode: str, echo: dict, seed: int,
                    wall_time_s: float, outputs: Iterable[str],
-                   notes: Sequence[str] = ()) -> str:
+                   notes: Sequence[str] = (),
+                   diagnostics: dict | None = None) -> str:
     from . import __version__
 
     payload = {
@@ -218,6 +219,8 @@ def write_manifest(out_dir: str, mode: str, echo: dict, seed: int,
     }
     if notes:
         payload["notes"] = list(notes)
+    if diagnostics:
+        payload["diagnostics"] = dict(diagnostics)
     path = os.path.join(out_dir, "run_manifest.json")
     write_json(path, payload)
     return path

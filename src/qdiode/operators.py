@@ -125,20 +125,33 @@ class SolverError(RuntimeError):
     """Steady-state or propagation failure (degenerate null space etc.)."""
 
 
-def steady_states(lvs) -> list:
-    """Steady states of a stack of Liouvillians, from one batched SVD.
+def steady_states(lvs, info: dict | None = None) -> list:
+    """Steady states of a stack of Liouvillians, from batched singular
+    values and one batched bordered linear solve.
 
-    ``lvs`` has shape (N, d^2, d^2). For each matrix the smallest singular
-    vector gives vec(rho_ss), and the matrix gets its density matrix or the
-    SolverError it fails with, in input order:
+    ``lvs`` has shape (N, d^2, d^2). Each matrix gets its density matrix or
+    the SolverError it fails with, in input order. The singular values alone
+    (no singular vectors) decide whether a matrix has a one-dimensional null
+    space:
 
     - with no singular value below 1e-10 of the largest, the smallest must
       sit GAP_FACTOR below the next, or there is no clear null space;
     - a degenerate null space (more than one singular value below that
-      threshold) is reported with its estimated dimension;
-    - a null vector of vanishing trace cannot be normalized;
+      threshold) is reported with its estimated dimension.
+
+    For the matrices that pass, row 0 (the rho_00 equation, redundant by
+    trace preservation) is replaced by the trace functional vec(I)^T, and
+    M x = e_0 is solved for all of them in one batched solve. For a unit
+    null vector v this gives x = v / tr v = vec(rho) with tr rho = 1, so
+
+    - a null vector of vanishing trace cannot be normalized: ||x|| > 1e14,
+      a non-finite x, or an exactly singular M;
     - the residual ||L vec(rho)|| must stay below 1e-9 max(||L||, 1);
     - rho must pass ``check_density_matrix``, whose message the error keeps.
+
+    If ``info`` is a dict, ``info["null_gap"]`` is set to each matrix's
+    s_{-2} / s_max, its second-smallest singular value over its largest: how
+    far the null space is from degenerate.
     """
     lvs = np.asarray(lvs, dtype=complex)
     if lvs.ndim != 3 or lvs.shape[1] != lvs.shape[2]:
@@ -148,35 +161,47 @@ def steady_states(lvs) -> list:
     if d * d != d2:
         raise ValueError(f"Liouvillian of size {d2} does not act on square matrices")
     if n == 0:
+        if info is not None:
+            info["null_gap"] = np.zeros(0)
         return []
-    _, svals, vh = np.linalg.svd(lvs)
+    svals = np.linalg.svd(lvs, compute_uv=False)
     scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
+    if info is not None:
+        info["null_gap"] = svals[:, -2] / scale
     null_dim = np.sum(svals < scale[:, None] * 1e-10, axis=1)
-    # vec is column stacking, so the C-order reshape of a null vector is rho^T.
-    rho = vh[:, -1].conj().reshape(n, d, d).transpose(0, 2, 1)
+    no_gap = (null_dim == 0) & (svals[:, -1] * GAP_FACTOR > svals[:, -2])
+    passed = ~no_gap & (null_dim <= 1)
+    bordered = lvs[passed]
+    bordered[:, 0, :] = vec(np.eye(d))
+    x = np.zeros((n, d2), dtype=complex)
+    x[passed] = _solve_for_e0(bordered)
+    normalizable = (passed & np.all(np.isfinite(x), axis=1)
+                    & (np.linalg.norm(x, axis=1) <= 1e14))
+    x[~normalizable] = 0.0
+    # vec is column stacking, so the C-order reshape of x is rho^T.
+    rho = x.reshape(n, d, d).transpose(0, 2, 1)
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    vanishing = np.abs(tr) < 1e-14
-    rho = rho / np.where(vanishing, 1.0, tr)[:, None, None]
     resid = np.linalg.norm(lvs @ rho.transpose(0, 2, 1).reshape(n, d2, 1),
                            axis=(1, 2))
-    bound = 1e-9 * np.maximum(np.linalg.norm(lvs, axis=(1, 2)), 1.0)
+    # ||L||_F is the root sum of squares of the singular values.
+    frobenius = np.sqrt(np.sum(svals ** 2, axis=1))
+    too_large = (resid > 1e-9 * np.maximum(frobenius, 1.0)).tolist()
     problems = _density_matrix_problems(rho)
     results = []
-    for k in range(n):
-        # With no singular value below the threshold, the smallest must sit
-        # far below the next one for a numerically one-dimensional null space.
-        if null_dim[k] == 0 and svals[k, -1] * GAP_FACTOR > svals[k, -2]:
+    for k, (gapless, dim, normal) in enumerate(zip(no_gap.tolist(),
+                                                   null_dim.tolist(),
+                                                   normalizable.tolist())):
+        if gapless:
             results.append(SolverError(
                 f"no clear Liouvillian null space (smallest singular values "
                 f"{svals[k, -1]:.3e}, {svals[k, -2]:.3e})"))
-        elif null_dim[k] > 1:
+        elif dim > 1:
             results.append(SolverError(
-                f"degenerate steady state: null space dimension {null_dim[k]}"))
-        elif vanishing[k]:
+                f"degenerate steady state: null space dimension {dim}"))
+        elif not normal:
             results.append(SolverError(
                 "null vector has vanishing trace; cannot normalize"))
-        elif resid[k] > bound[k]:
+        elif too_large[k]:
             results.append(SolverError(
                 f"steady-state residual too large: {resid[k]:.3e}"))
         elif problems[k] is not None:
@@ -185,6 +210,27 @@ def steady_states(lvs) -> list:
         else:
             results.append(rho[k])
     return results
+
+
+def _solve_for_e0(ms: np.ndarray) -> np.ndarray:
+    """x with M x = e_0 for each M in a stack, in one batched solve; a row
+    of NaN for an exactly singular M.
+
+    numpy fails the whole stack when one member is singular, so only then
+    is each member solved on its own.
+    """
+    rhs = np.zeros(ms.shape[:2] + (1,), dtype=complex)
+    rhs[:, 0] = 1.0
+    try:
+        return np.linalg.solve(ms, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(ms.shape[:2], np.nan, dtype=complex)
+        for k, (m, b) in enumerate(zip(ms, rhs)):
+            try:
+                x[k] = np.linalg.solve(m, b)[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 def steady_state(lv: np.ndarray) -> np.ndarray:
@@ -229,7 +275,8 @@ def _density_matrix_problems(rhos: np.ndarray) -> list:
     herm_err = np.max(np.abs(rhos - rhos_h), axis=(-2, -1))
     eig_min = np.linalg.eigvalsh(0.5 * (rhos + rhos_h)).min(axis=-1)
     problems = []
-    for t_err, h_err, e_min in zip(trace_err, herm_err, eig_min):
+    for t_err, h_err, e_min in zip(trace_err.tolist(), herm_err.tolist(),
+                                   eig_min.tolist()):
         if t_err > TRACE_TOL:
             problems.append(f"trace deviates from 1 by {t_err:.3e}")
         elif h_err > TRACE_TOL:

@@ -38,7 +38,6 @@ from .operators import (
     SIGMA_PLUS,
     SIGMA_Z,
     SolverError,
-    expectation,
     hamiltonian_superop,
     liouvillian_matrix,
     steady_states,
@@ -135,9 +134,11 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
     <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
     drive from the right only. The detuning enters only through
     H = -(Delta/2) sigma_z, so L(Delta) = L(0) + Delta DETUNING_SUPEROP:
-    the Liouvillian is assembled once and every point is solved in one
-    stacked SVD. Raises ValueError for an undriven emitter and the first
-    failed point's SolverError.
+    the Liouvillian is assembled once, every point is solved in one
+    ``steady_states`` call (a batched singular-value check and one bordered
+    linear solve), and t is read out of the stack of states at once. Raises
+    ValueError for an undriven emitter and the first failed point's
+    SolverError.
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
@@ -146,12 +147,12 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
     states = steady_states(lv0 + detunings[:, None, None] * DETUNING_SUPEROP)
     a_out, b_out = single_qubit_output_ops(q, alpha, beta)
     port, amp = (a_out, alpha) if alpha != 0 else (b_out, beta)
-    t = []
     for rho in states:
         if isinstance(rho, SolverError):
             raise rho
-        t.append(expectation(port, rho) / amp)
-    return np.array(t, dtype=complex)
+    rhos = np.array(states, dtype=complex).reshape(-1, 2, 2)
+    # <port> = tr(port rho) = sum_ij port_ij rho_ji
+    return np.einsum("ij,nji->n", port, rhos) / amp
 
 
 def transmission_numeric(q: QubitParams, alpha: complex = 0.0,

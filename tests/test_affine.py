@@ -10,16 +10,16 @@ Hypothesis draws derandomized examples, so every run tests the same devices.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from device_strategies import PROPERTY, lossy_devices, powers_over_gbar, sides
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qdiode.diode import (
-    DiodeConfig,
     _one_sided,
     _solve_side,
     build_diode_liouvillian,
+    dark_state_population,
     diode_output_ops,
-    optimal_tuning,
 )
 from qdiode.operators import SolverError, expectation, steady_state
 from qdiode.single_qubit import (
@@ -29,33 +29,6 @@ from qdiode.single_qubit import (
     single_qubit_output_ops,
     transmission_vs_detuning,
 )
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=60)
-
-
-@st.composite
-def lossy_devices(draw):
-    """A two-qubit device with gamma_r1, gamma_r2 in [0.5, 2], delta in
-    [1e-3, 0.3], gamma_nr and gamma_phi in [0, 0.1] gbar, at optimal tuning."""
-    gr1 = draw(st.floats(0.5, 2.0))
-    gr2 = draw(st.floats(0.5, 2.0))
-    delta = draw(st.floats(1e-3, 0.3))
-    gbar = np.sqrt(gr1 * gr2)
-    gamma_nr = draw(st.floats(0.0, 0.1)) * gbar
-    gamma_phi = draw(st.floats(0.0, 0.1)) * gbar
-    w1, w2 = optimal_tuning(delta, gbar)
-    return DiodeConfig(
-        QubitParams(omega_q=w1, gamma_r=gr1, gamma_nr=gamma_nr,
-                    gamma_phi=gamma_phi),
-        QubitParams(omega_q=w2, gamma_r=gr2, gamma_nr=gamma_nr,
-                    gamma_phi=gamma_phi),
-        delta)
-
-
-powers_over_gbar = st.floats(1e-4, 10.0)
-sides = st.sampled_from(["forward", "reverse"])
-
 
 def assert_close_in_norm(got, want, rel):
     """|got - want| <= rel * max(|want|, 1) entrywise, in the max norm."""
@@ -89,10 +62,12 @@ def test_stacked_side_solve_matches_direct_solves(c, ps, side):
         except SolverError:
             assert isinstance(got, SolverError)
             continue
-        t, rho_got = got
+        t, dark, rho_got = got
         ports = diode_output_ops(c, alpha, beta)
         port = ports[0] if side == "forward" else ports[1]
         np.testing.assert_allclose(t, expectation(port, rho) / amp,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dark, dark_state_population(rho),
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(rho_got, rho, rtol=0, atol=1e-9)
 

@@ -368,6 +368,33 @@ class TestCliRuns:
                          "null space dimension 2"
                          for p in np.geomspace(1e-3, 10.0, 100)[78:]]
 
+    @pytest.mark.parametrize("delta, low, high", [
+        # Lossless and nearly degenerate: accepted rows sit just above the
+        # solver's 1e-10 null-space threshold.
+        (2e-5, 1e-10, 3e-10),
+        (DELTA, 1e-4, 1.0),
+    ])
+    def test_sweep_manifest_reports_the_null_gap(self, tmp_path, delta, low,
+                                                 high):
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": delta,
+            "power_min_over_gammabar": 1e-3, "power_max_over_gammabar": 10.0,
+            "n_powers": 100})
+        out = tmp_path / "out"
+        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert low < manifest["diagnostics"]["min_null_gap"] < high
+
+    def test_sweep_manifest_null_gap_without_solved_rows(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": 0.0,
+            "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 0.1,
+            "n_powers": 2})
+        out = tmp_path / "out"
+        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["diagnostics"] == {"min_null_gap": None}
+
     def test_sweep_power_reverse_only(self, tmp_path):
         cfg = write_config(tmp_path, {
             "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,

@@ -7,6 +7,7 @@ bookkeeping is tested independently of any physics built on top of it.
 
 import numpy as np
 import pytest
+from svd_reference import svd_null_vector_states
 
 from qdiode.operators import (
     SIGMA_MINUS,
@@ -237,8 +238,42 @@ class TestSteadyStates:
             if not isinstance(got, SolverError):
                 check_density_matrix(got)
 
+    def test_mixed_stack_matches_the_svd_reference(self):
+        stack = np.array(self.mixed_stack())
+        for got, want in zip(steady_states(stack),
+                             svd_null_vector_states(stack)):
+            if isinstance(want, SolverError):
+                assert isinstance(got, SolverError)
+                assert str(got) == str(want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_singular_bordered_matrix_fails_alone(self):
+        # d = 2 and one null vector, vec(|1><0|), whose trace is zero: with
+        # row 0 replaced by vec(I)^T = (1, 0, 0, 1) the bordered matrix has
+        # a zero row, which numpy would raise on for the whole stack.
+        singular = -np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)
+        good = [decaying_liouvillian(), decaying_liouvillian(0.1, 0.5, 2.0)]
+        results = steady_states(np.array([good[0], singular, good[1]]))
+        assert isinstance(results[1], SolverError)
+        assert str(results[1]) == ("null vector has vanishing trace; "
+                                   "cannot normalize")
+        for got, want in zip(results[::2], steady_states(np.array(good))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_info_reports_the_null_gap(self):
+        stack = np.array(self.mixed_stack())
+        info = {}
+        steady_states(stack, info)
+        svals = np.linalg.svd(stack, compute_uv=False)
+        np.testing.assert_allclose(info["null_gap"],
+                                   svals[:, -2] / svals[:, 0], rtol=1e-12)
+
     def test_empty_stack(self):
         assert steady_states(np.zeros((0, 4, 4), dtype=complex)) == []
+        info = {}
+        steady_states(np.zeros((0, 4, 4), dtype=complex), info)
+        assert info["null_gap"].shape == (0,)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 3, 3)])
     def test_rejects_bad_shapes(self, shape):
