@@ -83,20 +83,24 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow],
     """Power sweep table; powers are stored relative to gamma_bar.
 
     Rows that failed to solve carry NaN in every result column; the error
-    messages travel in the manifest, not the data file.
+    messages travel in the manifest, not the data file. Each column is
+    computed once over all rows; the magnitudes use Python's abs on the
+    complexes, whose last digit np.abs does not always reproduce.
     """
+    t_fwd = np.array([r.t_forward for r in rows], dtype=complex)
+    t_rev = np.array([r.t_reverse for r in rows], dtype=complex)
+    columns = [
+        (np.array([r.power for r in rows], dtype=float) / gamma_bar).tolist(),
+        [abs(t) for t in t_fwd.tolist()], np.angle(t_fwd).tolist(),
+        [abs(t) for t in t_rev.tolist()], np.angle(t_rev).tolist(),
+        np.array([r.efficiency for r in rows], dtype=float).tolist(),
+        np.array([r.dark_population_forward for r in rows], dtype=float).tolist(),
+        np.array([r.dark_population_reverse for r in rows], dtype=float).tolist(),
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                _fmt(r.power / gamma_bar),
-                _fmt(abs(r.t_forward)), _fmt(np.angle(r.t_forward)),
-                _fmt(abs(r.t_reverse)), _fmt(np.angle(r.t_reverse)),
-                _fmt(r.efficiency),
-                _fmt(r.dark_population_forward),
-                _fmt(r.dark_population_reverse),
-            ])
+        writer.writerows(zip(*(map(repr, col) for col in columns)))
 
 
 # -----------------------------------------------------------------------------

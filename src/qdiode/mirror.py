@@ -15,6 +15,12 @@ Sampling X independently per point is the default; an exponential dwell-time
 mode correlates consecutive samples without changing the marginal statistics.
 All randomness flows through counter-based Philox streams so results are
 reproducible bit for bit from the seed.
+
+``simulate_mirror`` returns a record's samples and is the sample-level
+reference. The sweeps (``sweep_row``, ``variance_vs_power``) never build a
+record: they draw each record into one reused float64 buffer and compute its
+two variances there, in the same stream order and with the same pairwise sums
+as ``iq_variance(simulate_mirror(m))``, whose values they equal bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ class MirrorModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_dark <= 1.0:
             raise ValueError(f"p_dark must lie in [0, 1], got {self.p_dark}")
+        for name in ("alpha", "sigma_w", "dwell_samples"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_w < 0:
             raise ValueError("sigma_w must be nonnegative")
         if self.n_samples < 1:
@@ -74,24 +84,30 @@ class MirrorSweepRow:
     var_i_rev_analytic: float
 
 
-def _mirror_states(m: MirrorModel, rng: np.random.Generator) -> np.ndarray:
+def _mirror_states(m: MirrorModel, rng: np.random.Generator,
+                   buf: np.ndarray | None = None) -> np.ndarray:
+    """Boolean states of one record; uniforms are drawn into buf if given."""
     if m.dwell_samples == 0.0:
-        return rng.random(m.n_samples) < m.p_dark
+        return rng.random(m.n_samples, out=buf) < m.p_dark
     # Each sample independently redraws the state with probability q chosen so
     # holding times are geometric with mean dwell_samples; the marginal stays
     # Bernoulli(p_dark).
     q = -np.expm1(-1.0 / m.dwell_samples)
-    redraw = rng.random(m.n_samples) < q
+    redraw = rng.random(m.n_samples, out=buf) < q
     redraw[0] = True
-    fresh = rng.random(m.n_samples) < m.p_dark
+    fresh = rng.random(m.n_samples, out=buf) < m.p_dark
     idx = np.where(redraw, np.arange(m.n_samples), 0)
     np.maximum.accumulate(idx, out=idx)
     return fresh[idx]
 
 
+def _rng(m: MirrorModel) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(m.seed)))
+
+
 def simulate_mirror(m: MirrorModel) -> IQRecord:
     """Draw one quadrature record from the blinking-mirror model."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(m.seed)))
+    rng = _rng(m)
     x = _mirror_states(m, rng).astype(float)
     i_samples = np.real(m.alpha) * x + rng.normal(0.0, m.sigma_w, m.n_samples)
     q_samples = np.imag(m.alpha) * x + rng.normal(0.0, m.sigma_w, m.n_samples)
@@ -103,6 +119,31 @@ def iq_variance(r: IQRecord) -> tuple[float, float]:
     if r.i_samples.size < 2 or r.q_samples.size < 2:
         raise ValueError("need at least two samples for an unbiased variance")
     return float(np.var(r.i_samples, ddof=1)), float(np.var(r.q_samples, ddof=1))
+
+
+def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
+    """``iq_variance(simulate_mirror(m))``, bit for bit, computed in ``buf``.
+
+    buf is a float64 array of n_samples that is overwritten. The draws come in
+    simulate_mirror's order (states, then w, then v), sigma_w * z equals
+    normal(0, sigma_w) up to the sign of a zero, and the variance repeats
+    np.var(ddof=1)'s steps: pairwise mean, subtract, square, pairwise sum.
+    """
+    n = m.n_samples
+    if n < 2:
+        raise ValueError("need at least two samples for an unbiased variance")
+    rng = _rng(m)
+    x = _mirror_states(m, rng, buf)
+    variances = []
+    for amp in (np.real(m.alpha), np.imag(m.alpha)):
+        rng.standard_normal(out=buf)
+        buf *= m.sigma_w
+        if amp != 0:
+            buf += amp * x
+        buf -= buf.mean()
+        np.square(buf, out=buf)
+        variances.append(float(buf.sum() / (n - 1)))
+    return variances[0], variances[1]
 
 
 def analytic_iq_variance(p_dark: float, alpha: complex,
@@ -123,17 +164,27 @@ def sweep_row(power: float, p_dark_fwd: float, p_dark_rev: float,
               sigma_w: float, n_samples: int, seed_fwd: int, seed_rev: int,
               dwell_samples: float = 0.0) -> MirrorSweepRow:
     """One power point of the variance sweep, with explicit per-direction seeds."""
+    return _sweep_row(power, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
+                      seed_fwd, seed_rev, dwell_samples, _buffer(n_samples))
+
+
+def _buffer(n_samples: int) -> np.ndarray:
+    # A nonpositive n_samples gets an empty buffer; MirrorModel then rejects
+    # it with its own message before anything is drawn.
+    return np.empty(max(n_samples, 0))
+
+
+def _sweep_row(power: float, p_dark_fwd: float, p_dark_rev: float,
+               sigma_w: float, n_samples: int, seed_fwd: int, seed_rev: int,
+               dwell_samples: float, buf: np.ndarray) -> MirrorSweepRow:
+    """sweep_row, drawing both records into buf."""
     alpha = np.sqrt(power)
-    rec_f = simulate_mirror(MirrorModel(p_dark=p_dark_fwd, alpha=alpha,
-                                        sigma_w=sigma_w, n_samples=n_samples,
-                                        seed=seed_fwd,
-                                        dwell_samples=dwell_samples))
-    rec_r = simulate_mirror(MirrorModel(p_dark=p_dark_rev, alpha=alpha,
-                                        sigma_w=sigma_w, n_samples=n_samples,
-                                        seed=seed_rev,
-                                        dwell_samples=dwell_samples))
-    vi_f, vq_f = iq_variance(rec_f)
-    vi_r, vq_r = iq_variance(rec_r)
+    m_f, m_r = (MirrorModel(p_dark=p, alpha=alpha, sigma_w=sigma_w,
+                            n_samples=n_samples, seed=seed,
+                            dwell_samples=dwell_samples)
+                for p, seed in ((p_dark_fwd, seed_fwd), (p_dark_rev, seed_rev)))
+    vi_f, vq_f = _record_variances(m_f, buf)
+    vi_r, vq_r = _record_variances(m_r, buf)
     return MirrorSweepRow(
         power=float(power),
         var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,
@@ -148,12 +199,19 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
 
     The field amplitude scales as alpha = sqrt(power); each (power, direction)
     pair gets an independent child stream spawned from the seed, so per-point
-    results do not depend on evaluation order.
+    results do not depend on evaluation order. Every record is drawn into one
+    float64 buffer allocated for the whole sweep and its variances are
+    computed there in place; the rows equal those rebuilt from
+    ``simulate_mirror`` and ``iq_variance``, the sample-level reference, bit
+    for bit.
     """
     powers = np.asarray(powers, dtype=float)
+    if not np.all(np.isfinite(powers)):
+        raise ValueError("powers must be finite")
     if np.any(powers < 0):
         raise ValueError("powers must be nonnegative")
     seeds = spawn_seeds(seed, 2 * powers.size)
-    return [sweep_row(p, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
-                      seeds[2 * k], seeds[2 * k + 1], dwell_samples)
+    buf = _buffer(n_samples)
+    return [_sweep_row(p, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
+                       seeds[2 * k], seeds[2 * k + 1], dwell_samples, buf)
             for k, p in enumerate(powers)]

@@ -7,6 +7,7 @@ disagreement points at the plumbing rather than the model.
 """
 
 import filecmp
+import importlib.util
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from sweep_csv_reference import write_sweep_csv_rowwise
 
 import qdiode
 from qdiode import io
@@ -25,6 +27,20 @@ from qdiode.diode import SweepRow, power_sweep
 from qdiode.spectrum import LorentzianFit, SpectrumResult
 
 DELTA = float(np.sqrt(1e-3))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def benchmark_jobs(workload, seed, workdir):
+    """The jobs of one workload of the repository's benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_jobs", os.path.join(REPO, "perfbench", "jobs.py"))
+    jobs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = jobs     # its dataclass looks the module up
+    spec.loader.exec_module(jobs)
+    made = jobs.make_jobs(workload, seed, workdir)
+    jobs.write_configs(workdir, made)
+    return [(os.path.join(jobs.job_dir(workdir, j), "config.json"),
+             jobs.out_dir(workdir, j)) for j in made]
 
 
 def steady_payload(**overrides):
@@ -423,6 +439,43 @@ class TestCliRuns:
         lib = str(tmp_path / "library.csv")
         io.write_sweep_csv(lib, power_sweep(c, powers), c.gamma_bar)
         assert filecmp.cmp(out / "power_sweep.csv", lib, shallow=False)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_power_scan_files_match_the_rowwise_writer(self, tmp_path, seed):
+        # Both sweeps of the benchmark's power-scan workload, the lossy one
+        # and the near-degenerate one with NaN rows, byte for byte.
+        for cfg, out in benchmark_jobs("power-scan", seed, str(tmp_path)):
+            assert run(["sweep-power", "--config", cfg, "--out", out]) == EXIT_OK
+            p = load("sweep-power", cfg).params
+            c = _diode_config(p)
+            powers = np.geomspace(p["power_min_over_gammabar"],
+                                  p["power_max_over_gammabar"],
+                                  p["n_powers"]) * c.gamma_bar
+            ref = os.path.join(out, "rowwise.csv")
+            write_sweep_csv_rowwise(ref, power_sweep(c, powers), c.gamma_bar)
+            assert filecmp.cmp(os.path.join(out, "power_sweep.csv"), ref,
+                               shallow=False)
+
+    def test_sweep_writer_matches_the_rowwise_writer_on_mixed_rows(
+            self, tmp_path):
+        nan_t = complex(np.nan, np.nan)
+        rows = [
+            SweepRow(power=np.float64(0.3), t_forward=0.6 - 0.2j,
+                     t_reverse=-0.1 + 0.05j, efficiency=np.float64(0.7),
+                     dark_population_forward=0.25,
+                     dark_population_reverse=np.float64(1e-300)),
+            SweepRow(power=2, t_forward=nan_t, t_reverse=nan_t,
+                     efficiency=np.nan, dark_population_forward=np.nan,
+                     dark_population_reverse=np.nan, error="failed"),
+            SweepRow(power=5e-324, t_forward=0j, t_reverse=-0.0 - 0.0j,
+                     efficiency=0.0, dark_population_forward=-0.0,
+                     dark_population_reverse=1.0),
+        ]
+        for name, sweep in (("mixed", rows), ("empty", [])):
+            new, ref = (str(tmp_path / f"{name}{k}.csv") for k in (0, 1))
+            io.write_sweep_csv(new, sweep, 0.7)
+            write_sweep_csv_rowwise(ref, sweep, 0.7)
+            assert filecmp.cmp(new, ref, shallow=False)
 
     def test_sweep_frequency_beta_matches_alpha(self, tmp_path):
         # A lone drive from either side sees the same emitter.

@@ -4,14 +4,21 @@ The decisive oracle is the closed-form Bernoulli-plus-Gaussian variance;
 sampled variances must sit within three standard errors of it, with the
 standard error computed from the exact fourth central moment rather than
 from the samples themselves.
+
+The sweeps never build a sample record: they compute each record's variances
+in one reused buffer. ``iq_variance(simulate_mirror(m))`` is the reference
+they must equal bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiode.mirror import (
     IQRecord,
     MirrorModel,
+    _record_variances,
     analytic_iq_variance,
     iq_variance,
     simulate_mirror,
@@ -234,3 +241,116 @@ class TestValidation:
         r = IQRecord(i_samples=np.array([1.0]), q_samples=np.array([1.0]))
         with pytest.raises(ValueError, match="two samples"):
             iq_variance(r)
+
+
+# ----------------------------------------------------------------------------
+#              In-place record variances against the sample route
+# ----------------------------------------------------------------------------
+
+def reference_variances(m):
+    return iq_variance(simulate_mirror(m))
+
+
+def in_place_variances(m):
+    # A dirty buffer: nothing of its old contents may leak into the result.
+    return _record_variances(m, np.full(m.n_samples, np.nan))
+
+
+class TestRecordVariances:
+    @pytest.mark.parametrize("kwargs", [
+        dict(p_dark=0.37, alpha=2.2, sigma_w=0.3, n_samples=4096),
+        dict(p_dark=0.4, alpha=1.8, sigma_w=0.2, n_samples=4096,
+             dwell_samples=10.0),
+        dict(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=4096,
+             dwell_samples=0.3),
+        dict(p_dark=0.6, alpha=-1.3 + 0.7j, sigma_w=0.15, n_samples=3001),
+        dict(p_dark=0.6, alpha=-1.3 - 0.7j, sigma_w=0.15, n_samples=3001,
+             dwell_samples=4.0),
+        dict(p_dark=0.5, alpha=0.0, sigma_w=0.2, n_samples=1000),
+        dict(p_dark=0.5, alpha=-0.5j, sigma_w=0.2, n_samples=1000),
+        dict(p_dark=0.3, alpha=1.5 + 0.4j, sigma_w=0.0, n_samples=1000),
+        dict(p_dark=0.3, alpha=0.0, sigma_w=0.0, n_samples=1000),
+        dict(p_dark=0.0, alpha=-2.0, sigma_w=0.0, n_samples=1000),
+        dict(p_dark=1.0, alpha=2.0 + 1.0j, sigma_w=0.1, n_samples=1000),
+        dict(p_dark=0.5, alpha=1.0 + 1.0j, sigma_w=0.1, n_samples=2),
+        dict(p_dark=0.5, alpha=1.0, sigma_w=0.0, n_samples=2,
+             dwell_samples=1.0),
+        dict(p_dark=0.45, alpha=1.1, sigma_w=0.1, n_samples=2 ** 18),
+    ])
+    def test_equals_the_sample_route(self, kwargs):
+        m = MirrorModel(seed=2024, **kwargs)
+        assert in_place_variances(m) == reference_variances(m)
+
+    def test_single_sample_rejected(self):
+        m = MirrorModel(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=1,
+                        seed=0)
+        with pytest.raises(ValueError, match="two samples"):
+            in_place_variances(m)
+        with pytest.raises(ValueError, match="two samples"):
+            sweep_row(1.0, 0.5, 0.1, 0.1, 1, 1, 2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(p_dark=st.floats(0.0, 1.0),
+           re=st.floats(-5.0, 5.0), im=st.floats(-5.0, 5.0),
+           zero_part=st.sampled_from(["none", "re", "im", "both"]),
+           sigma_w=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           n=st.integers(2, 3000),
+           dwell=st.one_of(st.just(0.0), st.floats(0.01, 500.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_sample_route_on_drawn_models(
+            self, p_dark, re, im, zero_part, sigma_w, n, dwell, seed):
+        alpha = complex(0.0 if zero_part in ("re", "both") else re,
+                        0.0 if zero_part in ("im", "both") else im)
+        m = MirrorModel(p_dark=p_dark, alpha=alpha, sigma_w=sigma_w,
+                        n_samples=n, seed=seed, dwell_samples=dwell)
+        assert in_place_variances(m) == reference_variances(m)
+
+    @pytest.mark.parametrize("dwell", [0.0, 7.5])
+    def test_sweep_rows_equal_rows_from_records(self, dwell):
+        p_fwd, p_rev, sw, seed, n = 0.55, 0.08, 0.12, 314, 5000
+        powers = [0.0, 0.25, 1.0, 2.5]
+        rows = variance_vs_power(p_fwd, p_rev, powers, sigma_w=sw, seed=seed,
+                                 n_samples=n, dwell_samples=dwell)
+        seeds = spawn_seeds(seed, 2 * len(powers))
+        for k, (p, row) in enumerate(zip(powers, rows)):
+            fwd, rev = (reference_variances(MirrorModel(
+                p_dark=pd, alpha=np.sqrt(p), sigma_w=sw, n_samples=n,
+                seed=s, dwell_samples=dwell))
+                for pd, s in ((p_fwd, seeds[2 * k]),
+                              (p_rev, seeds[2 * k + 1])))
+            assert row.power == p
+            assert (row.var_i_fwd, row.var_q_fwd) == fwd
+            assert (row.var_i_rev, row.var_q_rev) == rev
+            assert sweep_row(p, p_fwd, p_rev, sw, n, seeds[2 * k],
+                             seeds[2 * k + 1], dwell) == row
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_powers_rejected(self, bad):
+        with pytest.raises(ValueError, match="powers must be finite"):
+            variance_vs_power(0.5, 0.1, [1.0, bad], sigma_w=0.1, seed=1,
+                              n_samples=16)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("sigma_w", np.nan), ("sigma_w", np.inf),
+        ("dwell_samples", np.nan), ("dwell_samples", np.inf),
+        ("alpha", np.nan), ("alpha", np.inf), ("alpha", complex(1.0, np.nan)),
+        ("alpha", complex(-np.inf, 0.0)),
+    ])
+    def test_non_finite_model_field_rejected(self, field, bad):
+        kwargs = dict(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=10,
+                      seed=0, dwell_samples=0.0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MirrorModel(**kwargs)
+
+    def test_non_finite_sigma_rejected_by_the_sweep(self):
+        with pytest.raises(ValueError, match="sigma_w must be finite"):
+            variance_vs_power(0.5, 0.1, [1.0], sigma_w=np.nan, seed=1,
+                              n_samples=16)
+
+    def test_nan_occupation_rejected(self):
+        with pytest.raises(ValueError, match="p_dark"):
+            MirrorModel(p_dark=np.nan, alpha=1.0, sigma_w=0.1, n_samples=10,
+                        seed=0)
