@@ -35,7 +35,6 @@ from .mirror import (
 )
 from .operators import (
     SolverError,
-    evolve,
     expectation,
     steady_state,
     steady_states,
@@ -53,7 +52,6 @@ from .spectrum import (
     fit_lorentzian,
     predicted_linewidth,
     psd,
-    two_time_correlation,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "dark_state_population",
     "diode_efficiency",
     "dispersive_phase",
-    "evolve",
     "expectation",
     "fit_lorentzian",
     "fit_single_qubit",
@@ -95,7 +92,6 @@ __all__ = [
     "transmission_analytic",
     "transmission_numeric",
     "transmission_vs_detuning",
-    "two_time_correlation",
     "variance_vs_power",
     "__version__",
 ]

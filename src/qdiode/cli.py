@@ -54,14 +54,6 @@ def _diode_config(p: dict) -> DiodeConfig:
     return DiodeConfig(q1, q2, p["delta"])
 
 
-def _sweep_sides(p: dict) -> tuple[str, ...]:
-    if p.get("alpha", 0.0) != 0.0:
-        return ("forward",)
-    if p.get("beta", 0.0) != 0.0:
-        return ("reverse",)
-    return ("forward", "reverse")
-
-
 # -----------------------------------------------------------------------------
 #                               Modes
 # -----------------------------------------------------------------------------
@@ -112,8 +104,9 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
     powers = np.geomspace(p["power_min_over_gammabar"],
                           p["power_max_over_gammabar"],
                           p["n_powers"]) * gamma_bar
+    sides = ("forward", "reverse") if p["side"] == "both" else (p["side"],)
     info: dict = {}
-    rows = power_sweep(c, powers, _sweep_sides(p), info)
+    rows = power_sweep(c, powers, sides, info)
     path = os.path.join(out_dir, "power_sweep.csv")
     io.write_sweep_csv(path, rows, gamma_bar)
     notes = [f"p/gammabar = {r.power / gamma_bar:.6g}: {r.error}"
@@ -129,7 +122,7 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     amp = math.sqrt(p["power_over_gamma_r"] * q.gamma_r)
     half_span = p["span_linewidths"] * q.gamma_2
     grid = np.linspace(-half_span, half_span, p["n_points"])
-    alpha, beta = (0.0, amp) if p.get("beta", 0.0) != 0.0 else (amp, 0.0)
+    alpha, beta = (0.0, amp) if p["side"] == "reverse" else (amp, 0.0)
     # The file axis is the qubit's detuning from the drive.
     t_vals = transmission_vs_detuning(q, grid, alpha, beta)
     path = os.path.join(out_dir, "frequency_sweep.csv")

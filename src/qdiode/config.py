@@ -73,11 +73,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "power_max_over_gammabar": _num(required=True, minimum=0.0,
                                         exclusive_min=True),
         "n_powers": _int(required=True, minimum=2),
-        # In both sweeps a nonzero alpha or beta only picks the driven side
-        # (alpha: from the left, beta: from the right; neither: both sides);
-        # its value is not used, since the power keys set the drive.
-        "alpha": _num(default=0.0),
-        "beta": _num(default=0.0),
+        # The driven side: forward from the left, reverse from the right.
+        "side": Field(str, default="both",
+                      choices=("forward", "reverse", "both")),
     },
     "sweep-frequency": {
         "gamma_r_hz": _num(required=True, minimum=0.0, exclusive_min=True),
@@ -87,9 +85,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                                    exclusive_min=True),
         "span_linewidths": _num(default=4.0, minimum=0.0, exclusive_min=True),
         "n_points": _int(default=201, minimum=2),
-        # Side selection only, as in sweep-power (neither: from the left).
-        "alpha": _num(default=0.0),
-        "beta": _num(default=0.0),
+        "side": Field(str, default="forward", choices=("forward", "reverse")),
     },
     "spectrum": {
         **_TWO_QUBIT_RATES,
@@ -173,11 +169,6 @@ def _check_field(mode: str, key: str, f: Field, value: Any) -> Any:
 
 def _mode_checks(mode: str, echo: dict) -> None:
     """Cross-key constraints that a per-field schema cannot express."""
-    if mode in ("sweep-power", "sweep-frequency"):
-        if echo.get("alpha", 0.0) != 0.0 and echo.get("beta", 0.0) != 0.0:
-            raise ConfigError(
-                f"{mode}: a sweep drives one port at a time; set at most one "
-                "of 'alpha', 'beta' nonzero (directional drive)")
     if mode == "sweep-power":
         if echo["power_max_over_gammabar"] <= echo["power_min_over_gammabar"]:
             raise ConfigError("sweep-power: power_max_over_gammabar must "

@@ -31,6 +31,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_rows(path: str) -> tuple[list[list[str]], list[str]]:
+    """The rows of a result CSV, header first, and its '#' comment lines;
+    blank lines are skipped. A row whose cell count differs from the
+    header's is a ValueError naming the file and the line."""
+    rows: list[list[str]] = []
+    comments: list[str] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for r in reader:
+            if not r or (len(r) == 1 and not r[0].strip()):
+                continue
+            if r[0].startswith("#"):
+                comments.append(",".join(r))
+            elif rows and len(r) != len(rows[0]):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(rows[0])} cells, got {len(r)}")
+            else:
+                rows.append(r)
+    return rows, comments
+
+
 # -----------------------------------------------------------------------------
 #                       Transmission scans (single qubit)
 # -----------------------------------------------------------------------------
@@ -53,8 +74,7 @@ def write_transmission_csv(path: str, delta_omega: np.ndarray,
 
 def read_transmission_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_transmission_csv; returns (delta_omega rad/s, t)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows, _ = _read_rows(path)
     if not rows:
         raise ValueError(f"{path}: empty transmission file")
     header = [h.strip() for h in rows[0]]
@@ -143,8 +163,7 @@ def write_spectrum_csv(path: str, s: SpectrumResult,
 
 def read_spectrum_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Returns (freq offsets rad/s, psd photons/s per rad/s)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows, _ = _read_rows(path)
     if not rows or [h.strip() for h in rows[0]] != ["freq_offset_hz", "psd"]:
         raise ValueError(f"{path}: not a spectrum file")
     w = np.array([float(r[0]) for r in rows[1:]]) * TWO_PI
@@ -177,19 +196,13 @@ def write_mirror_csv(path: str, rows: Sequence[MirrorSweepRow],
 
 def read_mirror_csv(path: str) -> tuple[int, list[dict]]:
     """Returns (seed, rows as column dicts)."""
-    seed = -1
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    lines = []
-    for line in raw:
-        if line.startswith("#"):
-            if "seed" in line:
-                seed = int(line.split("=")[1])
-        elif line.strip():
-            lines.append(line)
-    rows = list(csv.reader(lines))
+    rows, comments = _read_rows(path)
     if not rows or rows[0] != MIRROR_COLUMNS:
         raise ValueError(f"{path}: not a mirror sweep file")
+    seed = -1
+    for line in comments:
+        if "seed" in line:
+            seed = int(line.split("=")[1])
     return seed, [dict(zip(MIRROR_COLUMNS, map(float, r))) for r in rows[1:]]
 
 

@@ -122,7 +122,7 @@ def liouvillian_matrix(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> 
 # -----------------------------------------------------------------------------
 
 class SolverError(RuntimeError):
-    """Steady-state or propagation failure (degenerate null space etc.)."""
+    """Steady-state failure (degenerate null space etc.)."""
 
 
 def steady_states(lvs, info: dict | None = None) -> list:
@@ -240,26 +240,6 @@ def steady_state(lv: np.ndarray) -> np.ndarray:
     if isinstance(result, SolverError):
         raise result
     return result
-
-
-def evolve(rho0: np.ndarray, lv: np.ndarray, t: float) -> np.ndarray:
-    """Propagate rho0 for time t under the Liouvillian: unvec(expm(L t) vec(rho0))."""
-    from scipy.linalg import expm  # imported here: no CLI mode needs scipy
-
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    if t == 0.0:
-        return np.array(rho0, dtype=complex, copy=True)
-    lv = np.asarray(lv, dtype=complex)
-    # Guard against overflow for extreme L*t: the dynamics is contractive, so
-    # splitting the interval keeps expm's internal scaling well conditioned.
-    norm_lt = np.linalg.norm(lv, ord=np.inf) * t
-    n_steps = max(1, int(np.ceil(norm_lt / 1e4)))
-    prop = expm(lv * (t / n_steps))
-    v = vec(rho0)
-    for _ in range(n_steps):
-        v = prop @ v
-    return unvec(v)
 
 
 def _density_matrix_problems(rhos: np.ndarray) -> list:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .diode import DiodeConfig, _check_power, _one_sided, dark_bright_rates
 from .fitting import _least_squares
-from .operators import steady_state, unvec, vec
+from .operators import steady_state, vec
 
 # Fraction of the peak below zero tolerated as rounding noise in the computed
 # PSD (clipped to zero). The exact spectrum is nonnegative, so anything more
@@ -68,51 +68,8 @@ class SpectrumResult:
 
 
 # -----------------------------------------------------------------------------
-#                        Two-time correlations
+#                          Resolvent spectrum
 # -----------------------------------------------------------------------------
-
-def two_time_correlation(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
-                         taus) -> np.ndarray:
-    """g(tau) = <A^dag(tau) A(0)> on the given nonnegative tau grid.
-
-    Negative taus are rejected; use g(-tau) = g(tau)* instead.
-    """
-    from scipy.linalg import expm  # imported here: no CLI mode needs scipy
-
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise ValueError("negative tau; use conjugate symmetry g(-tau) = g(tau)*")
-    order = np.argsort(taus)
-    a_dag = np.asarray(out_op).conj().T
-    v = vec(np.asarray(out_op) @ np.asarray(rho_ss))
-    g_sorted = np.empty(taus.size, dtype=complex)
-    t_prev = 0.0
-    for i, idx in enumerate(order):
-        dt = taus[idx] - t_prev
-        if dt > 0:
-            v = expm(lv * dt) @ v
-            t_prev = taus[idx]
-        g_sorted[i] = np.trace(a_dag @ unvec(v))
-    g = np.empty_like(g_sorted)
-    g[order] = g_sorted
-    return g
-
-
-def _correlation_via_eig(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
-                         taus) -> np.ndarray:
-    """Independent route: g(tau) from the Liouvillian eigendecomposition.
-
-    Kept separate from two_time_correlation so the two can cross-check each
-    other; used by the test suite, not by psd().
-    """
-    taus = np.asarray(taus, dtype=float)
-    evals, evecs = np.linalg.eig(lv)
-    coeffs = np.linalg.solve(evecs, vec(np.asarray(out_op) @ np.asarray(rho_ss)))
-    a_dag_weights = np.array([np.trace(np.asarray(out_op).conj().T @ unvec(evecs[:, k]))
-                              for k in range(evals.size)])
-    c_k = a_dag_weights * coeffs
-    return np.array([np.sum(c_k * np.exp(evals * t)) for t in taus])
-
 
 def inelastic_spectrum(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
                        omegas) -> np.ndarray:

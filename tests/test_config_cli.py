@@ -6,7 +6,9 @@ physics numbers asserted here are pinned by the solver test modules, so a
 disagreement points at the plumbing rather than the model.
 """
 
+import ast
 import filecmp
+import glob
 import importlib.util
 import json
 import os
@@ -113,12 +115,11 @@ class TestValidation:
             validate("spectrum", raw)
 
     def test_bidirectional_sweep_drive_rejected(self):
-        raw = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
-               "power_min_over_gammabar": 0.01,
-               "power_max_over_gammabar": 1.0, "n_powers": 3,
-               "alpha": 0.1, "beta": 0.1}
-        with pytest.raises(ConfigError, match="one port at a time"):
-            validate("sweep-power", raw)
+        # sweep-frequency drives one side; sweep-power's "both" drives each
+        # side in turn.
+        raw = {"gamma_r_hz": 70e6, "power_over_gamma_r": 0.1, "side": "both"}
+        with pytest.raises(ConfigError, match="'side' must be one of"):
+            validate("sweep-frequency", raw)
 
     def test_power_ordering_enforced(self):
         raw = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
@@ -153,6 +154,14 @@ class TestValidation:
         assert spec.echo["span_linewidths"] == 16.0
         assert spec.echo["n_freq"] == 401
         assert spec.echo["fit"] is True
+        power = validate("sweep-power", {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
+            "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1.0,
+            "n_powers": 3})
+        assert power.echo["side"] == "both"
+        freq = validate("sweep-frequency", {"gamma_r_hz": 70e6,
+                                            "power_over_gamma_r": 0.1})
+        assert freq.echo["side"] == "forward"
 
     def test_optional_keys_stay_absent(self):
         cfg = validate("steady-state", steady_payload())
@@ -298,6 +307,18 @@ class TestFileRoundTrips:
         assert seed == 99
         assert parsed[0]["var_i_fwd"] == 0.2
 
+    @pytest.mark.parametrize("reader, text", [
+        (io.read_transmission_csv, "delta_omega_hz,t_abs\n1.0,0.5\n2.0\n"),
+        (io.read_spectrum_csv, "freq_offset_hz,psd\n1.0,0.5\n2.0,0.1,7\n"),
+        (io.read_mirror_csv, "# seed = 3\n" + ",".join(io.MIRROR_COLUMNS)
+         + "\n1.0,0.2,0.05\n"),
+    ], ids=["transmission", "spectrum", "mirror"])
+    def test_ragged_row_rejected(self, tmp_path, reader, text):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"ragged\.csv, line 3: expected"):
+            reader(str(path))
+
 
 # ----------------------------------------------------------------------------
 #                          End-to-end runs
@@ -415,7 +436,7 @@ class TestCliRuns:
         cfg = write_config(tmp_path, {
             "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
             "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1.0,
-            "n_powers": 3, "beta": 1.0})
+            "n_powers": 3, "side": "reverse"})
         out = tmp_path / "out"
         assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
         table = np.genfromtxt(out / "power_sweep.csv", delimiter=",",
@@ -478,12 +499,13 @@ class TestCliRuns:
             assert filecmp.cmp(new, ref, shallow=False)
 
     def test_sweep_frequency_beta_matches_alpha(self, tmp_path):
-        # A lone drive from either side sees the same emitter.
+        # A lone drive from either side, alpha (forward) or beta (reverse),
+        # sees the same emitter.
         scan = {"gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
                 "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
                 "span_linewidths": 4.0, "n_points": 41}
         outs = []
-        for name, extra in (("alpha", {}), ("beta", {"beta": 1.0})):
+        for name, extra in (("alpha", {}), ("beta", {"side": "reverse"})):
             cfg = write_config(tmp_path, {**scan, **extra},
                                name=f"{name}.json")
             outs.append(tmp_path / name)
@@ -621,6 +643,27 @@ class TestCliRuns:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0] []"
 
+    def test_no_module_imports_scipy(self):
+        # numpy is the one runtime dependency. The cold-import test above
+        # cannot see an import inside a function that no mode calls.
+        paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
+                          recursive=True)
+        assert paths
+        found = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{os.path.basename(path)}:{node.lineno} {n}"
+                          for n in names if n.split(".")[0] == "scipy"]
+        assert found == []
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
@@ -636,6 +679,31 @@ class TestExitCodes:
         assert run(["spectrum", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "'n_taus'" in capsys.readouterr().err
+
+    def test_ragged_fit_input(self, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        scan.write_text("delta_omega_hz,t_abs\n1.0,0.5\n2.0\n",
+                        encoding="utf-8")
+        cfg = write_config(tmp_path, {"input_csv": str(scan),
+                                      "initial_gamma_r_hz": 70e6})
+        assert run(["fit", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, key", [("sweep-power", "alpha"),
+                                           ("sweep-frequency", "beta")])
+    def test_removed_sweep_drive_keys_rejected(self, tmp_path, capsys, mode,
+                                               key):
+        if mode == "sweep-power":
+            payload = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
+                       "delta": DELTA, "power_min_over_gammabar": 0.01,
+                       "power_max_over_gammabar": 1.0, "n_powers": 3}
+        else:
+            payload = {"gamma_r_hz": 70e6, "power_over_gamma_r": 0.1}
+        cfg = write_config(tmp_path, {**payload, key: 1.0})
+        assert run([mode, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run(["steady-state", "--config", str(tmp_path / "nope.json"),

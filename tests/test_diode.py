@@ -8,6 +8,9 @@ values, and the single-emitter limit from the closed-form scattering result.
 
 import numpy as np
 import pytest
+from device_strategies import PROPERTY
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdiode.diode import (
     BRIGHT_STATE,
@@ -28,9 +31,9 @@ from qdiode.diode import (
 from qdiode.operators import (
     SIGMA_MINUS,
     SolverError,
-    evolve,
     expectation,
     steady_state,
+    unvec,
     vec,
 )
 from qdiode.single_qubit import (
@@ -121,17 +124,21 @@ class TestCollectiveDecay:
         c = ideal_diode(delta=delta)
         lv = build_diode_liouvillian(c)
         gd, gb = dark_bright_rates(delta, GAMMA, GAMMA)
+        from scipy.linalg import expm
+
+        def evolve(rho, t):
+            return unvec(expm(lv * t) @ vec(rho))
 
         rho_d = np.outer(DARK_STATE, DARK_STATE.conj())
         t_probe = 0.3 / gd
-        p_d = dark_state_population(evolve(rho_d, lv, t_probe))
+        p_d = dark_state_population(evolve(rho_d, t_probe))
         np.testing.assert_allclose(-np.log(p_d) / t_probe, 2.0 * gd,
                                    rtol=5e-3)
 
         rho_b = np.outer(BRIGHT_STATE, BRIGHT_STATE.conj())
         t_probe = 0.3 / gb
         p_b = np.real(BRIGHT_STATE.conj()
-                      @ evolve(rho_b, lv, t_probe) @ BRIGHT_STATE)
+                      @ evolve(rho_b, t_probe) @ BRIGHT_STATE)
         np.testing.assert_allclose(-np.log(p_b) / t_probe, gb, rtol=5e-3)
 
     def test_rate_contrast_scales_as_delta_squared(self):
@@ -261,7 +268,8 @@ class TestTransmission:
 
 class TestDarkStateTrapping:
     """The two limits of the forward dark-state rate balance derived in
-    acceptance check 2, against the full model (p in units of gamma_bar)."""
+    acceptance check 2, and the reverse population law its reverse limit
+    rests on, against the full model (p in units of gamma_bar)."""
 
     @pytest.mark.parametrize("p", [0.02, 0.05, 0.2, 1.0])
     def test_saturation_limit(self, p):
@@ -283,6 +291,24 @@ class TestDarkStateTrapping:
         pop = operating_point(c, p).dark_population_forward
         np.testing.assert_allclose(pop, 2.0 * p / (3.0 * p + gamma_d),
                                    atol=1e-5)
+
+    @PROPERTY
+    @given(log_d2=st.floats(-7.0, -4.0), log_p=st.floats(np.log10(0.003), -1.0))
+    def test_reverse_population_law(self, log_d2, log_p):
+        # Reverse drive cancels the pump into |+>; what is left is about
+        # 0.9 p^2 + 0.5 delta^2, so it stays O(p^2) as delta -> 0.
+        d2, p = 10.0 ** log_d2, 10.0 ** log_p
+        c = ideal_diode(delta=np.sqrt(d2))
+        pop = operating_point(c, p * c.gamma_bar).dark_population_reverse
+        assert abs(pop / (0.9 * p * p + 0.5 * d2) - 1.0) <= 0.15
+
+    @pytest.mark.parametrize("p, holds", [(0.05, True), (0.1, False)])
+    def test_reverse_limit_of_check_2_depends_on_power(self, p, holds):
+        # Check 2's reverse limit 5 delta^2 at delta^2 = 1e-3 holds only
+        # while 0.9 p^2 stays below it; the law crosses it near p = 0.07.
+        c = ideal_diode(delta=np.sqrt(1e-3))
+        pop = operating_point(c, p * c.gamma_bar).dark_population_reverse
+        assert (pop <= 5.0 * 1e-3) == holds
 
 
 class TestEfficiency:

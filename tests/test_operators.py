@@ -17,7 +17,6 @@ from qdiode.operators import (
     dagger,
     dissipator_apply,
     dissipator_superop,
-    evolve,
     expectation,
     hamiltonian_superop,
     kron,
@@ -139,7 +138,7 @@ class TestSuperoperators:
 
 
 # ----------------------------------------------------------------------------
-#                     Steady state and time evolution
+#                              Steady state
 # ----------------------------------------------------------------------------
 
 class TestSteadyState:
@@ -153,7 +152,8 @@ class TestSteadyState:
     def test_matches_long_time_evolution(self):
         lv = decaying_liouvillian()
         rho_ss = steady_state(lv)
-        rho_t = evolve(random_density_matrix(2, 20), lv, 200.0)
+        from scipy.linalg import expm
+        rho_t = unvec(expm(lv * 200.0) @ vec(random_density_matrix(2, 20)))
         np.testing.assert_allclose(rho_t, rho_ss, atol=1e-9)
 
     def test_undriven_qubit_relaxes_to_ground(self):
@@ -279,40 +279,6 @@ class TestSteadyStates:
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             steady_states(np.zeros(shape, dtype=complex))
-
-
-class TestEvolve:
-    def test_zero_time_is_identity(self):
-        lv = decaying_liouvillian()
-        rho = random_density_matrix(2, 31)
-        np.testing.assert_array_equal(evolve(rho, lv, 0.0), rho)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            evolve(np.eye(2) / 2, decaying_liouvillian(), -1.0)
-
-    def test_semigroup_property(self):
-        lv = decaying_liouvillian()
-        rho = random_density_matrix(2, 32)
-        one_step = evolve(rho, lv, 3.0)
-        two_step = evolve(evolve(rho, lv, 1.2), lv, 1.8)
-        np.testing.assert_allclose(one_step, two_step, atol=1e-11)
-
-    def test_linearity(self):
-        lv = decaying_liouvillian()
-        r1 = random_density_matrix(2, 33)
-        r2 = random_density_matrix(2, 34)
-        mixed = evolve(0.3 * r1 + 0.7 * r2, lv, 0.9)
-        parts = 0.3 * evolve(r1, lv, 0.9) + 0.7 * evolve(r2, lv, 0.9)
-        np.testing.assert_allclose(mixed, parts, atol=1e-11)
-
-    def test_preserves_trace_and_positivity(self):
-        lv = decaying_liouvillian()
-        for seed in range(4):
-            rho = evolve(random_density_matrix(2, 40 + seed), lv, 0.7)
-            np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-11)
-            evals = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-            assert evals.min() > -1e-10
 
 
 class TestExpectation:

@@ -1,10 +1,10 @@
-"""Emission spectra: correlations, resolvent spectra, line fitting.
+"""Emission spectra: resolvent spectra and line fitting.
 
 Oracles here avoid the code path under test wherever possible: the resolvent
-spectrum and the correlation stepper are checked against eigendecomposition
-routes, the fitted linewidth against the slow Liouvillian eigenvalue, and
-resonance fluorescence against the standard strong-drive results (central
-width gamma, sidebands at the effective Rabi frequency with width 3 gamma / 2).
+spectrum is checked against an eigendecomposition route, the fitted
+linewidth against the slow Liouvillian eigenvalue, and resonance
+fluorescence against the standard strong-drive results (central width
+gamma, sidebands at the effective Rabi frequency with width 3 gamma / 2).
 """
 
 import numpy as np
@@ -26,7 +26,6 @@ from qdiode.spectrum import (
     LorentzianFit,
     SpectrumError,
     SpectrumResult,
-    _correlation_via_eig,
     _lower_decile,
     _prominent_peak_count,
     fit_lorentzian,
@@ -35,7 +34,6 @@ from qdiode.spectrum import (
     linewidth_estimate,
     predicted_linewidth,
     psd,
-    two_time_correlation,
 )
 
 GAMMA = 1.0
@@ -52,50 +50,6 @@ def ideal_diode(delta=DELTA, gamma_nr=0.0, gamma_phi=0.0):
     q2 = QubitParams(omega_q=w2, gamma_r=GAMMA, gamma_nr=gamma_nr,
                      gamma_phi=gamma_phi)
     return DiodeConfig(q1, q2, delta)
-
-
-# ----------------------------------------------------------------------------
-#                        Two-time correlations
-# ----------------------------------------------------------------------------
-
-class TestTwoTimeCorrelation:
-    def test_zero_tau_equals_moment(self):
-        c = ideal_diode()
-        lv = build_diode_liouvillian(c, AMP)
-        rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c, AMP)
-        g0 = two_time_correlation(lv, rho, a_out, [0.0])[0]
-        direct = expectation(a_out.conj().T @ a_out, rho)
-        np.testing.assert_allclose(g0, direct, rtol=1e-12)
-
-    def test_negative_tau_rejected(self):
-        c = ideal_diode()
-        lv = build_diode_liouvillian(c, AMP)
-        rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c, AMP)
-        with pytest.raises(ValueError, match="negative tau"):
-            two_time_correlation(lv, rho, a_out, [-0.1, 0.0, 0.1])
-
-    def test_input_order_preserved(self):
-        c = ideal_diode()
-        lv = build_diode_liouvillian(c, AMP)
-        rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c, AMP)
-        taus = np.array([0.0, 0.3, 1.1, 2.7, 5.0])
-        rng = np.random.default_rng(7)
-        perm = rng.permutation(taus.size)
-        g_sorted = two_time_correlation(lv, rho, a_out, taus)
-        g_shuffled = two_time_correlation(lv, rho, a_out, taus[perm])
-        np.testing.assert_allclose(g_shuffled, g_sorted[perm], rtol=1e-10)
-
-    def test_propagator_matches_eigendecomposition(self):
-        q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
-        lv = build_single_qubit_liouvillian(q, np.sqrt(25.0 * GAMMA))
-        rho = steady_state(lv)
-        taus = np.concatenate([[0.0], np.geomspace(5e-5, 20.0, 400)])
-        g_step = two_time_correlation(lv, rho, SIGMA_MINUS, taus)
-        g_eig = _correlation_via_eig(lv, rho, SIGMA_MINUS, taus)
-        np.testing.assert_allclose(g_step, g_eig, atol=1e-12)
 
 
 # ----------------------------------------------------------------------------
