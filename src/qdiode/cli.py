@@ -229,12 +229,10 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdiode",
         description="Waveguide quantum diode simulation and analysis")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode)
-        sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     return parser
 

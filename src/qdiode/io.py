@@ -1,10 +1,14 @@
 """File formats: result CSVs, spectrum sidecars, and the run manifest.
 
 External files use Hz for every frequency-like quantity; conversion to and
-from internal angular units happens in the writers and readers here. Floats
-are serialized with repr(), the shortest round-trip form, so a rerun with
-identical inputs produces byte-identical data files. The manifest is the one
-file allowed to differ between reruns (it records wall time).
+from internal angular units happens in the writers and readers here. Every
+CSV writer hands whole columns to one helper, ``_write_columns``: a column is
+scaled once as an array (``/ TWO_PI``, ``* TWO_PI``), turned into Python
+floats with ``tolist()`` and written as repr(), the shortest round-trip
+form, so a rerun with identical inputs produces byte-identical data files.
+The readers parse every cell with float() and name the file and line of a
+cell or row they cannot read. The manifest is the one file allowed to differ
+between reruns (it records wall time).
 """
 
 from __future__ import annotations
@@ -25,18 +29,22 @@ from .spectrum import SpectrumResult
 TWO_PI = 2.0 * math.pi
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, (np.floating, np.integer)):
-        x = x.item()
-    return repr(float(x))
+def _write_columns(fh, header: Sequence[str], columns) -> None:
+    """A CSV table: the header row, then the float columns side by side,
+    each converted once to Python floats and written cell by cell as repr."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(zip(*(map(repr, np.asarray(col, dtype=float).tolist())
+                           for col in columns)))
 
 
-def _read_rows(path: str) -> tuple[list[list[str]], list[str]]:
-    """The rows of a result CSV, header first, and its '#' comment lines;
-    blank lines are skipped. A row whose cell count differs from the
-    header's is a ValueError naming the file and the line."""
-    rows: list[list[str]] = []
-    comments: list[str] = []
+def _read_table(path: str) -> tuple[list[str], np.ndarray, list[str]]:
+    """The header of a result CSV (empty for an empty file), its body as a
+    float array of one row per line, and its '#' comment lines; blank lines
+    are skipped. A row whose cell count differs from the header's, or a cell
+    that is not a number, is a ValueError naming the file and the line."""
+    header: list[str] = []
+    body, comments = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for r in reader:
@@ -44,12 +52,18 @@ def _read_rows(path: str) -> tuple[list[list[str]], list[str]]:
                 continue
             if r[0].startswith("#"):
                 comments.append(",".join(r))
-            elif rows and len(r) != len(rows[0]):
+            elif not header:
+                header = r
+            elif len(r) != len(header):
                 raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                 f"{len(rows[0])} cells, got {len(r)}")
+                                 f"{len(header)} cells, got {len(r)}")
             else:
-                rows.append(r)
-    return rows, comments
+                try:
+                    body.append([float(x) for x in r])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: {exc}") from None
+    return header, np.array(body).reshape(len(body), len(header)), comments
 
 
 # -----------------------------------------------------------------------------
@@ -59,35 +73,29 @@ def _read_rows(path: str) -> tuple[list[list[str]], list[str]]:
 def write_transmission_csv(path: str, delta_omega: np.ndarray,
                            t_values: np.ndarray) -> None:
     """delta_omega in rad/s (written as Hz); complex t gives re/im columns."""
-    complex_data = np.iscomplexobj(t_values)
+    hz = np.asarray(delta_omega, dtype=float) / TWO_PI
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if complex_data:
-            writer.writerow(["delta_omega_hz", "t_real", "t_imag"])
-            for d, t in zip(delta_omega, t_values):
-                writer.writerow([_fmt(d / TWO_PI), _fmt(t.real), _fmt(t.imag)])
+        if np.iscomplexobj(t_values):
+            t = np.asarray(t_values, dtype=complex)
+            _write_columns(fh, ["delta_omega_hz", "t_real", "t_imag"],
+                           [hz, t.real, t.imag])
         else:
-            writer.writerow(["delta_omega_hz", "t_abs"])
-            for d, t in zip(delta_omega, t_values):
-                writer.writerow([_fmt(d / TWO_PI), _fmt(t)])
+            _write_columns(fh, ["delta_omega_hz", "t_abs"], [hz, t_values])
 
 
 def read_transmission_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_transmission_csv; returns (delta_omega rad/s, t)."""
-    rows, _ = _read_rows(path)
-    if not rows:
+    header, body, _ = _read_table(path)
+    if not header:
         raise ValueError(f"{path}: empty transmission file")
-    header = [h.strip() for h in rows[0]]
-    body = rows[1:]
+    header = [h.strip() for h in header]
     if header == ["delta_omega_hz", "t_real", "t_imag"]:
-        d = np.array([float(r[0]) for r in body]) * TWO_PI
-        t = np.array([float(r[1]) + 1j * float(r[2]) for r in body])
+        t = body[:, 1:].copy().view(complex)[:, 0]   # (re, im) pairs
     elif header == ["delta_omega_hz", "t_abs"]:
-        d = np.array([float(r[0]) for r in body]) * TWO_PI
-        t = np.array([float(r[1]) for r in body])
+        t = body[:, 1]
     else:
         raise ValueError(f"{path}: unrecognized transmission header {header}")
-    return d, t
+    return body[:, 0] * TWO_PI, t
 
 
 # -----------------------------------------------------------------------------
@@ -110,17 +118,15 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow],
     t_fwd = np.array([r.t_forward for r in rows], dtype=complex)
     t_rev = np.array([r.t_reverse for r in rows], dtype=complex)
     columns = [
-        (np.array([r.power for r in rows], dtype=float) / gamma_bar).tolist(),
-        [abs(t) for t in t_fwd.tolist()], np.angle(t_fwd).tolist(),
-        [abs(t) for t in t_rev.tolist()], np.angle(t_rev).tolist(),
-        np.array([r.efficiency for r in rows], dtype=float).tolist(),
-        np.array([r.dark_population_forward for r in rows], dtype=float).tolist(),
-        np.array([r.dark_population_reverse for r in rows], dtype=float).tolist(),
+        np.array([r.power for r in rows], dtype=float) / gamma_bar,
+        [abs(t) for t in t_fwd.tolist()], np.angle(t_fwd),
+        [abs(t) for t in t_rev.tolist()], np.angle(t_rev),
+        [r.efficiency for r in rows],
+        [r.dark_population_forward for r in rows],
+        [r.dark_population_reverse for r in rows],
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(zip(*(map(repr, col) for col in columns)))
+        _write_columns(fh, SWEEP_COLUMNS, columns)
 
 
 # -----------------------------------------------------------------------------
@@ -136,10 +142,8 @@ def write_spectrum_csv(path: str, s: SpectrumResult,
     photon flux. Returns the sidecar path.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_offset_hz", "psd"])
-        for w, p in zip(s.freq_offsets, s.inelastic_psd):
-            writer.writerow([_fmt(w / TWO_PI), _fmt(p * TWO_PI)])
+        _write_columns(fh, ["freq_offset_hz", "psd"],
+                       [s.freq_offsets / TWO_PI, s.inelastic_psd * TWO_PI])
     sidecar = {
         "elastic_weight_photons_per_s": s.elastic_weight,
         "units": {"freq_offset_hz": "Hz from the drive",
@@ -163,12 +167,10 @@ def write_spectrum_csv(path: str, s: SpectrumResult,
 
 def read_spectrum_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Returns (freq offsets rad/s, psd photons/s per rad/s)."""
-    rows, _ = _read_rows(path)
-    if not rows or [h.strip() for h in rows[0]] != ["freq_offset_hz", "psd"]:
+    header, body, _ = _read_table(path)
+    if [h.strip() for h in header] != ["freq_offset_hz", "psd"]:
         raise ValueError(f"{path}: not a spectrum file")
-    w = np.array([float(r[0]) for r in rows[1:]]) * TWO_PI
-    p = np.array([float(r[1]) for r in rows[1:]]) / TWO_PI
-    return w, p
+    return body[:, 0] * TWO_PI, body[:, 1] / TWO_PI
 
 
 # -----------------------------------------------------------------------------
@@ -184,26 +186,21 @@ def write_mirror_csv(path: str, rows: Sequence[MirrorSweepRow],
     """Variance-vs-power table; the seed rides along as a comment line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# seed = {seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(MIRROR_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(r.power),
-                             _fmt(r.var_i_fwd), _fmt(r.var_i_rev),
-                             _fmt(r.var_q_fwd), _fmt(r.var_q_rev),
-                             _fmt(r.var_i_fwd_analytic),
-                             _fmt(r.var_i_rev_analytic)])
+        _write_columns(fh, MIRROR_COLUMNS,
+                       [[getattr(r, name) for r in rows]
+                        for name in MIRROR_COLUMNS])
 
 
 def read_mirror_csv(path: str) -> tuple[int, list[dict]]:
     """Returns (seed, rows as column dicts)."""
-    rows, comments = _read_rows(path)
-    if not rows or rows[0] != MIRROR_COLUMNS:
+    header, body, comments = _read_table(path)
+    if header != MIRROR_COLUMNS:
         raise ValueError(f"{path}: not a mirror sweep file")
     seed = -1
     for line in comments:
         if "seed" in line:
             seed = int(line.split("=")[1])
-    return seed, [dict(zip(MIRROR_COLUMNS, map(float, r))) for r in rows[1:]]
+    return seed, [dict(zip(MIRROR_COLUMNS, r)) for r in body.tolist()]
 
 
 # -----------------------------------------------------------------------------

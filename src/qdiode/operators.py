@@ -36,8 +36,11 @@ GAP_FACTOR = 1e6
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product a (x) b with (a(x)b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product a (x) b with (a(x)b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]:
+    np.kron of complex matrices bit for bit, as one broadcast product."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -85,7 +88,7 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Superoperator of -i[H, .] in column-stacking convention."""
     h = np.asarray(h, dtype=complex)
     ident = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    return -1j * (kron(ident, h) - kron(h.T, ident))
 
 
 def dissipator_superop(x: np.ndarray) -> np.ndarray:
@@ -93,7 +96,7 @@ def dissipator_superop(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     ident = np.eye(x.shape[0], dtype=complex)
     xdx = x.conj().T @ x
-    return np.kron(x.conj(), x) - 0.5 * (np.kron(ident, xdx) + np.kron(xdx.T, ident))
+    return kron(x.conj(), x) - 0.5 * (kron(ident, xdx) + kron(xdx.T, ident))
 
 
 def liouvillian_matrix(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> np.ndarray:

@@ -85,7 +85,9 @@ def inelastic_spectrum(lv: np.ndarray, rho_ss: np.ndarray, out_op: np.ndarray,
     rho_v = vec(rho_ss)
     dv = vec(out_op @ rho_ss) - np.trace(out_op @ rho_ss) * rho_v
     shifted = lv - np.outer(rho_v, vec(np.eye(rho_ss.shape[0])))
-    mats = shifted[None, :, :] + 1j * omegas[:, None, None] * np.eye(n)
+    # A copy of shifted per frequency; stride n + 1 walks each copy's diagonal.
+    mats = np.repeat(shifted[None], omegas.size, axis=0)
+    mats.reshape(omegas.size, n * n)[:, ::n + 1] += 1j * omegas[:, None]
     x = np.linalg.solve(mats, np.broadcast_to(dv[:, None], (omegas.size, n, 1)))
     return -(x[:, :, 0] @ vec(out_op).conj()).real / np.pi
 

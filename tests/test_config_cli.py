@@ -18,27 +18,45 @@ import sys
 
 import numpy as np
 import pytest
-from sweep_csv_reference import write_sweep_csv_rowwise
+from sweep_csv_reference import (write_mirror_csv_rowwise,
+                                 write_spectrum_table_rowwise,
+                                 write_sweep_csv_rowwise,
+                                 write_transmission_csv_rowwise)
 
 import qdiode
 from qdiode import io
 from qdiode.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SOLVER,
                         _diode_config, run)
-from qdiode.config import TWO_PI, ConfigError, load, validate
+from qdiode.config import MODES, TWO_PI, ConfigError, load, validate
 from qdiode.diode import SweepRow, power_sweep
+from qdiode.mirror import MirrorSweepRow
 from qdiode.spectrum import LorentzianFit, SpectrumResult
 
 DELTA = float(np.sqrt(1e-3))
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def benchmark_jobs(workload, seed, workdir):
-    """The jobs of one workload of the repository's benchmark."""
+def _benchmark_jobs_module():
     spec = importlib.util.spec_from_file_location(
         "benchmark_jobs", os.path.join(REPO, "perfbench", "jobs.py"))
     jobs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = jobs     # its dataclass looks the module up
     spec.loader.exec_module(jobs)
+    return jobs
+
+
+def benchmark_argvs(workload, seed, workdir):
+    """The qdiode arguments of each job of one workload of the repository's
+    benchmark, with its configs written."""
+    jobs = _benchmark_jobs_module()
+    made = jobs.make_jobs(workload, seed, workdir)
+    jobs.write_configs(workdir, made)
+    return [jobs.argv(workdir, j, seed) for j in made]
+
+
+def benchmark_jobs(workload, seed, workdir):
+    """The jobs of one workload of the repository's benchmark."""
+    jobs = _benchmark_jobs_module()
     made = jobs.make_jobs(workload, seed, workdir)
     jobs.write_configs(workdir, made)
     return [(os.path.join(jobs.job_dir(workdir, j), "config.json"),
@@ -247,6 +265,16 @@ class TestFileRoundTrips:
         np.testing.assert_array_equal(d2, d)
         np.testing.assert_array_equal(t2, t)
 
+    def test_complex_transmission_cells_read_back_exactly(self, tmp_path):
+        # Each (re, im) pair comes back as written: an infinite imaginary
+        # part leaves the real part alone, and a negative zero stays.
+        path = str(tmp_path / "scan.csv")
+        t = np.array([complex(0.5, np.inf), complex(-0.0, 1.0),
+                      complex(np.nan, -0.0), complex(-np.inf, 2.0)])
+        io.write_transmission_csv(path, np.arange(4.0), t)
+        _, t2 = io.read_transmission_csv(path)
+        assert t2.tobytes() == t.tobytes()
+
     def test_magnitude_transmission(self, tmp_path):
         path = str(tmp_path / "scan.csv")
         d = np.linspace(-1e9, 1e9, 5)
@@ -296,7 +324,6 @@ class TestFileRoundTrips:
                                    2.0 / TWO_PI)
 
     def test_mirror_seed_comment(self, tmp_path):
-        from qdiode.mirror import MirrorSweepRow
         path = str(tmp_path / "mirror.csv")
         rows = [MirrorSweepRow(power=1.0, var_i_fwd=0.2, var_i_rev=0.05,
                                var_q_fwd=0.01, var_q_rev=0.01,
@@ -318,6 +345,103 @@ class TestFileRoundTrips:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=r"ragged\.csv, line 3: expected"):
             reader(str(path))
+
+    @pytest.mark.parametrize("reader, text", [
+        (io.read_transmission_csv, "delta_omega_hz,t_abs\n1.0,0.5\n1.0,abc\n"),
+        (io.read_transmission_csv,
+         "delta_omega_hz,t_real,t_imag\n1.0,0.5,0.1\n2.0,0.5,abc\n"),
+        (io.read_spectrum_csv, "freq_offset_hz,psd\n1.0,0.5\nabc,0.1\n"),
+        (io.read_mirror_csv, "# seed = 3\n" + ",".join(io.MIRROR_COLUMNS)
+         + "\n" + ",".join(["1.0"] * 7) + "\n" + ",".join(["abc"] * 7)
+         + "\n"),
+    ], ids=["magnitude", "complex", "spectrum", "mirror"])
+    def test_non_number_cell_rejected(self, tmp_path, reader, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.csv, line [34]: could "
+                           r"not convert string to float: 'abc'"):
+            reader(str(path))
+
+
+# Cells the column writers must format exactly as the row-by-row ones:
+# signed zeros, NaN, infinities, subnormals, and numpy scalars of other
+# widths and kinds.
+EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e300, 1.0 / 3.0,
+               np.float64(0.1), np.float32(0.1), np.float16(-2.5), 3,
+               np.int64(-7), np.float64(-0.0)]
+
+
+class TestColumnWriters:
+    """The column writers against the row-by-row writers they replaced."""
+
+    def same_bytes(self, tmp_path, write, write_rowwise, *args):
+        new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
+        write(new, *args)
+        write_rowwise(ref, *args)
+        with open(new, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize("size", [len(EDGE_VALUES), 0])
+    def test_magnitude_transmission(self, tmp_path, size):
+        d = np.array(EDGE_VALUES[::-1][:size], dtype=float) * 1e6
+        self.same_bytes(tmp_path, io.write_transmission_csv,
+                        write_transmission_csv_rowwise, d, EDGE_VALUES[:size])
+
+    @pytest.mark.parametrize("size", [len(EDGE_VALUES), 0])
+    def test_complex_transmission(self, tmp_path, size):
+        re = np.array(EDGE_VALUES, dtype=float).tolist()
+        t = [complex(a, b) for a, b in zip(re, re[::-1])][:size]
+        t[:2] = [complex(-0.0, np.nan), np.complex64(0.1 - 0.2j)][:size]
+        d = list(np.linspace(-1e9, 1e9, len(EDGE_VALUES)))[:size]
+        self.same_bytes(tmp_path, io.write_transmission_csv,
+                        write_transmission_csv_rowwise, d, t)
+        self.same_bytes(tmp_path, io.write_transmission_csv,
+                        write_transmission_csv_rowwise, np.array(d),
+                        np.array(t, dtype=complex))
+
+    @pytest.mark.parametrize("size", [len(EDGE_VALUES), 0])
+    def test_spectrum_table(self, tmp_path, size):
+        vals = np.array(EDGE_VALUES[:size], dtype=float)
+        s = SpectrumResult(elastic_weight=0.0, freq_offsets=vals[::-1],
+                           inelastic_psd=vals)
+        write = lambda path, s: io.write_spectrum_csv(path, s)  # noqa: E731
+        self.same_bytes(tmp_path, write, write_spectrum_table_rowwise, s)
+
+    @pytest.mark.parametrize("size", [len(EDGE_VALUES), 0])
+    def test_mirror(self, tmp_path, size):
+        rows = [MirrorSweepRow(*(EDGE_VALUES[(k + j) % len(EDGE_VALUES)]
+                                 for j in range(7))) for k in range(size)]
+        self.same_bytes(tmp_path, io.write_mirror_csv,
+                        write_mirror_csv_rowwise, rows, 42)
+
+    @pytest.mark.parametrize("workload", ["cli-quick", "spectrum-line"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_benchmark_files_match_the_rowwise_writers(
+            self, tmp_path, monkeypatch, workload, seed):
+        # Every data file the CLI writes through a column writer in the
+        # benchmark's jobs is written again row by row from the same
+        # arguments; the two must agree byte for byte.
+        pairs = []
+
+        def also_rowwise(write, write_rowwise):
+            def wrapped(path, *args, **kwargs):
+                write_rowwise(path + ".rowwise", *args[:2])
+                pairs.append(path)
+                return write(path, *args, **kwargs)
+            return wrapped
+
+        for name, rowwise in (("write_transmission_csv",
+                               write_transmission_csv_rowwise),
+                              ("write_spectrum_csv",
+                               write_spectrum_table_rowwise),
+                              ("write_mirror_csv", write_mirror_csv_rowwise)):
+            monkeypatch.setattr(io, name,
+                                also_rowwise(getattr(io, name), rowwise))
+        for argv in benchmark_argvs(workload, seed, str(tmp_path)):
+            assert run(argv) == EXIT_OK
+        assert len(pairs) == 2
+        for path in pairs:
+            assert filecmp.cmp(path, path + ".rowwise", shallow=False), path
 
 
 # ----------------------------------------------------------------------------
@@ -690,6 +814,17 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_number_fit_input(self, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        scan.write_text("delta_omega_hz,t_abs\n1.0,abc\n", encoding="utf-8")
+        cfg = write_config(tmp_path, {"input_csv": str(scan),
+                                      "initial_gamma_r_hz": 70e6})
+        assert run(["fit", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {scan}, line 2: ")
+        assert "'abc'" in err
+
     @pytest.mark.parametrize("mode, key", [("sweep-power", "alpha"),
                                            ("sweep-frequency", "beta")])
     def test_removed_sweep_drive_keys_rejected(self, tmp_path, capsys, mode,
@@ -730,3 +865,62 @@ class TestExitCodes:
         assert run(["steady-state", "--config", cfg,
                     "--out", str(tmp_path / "out"),
                     "--seed", "-3"]) == EXIT_CONFIG
+
+    def test_config_error_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, steady_payload(bogus_key=1.0))
+        assert run(["steady-state", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestUsage:
+    """Command-line usage errors exit through argparse with code 2, the
+    configuration-error code, and write no output directory."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", "--config", "c.json"],
+        ["steady-state"],
+        ["spectrum", "--config", "c.json", "--seed", "x"],
+        ["fit", "--config", "c.json", "--seed", "1.5"],
+        ["mirror-mc", "--config", "c.json", "--threads", "2"],
+    ], ids=["no-mode", "unknown-mode", "no-config", "word-seed",
+            "fraction-seed", "unknown-option"])
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_CONFIG == 2
+        assert "usage: qdiode" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                      ["spectrum", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qdiode")
+
+    def test_help_lists_every_mode(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        out = capsys.readouterr().out
+        assert all(mode in out for mode in MODES)
+
+    def test_module_exit_codes(self, tmp_path):
+        # The codes a shell sees from ``python -m qdiode``.
+        src = os.path.dirname(os.path.dirname(qdiode.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cfg = write_config(tmp_path, steady_payload(bogus_key=1.0))
+        codes = {}
+        for name, argv in (("help", ["--help"]), ("usage", ["bogus"]),
+                           ("config", ["steady-state", "--config", cfg,
+                                       "--out", str(tmp_path / "out")])):
+            proc = subprocess.run([sys.executable, "-m", "qdiode", *argv],
+                                  capture_output=True, text=True, env=env)
+            codes[name] = proc.returncode
+            if name == "config":
+                assert proc.stderr.startswith("config error:"), proc.stderr
+        assert codes == {"help": 0, "usage": 2, "config": 2}

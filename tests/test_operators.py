@@ -5,8 +5,15 @@ master-equation right-hand side on random density matrices, so the kron
 bookkeeping is tested independently of any physics built on top of it.
 """
 
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
+from device_strategies import PROPERTY
+from hypothesis import given
+from hypothesis import strategies as st
 from svd_reference import svd_null_vector_states
 
 from qdiode.operators import (
@@ -61,6 +68,46 @@ class TestKronAndVec:
                     for n in range(2):
                         np.testing.assert_allclose(
                             k[2 * i + m, 2 * j + n], a[i, j] * b[m, n])
+
+    @PROPERTY
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]),
+           st.sampled_from([2, 4]))
+    def test_kron_is_np_kron_bit_for_bit(self, seed, da, db):
+        rng = np.random.default_rng(seed)
+        a, b = random_matrix(da, rng), random_matrix(db, rng)
+        for m in (a, b):
+            # Signed zeros, whose products np.kron also keeps.
+            m.real[rng.random(m.shape) < 0.2] = -0.0
+            m.imag[rng.random(m.shape) < 0.2] = 0.0
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+    def test_np_kron_only_inside_operators_kron(self):
+        # operators.kron is the package's one tensor product.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src", "qdiode")
+        paths = glob.glob(os.path.join(src, "**", "*.py"), recursive=True)
+        assert paths
+        found = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            kron_defs = [f for f in tree.body
+                         if isinstance(f, ast.FunctionDef) and f.name == "kron"
+                         and os.path.basename(path) == "operators.py"]
+            allowed = {id(n) for f in kron_defs for n in ast.walk(f)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    uses = (node.attr == "kron"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id in ("np", "numpy"))
+                elif isinstance(node, ast.ImportFrom):
+                    uses = (node.module == "numpy"
+                            and any(a.name == "kron" for a in node.names))
+                else:
+                    continue
+                if uses and id(node) not in allowed:
+                    found.append(f"{os.path.basename(path)}:{node.lineno}")
+        assert found == []
 
     def test_vec_unvec_round_trip(self):
         rho = random_matrix(4, 3)
