@@ -31,11 +31,16 @@ TWO_PI = 2.0 * math.pi
 
 def _write_columns(fh, header: Sequence[str], columns) -> None:
     """A CSV table: the header row, then the float columns side by side,
-    each converted once to Python floats and written cell by cell as repr."""
+    each converted once to Python floats and written cell by cell as repr.
+    Columns of unequal length are a ValueError before anything is written."""
+    cells = [np.asarray(col, dtype=float).tolist() for col in columns]
+    lengths = [len(c) for c in cells]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns {list(header)} have unequal lengths "
+                         f"{lengths}")
     writer = csv.writer(fh)
     writer.writerow(header)
-    writer.writerows(zip(*(map(repr, np.asarray(col, dtype=float).tolist())
-                           for col in columns)))
+    writer.writerows(zip(*(map(repr, c) for c in cells)))
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray, list[str]]:

@@ -18,13 +18,27 @@ reproducible bit for bit from the seed.
 
 ``simulate_mirror`` returns a record's samples and is the sample-level
 reference. The sweeps (``sweep_row``, ``variance_vs_power``) never build a
-record: they draw each record into one reused float64 buffer and compute its
+record: they draw each record into a reused float64 buffer and compute its
 two variances there, in the same stream order and with the same pairwise sums
 as ``iq_variance(simulate_mirror(m))``, whose values they equal bit for bit.
+
+The records of a sweep are independent, and most of a record's time goes to
+numpy fills that release the interpreter lock, so the sweeps compute them on
+worker threads: one per CPU the process may run on, capped at the number of
+records, each with its own buffer, each taking every k-th record. Each worker
+binds itself to its own CPU: where the scheduler does not balance load (a
+cpuset with load balancing switched off), a new thread may stay on its
+creator's CPU for good, and unbound workers would then share one core. Only
+the workers' own masks change, never the calling thread's. With one allowed
+CPU the records are computed inline; where binding is unavailable or refused
+the workers run unbound. A record's values depend only on its own seed, so
+the outputs do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +128,14 @@ def simulate_mirror(m: MirrorModel) -> IQRecord:
     return IQRecord(i_samples=i_samples, q_samples=q_samples)
 
 
+def _check_two_samples(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least two samples for an unbiased variance")
+
+
 def iq_variance(r: IQRecord) -> tuple[float, float]:
     """Unbiased sample variances (var_i, var_q) of a quadrature record."""
-    if r.i_samples.size < 2 or r.q_samples.size < 2:
-        raise ValueError("need at least two samples for an unbiased variance")
+    _check_two_samples(min(r.i_samples.size, r.q_samples.size))
     return float(np.var(r.i_samples, ddof=1)), float(np.var(r.q_samples, ddof=1))
 
 
@@ -130,8 +148,7 @@ def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
     np.var(ddof=1)'s steps: pairwise mean, subtract, square, pairwise sum.
     """
     n = m.n_samples
-    if n < 2:
-        raise ValueError("need at least two samples for an unbiased variance")
+    _check_two_samples(n)
     rng = _rng(m)
     x = _mirror_states(m, rng, buf)
     variances = []
@@ -139,11 +156,64 @@ def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
         rng.standard_normal(out=buf)
         buf *= m.sigma_w
         if amp != 0:
-            buf += amp * x
+            # Adds amp where X = 1 and leaves the rest, as buf += amp * x
+            # does up to the sign of a zero, without an n-sample temporary.
+            np.add(buf, amp, out=buf, where=x)
         buf -= buf.mean()
         np.square(buf, out=buf)
         variances.append(float(buf.sum() / (n - 1)))
     return variances[0], variances[1]
+
+
+def _allowed_cpus() -> list[int]:
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _record_map(models: list[MirrorModel]) -> list[tuple[float, float]]:
+    """``_record_variances`` of every model, in order, on bound workers.
+
+    The models share one n_samples. Worker w binds itself to the w-th allowed
+    CPU and computes records w, w + k, w + 2k, ... of k workers in one buffer
+    of its own; the calling thread only starts and joins them. A worker stops
+    at its first exception, which takes the place of its record; once every
+    worker is joined, the first exception in record order is raised.
+    """
+    for m in models:
+        _check_two_samples(m.n_samples)
+    cpus = _allowed_cpus()[:len(models)]
+    results: list = [None] * len(models)
+
+    def work(w: int) -> None:
+        buf = np.empty(models[w].n_samples)
+        for k in range(w, len(models), len(cpus)):
+            try:
+                results[k] = _record_variances(models[k], buf)
+            except Exception as exc:  # raised by the caller after the joins
+                results[k] = exc
+                return
+
+    def bound_work(w: int) -> None:
+        try:
+            os.sched_setaffinity(0, {cpus[w]})   # this thread's mask only
+        except (AttributeError, OSError):
+            pass                                 # run unbound
+        work(w)
+
+    if len(cpus) == 1:
+        work(0)
+    else:
+        workers = [threading.Thread(target=bound_work, args=(w,))
+                   for w in range(len(cpus))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
 
 
 def analytic_iq_variance(p_dark: float, alpha: complex,
@@ -160,36 +230,34 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
+def _sweep(powers, p_dark_fwd: float, p_dark_rev: float, sigma_w: float,
+           n_samples: int, seeds: list[int],
+           dwell_samples: float) -> list[MirrorSweepRow]:
+    """Rows over powers; seeds holds the (forward, reverse) pair of each."""
+    alphas = [np.sqrt(p) for p in powers]
+    models = [MirrorModel(p_dark=p_dark, alpha=alpha, sigma_w=sigma_w,
+                          n_samples=n_samples, seed=seeds[2 * k + side],
+                          dwell_samples=dwell_samples)
+              for k, alpha in enumerate(alphas)
+              for side, p_dark in enumerate((p_dark_fwd, p_dark_rev))]
+    variances = _record_map(models)
+    return [MirrorSweepRow(
+                power=float(p),
+                var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,
+                var_i_fwd_analytic=analytic_iq_variance(p_dark_fwd, alpha,
+                                                        sigma_w)[0],
+                var_i_rev_analytic=analytic_iq_variance(p_dark_rev, alpha,
+                                                        sigma_w)[0])
+            for p, alpha, (vi_f, vq_f), (vi_r, vq_r)
+            in zip(powers, alphas, variances[0::2], variances[1::2])]
+
+
 def sweep_row(power: float, p_dark_fwd: float, p_dark_rev: float,
               sigma_w: float, n_samples: int, seed_fwd: int, seed_rev: int,
               dwell_samples: float = 0.0) -> MirrorSweepRow:
     """One power point of the variance sweep, with explicit per-direction seeds."""
-    return _sweep_row(power, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
-                      seed_fwd, seed_rev, dwell_samples, _buffer(n_samples))
-
-
-def _buffer(n_samples: int) -> np.ndarray:
-    # A nonpositive n_samples gets an empty buffer; MirrorModel then rejects
-    # it with its own message before anything is drawn.
-    return np.empty(max(n_samples, 0))
-
-
-def _sweep_row(power: float, p_dark_fwd: float, p_dark_rev: float,
-               sigma_w: float, n_samples: int, seed_fwd: int, seed_rev: int,
-               dwell_samples: float, buf: np.ndarray) -> MirrorSweepRow:
-    """sweep_row, drawing both records into buf."""
-    alpha = np.sqrt(power)
-    m_f, m_r = (MirrorModel(p_dark=p, alpha=alpha, sigma_w=sigma_w,
-                            n_samples=n_samples, seed=seed,
-                            dwell_samples=dwell_samples)
-                for p, seed in ((p_dark_fwd, seed_fwd), (p_dark_rev, seed_rev)))
-    vi_f, vq_f = _record_variances(m_f, buf)
-    vi_r, vq_r = _record_variances(m_r, buf)
-    return MirrorSweepRow(
-        power=float(power),
-        var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,
-        var_i_fwd_analytic=analytic_iq_variance(p_dark_fwd, alpha, sigma_w)[0],
-        var_i_rev_analytic=analytic_iq_variance(p_dark_rev, alpha, sigma_w)[0])
+    return _sweep([power], p_dark_fwd, p_dark_rev, sigma_w, n_samples,
+                  [seed_fwd, seed_rev], dwell_samples)[0]
 
 
 def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
@@ -199,19 +267,19 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
 
     The field amplitude scales as alpha = sqrt(power); each (power, direction)
     pair gets an independent child stream spawned from the seed, so per-point
-    results do not depend on evaluation order. Every record is drawn into one
-    float64 buffer allocated for the whole sweep and its variances are
-    computed there in place; the rows equal those rebuilt from
+    results do not depend on evaluation order. Every record's model is built
+    and checked before any record is drawn. The 2 * len(powers) records are
+    then shared out among worker threads, one per allowed CPU and each bound
+    to its CPU (see the module docstring), or computed inline with one allowed
+    CPU. Each worker draws its records into one float64 buffer and computes
+    their variances there in place; the rows equal those rebuilt from
     ``simulate_mirror`` and ``iq_variance``, the sample-level reference, bit
-    for bit.
+    for bit, whatever the number of CPUs.
     """
     powers = np.asarray(powers, dtype=float)
     if not np.all(np.isfinite(powers)):
         raise ValueError("powers must be finite")
     if np.any(powers < 0):
         raise ValueError("powers must be nonnegative")
-    seeds = spawn_seeds(seed, 2 * powers.size)
-    buf = _buffer(n_samples)
-    return [_sweep_row(p, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
-                       seeds[2 * k], seeds[2 * k + 1], dwell_samples, buf)
-            for k, p in enumerate(powers)]
+    return _sweep(powers, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
+                  spawn_seeds(seed, 2 * powers.size), dwell_samples)

@@ -414,6 +414,15 @@ class TestColumnWriters:
         self.same_bytes(tmp_path, io.write_mirror_csv,
                         write_mirror_csv_rowwise, rows, 42)
 
+    @pytest.mark.parametrize("t", [np.arange(3.0), np.arange(3.0) + 1j])
+    def test_unequal_columns_rejected_before_the_header(self, tmp_path, t):
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match=r"columns \['delta_omega_hz', "
+                           r"'t_.*'\] have unequal lengths \[5, 3"):
+            io.write_transmission_csv(path, np.arange(5.0), t)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == ""
+
     @pytest.mark.parametrize("workload", ["cli-quick", "spectrum-line"])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_benchmark_files_match_the_rowwise_writers(

@@ -6,15 +6,21 @@ standard error computed from the exact fourth central moment rather than
 from the samples themselves.
 
 The sweeps never build a sample record: they compute each record's variances
-in one reused buffer. ``iq_variance(simulate_mirror(m))`` is the reference
-they must equal bit for bit.
+in a reused buffer, on worker threads bound to the allowed CPUs.
+``iq_variance(simulate_mirror(m))`` is the reference they must equal bit for
+bit, and the rows must not depend on the CPUs the process may use.
 """
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdiode import mirror
 from qdiode.mirror import (
     IQRecord,
     MirrorModel,
@@ -323,6 +329,114 @@ class TestRecordVariances:
             assert (row.var_i_rev, row.var_q_rev) == rev
             assert sweep_row(p, p_fwd, p_rev, sw, n, seeds[2 * k],
                              seeds[2 * k + 1], dwell) == row
+
+
+# ----------------------------------------------------------------------------
+#                       Records on bound worker threads
+# ----------------------------------------------------------------------------
+
+SWEEP = dict(p_dark_fwd=0.55, p_dark_rev=0.08,
+             powers=[0.0, 0.25, 1.0, 2.5, 4.0], sigma_w=0.12, seed=314,
+             n_samples=5000)
+
+
+def record_index(m):
+    return spawn_seeds(SWEEP["seed"], 2 * len(SWEEP["powers"])).index(m.seed)
+
+
+def spy_records(monkeypatch, fail=()):
+    """Wrap _record_variances to log (record, thread, mask) of every call
+    and to raise RuntimeError('record k') for each record k in fail."""
+    calls = []
+    inner = mirror._record_variances
+
+    def spy(m, buf):
+        k = record_index(m)
+        mask = (frozenset(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+        calls.append((k, threading.current_thread(), mask))
+        if k in fail:
+            raise RuntimeError(f"record {k}")
+        return inner(m, buf)
+
+    monkeypatch.setattr(mirror, "_record_variances", spy)
+    return calls
+
+
+def allowed_cpus():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("os.sched_getaffinity is not available")
+    return os.sched_getaffinity(0)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("dwell", [0.0, 7.5])
+    def test_rows_equal_with_one_cpu_and_with_the_real_mask(
+            self, monkeypatch, dwell):
+        real = variance_vs_power(**SWEEP, dwell_samples=dwell)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        calls = spy_records(monkeypatch)
+        assert variance_vs_power(**SWEEP, dwell_samples=dwell) == real
+        # One allowed CPU: every record is computed inline, in order.
+        assert [k for k, _, _ in calls] == list(range(10))
+        assert {t for _, t, _ in calls} == {threading.current_thread()}
+
+    @pytest.mark.parametrize("binding", ["refused", "missing"])
+    def test_more_unbound_workers_than_cores(self, monkeypatch, binding):
+        inline = variance_vs_power(**SWEEP)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        if binding == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            def refuse(pid, mask):
+                raise OSError(22, "Invalid argument")
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        calls = spy_records(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = variance_vs_power(**SWEEP)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == inline
+        assert sorted(k for k, _, _ in calls) == list(range(10))
+        assert len({t for _, t, _ in calls}) == 8
+
+    def test_workers_are_bound_to_distinct_cpus(self, monkeypatch):
+        cpus = allowed_cpus()
+        if len(cpus) < 2:
+            pytest.skip("needs two allowed CPUs")
+        calls = spy_records(monkeypatch)
+        variance_vs_power(**SWEEP)
+        masks = {t: mask for _, t, mask in calls}
+        assert threading.current_thread() not in masks
+        assert all(len(mask) == 1 for mask in masks.values())
+        assert len(set(masks.values())) == len(masks) == min(len(cpus), 10)
+        assert set().union(*masks.values()) <= cpus
+
+    def test_calling_thread_keeps_its_mask(self):
+        before = allowed_cpus()
+        variance_vs_power(**SWEEP)
+        sweep_row(1.0, 0.5, 0.1, 0.1, 4096, 1, 2)
+        assert os.sched_getaffinity(0) == before
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        start = threading.active_count()
+        calls = spy_records(monkeypatch, fail=(3, 4))
+        # Records 3 and 4 fail on different workers; the caller raises the
+        # first in record order once both workers are joined.
+        with pytest.raises(RuntimeError, match="^record 3$"):
+            variance_vs_power(**SWEEP)
+        assert threading.active_count() == start
+        threads = {k: t for k, t, _ in calls}
+        assert threading.current_thread() not in threads.values()
+        assert threads[3] is not threads[4]
+        # Each worker stopped at its failure.
+        assert set(threads) == {0, 1, 2, 3, 4}
 
 
 class TestNonFiniteInputs:
