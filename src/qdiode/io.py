@@ -29,18 +29,22 @@ from .spectrum import SpectrumResult
 TWO_PI = 2.0 * math.pi
 
 
-def _write_columns(fh, header: Sequence[str], columns) -> None:
-    """A CSV table: the header row, then the float columns side by side,
-    each converted once to Python floats and written cell by cell as repr.
-    Columns of unequal length are a ValueError before anything is written."""
+def _write_columns(path: str, header: Sequence[str], columns,
+                   preamble: str = "") -> None:
+    """Write a CSV table to path: the preamble, the header row, then the
+    float columns side by side, each converted once to Python floats and
+    written cell by cell as repr. Columns of unequal length are a ValueError
+    raised before the path is opened, so an existing file is left alone."""
     cells = [np.asarray(col, dtype=float).tolist() for col in columns]
     lengths = [len(c) for c in cells]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns {list(header)} have unequal lengths "
                          f"{lengths}")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(zip(*(map(repr, c) for c in cells)))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(map(repr, c) for c in cells)))
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray, list[str]]:
@@ -79,13 +83,12 @@ def write_transmission_csv(path: str, delta_omega: np.ndarray,
                            t_values: np.ndarray) -> None:
     """delta_omega in rad/s (written as Hz); complex t gives re/im columns."""
     hz = np.asarray(delta_omega, dtype=float) / TWO_PI
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if np.iscomplexobj(t_values):
-            t = np.asarray(t_values, dtype=complex)
-            _write_columns(fh, ["delta_omega_hz", "t_real", "t_imag"],
-                           [hz, t.real, t.imag])
-        else:
-            _write_columns(fh, ["delta_omega_hz", "t_abs"], [hz, t_values])
+    if np.iscomplexobj(t_values):
+        t = np.asarray(t_values, dtype=complex)
+        _write_columns(path, ["delta_omega_hz", "t_real", "t_imag"],
+                       [hz, t.real, t.imag])
+    else:
+        _write_columns(path, ["delta_omega_hz", "t_abs"], [hz, t_values])
 
 
 def read_transmission_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +133,7 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow],
         [r.dark_population_forward for r in rows],
         [r.dark_population_reverse for r in rows],
     ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_columns(fh, SWEEP_COLUMNS, columns)
+    _write_columns(path, SWEEP_COLUMNS, columns)
 
 
 # -----------------------------------------------------------------------------
@@ -146,9 +148,8 @@ def write_spectrum_csv(path: str, s: SpectrumResult,
     per Hz, so a trapezoid integral over the file reproduces the inelastic
     photon flux. Returns the sidecar path.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_columns(fh, ["freq_offset_hz", "psd"],
-                       [s.freq_offsets / TWO_PI, s.inelastic_psd * TWO_PI])
+    _write_columns(path, ["freq_offset_hz", "psd"],
+                   [s.freq_offsets / TWO_PI, s.inelastic_psd * TWO_PI])
     sidecar = {
         "elastic_weight_photons_per_s": s.elastic_weight,
         "units": {"freq_offset_hz": "Hz from the drive",
@@ -189,11 +190,9 @@ MIRROR_COLUMNS = ["power", "var_i_fwd", "var_i_rev", "var_q_fwd", "var_q_rev",
 def write_mirror_csv(path: str, rows: Sequence[MirrorSweepRow],
                      seed: int) -> None:
     """Variance-vs-power table; the seed rides along as a comment line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed = {seed}\n")
-        _write_columns(fh, MIRROR_COLUMNS,
-                       [[getattr(r, name) for r in rows]
-                        for name in MIRROR_COLUMNS])
+    columns = [[getattr(r, name) for r in rows] for name in MIRROR_COLUMNS]
+    _write_columns(path, MIRROR_COLUMNS, columns,
+                   preamble=f"# seed = {seed}\n")
 
 
 def read_mirror_csv(path: str) -> tuple[int, list[dict]]:

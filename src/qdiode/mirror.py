@@ -25,14 +25,14 @@ as ``iq_variance(simulate_mirror(m))``, whose values they equal bit for bit.
 The records of a sweep are independent, and most of a record's time goes to
 numpy fills that release the interpreter lock, so the sweeps compute them on
 worker threads: one per CPU the process may run on, capped at the number of
-records, each with its own buffer, each taking every k-th record. Each worker
-binds itself to its own CPU: where the scheduler does not balance load (a
-cpuset with load balancing switched off), a new thread may stay on its
-creator's CPU for good, and unbound workers would then share one core. Only
-the workers' own masks change, never the calling thread's. With one allowed
-CPU the records are computed inline; where binding is unavailable or refused
-the workers run unbound. A record's values depend only on its own seed, so
-the outputs do not depend on the number of CPUs.
+records and at a scratch-memory budget, each with its own buffer, each taking
+every k-th record. Each worker binds itself to its own CPU: where the
+scheduler does not balance load (a cpuset with load balancing switched off),
+a new thread may stay on its creator's CPU, and unbound workers then share
+one core. Only the workers' own masks change, never the calling thread's.
+With one worker the records are computed inline; where binding is
+unavailable or refused the workers run unbound. A record's values depend
+only on its own seed, so the outputs do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -165,6 +165,13 @@ def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
     return variances[0], variances[1]
 
 
+# Scratch bytes per record sample of one worker: its float64 buffer plus, at
+# the peak of a dwell-mode record, two bool and two int64 arrays.
+_WORKER_BYTES_PER_SAMPLE = 26
+# The workers' scratch together stays under this (2^18 samples: 39 workers).
+_SCRATCH_BUDGET = 2 ** 28
+
+
 def _allowed_cpus() -> list[int]:
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
@@ -177,22 +184,29 @@ def _record_map(models: list[MirrorModel]) -> list[tuple[float, float]]:
     The models share one n_samples. Worker w binds itself to the w-th allowed
     CPU and computes records w, w + k, w + 2k, ... of k workers in one buffer
     of its own; the calling thread only starts and joins them. A worker stops
-    at its first exception, which takes the place of its record; once every
-    worker is joined, the first exception in record order is raised.
+    at its first exception, its buffer's allocation included, which takes the
+    place of its record; once every worker is joined, the first exception in
+    record order is raised. An interrupt of the join stops every worker
+    before its next record.
     """
     for m in models:
         _check_two_samples(m.n_samples)
-    cpus = _allowed_cpus()[:len(models)]
+    n = max((m.n_samples for m in models), default=2)
+    budget = max(1, _SCRATCH_BUDGET // (_WORKER_BYTES_PER_SAMPLE * n))
+    cpus = _allowed_cpus()[:min(len(models), budget)]
     results: list = [None] * len(models)
+    stop = threading.Event()
 
     def work(w: int) -> None:
-        buf = np.empty(models[w].n_samples)
-        for k in range(w, len(models), len(cpus)):
-            try:
+        k = w
+        try:
+            buf = np.empty(models[w].n_samples)
+            for k in range(w, len(models), len(cpus)):
+                if stop.is_set():
+                    return
                 results[k] = _record_variances(models[k], buf)
-            except Exception as exc:  # raised by the caller after the joins
-                results[k] = exc
-                return
+        except Exception as exc:  # raised by the caller after the joins
+            results[k] = exc
 
     def bound_work(w: int) -> None:
         try:
@@ -204,12 +218,19 @@ def _record_map(models: list[MirrorModel]) -> list[tuple[float, float]]:
     if len(cpus) == 1:
         work(0)
     else:
-        workers = [threading.Thread(target=bound_work, args=(w,))
+        workers = [threading.Thread(target=bound_work, args=(w,),
+                                    name=f"qdiode-mirror-{w}")
                    for w in range(len(cpus))]
         for t in workers:
             t.start()
-        for t in workers:
-            t.join()
+        try:
+            for t in workers:
+                t.join()
+        except BaseException:
+            stop.set()
+            for t in workers:
+                t.join()
+            raise
     for r in results:
         if isinstance(r, Exception):
             raise r
@@ -234,6 +255,11 @@ def _sweep(powers, p_dark_fwd: float, p_dark_rev: float, sigma_w: float,
            n_samples: int, seeds: list[int],
            dwell_samples: float) -> list[MirrorSweepRow]:
     """Rows over powers; seeds holds the (forward, reverse) pair of each."""
+    powers = np.asarray(powers, dtype=float)
+    if not np.all(np.isfinite(powers)):
+        raise ValueError("powers must be finite")
+    if np.any(powers < 0):
+        raise ValueError("powers must be nonnegative")
     alphas = [np.sqrt(p) for p in powers]
     models = [MirrorModel(p_dark=p_dark, alpha=alpha, sigma_w=sigma_w,
                           n_samples=n_samples, seed=seeds[2 * k + side],
@@ -267,19 +293,15 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
 
     The field amplitude scales as alpha = sqrt(power); each (power, direction)
     pair gets an independent child stream spawned from the seed, so per-point
-    results do not depend on evaluation order. Every record's model is built
-    and checked before any record is drawn. The 2 * len(powers) records are
-    then shared out among worker threads, one per allowed CPU and each bound
-    to its CPU (see the module docstring), or computed inline with one allowed
-    CPU. Each worker draws its records into one float64 buffer and computes
-    their variances there in place; the rows equal those rebuilt from
+    results do not depend on evaluation order. The powers and every record's
+    model are checked before any record is drawn. The 2 * len(powers) records
+    are then shared out among worker threads, one per allowed CPU and each
+    bound to its CPU, or computed inline by one (see the module docstring).
+    Each worker draws its records into one float64 buffer and computes their
+    variances there in place; the rows equal those rebuilt from
     ``simulate_mirror`` and ``iq_variance``, the sample-level reference, bit
     for bit, whatever the number of CPUs.
     """
     powers = np.asarray(powers, dtype=float)
-    if not np.all(np.isfinite(powers)):
-        raise ValueError("powers must be finite")
-    if np.any(powers < 0):
-        raise ValueError("powers must be nonnegative")
     return _sweep(powers, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
                   spawn_seeds(seed, 2 * powers.size), dwell_samples)

@@ -414,14 +414,20 @@ class TestColumnWriters:
         self.same_bytes(tmp_path, io.write_mirror_csv,
                         write_mirror_csv_rowwise, rows, 42)
 
+    @pytest.mark.parametrize("existing", [False, True])
     @pytest.mark.parametrize("t", [np.arange(3.0), np.arange(3.0) + 1j])
-    def test_unequal_columns_rejected_before_the_header(self, tmp_path, t):
-        path = str(tmp_path / "t.csv")
+    def test_unequal_columns_rejected_before_the_file_is_opened(
+            self, tmp_path, t, existing):
+        path = tmp_path / "t.csv"
+        if existing:
+            path.write_text("delta_omega_hz,t_abs\n1.0,0.5\n")
         with pytest.raises(ValueError, match=r"columns \['delta_omega_hz', "
                            r"'t_.*'\] have unequal lengths \[5, 3"):
-            io.write_transmission_csv(path, np.arange(5.0), t)
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == ""
+            io.write_transmission_csv(str(path), np.arange(5.0), t)
+        if existing:
+            assert path.read_text() == "delta_omega_hz,t_abs\n1.0,0.5\n"
+        else:
+            assert not path.exists()
 
     @pytest.mark.parametrize("workload", ["cli-quick", "spectrum-line"])
     @pytest.mark.parametrize("seed", [0, 11])

@@ -14,6 +14,8 @@ bit, and the rows must not depend on the CPUs the process may use.
 import os
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +222,13 @@ class TestVarianceVsPower:
             variance_vs_power(0.5, 0.1, [-1.0, 1.0], sigma_w=0.1, seed=1,
                               n_samples=16)
 
+    @pytest.mark.parametrize("power, message", [
+        (-1.0, "powers must be nonnegative"),
+        (np.nan, "powers must be finite"), (np.inf, "powers must be finite")])
+    def test_sweep_row_checks_its_power(self, power, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_row(power, 0.5, 0.1, 0.1, 100, 1, 2)
+
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
@@ -369,13 +378,19 @@ def allowed_cpus():
     return os.sched_getaffinity(0)
 
 
+def allow_cpus(monkeypatch, n):
+    """Report n allowed CPUs; binding to any CPU that does not exist fails
+    with OSError, so those workers run unbound."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 class TestWorkers:
     @pytest.mark.parametrize("dwell", [0.0, 7.5])
     def test_rows_equal_with_one_cpu_and_with_the_real_mask(
             self, monkeypatch, dwell):
         real = variance_vs_power(**SWEEP, dwell_samples=dwell)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+        allow_cpus(monkeypatch, 1)
         calls = spy_records(monkeypatch)
         assert variance_vs_power(**SWEEP, dwell_samples=dwell) == real
         # One allowed CPU: every record is computed inline, in order.
@@ -385,8 +400,7 @@ class TestWorkers:
     @pytest.mark.parametrize("binding", ["refused", "missing"])
     def test_more_unbound_workers_than_cores(self, monkeypatch, binding):
         inline = variance_vs_power(**SWEEP)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(8)), raising=False)
+        allow_cpus(monkeypatch, 8)
         if binding == "missing":
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         else:
@@ -423,8 +437,7 @@ class TestWorkers:
         assert os.sched_getaffinity(0) == before
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+        allow_cpus(monkeypatch, 2)
         start = threading.active_count()
         calls = spy_records(monkeypatch, fail=(3, 4))
         # Records 3 and 4 fail on different workers; the caller raises the
@@ -437,6 +450,84 @@ class TestWorkers:
         assert threads[3] is not threads[4]
         # Each worker stopped at its failure.
         assert set(threads) == {0, 1, 2, 3, 4}
+
+    def test_buffer_allocation_failure_reaches_the_caller(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        start = threading.active_count()
+        calls = spy_records(monkeypatch)
+        empty = np.empty
+
+        def fail_in_worker_1(*args, **kwargs):
+            if threading.current_thread().name == "qdiode-mirror-1":
+                raise MemoryError("no buffer for worker 1")
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", fail_in_worker_1)
+        with pytest.raises(MemoryError, match="^no buffer for worker 1$"):
+            variance_vs_power(**SWEEP)
+        assert threading.active_count() == start
+        # Worker 1 (records 1, 4, 7) drew nothing; the others ran to the end.
+        assert sorted(k for k, _, _ in calls) == [0, 2, 3, 5, 6, 8, 9]
+
+    def test_interrupted_join_stops_the_workers(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        start = threading.active_count()
+        models = [MirrorModel(p_dark=0.5, alpha=1.0, sigma_w=0.1,
+                              n_samples=16, seed=s) for s in range(200)]
+        drawn = []
+
+        def slow(m, buf):
+            drawn.append(m.seed)
+            time.sleep(0.01)
+            return (0.0, 0.0)
+
+        monkeypatch.setattr(mirror, "_record_variances", slow)
+        join = threading.Thread.join
+        interrupts = []
+
+        def interrupted_join(self, *args, **kwargs):
+            if not interrupts:
+                interrupts.append(self.name)
+                raise KeyboardInterrupt
+            return join(self, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            mirror._record_map(models)
+        assert threading.active_count() == start
+        # Each worker finished at most the record it was drawing, far from
+        # the 100 records each would draw in 1 s.
+        assert len(drawn) < 20
+
+    @pytest.mark.parametrize("budget_records, workers", [(0, 1), (1, 1),
+                                                         (3, 3), (50, 8)])
+    def test_scratch_budget_caps_the_workers(self, monkeypatch,
+                                             budget_records, workers):
+        allow_cpus(monkeypatch, 8)
+        per_worker = mirror._WORKER_BYTES_PER_SAMPLE * SWEEP["n_samples"]
+        monkeypatch.setattr(mirror, "_SCRATCH_BUDGET",
+                            budget_records * per_worker + per_worker // 2)
+        inline = variance_vs_power(**SWEEP)
+        calls = spy_records(monkeypatch)
+        assert variance_vs_power(**SWEEP) == inline
+        assert len({t for _, t, _ in calls}) == workers
+        if workers == 1:
+            assert {t for _, t, _ in calls} == {threading.current_thread()}
+
+    @pytest.mark.parametrize("dwell", [0.0, 7.5])
+    def test_worker_scratch_within_its_estimate(self, dwell):
+        n = 2 ** 15
+        m = MirrorModel(p_dark=0.3, alpha=1.0 + 0.5j, sigma_w=0.1,
+                        n_samples=n, seed=5, dwell_samples=dwell)
+        _record_variances(m, np.empty(n))   # first-call allocations
+        tracemalloc.start()
+        try:
+            _record_variances(m, np.empty(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond the estimate only the record's stream objects, a few kB.
+        assert peak <= mirror._WORKER_BYTES_PER_SAMPLE * n + 2 ** 14
 
 
 class TestNonFiniteInputs:
