@@ -64,14 +64,14 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
     gamma_bar = c.gamma_bar
     payload: dict = {"gamma_bar_hz": gamma_bar / TWO_PI}
 
-    alpha = p.get("alpha", 0.0) * math.sqrt(gamma_bar)
-    beta = p.get("beta", 0.0) * math.sqrt(gamma_bar)
+    alpha = p["alpha"] * math.sqrt(gamma_bar)
+    beta = p["beta"] * math.sqrt(gamma_bar)
     if alpha != 0.0 or beta != 0.0:
         rho = steady_state(build_diode_liouvillian(c, alpha, beta))
         a_out, b_out = diode_output_ops(c, alpha, beta)
         payload["general"] = {
-            "alpha_over_sqrt_gammabar": p.get("alpha", 0.0),
-            "beta_over_sqrt_gammabar": p.get("beta", 0.0),
+            "alpha_over_sqrt_gammabar": p["alpha"],
+            "beta_over_sqrt_gammabar": p["beta"],
             "dark_population": dark_state_population(rho),
             "flux_a_over_gammabar": float(
                 expectation(a_out.conj().T @ a_out, rho).real) / gamma_bar,
@@ -80,10 +80,10 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
             "populations": [float(rho[i, i].real) for i in range(4)],
         }
     else:
-        power = p.get("p_over_gammabar", 0.0) * gamma_bar
+        power = p["p_over_gammabar"] * gamma_bar
         op = operating_point(c, power)
         payload["operating_point"] = {
-            "p_over_gammabar": p.get("p_over_gammabar", 0.0),
+            "p_over_gammabar": p["p_over_gammabar"],
             "t_forward": [op.t_forward.real, op.t_forward.imag],
             "t_reverse": [op.t_reverse.real, op.t_reverse.imag],
             "t_forward_abs": abs(op.t_forward),
@@ -117,8 +117,7 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
 def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     p = cfg.params
     q = QubitParams(omega_q=0.0, gamma_r=p["gamma_r_hz"],
-                    gamma_nr=p.get("gamma_nr_hz", 0.0),
-                    gamma_phi=p.get("gamma_phi_hz", 0.0))
+                    gamma_nr=p["gamma_nr_hz"], gamma_phi=p["gamma_phi_hz"])
     amp = math.sqrt(p["power_over_gamma_r"] * q.gamma_r)
     half_span = p["span_linewidths"] * q.gamma_2
     grid = np.linspace(-half_span, half_span, p["n_points"])
@@ -135,8 +134,8 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     c = _diode_config(p)
     gamma_bar = c.gamma_bar
     direction = p["direction"]
-    predicted = predicted_linewidth(c.delta, gamma_bar,
-                                    c.q1.gamma_nr, c.q1.gamma_phi)
+    predicted = predicted_linewidth(c.delta, gamma_bar, c.q1.gamma_nr,
+                                    c.q1.gamma_phi, p["gamma_exc_hz"])
     width_scale = 2.0 * linewidth_estimate(c)
     half_span = 0.5 * p["span_linewidths"] * width_scale
     grid = np.linspace(-half_span, half_span, p["n_freq"])
@@ -156,7 +155,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     sidecar = io.write_spectrum_csv(path, result, sidecar_extra={
         "direction": direction,
         "port": p["port"],
-        "predicted_fwhm_hz": (predicted + p.get("gamma_exc_hz", 0.0)) / TWO_PI,
+        "predicted_fwhm_hz": predicted / TWO_PI,
         "p_over_gammabar": p["p_over_gammabar"],
     })
     return [path, sidecar], notes, code, {}
@@ -165,7 +164,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
 def _run_fit(cfg: RunConfig, out_dir: str):
     p = cfg.params
     delta_omega, t = io.read_transmission_csv(p["input_csv"])
-    alpha = math.sqrt(p.get("power_over_gamma_r", 0.0) * p["initial_gamma_r_hz"])
+    alpha = math.sqrt(p["power_over_gamma_r"] * p["initial_gamma_r_hz"])
     s0 = p.get("initial_s_hz")
     initial = QubitParams(omega_q=0.0, gamma_r=p["initial_gamma_r_hz"],
                           gamma_nr=0.0,
@@ -205,7 +204,7 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str):
                      f"rev = {p_rev:.6g}")
     powers = np.linspace(p["power_min"], p["power_max"], p["n_powers"])
     rows = variance_vs_power(p_fwd, p_rev, powers, p["sigma_w"], cfg.seed,
-                             p["n_samples"], p.get("dwell_samples", 0.0))
+                             p["n_samples"], p["dwell_samples"])
     path = os.path.join(out_dir, "mirror_sweep.csv")
     io.write_mirror_csv(path, rows, cfg.seed)
     return [path], notes, EXIT_OK, {}

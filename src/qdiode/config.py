@@ -139,11 +139,16 @@ def _check_field(mode: str, key: str, f: Field, value: Any) -> Any:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{mode}: key {key!r} must be a number, "
                               f"got {value!r}")
-        if f.kind is int and not float(value).is_integer():
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(f"{mode}: key {key!r} is beyond the float "
+                              "range") from None
+        if f.kind is int and not number.is_integer():
             raise ConfigError(f"{mode}: key {key!r} must be an integer, "
                               f"got {value!r}")
         value = f.kind(value)
-        if not math.isfinite(value):
+        if not math.isfinite(number):
             raise ConfigError(f"{mode}: key {key!r} must be finite")
         if f.minimum is not None:
             if f.exclusive_min and value <= f.minimum:
@@ -169,6 +174,12 @@ def _check_field(mode: str, key: str, f: Field, value: Any) -> Any:
 
 def _mode_checks(mode: str, echo: dict) -> None:
     """Cross-key constraints that a per-field schema cannot express."""
+    if mode == "steady-state":
+        if echo["p_over_gammabar"] != 0.0 and (echo["alpha"] != 0.0
+                                               or echo["beta"] != 0.0):
+            raise ConfigError("steady-state: a nonzero alpha or beta sets the "
+                              "drive, so p_over_gammabar must be 0; give "
+                              "p_over_gammabar or alpha/beta, not both")
     if mode == "sweep-power":
         if echo["power_max_over_gammabar"] <= echo["power_min_over_gammabar"]:
             raise ConfigError("sweep-power: power_max_over_gammabar must "

@@ -13,9 +13,10 @@ the result it uses the convention gamma_nr = 0, gamma_phi = s/2, which leaves
 gamma_1 equal to the fitted radiative rate.
 
 Algorithm: a Levenberg-Marquardt engine in numpy, ``_least_squares``,
-which also fits the spectrum module's Lorentzians. Each step solves the
-damped normal equations (J^T J + mu I) h = -J^T r through one SVD of the
-Jacobian J, so every trial damping after a rejected step costs no further
+which also fits the spectrum module's Lorentzians. It takes one function
+that returns the residuals r and their Jacobian J at a point. Each step
+solves the damped normal equations (J^T J + mu I) h = -J^T r through one SVD
+of J, so every trial damping after a rejected step costs no further
 factorization. The damping is unscaled (mu I) and follows Nielsen's update
 (H. B. Nielsen, IMM-REP-1999-05): after an accepted step with gain ratio rho
 it shrinks by max(1/3, 1 - (2 rho - 1)^3), and each rejection multiplies it by
@@ -23,15 +24,15 @@ a factor that doubles. Marquardt's diag(J^T J) scaling is not used: on
 magnitude-only traces, whose s sits in a flat valley, it drove ln s towards
 -inf where a trust region converges (More, Lecture Notes in Mathematics 630,
 1978). The engine stops when a step, or the relative decrease in cost it
-brings, falls below 1e-12; it may evaluate the residuals at most 200 times,
+brings, falls below 1e-12; it may evaluate the model at most 200 times,
 and hitting that cap is a FitError.
 
 The single-qubit fit runs in the coordinates (ln gamma_r, ln s,
-dc / gamma_2_initial) with the closed-form Jacobian of
-``transmission_analytic``. Log rates keep the rates positive, and the center
-is measured in initial linewidths so that all three coordinates are of
-order one. Standard errors come from the Jacobian at the optimum by the delta
-method.
+dc / gamma_2_initial); ``_model`` gives the transmission of
+``transmission_analytic`` and its Jacobian from one closed form. Log rates
+keep the rates positive, and the center is measured in initial linewidths
+so that all three coordinates are of order one. Standard errors come from
+the Jacobian at the optimum by the delta method.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .single_qubit import QubitParams, transmission_analytic
+from .single_qubit import QubitParams
 
 MAX_EVALUATIONS = 200
 # Stopping tolerance of _least_squares on the step and on the relative
@@ -61,8 +62,8 @@ class FitError(RuntimeError):
 class FitReport:
     """Fit diagnostics: residual norm, standard errors, iteration record.
 
-    ``n_iterations`` is the number of Jacobian evaluations the optimizer
-    made, one per accepted step plus the one at the start.
+    ``n_iterations`` is the number of points whose Jacobian the optimizer
+    used: one per accepted step plus the start.
     """
 
     residual_norm: float
@@ -84,22 +85,21 @@ class _Solution:
     x: np.ndarray
     fun: np.ndarray
     jac: np.ndarray
-    nfev: int                      # residual evaluations
-    njev: int                      # Jacobian evaluations
+    nfev: int                      # evaluations of the model
+    njev: int                      # accepted points, the start included
     success: bool
     message: str
 
 
-def _least_squares(residual, jacobian, x0) -> _Solution:
-    """Minimize 0.5 |residual(x)|^2 from x0 (module docstring's algorithm).
+def _least_squares(fun, x0) -> _Solution:
+    """Minimize 0.5 |r(x)|^2 from x0 (module docstring's algorithm).
 
-    ``jacobian(x)`` returns d residual / dx. A trial point whose residuals
-    are not finite counts as a rejected step. Reaching MAX_EVALUATIONS
-    residual evaluations returns success=False.
+    ``fun(x)`` returns the residuals r and their Jacobian dr/dx. A trial
+    point whose residuals are not finite counts as a rejected step.
+    Reaching MAX_EVALUATIONS calls of fun returns success=False.
     """
     x = np.array(x0, dtype=float)
-    r = residual(x)
-    jac = None
+    r, jac = fun(x)
     nfev = njev = 1
 
     def done(success, message):
@@ -108,7 +108,6 @@ def _least_squares(residual, jacobian, x0) -> _Solution:
 
     if not np.all(np.isfinite(r)):
         return done(False, "residuals are not finite at the start")
-    jac = jacobian(x)
     cost = 0.5 * float(r @ r)
     mu = DAMPING_START * float(np.max(np.sum(jac * jac, axis=0)))
     while True:
@@ -121,7 +120,7 @@ def _least_squares(residual, jacobian, x0) -> _Solution:
                             f"evaluation cap of {MAX_EVALUATIONS} reached")
             h = -vt.T @ (sig * z / (sig * sig + mu))
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                r_new = residual(x + h)
+                r_new, jac_new = fun(x + h)
             nfev += 1
             small_step = (np.linalg.norm(h)
                           <= TOLERANCE * (TOLERANCE + np.linalg.norm(x)))
@@ -139,8 +138,7 @@ def _least_squares(residual, jacobian, x0) -> _Solution:
             mu *= nu
             nu *= 2.0
         small_decrease = cost - cost_new <= TOLERANCE * cost and gain > 0.25
-        x, r, cost = x + h, r_new, cost_new
-        jac = jacobian(x)
+        x, r, jac, cost = x + h, r_new, jac_new, cost_new
         njev += 1
         if small_step or small_decrease:
             return done(True, "step or cost decrease below tolerance")
@@ -148,19 +146,9 @@ def _least_squares(residual, jacobian, x0) -> _Solution:
 
 
 def _model(x: np.ndarray, delta_omega: np.ndarray, alpha: complex,
-           center_scale: float) -> np.ndarray:
-    """Transmission model at x = (ln gr, ln s, dc / center_scale)."""
-    gamma_r = np.exp(x[0])
-    s = np.exp(x[1])
-    dc = x[2] * center_scale
-    q = QubitParams(omega_q=0.0, gamma_r=gamma_r, gamma_nr=0.0,
-                    gamma_phi=0.5 * s)
-    return transmission_analytic(q, delta_omega + dc, alpha)
-
-
-def _model_jacobian(x: np.ndarray, delta_omega: np.ndarray, alpha: complex,
-                    center_scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Model t and dt/dx, one column per coordinate of x.
+           center_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transmission t at x = (ln gr, ln s, dc / center_scale) and dt/dx,
+    one column per coordinate of x.
 
     With gamma_nr = 0, gamma_2 = (gamma_r + s)/2 and the saturation term is
     2|alpha|^2 / gamma_2, so t = 1 - A F with A = gamma_r / (2 gamma_2),
@@ -185,19 +173,14 @@ def _model_jacobian(x: np.ndarray, delta_omega: np.ndarray, alpha: complex,
 
 
 def _residuals(x, delta_omega, target, alpha, center_scale, magnitude_only):
-    t = _model(x, delta_omega, alpha, center_scale)
+    """Residuals of the model against target at x, and their Jacobian."""
+    t, jac = _model(x, delta_omega, alpha, center_scale)
     if magnitude_only:
-        return np.abs(t) - target
+        t_abs = np.abs(t)
+        return t_abs - target, (t.conj()[:, None] * jac).real / t_abs[:, None]
     diff = t - target
-    return np.concatenate([diff.real, diff.imag])
-
-
-def _residual_jacobian(x, delta_omega, target, alpha, center_scale,
-                       magnitude_only):
-    t, jac = _model_jacobian(x, delta_omega, alpha, center_scale)
-    if magnitude_only:
-        return (t.conj()[:, None] * jac).real / np.abs(t)[:, None]
-    return np.concatenate([jac.real, jac.imag])
+    return (np.concatenate([diff.real, diff.imag]),
+            np.concatenate([jac.real, jac.imag]))
 
 
 def _median(values: np.ndarray) -> float:
@@ -258,8 +241,7 @@ def fit_single_qubit(data, alpha: complex, initial: QubitParams,
     center_scale = initial.gamma_2
     x0 = np.array([np.log(initial.gamma_r), np.log(s0), 0.0])
     args = (delta_omega, target, alpha, center_scale, magnitude_only)
-    sol = _least_squares(lambda x: _residuals(x, *args),
-                         lambda x: _residual_jacobian(x, *args), x0)
+    sol = _least_squares(lambda x: _residuals(x, *args), x0)
     if not sol.success:
         raise FitError(f"no convergence after {sol.nfev} evaluations "
                        f"(residual norm {np.linalg.norm(sol.fun):.3e})")

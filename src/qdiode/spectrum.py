@@ -244,18 +244,15 @@ def fit_lorentzian(s: SpectrumResult) -> LorentzianFit:
     hw0 = 0.5 * (above.max() - above.min()) if above.size > 1 else 0.05 * (w.max() - w.min())
     wn, yn = w / hw0, y / a0
 
-    def resid(p):
+    def fun(p):
         a, center, hw, offset = p
-        return a * hw * hw / ((wn - center) ** 2 + hw * hw) + offset - yn
-
-    def jac(p):
-        a, center, hw, _ = p
         u = wn - center
         q = u * u + hw * hw
-        return np.column_stack([hw * hw / q, 2.0 * a * hw * hw * u / (q * q),
-                                2.0 * a * hw * u * u / (q * q), np.ones_like(u)])
+        jac = np.column_stack([hw * hw / q, 2.0 * a * hw * hw * u / (q * q),
+                               2.0 * a * hw * u * u / (q * q), np.ones_like(u)])
+        return a * hw * hw / q + offset - yn, jac
 
-    sol = _least_squares(resid, jac, [1.0, center0 / hw0, 1.0, offset0 / a0])
+    sol = _least_squares(fun, [1.0, center0 / hw0, 1.0, offset0 / a0])
     if not sol.success:
         raise SpectrumError(f"Lorentzian fit failed: {sol.message}")
     a, center, hw, offset = sol.x * np.array([a0, hw0, hw0, a0])

@@ -855,6 +855,25 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["gamma_r_hz", "n_points"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, key):
+        payload = {"gamma_r_hz": 70e6, "power_over_gamma_r": 0.1}
+        cfg = write_config(tmp_path, {**payload, key: 10 ** 400})
+        assert run(["sweep-frequency", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"key '{key}' is beyond the float range" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("drive", [{"alpha": 0.2}, {"beta": 0.1}])
+    def test_power_with_general_drive_rejected(self, tmp_path, capsys, drive):
+        cfg = write_config(tmp_path, steady_payload(**drive))
+        out = tmp_path / "out"
+        assert run(["steady-state", "--config", cfg,
+                    "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "p_over_gammabar" in err and "alpha or beta" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run(["steady-state", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -155,32 +155,54 @@ class TestNumpyHelpers:
         target = np.abs(t) if magnitude_only else t
         args = (delta, target, alpha, GR_TRUE / 2.0, magnitude_only)
         x = np.array([np.log(1.1 * GR_TRUE), np.log(0.7 * S_TRUE), 0.2])
-        jac = fitting._residual_jacobian(x, *args)
+        jac = fitting._residuals(x, *args)[1]
         step = 1e-6
         for k in range(3):
             e = np.zeros(3)
             e[k] = step
-            fd = (fitting._residuals(x + e, *args)
-                  - fitting._residuals(x - e, *args)) / (2.0 * step)
+            fd = (fitting._residuals(x + e, *args)[0]
+                  - fitting._residuals(x - e, *args)[0]) / (2.0 * step)
             np.testing.assert_allclose(jac[:, k], fd,
                                        atol=1e-7 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("alpha", [0.0, np.sqrt(0.3 * GR_TRUE)])
+    def test_model_is_transmission_analytic(self, alpha):
+        """_model's t is the single-qubit closed form it differentiates."""
+        delta = np.linspace(-3.0, 3.0, 41) * GR_TRUE
+        scale = GR_TRUE / 2.0
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            x = np.array([np.log(GR_TRUE) + rng.uniform(-1.0, 1.0),
+                          np.log(S_TRUE) + rng.uniform(-3.0, 3.0),
+                          rng.uniform(-2.0, 2.0)])
+            q = QubitParams(omega_q=0.0, gamma_r=np.exp(x[0]), gamma_nr=0.0,
+                            gamma_phi=0.5 * np.exp(x[1]))
+            ref = transmission_analytic(q, delta + x[2] * scale, alpha)
+            t = fitting._model(x, delta, alpha, scale)[0]
+            np.testing.assert_allclose(t, ref, rtol=0.0, atol=1e-14)
 
 
 class TestEngine:
     @staticmethod
-    def rosenbrock():
-        return (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-                lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+    def rosenbrock(x):
+        return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
 
     def test_solves_rosenbrock(self):
-        sol = fitting._least_squares(*self.rosenbrock(), [-1.2, 1.0])
+        sol = fitting._least_squares(self.rosenbrock, [-1.2, 1.0])
         assert sol.success
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-10)
         assert sol.njev <= sol.nfev
 
+    def test_returns_the_jacobian_of_the_solution(self):
+        sol = fitting._least_squares(self.rosenbrock, [-1.2, 1.0])
+        r, jac = self.rosenbrock(sol.x)
+        assert np.array_equal(sol.fun, r)
+        assert np.array_equal(sol.jac, jac)
+
     def test_non_finite_start_returns_failure(self):
-        sol = fitting._least_squares(lambda x: np.array([np.nan, x[0]]),
-                                     lambda x: np.eye(2)[:, :1], [0.0])
+        sol = fitting._least_squares(
+            lambda x: (np.array([np.nan, x[0]]), np.eye(2)[:, :1]), [0.0])
         assert not sol.success
         assert sol.nfev == 1
 
@@ -218,7 +240,8 @@ class TestEngineMatchesScipy:
 
         center_scale = initial.gamma_2
         x0 = [np.log(initial.gamma_r), np.log(2.0 * initial.gamma_phi), 0.0]
-        ref = least_squares(fitting._residuals, x0, jac="3-point",
+        ref = least_squares(lambda x, *a: fitting._residuals(x, *a)[0], x0,
+                            jac="3-point",
                             ftol=1e-15, xtol=1e-15, gtol=1e-15,
                             max_nfev=1000,
                             args=(delta, target, 0.0, center_scale,
