@@ -36,6 +36,7 @@ from .mirror import (
 from .operators import (
     SolverError,
     expectation,
+    real_form,
     steady_state,
     steady_states,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "power_sweep",
     "predicted_linewidth",
     "psd",
+    "real_form",
     "simulate_mirror",
     "steady_state",
     "steady_states",

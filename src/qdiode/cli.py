@@ -111,7 +111,7 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
     io.write_sweep_csv(path, rows, gamma_bar)
     notes = [f"p/gammabar = {r.power / gamma_bar:.6g}: {r.error}"
              for r in rows if r.error]
-    return [path], notes, EXIT_OK, {"min_null_gap": info["min_null_gap"]}
+    return [path], notes, EXIT_OK, info
 
 
 def _run_sweep_frequency(cfg: RunConfig, out_dir: str):

@@ -33,9 +33,10 @@ dissipators are affine in a (the |a|^2 terms of D[a_out] and D[b_out]
 cancel), so the Liouvillian is L(a) = L0 + a L1 with L0 = L(0) and
 L1 = L(1) - L0, and the transmitted-port operator is affine in a as well.
 ``power_sweep``, ``operating_point`` and ``transmission`` build L0 and L1
-once per side, solve the stack L0 + a L1 over all their amplitudes in one
-``steady_states`` call, and read t and the dark population of every solved
-point out of the stack at once.
+once per side and convert the two to real Hermitian coordinates
+(``operators.real_form``). They solve the real stack L0 + a L1 over all
+their amplitudes in one ``steady_states`` call, and read t and the dark
+population of every solved point out of the stack at once.
 """
 
 from __future__ import annotations
@@ -53,12 +54,16 @@ from .operators import (
     embed_qubit1,
     embed_qubit2,
     liouvillian_matrix,
+    real_form,
     steady_states,
 )
 from .single_qubit import QubitParams
 
 PI = np.pi
 SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by SI definition
+# A solved side whose null gap s_{-2}/s_max is below this is near the
+# solver's 1e-10 degeneracy threshold, and its state has few correct digits.
+NEAR_DEGENERATE_GAP = 1e-8
 
 SIGMA_MINUS_1 = embed_qubit1(SIGMA_MINUS)
 SIGMA_MINUS_2 = embed_qubit2(SIGMA_MINUS)
@@ -220,12 +225,15 @@ def _solve_side(c: DiodeConfig, direction: str, amps,
     For a real amplitude a the Liouvillian is affine, L(a) = L0 + a L1 with
     L0 = L(0) and L1 = L(1) - L0, and so is the transmitted-port operator.
     The side is therefore assembled twice whatever the number of amplitudes,
-    the stack L0 + a L1 is solved in one ``steady_states`` call (which fills
-    ``info``), and t and the dark population of every solved point are read
-    out together. t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
+    L(0) and L(1) are each converted to real Hermitian coordinates once,
+    the real stack L0 + a L1 is solved in one ``steady_states`` call (which
+    fills ``info``), and t and the dark population of every solved point
+    are read out together. t = <a_out>/a forward, <b_out>/a reverse, and 0
+    at a = 0.
     """
     lv0, (out0, _) = _one_sided(c, direction, 0.0)
     lv1, (out1, _) = _one_sided(c, direction, 1.0)
+    lv0, lv1 = real_form(lv0), real_form(lv1)
     amps = np.asarray(amps, dtype=float)
     states = steady_states(lv0 + amps[:, None, None] * (lv1 - lv0), info)
     solved = [k for k, rho in enumerate(states)
@@ -313,17 +321,21 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
     Each (power, side) steady state is solved once: a side's Liouvillian is
-    affine in the real amplitude, L0 + amp L1, so it is assembled twice and
-    all its powers are solved together, from one batched singular-value
-    check and one bordered linear solve (``steady_states``). A side not in
+    affine in the real amplitude, L0 + amp L1, so it is assembled twice,
+    converted to real Hermitian coordinates twice, and all its powers are
+    solved together, from one batched singular-value check and one bordered
+    linear solve in real arithmetic (``steady_states``). A side not in
     ``sides`` gets NaN transmission and dark population, so the efficiency
     is NaN unless both sides are solved. A power whose solve fails on any
     side becomes a row of NaN values with the message of the first failed
     side in ``error``; the sweep goes on.
 
-    If ``info`` is a dict, ``info["min_null_gap"]`` is set to the smallest
-    s_{-2} / s_max (see ``steady_states``) over the solved sides of the rows
-    that did not fail, or None if every row failed.
+    If ``info`` is a dict, three solver diagnostics over the solved sides of
+    the rows that did not fail are set in it: ``"min_null_gap"``, the
+    smallest s_{-2} / s_max (see ``steady_states``), and ``"max_residual"``,
+    the largest residual ||L vec(rho)||, each None if every row failed; and
+    ``"near_degenerate_rows"``, the number of those rows with a side whose
+    null gap is below NEAR_DEGENERATE_GAP.
     """
     powers = list(powers)
     for p in powers:
@@ -334,14 +346,14 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     if unknown:
         raise ValueError(f"unknown direction(s) {sorted(unknown)}")
     amps = np.sqrt(np.asarray(powers, dtype=float))
-    solved, gaps = {}, {}
+    solved, gaps, resids = {}, [], []
     for side in sides:
         side_info: dict = {}
         solved[side] = _solve_side(c, side, amps, side_info)
-        gaps[side] = side_info["null_gap"]
+        gaps.append(side_info["null_gap"])
+        resids.append(side_info["residual"])
     nan_t = complex(np.nan, np.nan)
     rows = []
-    accepted_gaps = []
     for k, p in enumerate(powers):
         t = {"forward": nan_t, "reverse": nan_t}
         dark = {"forward": np.nan, "reverse": np.nan}
@@ -356,7 +368,6 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
             continue
         for side in sides:
             t[side], dark[side], _ = solved[side][k]
-            accepted_gaps.append(gaps[side][k])
         # NaN from a side not solved propagates into the efficiency.
         rows.append(SweepRow(
             power=p, t_forward=t["forward"], t_reverse=t["reverse"],
@@ -364,6 +375,13 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
             dark_population_forward=dark["forward"],
             dark_population_reverse=dark["reverse"]))
     if info is not None:
-        info["min_null_gap"] = (float(min(accepted_gaps)) if accepted_gaps
-                                else None)
+        # One row per side, one column per power; keep the accepted powers.
+        accepted = np.array([r.error is None for r in rows], dtype=bool)
+        shape = (len(sides), len(powers))
+        gaps = np.reshape(gaps, shape)[:, accepted]
+        resids = np.reshape(resids, shape)[:, accepted]
+        info["min_null_gap"] = float(gaps.min()) if gaps.size else None
+        info["max_residual"] = float(resids.max()) if resids.size else None
+        info["near_degenerate_rows"] = int(
+            np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
     return rows

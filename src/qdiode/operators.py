@@ -1,8 +1,19 @@
 """Dense operator algebra and Lindblad/Liouvillian machinery.
 
-Everything here works on plain complex numpy arrays for Hilbert space
-dimensions 2 and 4. Density matrices are vectorized by column stacking
-(Fortran order), so  vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).
+Everything here works on plain numpy arrays for Hilbert space dimensions 2
+and 4. Two coordinate systems for a d x d density matrix are fixed here:
+
+- column stacking (Fortran order), the one the superoperator functions use:
+  vec(A @ rho @ B) = kron(B.T, A) @ vec(rho);
+- real Hermitian coordinates, the one the steady-state solver uses: the
+  d^2 real numbers r = U vec(rho) of rho on the orthonormal Hermitian basis
+  E_jj, (E_jk + E_kj)/sqrt(2), i(E_jk - E_kj)/sqrt(2) for j < k. In order,
+  r holds rho_jj for each j, then sqrt(2) Re rho_jk, then sqrt(2) Im rho_jk,
+  each over the pairs j < k in np.triu_indices order. U is unitary, and a
+  Lindblad generator L preserves Hermiticity, so ``real_form(L)`` =
+  U L U^dag is a real matrix with the singular values of L (the coherence-
+  vector form of Alicki and Lendi, Quantum Dynamical Semigroups and
+  Applications, 1987).
 
 Basis conventions, fixed once for the whole package:
   single qubit:  |g> = (1, 0),  |e> = (0, 1),  sigma_z |g> = +|g>
@@ -10,6 +21,8 @@ Basis conventions, fixed once for the whole package:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -68,6 +81,73 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape(d, d, order="F")
+
+
+@functools.cache
+def _hermitian_coordinates(d: int) -> np.ndarray:
+    """The unitary U with U vec(rho) = rho's real Hermitian coordinates
+    (see the module docstring); built once per d, and read-only."""
+    j, k = np.triu_indices(d, 1)
+    re = d + np.arange(j.size)
+    im = re + j.size
+    u = np.zeros((d * d, d * d), dtype=complex)
+    # vec is column stacking: rho_jk sits at j + k d.
+    u[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+    u[re, j + k * d] = u[re, k + j * d] = np.sqrt(0.5)
+    u[im, j + k * d] = -1j * np.sqrt(0.5)
+    u[im, k + j * d] = 1j * np.sqrt(0.5)
+    u.flags.writeable = False
+    return u
+
+
+@functools.cache
+def _entry_order(d: int) -> np.ndarray:
+    """For each entry of a d x d matrix in C order, its place in
+    (rho_jj for each j, rho_jk for j < k, rho_kj for j < k)."""
+    j, k = np.triu_indices(d, 1)
+    order = np.empty(d * d, dtype=np.intp)
+    order[np.arange(d) * (d + 1)] = np.arange(d)
+    order[j * d + k] = d + np.arange(j.size)
+    order[k * d + j] = d + j.size + np.arange(j.size)
+    order.flags.writeable = False
+    return order
+
+
+def _from_hermitian_coordinates(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian d x d matrices whose real Hermitian coordinates are the
+    rows of ``x``."""
+    pairs = (d * d - d) // 2
+    upper = (x[:, d:d + pairs] + 1j * x[:, d + pairs:]) * np.sqrt(0.5)
+    entries = np.concatenate([x[:, :d], upper, upper.conj()], axis=1)
+    return entries[:, _entry_order(d)].reshape(-1, d, d)
+
+
+def _hilbert_dim(d2: int) -> int:
+    """d for a superoperator of size d^2; ValueError for any other size."""
+    d = int(round(np.sqrt(d2)))
+    if d * d != d2:
+        raise ValueError(f"Liouvillian of size {d2} does not act on square matrices")
+    return d
+
+
+def real_form(lv: np.ndarray) -> np.ndarray:
+    """A column-stacking superoperator L in real Hermitian coordinates:
+    the real matrix U L U^dag (see the module docstring), which has the
+    singular values of L.
+
+    Raises ValueError unless L preserves Hermiticity, that is unless the
+    imaginary part of U L U^dag is within 1e-12 of its largest entry.
+    """
+    lv = np.asarray(lv, dtype=complex)
+    if lv.ndim != 2 or lv.shape[0] != lv.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {lv.shape}")
+    u = _hermitian_coordinates(_hilbert_dim(lv.shape[0]))
+    m = u @ lv @ u.conj().T
+    imag = np.max(np.abs(m.imag))
+    if imag > 1e-12 * np.max(np.abs(m)):
+        raise ValueError(f"superoperator does not preserve Hermiticity: its "
+                         f"real form has an imaginary part of {imag:.3e}")
+    return np.ascontiguousarray(m.real)
 
 
 # -----------------------------------------------------------------------------
@@ -129,13 +209,15 @@ class SolverError(RuntimeError):
 
 
 def steady_states(lvs, info: dict | None = None) -> list:
-    """Steady states of a stack of Liouvillians, from batched singular
-    values and one batched bordered linear solve.
+    """Steady states of a stack of Liouvillians in real Hermitian
+    coordinates (``real_form``), from batched singular values and one
+    batched bordered linear solve, all in real arithmetic.
 
-    ``lvs`` has shape (N, d^2, d^2). Each matrix gets its density matrix or
-    the SolverError it fails with, in input order. The singular values alone
-    (no singular vectors) decide whether a matrix has a one-dimensional null
-    space:
+    ``lvs`` is a real array of shape (N, d^2, d^2); a complex array raises
+    ValueError, since a column-stacking Liouvillian must first go through
+    ``real_form``. Each matrix gets its density matrix or the SolverError it
+    fails with, in input order. The singular values alone (no singular
+    vectors) decide whether a matrix has a one-dimensional null space:
 
     - with no singular value below 1e-10 of the largest, the smallest must
       sit GAP_FACTOR below the next, or there is no clear null space;
@@ -143,49 +225,59 @@ def steady_states(lvs, info: dict | None = None) -> list:
       threshold) is reported with its estimated dimension.
 
     For the matrices that pass, row 0 (the rho_00 equation, redundant by
-    trace preservation) is replaced by the trace functional vec(I)^T, and
-    M x = e_0 is solved for all of them in one batched solve. For a unit
-    null vector v this gives x = v / tr v = vec(rho) with tr rho = 1, so
+    trace preservation) is replaced by the trace row, s_max on the rho_jj
+    coordinates and 0 elsewhere, and M r = s_max e_0 is solved for all of
+    them in one batched solve. The row is scaled to the rest of M because a
+    unit row beside entries of size s_max lets the solve's rounding reach
+    tr rho: up to 1.3e-10, above TRACE_TOL, on lossless devices with
+    gamma_r = 4.4e8/s. For a unit null vector v this gives r = v / tr v,
+    the coordinates of rho with tr rho = 1, so
 
-    - a null vector of vanishing trace cannot be normalized: ||x|| > 1e14,
-      a non-finite x, or an exactly singular M;
-    - the residual ||L vec(rho)|| must stay below 1e-9 max(||L||, 1);
-    - rho must pass ``check_density_matrix``, whose message the error keeps.
+    - a null vector of vanishing trace cannot be normalized: ||r|| > 1e14,
+      a non-finite r, or an exactly singular M;
+    - the residual ||L r|| must stay below 1e-9 max(||L||, 1);
+    - rho, rebuilt from r and so Hermitian by construction, must pass
+      ``check_density_matrix``, whose message the error keeps.
 
     If ``info`` is a dict, ``info["null_gap"]`` is set to each matrix's
     s_{-2} / s_max, its second-smallest singular value over its largest: how
-    far the null space is from degenerate.
+    far the null space is from degenerate. ``info["residual"]`` is set to
+    each matrix's ||L r||, which is ||L vec(rho)|| for the column-stacking
+    L, or NaN where no normalized state was formed.
     """
-    lvs = np.asarray(lvs, dtype=complex)
+    lvs = np.asarray(lvs)
+    if np.iscomplexobj(lvs):
+        raise ValueError("steady_states takes real matrices in Hermitian "
+                         "coordinates; convert each column-stacking "
+                         "Liouvillian with real_form")
+    lvs = np.asarray(lvs, dtype=float)
     if lvs.ndim != 3 or lvs.shape[1] != lvs.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {lvs.shape}")
     n, d2 = lvs.shape[:2]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise ValueError(f"Liouvillian of size {d2} does not act on square matrices")
+    d = _hilbert_dim(d2)
     if n == 0:
         if info is not None:
             info["null_gap"] = np.zeros(0)
+            info["residual"] = np.zeros(0)
         return []
     svals = np.linalg.svd(lvs, compute_uv=False)
     scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
-    if info is not None:
-        info["null_gap"] = svals[:, -2] / scale
     null_dim = np.sum(svals < scale[:, None] * 1e-10, axis=1)
     no_gap = (null_dim == 0) & (svals[:, -1] * GAP_FACTOR > svals[:, -2])
     passed = ~no_gap & (null_dim <= 1)
     bordered = lvs[passed]
-    bordered[:, 0, :] = vec(np.eye(d))
-    x = np.zeros((n, d2), dtype=complex)
-    x[passed] = _solve_for_e0(bordered)
+    bordered[:, 0, :d] = scale[passed, None]
+    bordered[:, 0, d:] = 0.0
+    x = np.zeros((n, d2))
+    x[passed] = _solve_for_e0(bordered, scale[passed])
     normalizable = (passed & np.all(np.isfinite(x), axis=1)
                     & (np.linalg.norm(x, axis=1) <= 1e14))
     x[~normalizable] = 0.0
-    # vec is column stacking, so the C-order reshape of x is rho^T.
-    rho = x.reshape(n, d, d).transpose(0, 2, 1)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    resid = np.linalg.norm(lvs @ rho.transpose(0, 2, 1).reshape(n, d2, 1),
-                           axis=(1, 2))
+    rho = _from_hermitian_coordinates(x, d)
+    resid = np.linalg.norm(lvs @ x[:, :, None], axis=(1, 2))
+    if info is not None:
+        info["null_gap"] = svals[:, -2] / scale
+        info["residual"] = np.where(normalizable, resid, np.nan)
     # ||L||_F is the root sum of squares of the singular values.
     frobenius = np.sqrt(np.sum(svals ** 2, axis=1))
     too_large = (resid > 1e-9 * np.maximum(frobenius, 1.0)).tolist()
@@ -215,19 +307,19 @@ def steady_states(lvs, info: dict | None = None) -> list:
     return results
 
 
-def _solve_for_e0(ms: np.ndarray) -> np.ndarray:
-    """x with M x = e_0 for each M in a stack, in one batched solve; a row
-    of NaN for an exactly singular M.
+def _solve_for_e0(ms: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """x with M x = scale e_0 for each M and scale in a stack, in one
+    batched solve; a row of NaN for an exactly singular M.
 
     numpy fails the whole stack when one member is singular, so only then
     is each member solved on its own.
     """
-    rhs = np.zeros(ms.shape[:2] + (1,), dtype=complex)
-    rhs[:, 0] = 1.0
+    rhs = np.zeros(ms.shape[:2] + (1,))
+    rhs[:, 0, 0] = scale
     try:
         return np.linalg.solve(ms, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        x = np.full(ms.shape[:2], np.nan, dtype=complex)
+        x = np.full(ms.shape[:2], np.nan)
         for k, (m, b) in enumerate(zip(ms, rhs)):
             try:
                 x[k] = np.linalg.solve(m, b)[:, 0]
@@ -237,9 +329,9 @@ def _solve_for_e0(ms: np.ndarray) -> np.ndarray:
 
 
 def steady_state(lv: np.ndarray) -> np.ndarray:
-    """Steady state of one Liouvillian: ``steady_states`` on a stack of one,
-    raising its SolverError."""
-    result = steady_states(np.asarray(lv, dtype=complex)[None])[0]
+    """Steady state of one column-stacking Liouvillian: ``steady_states`` on
+    its ``real_form``, raising its SolverError."""
+    result = steady_states(real_form(lv)[None])[0]
     if isinstance(result, SolverError):
         raise result
     return result

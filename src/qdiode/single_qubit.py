@@ -22,7 +22,9 @@ transmission <a_out>/alpha has the closed form implemented in
 The detuning enters only through H, so the Liouvillian is affine in it:
 L(omega_q) = L(0) + omega_q DETUNING_SUPEROP, with DETUNING_SUPEROP the
 superoperator of -i[-sigma_z/2, .]. ``transmission_vs_detuning`` assembles
-L(0) once and solves every detuning of a grid in one stacked
+L(0) once, converts it to real Hermitian coordinates
+(``operators.real_form``; the real form of DETUNING_SUPEROP is built once,
+at import), and solves every detuning of a grid in one stacked
 ``steady_states`` call; ``transmission_numeric`` is its one-point case.
 """
 
@@ -40,11 +42,13 @@ from .operators import (
     SolverError,
     hamiltonian_superop,
     liouvillian_matrix,
+    real_form,
     steady_states,
 )
 
 # d L / d omega_q: the detuning enters only through H = -(omega_q/2) sigma_z.
 DETUNING_SUPEROP = hamiltonian_superop(-0.5 * SIGMA_Z)
+DETUNING_REAL = real_form(DETUNING_SUPEROP)
 
 
 @dataclass(frozen=True)
@@ -134,17 +138,19 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
     <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
     drive from the right only. The detuning enters only through
     H = -(Delta/2) sigma_z, so L(Delta) = L(0) + Delta DETUNING_SUPEROP:
-    the Liouvillian is assembled once, every point is solved in one
-    ``steady_states`` call (a batched singular-value check and one bordered
-    linear solve), and t is read out of the stack of states at once. Raises
+    the Liouvillian is assembled once and converted to real Hermitian
+    coordinates once, every point is solved in one ``steady_states`` call
+    (a batched singular-value check and one bordered linear solve, in real
+    arithmetic), and t is read out of the stack of states at once. Raises
     ValueError for an undriven emitter and the first failed point's
     SolverError.
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
-    lv0 = build_single_qubit_liouvillian(replace(q, omega_q=0.0), alpha, beta)
+    lv0 = real_form(build_single_qubit_liouvillian(replace(q, omega_q=0.0),
+                                                   alpha, beta))
     detunings = np.asarray(detunings, dtype=float)
-    states = steady_states(lv0 + detunings[:, None, None] * DETUNING_SUPEROP)
+    states = steady_states(lv0 + detunings[:, None, None] * DETUNING_REAL)
     a_out, b_out = single_qubit_output_ops(q, alpha, beta)
     port, amp = (a_out, alpha) if alpha != 0 else (b_out, beta)
     for rho in states:

@@ -5,12 +5,41 @@ stack, the right singular vector of the smallest singular value as vec(rho),
 normalized by its trace. Its per-matrix tests and messages are those of
 ``steady_states``, in the same order, so the two can be compared point by
 point: same verdict, same message, and states that agree to the accuracy a
-null vector allows.
+null vector allows. It works on column-stacking Liouvillians, which
+``hermitian_basis_change`` links to the real Hermitian coordinates
+``steady_states`` takes.
 """
 
 import numpy as np
 
-from qdiode.operators import GAP_FACTOR, SolverError, _density_matrix_problems
+from qdiode.operators import (
+    GAP_FACTOR,
+    SolverError,
+    _density_matrix_problems,
+    vec,
+)
+
+
+def hermitian_basis_change(d):
+    """V, whose columns are vec(B) for the orthonormal Hermitian basis of the
+    real coordinates, in their order: E_jj, then (E_jk + E_kj)/sqrt(2), then
+    i(E_jk - E_kj)/sqrt(2), each over j < k with k running fastest.
+
+    Built from that definition alone, element by element: a column-stacking
+    superoperator L has the real form V^dag L V, and a real-coordinate
+    matrix R is V R V^dag in column stacking.
+    """
+    def unit(j, k):
+        e = np.zeros((d, d), dtype=complex)
+        e[j, k] = 1.0
+        return e
+
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    basis = ([unit(j, j) for j in range(d)]
+             + [(unit(j, k) + unit(k, j)) / np.sqrt(2.0) for j, k in pairs]
+             + [1j * (unit(j, k) - unit(k, j)) / np.sqrt(2.0)
+                for j, k in pairs])
+    return np.array([vec(b) for b in basis]).T
 
 
 def svd_null_vector_states(lvs) -> list:

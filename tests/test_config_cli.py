@@ -539,10 +539,16 @@ class TestCliRuns:
         for name in columns:
             assert np.all(np.isnan(table[name][failed]))
             assert np.all(np.isfinite(table[name][:78]))
-        notes = json.loads((out / "run_manifest.json").read_text())["notes"]
-        assert notes == [f"p/gammabar = {p:.6g}: degenerate steady state: "
-                         "null space dimension 2"
-                         for p in np.geomspace(1e-3, 10.0, 100)[78:]]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["notes"] == [
+            f"p/gammabar = {p:.6g}: degenerate steady state: "
+            "null space dimension 2"
+            for p in np.geomspace(1e-3, 10.0, 100)[78:]]
+        # Every solved row has a null gap below 1e-8, and each residual stays
+        # below 1e-9 gamma_r, under the solver's bound of 1e-9 ||L||_F.
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["near_degenerate_rows"] == 78
+        assert 0.0 < diagnostics["max_residual"] < 1e-9 * 2 * np.pi * 70e6
 
     @pytest.mark.parametrize("delta, low, high", [
         # Lossless and nearly degenerate: accepted rows sit just above the
@@ -569,7 +575,9 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["diagnostics"] == {"min_null_gap": None}
+        assert manifest["diagnostics"] == {"min_null_gap": None,
+                                           "max_residual": None,
+                                           "near_degenerate_rows": 0}
 
     def test_sweep_power_reverse_only(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -8,13 +8,14 @@ bookkeeping is tested independently of any physics built on top of it.
 import ast
 import glob
 import os
+import warnings
 
 import numpy as np
 import pytest
 from device_strategies import PROPERTY
 from hypothesis import given
 from hypothesis import strategies as st
-from svd_reference import svd_null_vector_states
+from svd_reference import hermitian_basis_change, svd_null_vector_states
 
 from qdiode.operators import (
     SIGMA_MINUS,
@@ -28,6 +29,7 @@ from qdiode.operators import (
     hamiltonian_superop,
     kron,
     liouvillian_matrix,
+    real_form,
     steady_state,
     steady_states,
     unvec,
@@ -220,11 +222,42 @@ class TestSteadyState:
                                    atol=1e-10)
 
 
+def column_stacking(real_lvs):
+    """Real-coordinate superoperators V R V^dag in column stacking."""
+    v = hermitian_basis_change(int(round(np.sqrt(real_lvs.shape[-1]))))
+    return v @ real_lvs @ v.conj().T
+
+
 def annihilating(rho, seed):
-    """A generic Liouvillian-shaped matrix whose only null vector is vec(rho)."""
-    u = vec(rho) / np.linalg.norm(vec(rho))
-    projector = np.eye(u.size) - np.outer(u, u.conj())
-    return random_matrix(u.size, seed) @ projector
+    """A generic real matrix in Hermitian coordinates whose only null vector
+    holds the coordinates of rho."""
+    v = hermitian_basis_change(rho.shape[0])
+    u = (v.conj().T @ vec(rho)).real
+    u /= np.linalg.norm(u)
+    projector = np.eye(u.size) - np.outer(u, u)
+    return random_matrix(u.size, seed).real @ projector
+
+
+class TestRealForm:
+    """Column-stacking superoperators in real Hermitian coordinates."""
+
+    def test_matches_the_basis_definition(self):
+        lv = decaying_liouvillian()
+        v = hermitian_basis_change(2)
+        want = v.conj().T @ lv @ v
+        got = real_form(lv)
+        assert got.dtype == float
+        np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-15)
+        assert np.max(np.abs(want.imag)) <= 1e-15
+
+    def test_rejects_a_map_that_breaks_hermiticity(self):
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            real_form(random_matrix(16, 60))
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 3), (3, 3)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError):
+            real_form(np.zeros(shape))
 
 
 class TestSteadyStates:
@@ -241,29 +274,29 @@ class TestSteadyStates:
                          gamma_phi=0.01)
         lossy = DiodeConfig(q1, q2, 0.03)
         ideal = QubitParams(omega_q=0.0, gamma_r=1.0)
-        return [
-            build_diode_liouvillian(lossy, 0.3, 0.0),
+        return np.array([
+            real_form(build_diode_liouvillian(lossy, 0.3, 0.0)),
             # delta = 0, lossless: the dark state never decays.
-            build_diode_liouvillian(DiodeConfig(ideal, ideal, 0.0), 0.2, 0.0),
+            real_form(build_diode_liouvillian(DiodeConfig(ideal, ideal, 0.0),
+                                              0.2, 0.0)),
             # No null space at all.
-            random_matrix(16, 60),
-            build_diode_liouvillian(lossy, 0.0, 1.5),
+            random_matrix(16, 60).real,
+            real_form(build_diode_liouvillian(lossy, 0.0, 1.5)),
             annihilating(np.diag([1.0, -1.0, 0.0, 0.0]), 61),
             annihilating(np.diag([0.6, 0.5, 0.1, -0.2]), 62),
-            build_diode_liouvillian(lossy, 0.0, 0.0),
-        ]
+            real_form(build_diode_liouvillian(lossy, 0.0, 0.0)),
+        ])
 
     def test_matches_one_solve_per_matrix(self):
         stack = self.mixed_stack()
-        results = steady_states(np.array(stack))
+        results = steady_states(stack)
         kinds = []
         for lv, got in zip(stack, results):
-            try:
-                want = steady_state(lv)
-            except SolverError as exc:
+            want = steady_states(lv[None])[0]
+            if isinstance(want, SolverError):
                 assert isinstance(got, SolverError)
-                assert str(got) == str(exc)
-                kinds.append(str(exc).split(":")[0].split(" (")[0])
+                assert str(got) == str(want)
+                kinds.append(str(want).split(":")[0].split(" (")[0])
             else:
                 np.testing.assert_array_equal(got, want)
                 kinds.append("ok")
@@ -277,18 +310,21 @@ class TestSteadyStates:
         with pytest.raises(ValueError) as check:
             check_density_matrix(rho)
         assert str(check.value) == "negative eigenvalue -2.000e-01"
-        with pytest.raises(SolverError, match=str(check.value)):
-            steady_state(annihilating(rho, 62))
+        result = steady_states(annihilating(rho, 62)[None])[0]
+        assert isinstance(result, SolverError)
+        assert str(result) == ("steady state is not a density matrix: "
+                               + str(check.value))
 
     def test_solved_states_pass_the_density_matrix_check(self):
-        for got in steady_states(np.array(self.mixed_stack())):
+        for got in steady_states(self.mixed_stack()):
             if not isinstance(got, SolverError):
                 check_density_matrix(got)
+                np.testing.assert_array_equal(got, got.conj().T)
 
     def test_mixed_stack_matches_the_svd_reference(self):
-        stack = np.array(self.mixed_stack())
+        stack = self.mixed_stack()
         for got, want in zip(steady_states(stack),
-                             svd_null_vector_states(stack)):
+                             svd_null_vector_states(column_stacking(stack))):
             if isinstance(want, SolverError):
                 assert isinstance(got, SolverError)
                 assert str(got) == str(want)
@@ -296,11 +332,13 @@ class TestSteadyStates:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_singular_bordered_matrix_fails_alone(self):
-        # d = 2 and one null vector, vec(|1><0|), whose trace is zero: with
-        # row 0 replaced by vec(I)^T = (1, 0, 0, 1) the bordered matrix has
-        # a zero row, which numpy would raise on for the whole stack.
-        singular = -np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)
-        good = [decaying_liouvillian(), decaying_liouvillian(0.1, 0.5, 2.0)]
+        # d = 2 and one null vector, on the traceless sqrt(2) Re rho_01
+        # coordinate: with row 0 replaced by the trace row s_max (1, 1, 0, 0)
+        # the bordered matrix keeps L's zero row 2, which numpy would raise
+        # on for the whole stack.
+        singular = -np.diag([1.0, 1.0, 0.0, 1.0])
+        good = [real_form(decaying_liouvillian()),
+                real_form(decaying_liouvillian(0.1, 0.5, 2.0))]
         results = steady_states(np.array([good[0], singular, good[1]]))
         assert isinstance(results[1], SolverError)
         assert str(results[1]) == ("null vector has vanishing trace; "
@@ -309,23 +347,46 @@ class TestSteadyStates:
             np.testing.assert_array_equal(got, want)
 
     def test_info_reports_the_null_gap(self):
-        stack = np.array(self.mixed_stack())
+        stack = self.mixed_stack()
         info = {}
-        steady_states(stack, info)
+        results = steady_states(stack, info)
         svals = np.linalg.svd(stack, compute_uv=False)
         np.testing.assert_allclose(info["null_gap"],
                                    svals[:, -2] / svals[:, 0], rtol=1e-12)
+        for lv, rho, resid in zip(column_stacking(stack), results,
+                                  info["residual"]):
+            if isinstance(rho, SolverError):
+                continue
+            np.testing.assert_allclose(resid, np.linalg.norm(lv @ vec(rho)),
+                                       rtol=0, atol=1e-15)
+        # The vanishing-trace case forms no normalized state.
+        assert np.isnan(info["residual"][4])
 
     def test_empty_stack(self):
-        assert steady_states(np.zeros((0, 4, 4), dtype=complex)) == []
+        assert steady_states(np.zeros((0, 4, 4))) == []
         info = {}
-        steady_states(np.zeros((0, 4, 4), dtype=complex), info)
+        steady_states(np.zeros((0, 4, 4)), info)
         assert info["null_gap"].shape == (0,)
+        assert info["residual"].shape == (0,)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 3, 3)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
-            steady_states(np.zeros(shape, dtype=complex))
+            steady_states(np.zeros(shape))
+
+    def test_rejects_a_complex_stack_naming_real_form(self):
+        stack = np.array([decaying_liouvillian()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real_form"):
+                steady_states(stack)
+
+    def test_steady_state_takes_a_column_stacking_liouvillian(self):
+        lv = decaying_liouvillian()
+        rho = steady_state(lv)
+        np.testing.assert_array_equal(
+            rho, steady_states(real_form(lv)[None])[0])
+        assert np.linalg.norm(lv @ vec(rho)) < 1e-14
 
 
 class TestExpectation:

@@ -1,40 +1,56 @@
 """Properties of the stacked steady-state solver on drawn devices.
 
 ``operators.steady_states`` checks each Liouvillian's singular values and
-solves the bordered system (row 0 replaced by the trace functional) for
-vec(rho). These properties compare it with the SVD null-vector reference it
-replaced, and pin two physics invariants: every state it returns is a
-density matrix, and a symmetric lossless device at delta = 0, whose dark
-state never decays, has no unique steady state at any power.
+solves the bordered system (row 0 replaced by the trace row) for rho's real
+Hermitian coordinates. These properties compare it with the SVD null-vector
+reference it replaced, which works on the column-stacking Liouvillians, and
+pin two physics invariants: every state it returns is a density matrix, and
+a symmetric lossless device at delta = 0, whose dark state never decays, has
+no unique steady state at any power.
 """
 
 import numpy as np
 from device_strategies import PROPERTY, lossy_devices, powers_over_gbar, sides
 from hypothesis import given
 from hypothesis import strategies as st
-from svd_reference import svd_null_vector_states
+from svd_reference import hermitian_basis_change, svd_null_vector_states
 
-from qdiode.diode import DiodeConfig, _one_sided, _solve_side, power_sweep
-from qdiode.operators import SolverError, check_density_matrix, steady_states
-from qdiode.single_qubit import QubitParams
+from qdiode.diode import (
+    DiodeConfig,
+    _one_sided,
+    _solve_side,
+    build_diode_liouvillian,
+    dark_bright_rates,
+    optimal_tuning,
+    power_sweep,
+)
+from qdiode.operators import (
+    SolverError,
+    check_density_matrix,
+    real_form,
+    steady_states,
+)
+from qdiode.single_qubit import QubitParams, build_single_qubit_liouvillian
 
 power_lists = st.lists(powers_over_gbar, min_size=1, max_size=6)
 
 
-def side_stack(c, side, amps):
-    """The Liouvillians L0 + a L1 a sweep solves at amplitudes ``amps``."""
-    lv0, _ = _one_sided(c, side, 0.0)
-    lv1, _ = _one_sided(c, side, 1.0)
+def side_stack(c, side, amps, form=np.asarray):
+    """The Liouvillians L0 + a L1 a sweep solves at amplitudes ``amps``,
+    with L(0) and L(1) each passed through ``form`` first: column stacking
+    by default, the sweep's own real stack with ``form=real_form``."""
+    lv0 = form(_one_sided(c, side, 0.0)[0])
+    lv1 = form(_one_sided(c, side, 1.0)[0])
     return lv0 + amps[:, None, None] * (lv1 - lv0)
 
 
 @PROPERTY
 @given(lossy_devices(), power_lists, sides)
 def test_bordered_solve_matches_the_svd_reference(c, ps, side):
-    stack = side_stack(c, side, np.sqrt(np.sort(ps) * c.gamma_bar))
+    amps = np.sqrt(np.sort(ps) * c.gamma_bar)
     info = {}
-    got = steady_states(stack, info)
-    want = svd_null_vector_states(stack)
+    got = steady_states(side_stack(c, side, amps, real_form), info)
+    want = svd_null_vector_states(side_stack(c, side, amps))
     for rho, ref, gap in zip(got, want, info["null_gap"]):
         if isinstance(ref, SolverError):
             assert isinstance(rho, SolverError)
@@ -80,9 +96,77 @@ def test_power_sweep_reports_the_smallest_null_gap():
     info = {}
     rows = power_sweep(c, powers, info=info)
     assert all(r.error is None for r in rows)
-    gaps = []
+    gaps, resids = [], []
     for side in ("forward", "reverse"):
         side_info = {}
-        steady_states(side_stack(c, side, np.sqrt(powers)), side_info)
+        steady_states(side_stack(c, side, np.sqrt(powers), real_form),
+                      side_info)
         gaps.extend(side_info["null_gap"])
+        resids.extend(side_info["residual"])
     assert info["min_null_gap"] == min(gaps)
+    assert info["max_residual"] == max(resids)
+    assert info["near_degenerate_rows"] == 0
+
+
+drive_amplitudes = st.builds(
+    lambda p, phase: np.sqrt(p) * np.exp(1j * phase),
+    st.just(0.0) | powers_over_gbar, st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def single_qubit_devices(draw):
+    """A single emitter with gamma_r in [0.5, 2], a detuning within 5 gamma_r
+    and gamma_nr, gamma_phi in [0, 0.1] gamma_r."""
+    gr = draw(st.floats(0.5, 2.0))
+    return QubitParams(omega_q=draw(st.floats(-5.0, 5.0)) * gr, gamma_r=gr,
+                       gamma_nr=draw(st.floats(0.0, 0.1)) * gr,
+                       gamma_phi=draw(st.floats(0.0, 0.1)) * gr)
+
+
+@PROPERTY
+@given(lossy_devices() | single_qubit_devices(),
+       st.lists(st.tuples(drive_amplitudes, drive_amplitudes),
+                min_size=1, max_size=4))
+def test_real_form_keeps_every_liouvillian_and_its_steady_state(device,
+                                                                 drives):
+    build = (build_diode_liouvillian if isinstance(device, DiodeConfig)
+             else build_single_qubit_liouvillian)
+    scale = (device.gamma_bar if isinstance(device, DiodeConfig)
+             else device.gamma_r)
+    stack = np.array([build(device, alpha * np.sqrt(scale),
+                            beta * np.sqrt(scale))
+                      for alpha, beta in drives])
+    v = hermitian_basis_change(int(round(np.sqrt(stack.shape[-1]))))
+    direct = v.conj().T @ stack @ v
+    real = np.array([real_form(lv) for lv in stack])
+    for lv, d, r in zip(stack, direct, real):
+        largest = np.max(np.abs(d))
+        assert np.max(np.abs(d.imag)) <= 1e-12 * largest
+        np.testing.assert_allclose(r, d.real, rtol=0, atol=1e-12 * largest)
+        s_col = np.linalg.svd(lv, compute_uv=False)
+        s_real = np.linalg.svd(r, compute_uv=False)
+        assert np.max(np.abs(s_real - s_col)) <= 1e-13 * s_col[0]
+    for got, want in zip(steady_states(real), svd_null_vector_states(stack)):
+        if isinstance(want, SolverError):
+            assert isinstance(got, SolverError)
+            assert str(got) == str(want)
+        else:
+            assert not isinstance(got, SolverError), str(got)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_trace_row_keeps_the_trace_at_rates_of_order_1e8():
+    # The trace row is scaled by s_max, about 1.5e9/s here. A unit row
+    # beside entries of that size leaves tr rho off by up to 1.3e-10 on this
+    # scan, more than TRACE_TOL.
+    gamma = 2.0 * np.pi * 70e6
+    for delta in (1e-3, 1e-2, 0.03):
+        w1, w2 = optimal_tuning(delta, gamma)
+        c = DiodeConfig(QubitParams(omega_q=w1, gamma_r=gamma),
+                        QubitParams(omega_q=w2, gamma_r=gamma), delta)
+        gamma_d, _ = dark_bright_rates(delta, gamma, gamma)
+        amps = np.sqrt(np.geomspace(1e-3 * gamma_d, 10.0 * gamma, 60))
+        for side in ("forward", "reverse"):
+            for point in _solve_side(c, side, amps):
+                assert not isinstance(point, SolverError), str(point)
+                assert abs(np.trace(point[2]).real - 1.0) <= 1e-14
