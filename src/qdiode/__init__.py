@@ -12,14 +12,14 @@ and fits single-emitter scattering parameters from transmission scans.
 from .diode import (
     DiodeConfig,
     DiodeOperatingPoint,
+    DrivenState,
     SweepRow,
     dark_bright_rates,
     dark_state_population,
     diode_efficiency,
-    dispersive_phase,
+    driven_state,
     operating_point,
     optimal_tuning,
-    phase_from_frequency,
     power_sweep,
     transmission,
 )
@@ -60,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DiodeConfig",
     "DiodeOperatingPoint",
+    "DrivenState",
     "FitError",
     "FitReport",
     "IQRecord",
@@ -75,14 +76,13 @@ __all__ = [
     "dark_bright_rates",
     "dark_state_population",
     "diode_efficiency",
-    "dispersive_phase",
+    "driven_state",
     "expectation",
     "fit_lorentzian",
     "fit_single_qubit",
     "iq_variance",
     "operating_point",
     "optimal_tuning",
-    "phase_from_frequency",
     "power_sweep",
     "predicted_linewidth",
     "psd",

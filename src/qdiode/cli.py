@@ -20,12 +20,10 @@ import numpy as np
 
 from . import io
 from .config import MODES, ConfigError, RunConfig, load
-from .diode import (DiodeConfig, build_diode_liouvillian,
-                    dark_state_population, diode_output_ops, operating_point,
+from .diode import (DiodeConfig, SolverError, driven_state, operating_point,
                     optimal_tuning, power_sweep)
 from .fitting import FitError, fit_single_qubit
 from .mirror import variance_vs_power
-from .operators import SolverError, expectation, steady_state
 from .single_qubit import QubitParams, transmission_vs_detuning
 from .spectrum import (SpectrumError, fit_lorentzian, linewidth_estimate,
                        predicted_linewidth, psd)
@@ -67,17 +65,14 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
     alpha = p["alpha"] * math.sqrt(gamma_bar)
     beta = p["beta"] * math.sqrt(gamma_bar)
     if alpha != 0.0 or beta != 0.0:
-        rho = steady_state(build_diode_liouvillian(c, alpha, beta))
-        a_out, b_out = diode_output_ops(c, alpha, beta)
+        state = driven_state(c, alpha, beta)
         payload["general"] = {
             "alpha_over_sqrt_gammabar": p["alpha"],
             "beta_over_sqrt_gammabar": p["beta"],
-            "dark_population": dark_state_population(rho),
-            "flux_a_over_gammabar": float(
-                expectation(a_out.conj().T @ a_out, rho).real) / gamma_bar,
-            "flux_b_over_gammabar": float(
-                expectation(b_out.conj().T @ b_out, rho).real) / gamma_bar,
-            "populations": [float(rho[i, i].real) for i in range(4)],
+            "dark_population": state.dark_population,
+            "flux_a_over_gammabar": state.flux_a / gamma_bar,
+            "flux_b_over_gammabar": state.flux_b / gamma_bar,
+            "populations": list(state.populations),
         }
     else:
         power = p["p_over_gammabar"] * gamma_bar
@@ -198,8 +193,7 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str):
     else:
         c = _diode_config(p)
         op = operating_point(c, p["p_over_gammabar"] * c.gamma_bar)
-        p_fwd = min(max(op.dark_population_forward, 0.0), 1.0)
-        p_rev = min(max(op.dark_population_reverse, 0.0), 1.0)
+        p_fwd, p_rev = op.dark_probabilities
         notes.append(f"p_dark from diode steady state: fwd = {p_fwd:.6g}, "
                      f"rev = {p_rev:.6g}")
     powers = np.linspace(p["power_min"], p["power_max"], p["n_powers"])

@@ -187,7 +187,10 @@ def _mode_checks(mode: str, echo: dict) -> None:
     if mode == "mirror-mc":
         explicit = "p_dark_fwd" in echo or "p_dark_rev" in echo
         diode_keys = ("gamma_r1_hz", "gamma_r2_hz", "delta", "p_over_gammabar")
-        derived = any(k in echo for k in diode_keys)
+        # The loss rates are device keys that none requires; only a derived
+        # p_dark reads them, so beside an explicit one they would be dropped.
+        loss_keys = ("gamma_nr_hz", "gamma_phi_hz")
+        derived = any(k in echo for k in diode_keys + loss_keys)
         if explicit and derived:
             raise ConfigError("mirror-mc: give either explicit p_dark_fwd/"
                               "p_dark_rev or diode parameters, not both")

@@ -36,7 +36,9 @@ L1 = L(1) - L0, and the transmitted-port operator is affine in a as well.
 once per side and convert the two to real Hermitian coordinates
 (``operators.real_form``). They solve the real stack L0 + a L1 over all
 their amplitudes in one ``steady_states`` call, and read t and the dark
-population of every solved point out of the stack at once.
+population of every solved point out of the stack at once. A general drive
+from both sides has no such one-amplitude form: ``driven_state`` assembles
+and solves its one Liouvillian.
 """
 
 from __future__ import annotations
@@ -53,14 +55,15 @@ from .operators import (
     SolverError,
     embed_qubit1,
     embed_qubit2,
+    expectation,
     liouvillian_matrix,
     real_form,
+    steady_state,
     steady_states,
 )
 from .single_qubit import QubitParams
 
 PI = np.pi
-SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by SI definition
 # A solved side whose null gap s_{-2}/s_max is below this is near the
 # solver's 1e-10 degeneracy threshold, and its state has few correct digits.
 NEAR_DEGENERATE_GAP = 1e-8
@@ -72,7 +75,6 @@ SIGMA_Z_2 = embed_qubit2(SIGMA_Z)
 
 # |+> = (|ge> + |eg>)/sqrt(2) in the basis |gg>, |ge>, |eg>, |ee>
 DARK_STATE = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-BRIGHT_STATE = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -111,28 +113,31 @@ class DiodeOperatingPoint:
     dark_population_forward: float
     dark_population_reverse: float
 
+    @property
+    def dark_probabilities(self) -> tuple[float, float]:
+        """The (forward, reverse) dark populations clipped to [0, 1]: the
+        blinking mirror's occupation probabilities, free of the solver's
+        rounding outside that range."""
+        return (min(max(self.dark_population_forward, 0.0), 1.0),
+                min(max(self.dark_population_reverse, 0.0), 1.0))
+
+
+@dataclass(frozen=True)
+class DrivenState:
+    """Steady state under a general drive from both sides: the output
+    fluxes <a_out^dag a_out> and <b_out^dag b_out> in photons/s, and the
+    populations of |gg>, |ge>, |eg>, |ee>."""
+
+    rho: np.ndarray
+    dark_population: float
+    flux_a: float
+    flux_b: float
+    populations: tuple[float, float, float, float]
+
 
 # -----------------------------------------------------------------------------
 #                       Phase and rate bookkeeping
 # -----------------------------------------------------------------------------
-
-def phase_from_frequency(omega_d: float, omega_pi: float) -> tuple[float, float]:
-    """Propagation phase phi = pi omega_d/omega_pi and its offset delta = pi - phi."""
-    if omega_d <= 0 or omega_pi <= 0:
-        raise ValueError("frequencies must be positive")
-    phi = PI * omega_d / omega_pi
-    return phi, PI - phi
-
-
-def dispersive_phase(f: float, f_c: float, d: float) -> float:
-    """TE10 rectangular-waveguide propagation phase at frequency f over length d.
-
-    phi = (2 pi f d / c) sqrt(1 - (f_c/f)^2); raises below the cutoff f_c.
-    """
-    if f <= f_c:
-        raise ValueError(f"frequency {f} Hz is at or below the cutoff {f_c} Hz")
-    return (2.0 * PI * f * d / SPEED_OF_LIGHT) * np.sqrt(1.0 - (f_c / f) ** 2)
-
 
 def optimal_tuning(delta: float, gamma_bar: float) -> tuple[float, float]:
     """Qubit detunings from the drive that compensate the phase asymmetry at
@@ -300,6 +305,20 @@ def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
         efficiency=diode_efficiency(t_f, t_r),
         rho_ss_forward=rho_f, rho_ss_reverse=rho_r,
         dark_population_forward=dark_f, dark_population_reverse=dark_r)
+
+
+def driven_state(c: DiodeConfig, alpha: complex,
+                 beta: complex) -> DrivenState:
+    """Solve the device under complex amplitudes alpha (from the left) and
+    beta (from the right) at once; raises SolverError if the steady state
+    is not unique."""
+    rho = steady_state(build_diode_liouvillian(c, alpha, beta))
+    a_out, b_out = diode_output_ops(c, alpha, beta)
+    return DrivenState(
+        rho=rho, dark_population=dark_state_population(rho),
+        flux_a=float(expectation(a_out.conj().T @ a_out, rho).real),
+        flux_b=float(expectation(b_out.conj().T @ b_out, rho).real),
+        populations=tuple(float(rho[i, i].real) for i in range(4)))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """File formats: result CSVs, spectrum sidecars, and the run manifest.
 
 External files use Hz for every frequency-like quantity; conversion to and
-from internal angular units happens in the writers and readers here. Every
+from internal angular units happens in the writers and the reader here. Every
 CSV writer hands whole columns to one helper, ``_write_columns``: a column is
 scaled once as an array (``/ TWO_PI``, ``* TWO_PI``), turned into Python
 floats with ``tolist()`` and written as repr(), the shortest round-trip
 form, so a rerun with identical inputs produces byte-identical data files.
-The readers parse every cell with float() and name the file and line of a
-cell or row they cannot read. The manifest is the one file allowed to differ
+The one reader, ``read_transmission_csv`` (the ``fit`` input), parses its
+table with ``_read_table``: every cell with float(), naming the file and line
+of a cell or row it cannot read. The manifest is the one file allowed to differ
 between reruns (it records wall time).
 """
 
@@ -171,14 +172,6 @@ def write_spectrum_csv(path: str, s: SpectrumResult,
     return sidecar_path
 
 
-def read_spectrum_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (freq offsets rad/s, psd photons/s per rad/s)."""
-    header, body, _ = _read_table(path)
-    if [h.strip() for h in header] != ["freq_offset_hz", "psd"]:
-        raise ValueError(f"{path}: not a spectrum file")
-    return body[:, 0] * TWO_PI, body[:, 1] / TWO_PI
-
-
 # -----------------------------------------------------------------------------
 #                          Mirror Monte Carlo
 # -----------------------------------------------------------------------------
@@ -193,18 +186,6 @@ def write_mirror_csv(path: str, rows: Sequence[MirrorSweepRow],
     columns = [[getattr(r, name) for r in rows] for name in MIRROR_COLUMNS]
     _write_columns(path, MIRROR_COLUMNS, columns,
                    preamble=f"# seed = {seed}\n")
-
-
-def read_mirror_csv(path: str) -> tuple[int, list[dict]]:
-    """Returns (seed, rows as column dicts)."""
-    header, body, comments = _read_table(path)
-    if header != MIRROR_COLUMNS:
-        raise ValueError(f"{path}: not a mirror sweep file")
-    seed = -1
-    for line in comments:
-        if "seed" in line:
-            seed = int(line.split("=")[1])
-    return seed, [dict(zip(MIRROR_COLUMNS, r)) for r in body.tolist()]
 
 
 # -----------------------------------------------------------------------------

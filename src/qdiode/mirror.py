@@ -17,13 +17,13 @@ All randomness flows through counter-based Philox streams so results are
 reproducible bit for bit from the seed.
 
 ``simulate_mirror`` returns a record's samples and is the sample-level
-reference. The sweeps (``sweep_row``, ``variance_vs_power``) never build a
-record: they draw each record into a reused float64 buffer and compute its
-two variances there, in the same stream order and with the same pairwise sums
-as ``iq_variance(simulate_mirror(m))``, whose values they equal bit for bit.
+reference. The sweep, ``variance_vs_power``, never builds a record: it draws
+each record into a reused float64 buffer and computes its two variances
+there, in the same stream order and with the same pairwise sums as
+``iq_variance(simulate_mirror(m))``, whose values it equals bit for bit.
 
 The records of a sweep are independent, and most of a record's time goes to
-numpy fills that release the interpreter lock, so the sweeps compute them on
+numpy fills that release the interpreter lock, so the sweep computes them on
 worker threads: one per CPU the process may run on, capped at the number of
 records and at a scratch-memory budget, each with its own buffer, each taking
 every k-th record. Each worker binds itself to its own CPU: where the
@@ -42,8 +42,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_SAMPLE_RATE = 100e6   # Hz, metadata attached to sample records
 
 
 @dataclass(frozen=True)
@@ -78,11 +76,10 @@ class MirrorModel:
 
 @dataclass(frozen=True)
 class IQRecord:
-    """Demodulated quadrature samples; sample_rate is bookkeeping only."""
+    """Demodulated in-phase and out-of-phase quadrature samples."""
 
     i_samples: np.ndarray
     q_samples: np.ndarray
-    sample_rate: float = DEFAULT_SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -245,21 +242,35 @@ def analytic_iq_variance(p_dark: float, alpha: complex,
             np.imag(alpha) ** 2 * bernoulli + sigma_w ** 2)
 
 
-def spawn_seeds(seed: int, n: int) -> list[int]:
+def _spawn_seeds(seed: int, n: int) -> list[int]:
     """n independent integer child seeds derived from one master seed."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def _sweep(powers, p_dark_fwd: float, p_dark_rev: float, sigma_w: float,
-           n_samples: int, seeds: list[int],
-           dwell_samples: float) -> list[MirrorSweepRow]:
-    """Rows over powers; seeds holds the (forward, reverse) pair of each."""
+def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
+                      sigma_w: float, seed: int, n_samples: int = 2 ** 18,
+                      dwell_samples: float = 0.0) -> list[MirrorSweepRow]:
+    """Quadrature-variance sweep over drive power for both drive directions.
+
+    The field amplitude scales as alpha = sqrt(power); each (power, direction)
+    pair gets an independent child stream spawned from the seed. The streams
+    of the k-th power depend only on the seed and k, so a row depends on its
+    own power and place alone, not on the other powers or on evaluation
+    order. The powers and every record's model are checked before any record
+    is drawn. The 2 * len(powers) records are then shared out among worker
+    threads, one per allowed CPU and each bound to its CPU, or computed
+    inline by one (see the module docstring). Each worker draws its records
+    into one float64 buffer and computes their variances there in place; the
+    rows equal those rebuilt from ``simulate_mirror`` and ``iq_variance``,
+    the sample-level reference, bit for bit, whatever the number of CPUs.
+    """
     powers = np.asarray(powers, dtype=float)
     if not np.all(np.isfinite(powers)):
         raise ValueError("powers must be finite")
     if np.any(powers < 0):
         raise ValueError("powers must be nonnegative")
+    seeds = _spawn_seeds(seed, 2 * powers.size)
     alphas = [np.sqrt(p) for p in powers]
     models = [MirrorModel(p_dark=p_dark, alpha=alpha, sigma_w=sigma_w,
                           n_samples=n_samples, seed=seeds[2 * k + side],
@@ -276,32 +287,3 @@ def _sweep(powers, p_dark_fwd: float, p_dark_rev: float, sigma_w: float,
                                                         sigma_w)[0])
             for p, alpha, (vi_f, vq_f), (vi_r, vq_r)
             in zip(powers, alphas, variances[0::2], variances[1::2])]
-
-
-def sweep_row(power: float, p_dark_fwd: float, p_dark_rev: float,
-              sigma_w: float, n_samples: int, seed_fwd: int, seed_rev: int,
-              dwell_samples: float = 0.0) -> MirrorSweepRow:
-    """One power point of the variance sweep, with explicit per-direction seeds."""
-    return _sweep([power], p_dark_fwd, p_dark_rev, sigma_w, n_samples,
-                  [seed_fwd, seed_rev], dwell_samples)[0]
-
-
-def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
-                      sigma_w: float, seed: int, n_samples: int = 2 ** 18,
-                      dwell_samples: float = 0.0) -> list[MirrorSweepRow]:
-    """Quadrature-variance sweep over drive power for both drive directions.
-
-    The field amplitude scales as alpha = sqrt(power); each (power, direction)
-    pair gets an independent child stream spawned from the seed, so per-point
-    results do not depend on evaluation order. The powers and every record's
-    model are checked before any record is drawn. The 2 * len(powers) records
-    are then shared out among worker threads, one per allowed CPU and each
-    bound to its CPU, or computed inline by one (see the module docstring).
-    Each worker draws its records into one float64 buffer and computes their
-    variances there in place; the rows equal those rebuilt from
-    ``simulate_mirror`` and ``iq_variance``, the sample-level reference, bit
-    for bit, whatever the number of CPUs.
-    """
-    powers = np.asarray(powers, dtype=float)
-    return _sweep(powers, p_dark_fwd, p_dark_rev, sigma_w, n_samples,
-                  spawn_seeds(seed, 2 * powers.size), dwell_samples)

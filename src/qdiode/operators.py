@@ -56,10 +56,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def embed_qubit1(op: np.ndarray) -> np.ndarray:
     """Lift a single-qubit operator onto qubit 1 of the two-qubit space."""
     return kron(op, IDENTITY_2)
@@ -153,16 +149,6 @@ def real_form(lv: np.ndarray) -> np.ndarray:
 # -----------------------------------------------------------------------------
 #                     Master equation building blocks
 # -----------------------------------------------------------------------------
-
-def dissipator_apply(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[X] rho = X rho X^dag - (X^dag X rho + rho X^dag X)/2."""
-    x = np.asarray(x, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if x.shape != rho.shape or x.shape[0] != x.shape[1]:
-        raise ValueError(f"dimension mismatch: operator {x.shape} vs state {rho.shape}")
-    xdx = x.conj().T @ x
-    return x @ rho @ x.conj().T - 0.5 * (xdx @ rho + rho @ xdx)
-
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Superoperator of -i[H, .] in column-stacking convention."""

@@ -36,6 +36,28 @@ DELTA = float(np.sqrt(1e-3))
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def read_spectrum_csv(path):
+    """Inverse of io.write_spectrum_csv's table, through the shipped
+    parser: (freq offsets rad/s, psd photons/s per rad/s)."""
+    header, body, _ = io._read_table(path)
+    if [h.strip() for h in header] != ["freq_offset_hz", "psd"]:
+        raise ValueError(f"{path}: not a spectrum file")
+    return body[:, 0] * TWO_PI, body[:, 1] / TWO_PI
+
+
+def read_mirror_csv(path):
+    """Inverse of io.write_mirror_csv, through the shipped parser: (seed,
+    rows as column dicts)."""
+    header, body, comments = io._read_table(path)
+    if header != io.MIRROR_COLUMNS:
+        raise ValueError(f"{path}: not a mirror sweep file")
+    seed = -1
+    for line in comments:
+        if "seed" in line:
+            seed = int(line.split("=")[1])
+    return seed, [dict(zip(io.MIRROR_COLUMNS, r)) for r in body.tolist()]
+
+
 def _benchmark_jobs_module():
     spec = importlib.util.spec_from_file_location(
         "benchmark_jobs", os.path.join(REPO, "perfbench", "jobs.py"))
@@ -209,10 +231,15 @@ class TestUnits:
 class TestMirrorConfig:
     BASE = {"sigma_w": 0.05, "power_min": 0.5, "power_max": 2.0, "n_powers": 3}
 
-    def test_explicit_and_derived_exclusive(self):
-        raw = dict(self.BASE, p_dark_fwd=0.6, p_dark_rev=0.05,
-                   gamma_r1_hz=70e6, gamma_r2_hz=70e6, delta=DELTA,
-                   p_over_gammabar=0.05)
+    @pytest.mark.parametrize("device", [
+        dict(gamma_r1_hz=70e6, gamma_r2_hz=70e6, delta=DELTA,
+             p_over_gammabar=0.05),
+        # Only a derived p_dark reads the loss rates.
+        dict(gamma_nr_hz=2e5), dict(gamma_phi_hz=2e5),
+        dict(gamma_nr_hz=2e5, gamma_phi_hz=2e5),
+    ], ids=["device", "gamma_nr", "gamma_phi", "both_losses"])
+    def test_explicit_and_derived_exclusive(self, device):
+        raw = dict(self.BASE, p_dark_fwd=0.6, p_dark_rev=0.05, **device)
         with pytest.raises(ConfigError, match="not both"):
             validate("mirror-mc", raw)
 
@@ -314,7 +341,7 @@ class TestFileRoundTrips:
             LorentzianFit(center=0.1, fwhm=2.0, area=1.5, peak_height=0.9,
                           offset=0.0, residual_norm=1e-3))
         sidecar = io.write_spectrum_csv(path, s)
-        w2, p2 = io.read_spectrum_csv(path)
+        w2, p2 = read_spectrum_csv(path)
         np.testing.assert_array_equal(w2, w)
         np.testing.assert_array_equal(p2, s.inelastic_psd)
         with open(sidecar, encoding="utf-8") as fh:
@@ -330,14 +357,14 @@ class TestFileRoundTrips:
                                var_i_fwd_analytic=0.21,
                                var_i_rev_analytic=0.05)]
         io.write_mirror_csv(path, rows, seed=99)
-        seed, parsed = io.read_mirror_csv(path)
+        seed, parsed = read_mirror_csv(path)
         assert seed == 99
         assert parsed[0]["var_i_fwd"] == 0.2
 
     @pytest.mark.parametrize("reader, text", [
         (io.read_transmission_csv, "delta_omega_hz,t_abs\n1.0,0.5\n2.0\n"),
-        (io.read_spectrum_csv, "freq_offset_hz,psd\n1.0,0.5\n2.0,0.1,7\n"),
-        (io.read_mirror_csv, "# seed = 3\n" + ",".join(io.MIRROR_COLUMNS)
+        (read_spectrum_csv, "freq_offset_hz,psd\n1.0,0.5\n2.0,0.1,7\n"),
+        (read_mirror_csv, "# seed = 3\n" + ",".join(io.MIRROR_COLUMNS)
          + "\n1.0,0.2,0.05\n"),
     ], ids=["transmission", "spectrum", "mirror"])
     def test_ragged_row_rejected(self, tmp_path, reader, text):
@@ -350,8 +377,8 @@ class TestFileRoundTrips:
         (io.read_transmission_csv, "delta_omega_hz,t_abs\n1.0,0.5\n1.0,abc\n"),
         (io.read_transmission_csv,
          "delta_omega_hz,t_real,t_imag\n1.0,0.5,0.1\n2.0,0.5,abc\n"),
-        (io.read_spectrum_csv, "freq_offset_hz,psd\n1.0,0.5\nabc,0.1\n"),
-        (io.read_mirror_csv, "# seed = 3\n" + ",".join(io.MIRROR_COLUMNS)
+        (read_spectrum_csv, "freq_offset_hz,psd\n1.0,0.5\nabc,0.1\n"),
+        (read_mirror_csv, "# seed = 3\n" + ",".join(io.MIRROR_COLUMNS)
          + "\n" + ",".join(["1.0"] * 7) + "\n" + ",".join(["abc"] * 7)
          + "\n"),
     ], ids=["magnitude", "complex", "spectrum", "mirror"])
@@ -690,7 +717,7 @@ class TestCliRuns:
             span_linewidths=10.0))
         out = tmp_path / "out"
         assert run(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        w, p = io.read_spectrum_csv(str(out / "spectrum.csv"))
+        w, p = read_spectrum_csv(str(out / "spectrum.csv"))
         assert w.size == 65
         assert np.all(p >= 0.0)
         meta = json.loads((out / "spectrum.json").read_text())
@@ -715,7 +742,7 @@ class TestCliRuns:
                            shallow=False)
         assert not filecmp.cmp(out1 / "mirror_sweep.csv",
                                out3 / "mirror_sweep.csv", shallow=False)
-        seed, rows = io.read_mirror_csv(str(out1 / "mirror_sweep.csv"))
+        seed, rows = read_mirror_csv(str(out1 / "mirror_sweep.csv"))
         assert seed == 5
         assert len(rows) == 3
 
@@ -729,7 +756,7 @@ class TestCliRuns:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert any("p_dark from diode steady state" in n
                    for n in manifest["notes"])
-        _, rows = io.read_mirror_csv(str(out / "mirror_sweep.csv"))
+        _, rows = read_mirror_csv(str(out / "mirror_sweep.csv"))
         assert rows[-1]["var_i_fwd"] > rows[-1]["var_i_rev"]
 
     def test_console_script_smoke(self, tmp_path):
@@ -809,6 +836,30 @@ class TestCliRuns:
                     continue
                 found += [f"{os.path.basename(path)}:{node.lineno} {n}"
                           for n in names if n.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_cli_leaves_the_model_to_the_library(self):
+        # The runners convert units and write files; assembling a master
+        # equation or its output operators belongs to the library.
+        path = os.path.join(REPO, "src", "qdiode", "cli.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        model = {"build_diode_liouvillian", "diode_output_ops"}
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if module in (".operators", "qdiode.operators"):
+                    found.append(f"{node.lineno} from {module}")
+                found += [f"{node.lineno} {a.name}" for a in node.names
+                          if a.name == "operators" or a.name in model]
+            elif isinstance(node, ast.Import):
+                found += [f"{node.lineno} {a.name}" for a in node.names
+                          if a.name == "qdiode.operators"]
+            elif isinstance(node, ast.Name) and node.id in model:
+                found.append(f"{node.lineno} {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in model:
+                found.append(f"{node.lineno} {node.attr}")
         assert found == []
 
 

@@ -6,14 +6,15 @@ undriven Liouvillian, flux conservation from output-operator expectation
 values, and the single-emitter limit from the closed-form scattering result.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from device_strategies import PROPERTY
+from device_strategies import PROPERTY, lossy_devices, powers_over_gbar
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qdiode.diode import (
-    BRIGHT_STATE,
     DARK_STATE,
     DiodeConfig,
     build_diode_liouvillian,
@@ -21,10 +22,9 @@ from qdiode.diode import (
     dark_state_population,
     diode_efficiency,
     diode_output_ops,
-    dispersive_phase,
+    driven_state,
     operating_point,
     optimal_tuning,
-    phase_from_frequency,
     power_sweep,
     transmission,
 )
@@ -44,6 +44,8 @@ from qdiode.single_qubit import (
 
 GAMMA = 2.0 * np.pi * 70e6
 DELTA = np.sqrt(1e-3)
+# |-> = (|ge> - |eg>)/sqrt(2), the superradiant partner of DARK_STATE
+BRIGHT_STATE = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 def ideal_diode(delta=DELTA, gamma_nr=0.0, gamma_phi=0.0, gamma2_scale=1.0):
@@ -85,24 +87,6 @@ class TestConfigAndHelpers:
     def test_large_delta_warns(self):
         with pytest.warns(UserWarning):
             dark_bright_rates(1.5, 1.0, 1.0)
-
-    def test_phase_from_frequency(self):
-        phi, delta = phase_from_frequency(0.75, 1.0)
-        np.testing.assert_allclose(phi, 0.75 * np.pi)
-        np.testing.assert_allclose(delta, 0.25 * np.pi)
-        with pytest.raises(ValueError):
-            phase_from_frequency(1.0, -2.0)
-
-    def test_dispersive_phase_closed_form(self):
-        from scipy.constants import c as c_light
-        f, f_c, dist = 8.8e9, 6.5e9, 0.25
-        expected = (2.0 * np.pi * f * dist / c_light
-                    * np.sqrt(1.0 - (f_c / f) ** 2))
-        np.testing.assert_allclose(dispersive_phase(f, f_c, dist), expected)
-
-    def test_dispersive_phase_below_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            dispersive_phase(6.0e9, 6.5e9, 0.25)
 
     def test_dark_population_projector(self):
         rho_d = np.outer(DARK_STATE, DARK_STATE.conj())
@@ -264,6 +248,54 @@ class TestTransmission:
         assert abs(op.t_forward) > 10.0 * abs(op.t_reverse)
         assert op.dark_population_forward > 0.5
         assert op.dark_population_reverse < 0.05
+
+    def test_dark_probabilities_are_clipped_populations(self):
+        op = operating_point(ideal_diode(), 0.05 * GAMMA)
+        assert op.dark_probabilities == (op.dark_population_forward,
+                                         op.dark_population_reverse)
+        rounded = dataclasses.replace(op, dark_population_forward=1.0 + 2e-16,
+                                      dark_population_reverse=-3e-17)
+        assert rounded.dark_probabilities == (1.0, 0.0)
+
+
+def drive(power_over_gbar, phase, gbar):
+    return np.sqrt(power_over_gbar * gbar) * np.exp(1j * phase)
+
+
+@PROPERTY
+@given(lossy_devices(), powers_over_gbar, st.just(0.0) | powers_over_gbar,
+       st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.booleans())
+def test_flux_is_conserved_net_of_loss(c, p_a, p_b, phase_a, phase_b, swap):
+    """Photons in = photons out + photons lost at gamma_nr from each excited
+    emitter (the cascaded master equation of Gardiner, PRL 70, 2269 (1993));
+    dephasing moves no population, so it loses no photons."""
+    alpha, beta = drive(p_a, phase_a, c.gamma_bar), drive(p_b, phase_b,
+                                                         c.gamma_bar)
+    if swap:
+        alpha, beta = beta, alpha
+    s = driven_state(c, alpha, beta)
+    gg, ge, eg, ee = s.populations
+    lost = c.q1.gamma_nr * (eg + ee) + c.q2.gamma_nr * (ge + ee)
+    photons_in = abs(alpha) ** 2 + abs(beta) ** 2
+    assert abs(s.flux_a + s.flux_b + lost - photons_in) <= 1e-12 * photons_in
+
+
+@PROPERTY
+@given(lossy_devices(), st.floats(2.0, 4.0), powers_over_gbar)
+def test_far_detuned_second_emitter_leaves_the_first_alone(c, log_detuning,
+                                                            p):
+    """With qubit 2 detuned by Delta_2 >> gamma, the forward transmission is
+    qubit 1's closed form times the propagation phase, up to O(gamma /
+    Delta_2). gamma_phi is 0: the two models disagree on the dephasing
+    convention (see test_isolated_emitter_coherence_decays_at_gamma_2)."""
+    detuning = 10.0 ** log_detuning * c.gamma_bar
+    q1 = dataclasses.replace(c.q1, gamma_phi=0.0)
+    q2 = dataclasses.replace(c.q2, gamma_phi=0.0, omega_q=detuning)
+    far = DiodeConfig(q1, q2, c.delta)
+    power = p * c.gamma_bar
+    t_two = transmission(far, "forward", power) / far.phase
+    t_one = transmission_analytic(q1, q1.omega_q, np.sqrt(power))
+    assert abs(t_two - t_one) <= max(q1.gamma_r, q2.gamma_r) / detuning
 
 
 class TestDarkStateTrapping:

@@ -5,9 +5,9 @@ sampled variances must sit within three standard errors of it, with the
 standard error computed from the exact fourth central moment rather than
 from the samples themselves.
 
-The sweeps never build a sample record: they compute each record's variances
+The sweep never builds a sample record: it computes each record's variances
 in a reused buffer, on worker threads bound to the allowed CPUs.
-``iq_variance(simulate_mirror(m))`` is the reference they must equal bit for
+``iq_variance(simulate_mirror(m))`` is the reference it must equal bit for
 bit, and the rows must not depend on the CPUs the process may use.
 """
 
@@ -27,11 +27,10 @@ from qdiode.mirror import (
     IQRecord,
     MirrorModel,
     _record_variances,
+    _spawn_seeds,
     analytic_iq_variance,
     iq_variance,
     simulate_mirror,
-    spawn_seeds,
-    sweep_row,
     variance_vs_power,
 )
 
@@ -72,10 +71,10 @@ class TestDeterminism:
         assert r.q_samples.size == 317
 
     def test_spawned_seeds_distinct_and_reproducible(self):
-        seeds = spawn_seeds(123, 16)
+        seeds = _spawn_seeds(123, 16)
         assert len(set(seeds)) == 16
-        assert seeds == spawn_seeds(123, 16)
-        assert seeds != spawn_seeds(124, 16)
+        assert seeds == _spawn_seeds(123, 16)
+        assert seeds != _spawn_seeds(124, 16)
 
 
 class TestTrivialLimits:
@@ -206,14 +205,14 @@ class TestVarianceVsPower:
                 analytic_iq_variance(0.5, np.sqrt(r.power), 0.2)[0])
 
     def test_sweep_is_order_independent(self):
-        # Child streams are spawned per point, so a single matching point
-        # computed via sweep_row with the same child seeds reproduces the
+        # Child streams are spawned per point, so the point at 3.0 computed
+        # beside another power, with the same child seeds, reproduces the
         # sweep's row exactly.
         powers = [1.0, 3.0]
         rows = variance_vs_power(0.4, 0.1, powers, sigma_w=0.1, seed=88,
                                  n_samples=4096)
-        seeds = spawn_seeds(88, 4)
-        alone = sweep_row(3.0, 0.4, 0.1, 0.1, 4096, seeds[2], seeds[3])
+        alone = variance_vs_power(0.4, 0.1, [0.0, 3.0], sigma_w=0.1, seed=88,
+                                  n_samples=4096)[1]
         np.testing.assert_array_equal(rows[1].var_i_fwd, alone.var_i_fwd)
         np.testing.assert_array_equal(rows[1].var_i_rev, alone.var_i_rev)
 
@@ -227,7 +226,8 @@ class TestVarianceVsPower:
         (np.nan, "powers must be finite"), (np.inf, "powers must be finite")])
     def test_sweep_row_checks_its_power(self, power, message):
         with pytest.raises(ValueError, match=message):
-            sweep_row(power, 0.5, 0.1, 0.1, 100, 1, 2)
+            variance_vs_power(0.5, 0.1, [power], sigma_w=0.1, seed=1,
+                              n_samples=100)
 
 
 class TestValidation:
@@ -302,7 +302,8 @@ class TestRecordVariances:
         with pytest.raises(ValueError, match="two samples"):
             in_place_variances(m)
         with pytest.raises(ValueError, match="two samples"):
-            sweep_row(1.0, 0.5, 0.1, 0.1, 1, 1, 2)
+            variance_vs_power(0.5, 0.1, [1.0], sigma_w=0.1, seed=1,
+                              n_samples=1)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(p_dark=st.floats(0.0, 1.0),
@@ -326,7 +327,7 @@ class TestRecordVariances:
         powers = [0.0, 0.25, 1.0, 2.5]
         rows = variance_vs_power(p_fwd, p_rev, powers, sigma_w=sw, seed=seed,
                                  n_samples=n, dwell_samples=dwell)
-        seeds = spawn_seeds(seed, 2 * len(powers))
+        seeds = _spawn_seeds(seed, 2 * len(powers))
         for k, (p, row) in enumerate(zip(powers, rows)):
             fwd, rev = (reference_variances(MirrorModel(
                 p_dark=pd, alpha=np.sqrt(p), sigma_w=sw, n_samples=n,
@@ -336,8 +337,10 @@ class TestRecordVariances:
             assert row.power == p
             assert (row.var_i_fwd, row.var_q_fwd) == fwd
             assert (row.var_i_rev, row.var_q_rev) == rev
-            assert sweep_row(p, p_fwd, p_rev, sw, n, seeds[2 * k],
-                             seeds[2 * k + 1], dwell) == row
+            # The sweep of the powers up to this one ends with the same row.
+            assert variance_vs_power(
+                p_fwd, p_rev, powers[:k + 1], sigma_w=sw, seed=seed,
+                n_samples=n, dwell_samples=dwell)[-1] == row
 
 
 # ----------------------------------------------------------------------------
@@ -350,7 +353,8 @@ SWEEP = dict(p_dark_fwd=0.55, p_dark_rev=0.08,
 
 
 def record_index(m):
-    return spawn_seeds(SWEEP["seed"], 2 * len(SWEEP["powers"])).index(m.seed)
+    seeds = _spawn_seeds(SWEEP["seed"], 2 * len(SWEEP["powers"]))
+    return seeds.index(m.seed)
 
 
 def spy_records(monkeypatch, fail=()):
@@ -433,7 +437,8 @@ class TestWorkers:
     def test_calling_thread_keeps_its_mask(self):
         before = allowed_cpus()
         variance_vs_power(**SWEEP)
-        sweep_row(1.0, 0.5, 0.1, 0.1, 4096, 1, 2)
+        variance_vs_power(0.5, 0.1, [1.0], sigma_w=0.1, seed=1,
+                          n_samples=4096)
         assert os.sched_getaffinity(0) == before
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):

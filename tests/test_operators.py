@@ -22,8 +22,6 @@ from qdiode.operators import (
     SIGMA_Z,
     SolverError,
     check_density_matrix,
-    dagger,
-    dissipator_apply,
     dissipator_superop,
     expectation,
     hamiltonian_superop,
@@ -47,6 +45,13 @@ def random_density_matrix(dim, seed):
 def random_matrix(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def dissipator_apply(x, rho):
+    """D[X] rho = X rho X^dag - (X^dag X rho + rho X^dag X)/2, evaluated
+    directly on the matrices: the superoperators' oracle."""
+    xdx = x.conj().T @ x
+    return x @ rho @ x.conj().T - 0.5 * (xdx @ rho + rho @ xdx)
 
 
 def decaying_liouvillian(delta_omega=0.3, drive=0.8, gamma=1.0):
@@ -131,7 +136,7 @@ class TestKronAndVec:
 class TestSuperoperators:
     def test_hamiltonian_superop_is_commutator(self):
         h = random_matrix(4, 7)
-        h = h + dagger(h)
+        h = h + h.conj().T
         rho = random_density_matrix(4, 8)
         direct = -1j * (h @ rho - rho @ h)
         np.testing.assert_allclose(unvec(hamiltonian_superop(h) @ vec(rho)),
@@ -140,9 +145,9 @@ class TestSuperoperators:
     def test_dissipator_superop_term_by_term(self):
         x = random_matrix(4, 9)
         rho = random_density_matrix(4, 10)
-        direct = (x @ rho @ dagger(x)
-                  - 0.5 * dagger(x) @ x @ rho
-                  - 0.5 * rho @ dagger(x) @ x)
+        direct = (x @ rho @ x.conj().T
+                  - 0.5 * x.conj().T @ x @ rho
+                  - 0.5 * rho @ x.conj().T @ x)
         np.testing.assert_allclose(unvec(dissipator_superop(x) @ vec(rho)),
                                    direct, atol=1e-12)
         np.testing.assert_allclose(dissipator_apply(x, rho), direct,
@@ -150,7 +155,7 @@ class TestSuperoperators:
 
     def test_liouvillian_matches_direct_rhs(self):
         h = random_matrix(4, 11)
-        h = h + dagger(h)
+        h = h + h.conj().T
         x1 = random_matrix(4, 12)
         x2 = random_matrix(4, 13)
         lv = liouvillian_matrix(h, [(0.7, x1), (1.3, x2)])
