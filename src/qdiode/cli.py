@@ -118,10 +118,11 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     grid = np.linspace(-half_span, half_span, p["n_points"])
     alpha, beta = (0.0, amp) if p["side"] == "reverse" else (amp, 0.0)
     # The file axis is the qubit's detuning from the drive.
-    t_vals = transmission_vs_detuning(q, grid, alpha, beta)
+    info: dict = {}
+    t_vals = transmission_vs_detuning(q, grid, alpha, beta, info)
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
-    return [path], [], EXIT_OK, {}
+    return [path], [], EXIT_OK, info
 
 
 def _run_spectrum(cfg: RunConfig, out_dir: str):

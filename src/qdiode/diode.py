@@ -1,78 +1,48 @@
 """Two-qubit cascaded waveguide system: the quantum diode.
 
-Two emitters couple to the same waveguide a fixed propagation phase phi apart.
-Writing L_k = sqrt(gamma_r,k/2) sigma_-^(k) and working in the drive's
-rotating frame, where Delta_k is qubit k's detuning from the drive
-(``QubitParams.omega_q``), the cascaded master equation is
-
-    drho/dt = -i[H_T, rho] + D[a_out] + D[b_out]
-              + gamma_nr (D[sigma_-^(1)] + D[sigma_-^(2)])
-              + gamma_phi (D[sigma_z^(1)] + D[sigma_z^(2)])
-
-    H_T = -(Delta_1/2) sigma_z^(1) - (Delta_2/2) sigma_z^(2)
-          - i/2 (alpha L_1^dag - alpha* L_1) - i/2 (beta L_2^dag - beta* L_2)
-          - i/2 (e^{i phi} L_2^dag (L_1 + alpha) - h.c.)
-          - i/2 (e^{i phi} L_1^dag (L_2 + beta) - h.c.)
+Two emitters couple to one waveguide a propagation phase phi = pi - delta
+apart: ``diode_model`` is the two-emitter ``single_qubit.emitter_chain``.
+With L_k = sqrt(gamma_r,k/2) sigma_-^(k), its output fields are
 
     a_out = (alpha + L_1) e^{i phi} + L_2      (right-moving, past qubit 2)
     b_out = (beta + L_2) e^{i phi} + L_1       (left-moving, past qubit 1)
 
-The device (``DiodeConfig``) holds the two emitters and delta; the drive
-amplitudes alpha and beta are arguments of each solve. A probe entering from
-the left (forward, alpha) is transmitted into a_out and reflected into
-b_out; one entering from the right (reverse, beta) the other way round.
+A probe entering from the left (forward, alpha) is transmitted into a_out
+and reflected into b_out; one entering from the right (reverse, beta) the
+other way round. The device (``DiodeConfig``) holds the two emitters and
+delta; the drive amplitudes are arguments of each solve.
 
-Near phase matching, phi = pi - delta, the symmetric superposition
+Near phase matching the symmetric superposition
 |+> = (|ge> + |eg>)/sqrt(2) radiates only at gamma_D = delta^2 gbar / 2 while
 |-> superradiates at gamma_B = 2 gbar, gbar = sqrt(gamma_r,1 gamma_r,2); the
 asymmetry between drive directions in populating the quasi-dark state makes
 the device a diode.
 
-For a drive of real amplitude a from one side, H_T and the displaced
-dissipators are affine in a (the |a|^2 terms of D[a_out] and D[b_out]
-cancel), so the Liouvillian is L(a) = L0 + a L1 with L0 = L(0) and
-L1 = L(1) - L0, and the transmitted-port operator is affine in a as well.
-``power_sweep``, ``operating_point`` and ``transmission`` build L0 and L1
-once per side and convert the two to real Hermitian coordinates
-(``operators.real_form``). They solve the real stack L0 + a L1 over all
-their amplitudes in one ``steady_states`` call, and read t and the dark
-population of every solved point out of the stack at once. A general drive
-from both sides has no such one-amplitude form: ``driven_state`` assembles
-and solves its one Liouvillian.
+A drive of real amplitude a from one side enters L and the output operators
+affinely (the |a|^2 terms of D[a_out] and D[b_out] cancel), so
+``power_sweep``, ``operating_point`` and ``transmission`` solve each side
+with one ``single_qubit._affine_sweep`` over all their amplitudes.
+``driven_state`` solves a general drive from both sides, which has no such
+form, on its own.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (
-    IDENTITY_4,
-    SIGMA_MINUS,
-    SIGMA_Z,
-    SolverError,
-    embed_qubit1,
-    embed_qubit2,
-    expectation,
-    liouvillian_matrix,
-    real_form,
-    steady_state,
-    steady_states,
+from .operators import SolverError, expectation, steady_state
+from .single_qubit import (
+    QubitParams,
+    _affine_sweep,
+    _gap_diagnostics,
+    emitter_chain,
 )
-from .single_qubit import QubitParams
 
 PI = np.pi
-# A solved side whose null gap s_{-2}/s_max is below this is near the
-# solver's 1e-10 degeneracy threshold, and its state has few correct digits.
-NEAR_DEGENERATE_GAP = 1e-8
-
-SIGMA_MINUS_1 = embed_qubit1(SIGMA_MINUS)
-SIGMA_MINUS_2 = embed_qubit2(SIGMA_MINUS)
-SIGMA_Z_1 = embed_qubit1(SIGMA_Z)
-SIGMA_Z_2 = embed_qubit2(SIGMA_Z)
-
 # |+> = (|ge> + |eg>)/sqrt(2) in the basis |gg>, |ge>, |eg>, |ee>
 DARK_STATE = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -86,6 +56,8 @@ class DiodeConfig:
     delta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if abs(self.delta) >= 1.0:
             warnings.warn(f"|delta| = {abs(self.delta):.3f} is outside the "
                           "perturbative regime the dark/bright analysis assumes",
@@ -167,59 +139,30 @@ def dark_state_population(rho: np.ndarray) -> float:
 #                      Master equation and steady states
 # -----------------------------------------------------------------------------
 
-def diode_hamiltonian(c: DiodeConfig, alpha: complex = 0.0,
-                      beta: complex = 0.0) -> np.ndarray:
-    """H_T in the drive's rotating frame, including drive and cascade terms."""
-    l1 = np.sqrt(c.q1.gamma_r / 2.0) * SIGMA_MINUS_1
-    l2 = np.sqrt(c.q2.gamma_r / 2.0) * SIGMA_MINUS_2
-    phase = c.phase
+def diode_model(c: DiodeConfig, alpha: complex = 0.0,
+                beta: complex = 0.0):
+    """(L, a_out, b_out) of the device under amplitudes alpha (from the
+    left) and beta (from the right): the two-emitter ``emitter_chain`` with
+    phase e^{i phi}.
 
-    h = -0.5 * c.q1.omega_q * SIGMA_Z_1 - 0.5 * c.q2.omega_q * SIGMA_Z_2
-    h = h - 0.5j * (alpha * l1.conj().T - np.conj(alpha) * l1)
-    h = h - 0.5j * (beta * l2.conj().T - np.conj(beta) * l2)
-    casc1 = phase * l2.conj().T @ (l1 + alpha * IDENTITY_4)
-    casc2 = phase * l1.conj().T @ (l2 + beta * IDENTITY_4)
-    h = h - 0.5j * (casc1 - casc1.conj().T)
-    h = h - 0.5j * (casc2 - casc2.conj().T)
-    return h
-
-
-def diode_output_ops(c: DiodeConfig, alpha: complex = 0.0,
-                     beta: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Right- and left-moving output field operators (a_out, b_out)."""
-    l1 = np.sqrt(c.q1.gamma_r / 2.0) * SIGMA_MINUS_1
-    l2 = np.sqrt(c.q2.gamma_r / 2.0) * SIGMA_MINUS_2
-    phase = c.phase
-    a_out = (alpha * IDENTITY_4 + l1) * phase + l2
-    b_out = (beta * IDENTITY_4 + l2) * phase + l1
-    return a_out, b_out
+    The dephasing convention is the one place the models differ. The chain
+    applies (gamma_phi/2) D[sigma_z] to each emitter, but each qubit goes in
+    with gamma_phi doubled: the diode applies gamma_phi D[sigma_z], and a
+    coherence decays at gamma_1/2 + 2 gamma_phi, not at ``gamma_2``.
+    """
+    # ROADMAP item 1 removes this doubling (and edits predicted_linewidth),
+    # which gives both models the single-qubit convention.
+    emitters = [replace(q, gamma_phi=2.0 * q.gamma_phi) for q in (c.q1, c.q2)]
+    return emitter_chain(emitters, c.phase, alpha, beta)
 
 
-def build_diode_liouvillian(c: DiodeConfig, alpha: complex = 0.0,
-                            beta: complex = 0.0) -> np.ndarray:
-    """16x16 Liouvillian of the cascaded two-qubit master equation."""
-    h = diode_hamiltonian(c, alpha, beta)
-    a_out, b_out = diode_output_ops(c, alpha, beta)
-    return liouvillian_matrix(h, [(1.0, a_out), (1.0, b_out),
-                                  (c.q1.gamma_nr, SIGMA_MINUS_1),
-                                  (c.q2.gamma_nr, SIGMA_MINUS_2),
-                                  (c.q1.gamma_phi, SIGMA_Z_1),
-                                  (c.q2.gamma_phi, SIGMA_Z_2)])
-
-
-def _one_sided(c: DiodeConfig, direction: str, amp: complex):
-    """Liouvillian and (transmitted, reflected) output operators for a drive
-    of amplitude ``amp`` from one side: alpha = amp forward (a_out carries
-    the transmitted field), beta = amp reverse (b_out does)."""
+def _drive(direction: str, amp):
+    """(alpha, beta) for a drive of amplitude ``amp`` from one side."""
     if direction == "forward":
-        alpha, beta = amp, 0.0
-    elif direction == "reverse":
-        alpha, beta = 0.0, amp
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    a_out, b_out = diode_output_ops(c, alpha, beta)
-    ports = (a_out, b_out) if direction == "forward" else (b_out, a_out)
-    return build_diode_liouvillian(c, alpha, beta), ports
+        return amp, 0.0
+    if direction == "reverse":
+        return 0.0, amp
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _solve_side(c: DiodeConfig, direction: str, amps,
@@ -227,27 +170,13 @@ def _solve_side(c: DiodeConfig, direction: str, amps,
     """Steady state under a drive from one side, for each real amplitude in
     ``amps``: a (t, dark population, rho) triple, or the point's SolverError.
 
-    For a real amplitude a the Liouvillian is affine, L(a) = L0 + a L1 with
-    L0 = L(0) and L1 = L(1) - L0, and so is the transmitted-port operator.
-    The side is therefore assembled twice whatever the number of amplitudes,
-    L(0) and L(1) are each converted to real Hermitian coordinates once,
-    the real stack L0 + a L1 is solved in one ``steady_states`` call (which
-    fills ``info``), and t and the dark population of every solved point
-    are read out together. t = <a_out>/a forward, <b_out>/a reverse, and 0
-    at a = 0.
+    One ``_affine_sweep`` over the amplitude solves the side (and fills
+    ``info``). t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
     """
-    lv0, (out0, _) = _one_sided(c, direction, 0.0)
-    lv1, (out1, _) = _one_sided(c, direction, 1.0)
-    lv0, lv1 = real_form(lv0), real_form(lv1)
-    amps = np.asarray(amps, dtype=float)
-    states = steady_states(lv0 + amps[:, None, None] * (lv1 - lv0), info)
-    solved = [k for k, rho in enumerate(states)
-              if not isinstance(rho, SolverError)]
-    rhos = np.array([states[k] for k in solved]).reshape(-1, 4, 4)
-    a = amps[solved]
-    # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = out0 + a (out1 - out0).
-    out = (np.einsum("ij,nji->n", out0, rhos)
-           + a * np.einsum("ij,nji->n", out1 - out0, rhos))
+    states, solved, rhos, a_mean, b_mean = _affine_sweep(
+        lambda amp: diode_model(c, *_drive(direction, amp)), amps, info)
+    out = a_mean if direction == "forward" else b_mean
+    a = np.asarray(amps, dtype=float)[solved]
     t = np.divide(out, a, out=np.zeros_like(out), where=a != 0)
     dark = np.einsum("i,nij,j->n", DARK_STATE.conj(), rhos, DARK_STATE).real
     results = list(states)
@@ -312,8 +241,8 @@ def driven_state(c: DiodeConfig, alpha: complex,
     """Solve the device under complex amplitudes alpha (from the left) and
     beta (from the right) at once; raises SolverError if the steady state
     is not unique."""
-    rho = steady_state(build_diode_liouvillian(c, alpha, beta))
-    a_out, b_out = diode_output_ops(c, alpha, beta)
+    lv, a_out, b_out = diode_model(c, alpha, beta)
+    rho = steady_state(lv)
     return DrivenState(
         rho=rho, dark_population=dark_state_population(rho),
         flux_a=float(expectation(a_out.conj().T @ a_out, rho).real),
@@ -339,11 +268,7 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     """Transmission, efficiency and dark population over ascending drive
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
-    Each (power, side) steady state is solved once: a side's Liouvillian is
-    affine in the real amplitude, L0 + amp L1, so it is assembled twice,
-    converted to real Hermitian coordinates twice, and all its powers are
-    solved together, from one batched singular-value check and one bordered
-    linear solve in real arithmetic (``steady_states``). A side not in
+    Each side solves all its powers in one ``_affine_sweep``. A side not in
     ``sides`` gets NaN transmission and dark population, so the efficiency
     is NaN unless both sides are solved. A power whose solve fails on any
     side becomes a row of NaN values with the message of the first failed
@@ -354,7 +279,7 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     smallest s_{-2} / s_max (see ``steady_states``), and ``"max_residual"``,
     the largest residual ||L vec(rho)||, each None if every row failed; and
     ``"near_degenerate_rows"``, the number of those rows with a side whose
-    null gap is below NEAR_DEGENERATE_GAP.
+    null gap is below ``single_qubit.NEAR_DEGENERATE_GAP``.
     """
     powers = list(powers)
     for p in powers:
@@ -399,8 +324,5 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
         shape = (len(sides), len(powers))
         gaps = np.reshape(gaps, shape)[:, accepted]
         resids = np.reshape(resids, shape)[:, accepted]
-        info["min_null_gap"] = float(gaps.min()) if gaps.size else None
-        info["max_residual"] = float(resids.max()) if resids.size else None
-        info["near_degenerate_rows"] = int(
-            np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
+        _gap_diagnostics(info, gaps, resids, "near_degenerate_rows")
     return rows

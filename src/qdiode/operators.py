@@ -30,14 +30,10 @@ import numpy as np
 #                           Elementary operators
 # -----------------------------------------------------------------------------
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
-
 # sigma_z|g> = +|g>; the qubit Hamiltonian -omega*sigma_z/2 then puts |e>
 # above |g> by omega.
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |g><e|
-SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 # Hermiticity / trace tolerances for d <= 4 double precision work.
 HERM_TOL = 1e-9
@@ -54,16 +50,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def embed_qubit1(op: np.ndarray) -> np.ndarray:
-    """Lift a single-qubit operator onto qubit 1 of the two-qubit space."""
-    return kron(op, IDENTITY_2)
-
-
-def embed_qubit2(op: np.ndarray) -> np.ndarray:
-    """Lift a single-qubit operator onto qubit 2 of the two-qubit space."""
-    return kron(IDENTITY_2, op)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

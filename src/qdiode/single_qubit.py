@@ -1,68 +1,51 @@
-"""Single-atom waveguide scattering model.
+"""Emitters on one waveguide: the cascaded-chain model and its one-emitter case.
 
-A two-level emitter couples to left- and right-moving waveguide modes with
-radiative rate gamma_r (split evenly between directions), plus non-radiative
-decay gamma_nr and pure dephasing gamma_phi. The model works in the frame
-rotating at the drive frequency, so the emitter's frequency enters only as
-its detuning from the drive, ``QubitParams.omega_q``. The coherent drives
-alpha (from the left) and beta (from the right) are arguments of each solve;
-they enter both the Hamiltonian and the displaced output-field dissipators:
+Two-level emitters couple to the left- and right-moving modes of one
+waveguide, each with radiative rate gamma_r split evenly between the
+directions, non-radiative decay gamma_nr and pure dephasing gamma_phi. The
+frame rotates at the drive frequency, so an emitter's frequency enters only
+as its detuning from the drive, ``QubitParams.omega_q``. The drives alpha
+(from the left) and beta (from the right), whose squares are photon fluxes
+in photons/s, are arguments of each solve.
 
-    L       = sqrt(gamma_r/2) sigma_-
-    a_out   = L + alpha,      b_out = L + beta
-    H       = -(omega_q/2) sigma_z
-              - i/2 [ (alpha+beta) sqrt(gamma_r/2) sigma_+  -  h.c. ]
-    drho/dt = -i[H,rho] + D[a_out] + D[b_out]
-              + gamma_nr D[sigma_-] + (gamma_phi/2) D[sigma_z]
+``emitter_chain`` builds the master equation of emitters cascaded along the
+waveguide (Gardiner, PRL 70, 2269 (1993); Lalumiere et al., PRA 88, 043806
+(2013)): one emitter here, two in ``diode.diode_model``. For one emitter,
+<a_out>/alpha has the closed form ``transmission_analytic``.
 
-|alpha|^2 and |beta|^2 are photon fluxes in photons/s. The steady-state
-transmission <a_out>/alpha has the closed form implemented in
-``transmission_analytic``.
-
-The detuning enters only through H, so the Liouvillian is affine in it:
-L(omega_q) = L(0) + omega_q DETUNING_SUPEROP, with DETUNING_SUPEROP the
-superoperator of -i[-sigma_z/2, .]. ``transmission_vs_detuning`` assembles
-L(0) once, converts it to real Hermitian coordinates
-(``operators.real_form``; the real form of DETUNING_SUPEROP is built once,
-at import), and solves every detuning of a grid in one stacked
-``steady_states`` call; ``transmission_numeric`` is its one-point case.
+``_affine_sweep`` is the one sweep engine. A one-sided drive's real
+amplitude and an emitter's detuning each enter L and the output operators
+affinely, so a sweep builds the model at 0 and 1 only and solves its whole
+grid in one stacked ``steady_states`` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .operators import (
-    IDENTITY_2,
     SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_Z,
     SolverError,
-    hamiltonian_superop,
+    kron,
     liouvillian_matrix,
     real_form,
     steady_states,
 )
 
-# d L / d omega_q: the detuning enters only through H = -(omega_q/2) sigma_z.
-DETUNING_SUPEROP = hamiltonian_superop(-0.5 * SIGMA_Z)
-DETUNING_REAL = real_form(DETUNING_SUPEROP)
+# A solved point whose null gap s_{-2}/s_max is below this is near the
+# solver's 1e-10 degeneracy threshold, and its state has few correct digits.
+NEAR_DEGENERATE_GAP = 1e-8
 
 
 @dataclass(frozen=True)
 class QubitParams:
-    """One emitter's detuning from the drive and its decay/dephasing rates,
-    all in rad/s.
-
-    The two models read ``gamma_phi`` differently. Here it enters as
-    (gamma_phi/2) D[sigma_z], so an undriven emitter's coherence decays at
-    ``gamma_2`` = gamma_1/2 + gamma_phi. The diode model uses
-    gamma_phi D[sigma_z] for each qubit, whose coherence therefore decays at
-    gamma_1/2 + 2 gamma_phi, not at ``gamma_2``. The same rate set thus
-    means a different dephasing in each model.
-    """
+    """One emitter's detuning from the drive and its radiative,
+    non-radiative and pure-dephasing rates, all finite and in rad/s."""
 
     omega_q: float
     gamma_r: float
@@ -70,6 +53,10 @@ class QubitParams:
     gamma_phi: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.gamma_r <= 0:
             raise ValueError("gamma_r must be positive")
         if self.gamma_nr < 0 or self.gamma_phi < 0:
@@ -84,6 +71,96 @@ class QubitParams:
     def gamma_2(self) -> float:
         """Total decoherence rate gamma_1/2 + gamma_phi."""
         return 0.5 * self.gamma_1 + self.gamma_phi
+
+
+@functools.cache
+def _chain_operators(n: int) -> tuple[tuple, tuple]:
+    """sigma_- and sigma_z of each of n emitters on their 2^n-dimensional
+    space, emitter 1 the left tensor factor; built once per n, read-only."""
+    def embed(op, k):
+        op = kron(kron(np.eye(2 ** k), op), np.eye(2 ** (n - 1 - k)))
+        op.flags.writeable = False
+        return op
+    return tuple(tuple(embed(op, k) for k in range(n))
+                 for op in (SIGMA_MINUS, SIGMA_Z))
+
+
+def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
+                  beta: complex = 0.0):
+    """Liouvillian and output operators (L, a_out, b_out) of emitters
+    cascaded along one waveguide, emitter 1 on the left.
+
+    With L_k = sqrt(gamma_r,k/2) sigma_-^(k) and ``phase`` = e^{i phi}
+    between neighbours, emitter k sees the right-moving field f_1 = alpha,
+    f_k = phase (f_{k-1} + L_{k-1}), and the left-moving field g_k from beta
+    in reverse order; a_out and b_out leave the chain to the right and left.
+
+        H       = -sum_k (Delta_k/2) sigma_z^(k)
+                  - i/2 sum_k [ L_k^dag (f_k + g_k) - h.c. ]
+        drho/dt = -i[H, rho] + D[a_out] + D[b_out]
+                  + sum_k [ gamma_nr,k D[sigma_-^(k)]
+                            + (gamma_phi,k/2) D[sigma_z^(k)] ],
+
+    so an undriven emitter's coherence decays at ``QubitParams.gamma_2``.
+    """
+    n = len(emitters)
+    sigma_minus, sigma_z = _chain_operators(n)
+    jumps = [np.sqrt(q.gamma_r / 2.0) * sm
+             for q, sm in zip(emitters, sigma_minus)]
+    h = -0.5 * sum(q.omega_q * sz for q, sz in zip(emitters, sigma_z))
+    outputs = []
+    for amp, order in ((alpha, range(n)), (beta, reversed(range(n)))):
+        # No phase reaches the first emitter. (shift L_k^dag) @ field and
+        # field * shift + L_k round as the per-model builders they replaced.
+        field, shift = amp * np.eye(2 ** n, dtype=complex), 1.0
+        for k in order:
+            drive = (shift * jumps[k].conj().T) @ field
+            h = h - 0.5j * (drive - drive.conj().T)
+            field = field * shift + jumps[k]
+            shift = phase
+        outputs.append(field)
+    lv = liouvillian_matrix(
+        h, [(1.0, out) for out in outputs]
+        + [(q.gamma_nr, sm) for q, sm in zip(emitters, sigma_minus)]
+        + [(0.5 * q.gamma_phi, sz) for q, sz in zip(emitters, sigma_z)])
+    return (lv, *outputs)
+
+
+def _affine_sweep(build, xs, info: dict | None = None):
+    """Steady states of a model at each real parameter value in ``xs``.
+
+    ``build(x)`` returns ``emitter_chain``'s (L, a_out, b_out), each affine
+    in x. L(0) and L(1) are built and converted to real Hermitian
+    coordinates once, the stack L(0) + x (L(1) - L(0)) is solved in one
+    ``steady_states`` call (which fills ``info``), and the output fields
+    are read out of the solved states at once. Returns ``steady_states``'
+    list (a state or a SolverError for each x), the indices of the solved
+    points, their states stacked, and <a_out> and <b_out> at each of them.
+    """
+    lv0, a0, b0 = build(0.0)
+    lv1, a1, b1 = build(1.0)
+    lv0, lv1 = real_form(lv0), real_form(lv1)
+    xs = np.asarray(xs, dtype=float)
+    states = steady_states(lv0 + xs[:, None, None] * (lv1 - lv0), info)
+    solved = [k for k, rho in enumerate(states)
+              if not isinstance(rho, SolverError)]
+    d = a0.shape[0]
+    rhos = np.array([states[k] for k in solved]).reshape(-1, d, d)
+    x = xs[solved]
+    # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = O(0) + x (O(1) - O(0)).
+    a_mean, b_mean = (np.einsum("ij,nji->n", o0, rhos)
+                      + x * np.einsum("ij,nji->n", o1 - o0, rhos)
+                      for o0, o1 in ((a0, a1), (b0, b1)))
+    return states, solved, rhos, a_mean, b_mean
+
+
+def _gap_diagnostics(info: dict, gaps, residuals, count_key: str) -> None:
+    """Set the smallest null gap, the largest residual (each None without
+    points) and, as ``count_key``, the number of points with a side whose
+    null gap is below NEAR_DEGENERATE_GAP, from (sides, points) arrays."""
+    info["min_null_gap"] = float(gaps.min()) if gaps.size else None
+    info["max_residual"] = float(residuals.max()) if residuals.size else None
+    info[count_key] = int(np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
 
 
 def transmission_analytic(q: QubitParams, delta_omega, alpha: complex):
@@ -101,64 +178,34 @@ def transmission_analytic(q: QubitParams, delta_omega, alpha: complex):
     return complex(t) if np.isscalar(delta_omega) else t
 
 
-def single_qubit_hamiltonian(q: QubitParams, alpha: complex = 0.0,
-                             beta: complex = 0.0) -> np.ndarray:
-    """Rotating-frame Hamiltonian including the coherent drive terms."""
-    coupling = np.sqrt(q.gamma_r / 2.0)
-    amp = alpha + beta
-    h = -0.5 * q.omega_q * SIGMA_Z
-    h = h - 0.5j * coupling * (amp * SIGMA_PLUS - np.conj(amp) * SIGMA_MINUS)
-    return h
-
-
-def single_qubit_output_ops(q: QubitParams, alpha: complex = 0.0,
-                            beta: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Displaced output-field operators (a_out, b_out)."""
-    jump = np.sqrt(q.gamma_r / 2.0) * SIGMA_MINUS
-    a_out = jump + alpha * IDENTITY_2
-    b_out = jump + beta * IDENTITY_2
-    return a_out, b_out
-
-
-def build_single_qubit_liouvillian(q: QubitParams, alpha: complex = 0.0,
-                                   beta: complex = 0.0) -> np.ndarray:
-    """4x4 Liouvillian of the driven single-emitter master equation."""
-    h = single_qubit_hamiltonian(q, alpha, beta)
-    a_out, b_out = single_qubit_output_ops(q, alpha, beta)
-    return liouvillian_matrix(h, [(1.0, a_out), (1.0, b_out),
-                                  (q.gamma_nr, SIGMA_MINUS),
-                                  (0.5 * q.gamma_phi, SIGMA_Z)])
-
-
 def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
-                             beta: complex = 0.0) -> np.ndarray:
+                             beta: complex = 0.0,
+                             info: dict | None = None) -> np.ndarray:
     """Steady-state transmission from the full master equation at each
     detuning from the drive in ``detunings`` (``q.omega_q`` is not used).
 
     <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
-    drive from the right only. The detuning enters only through
-    H = -(Delta/2) sigma_z, so L(Delta) = L(0) + Delta DETUNING_SUPEROP:
-    the Liouvillian is assembled once and converted to real Hermitian
-    coordinates once, every point is solved in one ``steady_states`` call
-    (a batched singular-value check and one bordered linear solve, in real
-    arithmetic), and t is read out of the stack of states at once. Raises
-    ValueError for an undriven emitter and the first failed point's
-    SolverError.
+    drive from the right only. The whole grid is one ``_affine_sweep`` over
+    the detuning. Raises ValueError for an undriven emitter and the first
+    failed point's SolverError.
+
+    If ``info`` is a dict, the solver diagnostics of the grid are set in it
+    as ``power_sweep`` sets them: ``"min_null_gap"``, ``"max_residual"`` and
+    ``"near_degenerate_points"``.
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
-    lv0 = real_form(build_single_qubit_liouvillian(replace(q, omega_q=0.0),
-                                                   alpha, beta))
-    detunings = np.asarray(detunings, dtype=float)
-    states = steady_states(lv0 + detunings[:, None, None] * DETUNING_REAL)
-    a_out, b_out = single_qubit_output_ops(q, alpha, beta)
-    port, amp = (a_out, alpha) if alpha != 0 else (b_out, beta)
+    sweep_info: dict = {}
+    states, _, _, a_mean, b_mean = _affine_sweep(
+        lambda det: emitter_chain([replace(q, omega_q=det)], 1.0, alpha, beta),
+        detunings, sweep_info)
     for rho in states:
         if isinstance(rho, SolverError):
             raise rho
-    rhos = np.array(states, dtype=complex).reshape(-1, 2, 2)
-    # <port> = tr(port rho) = sum_ij port_ij rho_ji
-    return np.einsum("ij,nji->n", port, rhos) / amp
+    if info is not None:
+        _gap_diagnostics(info, sweep_info["null_gap"][None],
+                         sweep_info["residual"][None], "near_degenerate_points")
+    return a_mean / alpha if alpha != 0 else b_mean / beta
 
 
 def transmission_numeric(q: QubitParams, alpha: complex = 0.0,

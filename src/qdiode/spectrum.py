@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diode import DiodeConfig, _check_power, _one_sided, dark_bright_rates
+from .diode import (DiodeConfig, _check_power, _drive, dark_bright_rates,
+                    diode_model)
 from .fitting import _least_squares
 from .operators import steady_state, vec
 
@@ -133,8 +134,9 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     if omegas.max() - omegas.min() < 6.0 * gamma_est:
         raise ValueError("frequency grid must span at least 6 expected linewidths")
 
-    lv, (transmitted, reflected) = _one_sided(c, direction, np.sqrt(power))
-    out_op = transmitted if port == "transmitted" else reflected
+    lv, a_out, b_out = diode_model(c, *_drive(direction, np.sqrt(power)))
+    # A forward drive is transmitted into a_out, a reverse one into b_out.
+    out_op = a_out if (direction == "forward") == (port == "transmitted") else b_out
     rho = steady_state(lv)
     elastic = float(abs(np.trace(out_op @ rho)) ** 2)
     spectrum = inelastic_spectrum(lv, rho, out_op, omegas)

@@ -36,3 +36,17 @@ def lossy_devices(draw):
 
 powers_over_gbar = st.floats(1e-4, 10.0)
 sides = st.sampled_from(["forward", "reverse"])
+# A complex amplitude: a flux of 0 or in powers_over_gbar, at any phase.
+drive_amplitudes = st.builds(
+    lambda p, phase: np.sqrt(p) * np.exp(1j * phase),
+    st.just(0.0) | powers_over_gbar, st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def single_qubit_devices(draw):
+    """A single emitter with gamma_r in [0.5, 2], a detuning within 5 gamma_r
+    and gamma_nr, gamma_phi in [0, 0.1] gamma_r."""
+    gr = draw(st.floats(0.5, 2.0))
+    return QubitParams(omega_q=draw(st.floats(-5.0, 5.0)) * gr, gamma_r=gr,
+                       gamma_nr=draw(st.floats(0.0, 0.1)) * gr,
+                       gamma_phi=draw(st.floats(0.0, 0.1)) * gr)

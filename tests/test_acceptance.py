@@ -19,8 +19,7 @@ import scorecard
 from qdiode.cli import run
 from qdiode.diode import (
     DiodeConfig,
-    build_diode_liouvillian,
-    diode_output_ops,
+    diode_model,
     operating_point,
     optimal_tuning,
     power_sweep,
@@ -230,8 +229,8 @@ def test_flux_conservation_random_configs():
         c = DiodeConfig(q1, q2, delta)
         amp = np.sqrt(10.0 ** rng.uniform(-3.0, 0.5) * gbar)
         drive = (amp, 0.0) if rng.random() < 0.5 else (0.0, amp)
-        rho = steady_state(build_diode_liouvillian(c, *drive))
-        a_out, b_out = diode_output_ops(c, *drive)
+        lv, a_out, b_out = diode_model(c, *drive)
+        rho = steady_state(lv)
         out_flux = (expectation(a_out.conj().T @ a_out, rho).real
                     + expectation(b_out.conj().T @ b_out, rho).real)
         worst = max(worst, abs(out_flux - amp ** 2) / amp ** 2)

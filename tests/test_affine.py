@@ -1,34 +1,28 @@
 """Affine Liouvillian assembly against direct assembly, on drawn devices.
 
-The sweeps build L(a) = L0 + a L1 for a real drive amplitude a (diode) and
-L(Delta) = L(0) + Delta DETUNING_SUPEROP for a detuning Delta (single qubit),
-instead of assembling every point. These properties check both forms, and
-the sweep results, against the direct builders, which stay the reference.
-Hypothesis draws derandomized examples, so every run tests the same devices.
+The sweeps solve L(x) = L(0) + x (L(1) - L(0)) for a real drive amplitude x
+(diode) or a detuning x (single qubit), instead of assembling every point.
+These properties check that form, and the sweep results, against direct
+assembly and direct solves at each point. Hypothesis draws derandomized
+examples, so every run tests the same devices.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from device_strategies import PROPERTY, lossy_devices, powers_over_gbar, sides
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdiode.diode import (
-    _one_sided,
-    _solve_side,
-    build_diode_liouvillian,
-    dark_state_population,
-    diode_output_ops,
-)
+from qdiode.diode import _solve_side, dark_state_population, diode_model
 from qdiode.operators import SolverError, expectation, steady_state
 from qdiode.single_qubit import (
-    DETUNING_SUPEROP,
     QubitParams,
-    build_single_qubit_liouvillian,
-    single_qubit_output_ops,
+    emitter_chain,
     transmission_vs_detuning,
 )
+
 
 def assert_close_in_norm(got, want, rel):
     """|got - want| <= rel * max(|want|, 1) entrywise, in the max norm."""
@@ -36,18 +30,9 @@ def assert_close_in_norm(got, want, rel):
     assert np.max(np.abs(got - want)) <= rel * scale
 
 
-@PROPERTY
-@given(lossy_devices(), powers_over_gbar, sides)
-def test_diode_liouvillian_is_affine_in_the_amplitude(c, p, side):
-    amp = np.sqrt(p * c.gamma_bar)
-    lv0, (out0, _) = _one_sided(c, side, 0.0)
-    lv1, (out1, _) = _one_sided(c, side, 1.0)
-    alpha, beta = (amp, 0.0) if side == "forward" else (0.0, amp)
-    direct = build_diode_liouvillian(c, alpha, beta)
-    assert_close_in_norm(lv0 + amp * (lv1 - lv0), direct, 1e-14)
-    a_out, b_out = diode_output_ops(c, alpha, beta)
-    transmitted = a_out if side == "forward" else b_out
-    np.testing.assert_array_equal(out0 + amp * (out1 - out0), transmitted)
+def one_sided(c, side, amp):
+    """``diode_model`` under a drive of amplitude ``amp`` from ``side``."""
+    return diode_model(c, *((amp, 0.0) if side == "forward" else (0.0, amp)))
 
 
 @PROPERTY
@@ -56,15 +41,14 @@ def test_diode_liouvillian_is_affine_in_the_amplitude(c, p, side):
 def test_stacked_side_solve_matches_direct_solves(c, ps, side):
     amps = np.sqrt(np.sort(ps) * c.gamma_bar)
     for amp, got in zip(amps, _solve_side(c, side, amps)):
-        alpha, beta = (amp, 0.0) if side == "forward" else (0.0, amp)
+        lv, a_out, b_out = one_sided(c, side, amp)
         try:
-            rho = steady_state(build_diode_liouvillian(c, alpha, beta))
+            rho = steady_state(lv)
         except SolverError:
             assert isinstance(got, SolverError)
             continue
         t, dark, rho_got = got
-        ports = diode_output_ops(c, alpha, beta)
-        port = ports[0] if side == "forward" else ports[1]
+        port = a_out if side == "forward" else b_out
         np.testing.assert_allclose(t, expectation(port, rho) / amp,
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(dark, dark_state_population(rho),
@@ -90,14 +74,34 @@ def driven_qubits(draw):
 detunings = st.floats(-20.0, 20.0)
 
 
+def amplitude_sweep(draw):
+    """A drawn device's model as a function of a one-sided drive amplitude,
+    a drawn amplitude, and the tolerance of the affine form there."""
+    c, side = draw(lossy_devices()), draw(sides)
+    amp = np.sqrt(draw(powers_over_gbar) * c.gamma_bar)
+    return (lambda a: one_sided(c, side, a)), amp, 1e-14
+
+
+def detuning_sweep(draw):
+    """A drawn driven emitter's model as a function of its detuning, a
+    drawn detuning, and the tolerance of the affine form there."""
+    q, alpha, beta = draw(driven_qubits())
+    return ((lambda det: emitter_chain([replace(q, omega_q=det)], 1.0,
+                                       alpha, beta)),
+            draw(detunings), 1e-15)
+
+
 @PROPERTY
-@given(driven_qubits(), detunings)
-def test_single_qubit_liouvillian_is_affine_in_the_detuning(drive, det):
-    q, alpha, beta = drive
-    lv0 = build_single_qubit_liouvillian(q, alpha, beta)
-    direct = build_single_qubit_liouvillian(replace(q, omega_q=det),
-                                            alpha, beta)
-    assert_close_in_norm(lv0 + det * DETUNING_SUPEROP, direct, 1e-15)
+@pytest.mark.parametrize("sweep", [amplitude_sweep, detuning_sweep],
+                         ids=["amplitude", "detuning"])
+@given(data=st.data())
+def test_model_is_affine_in_the_swept_parameter(sweep, data):
+    build, x, rel = sweep(data.draw)
+    (lv0, *outs0), (lv1, *outs1) = build(0.0), build(1.0)
+    lv, *outs = build(x)
+    assert_close_in_norm(lv0 + x * (lv1 - lv0), lv, rel)
+    for out0, out1, out in zip(outs0, outs1, outs):
+        np.testing.assert_array_equal(out0 + x * (out1 - out0), out)
 
 
 @PROPERTY
@@ -106,9 +110,9 @@ def test_detuning_grid_matches_direct_solves(drive, grid):
     q, alpha, beta = drive
     got = transmission_vs_detuning(q, grid, alpha, beta)
     for det, t in zip(grid, got):
-        qq = replace(q, omega_q=det)
-        rho = steady_state(build_single_qubit_liouvillian(qq, alpha, beta))
-        a_out, b_out = single_qubit_output_ops(qq, alpha, beta)
+        lv, a_out, b_out = emitter_chain([replace(q, omega_q=det)], 1.0,
+                                         alpha, beta)
+        rho = steady_state(lv)
         want = (expectation(a_out, rho) / alpha if alpha != 0
                 else expectation(b_out, rho) / beta)
         np.testing.assert_allclose(t, want, rtol=0, atol=1e-12)

@@ -582,17 +582,33 @@ class TestCliRuns:
         # solver's 1e-10 null-space threshold.
         (2e-5, 1e-10, 3e-10),
         (DELTA, 1e-4, 1.0),
+        # No delta: a sweep-frequency of one emitter, whose smallest nonzero
+        # singular value is of order its gamma_2 at every detuning.
+        (None, 0.1, 1.0),
     ])
     def test_sweep_manifest_reports_the_null_gap(self, tmp_path, delta, low,
                                                  high):
-        cfg = write_config(tmp_path, {
-            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": delta,
-            "power_min_over_gammabar": 1e-3, "power_max_over_gammabar": 10.0,
-            "n_powers": 100})
+        mode = "sweep-frequency" if delta is None else "sweep-power"
+        if mode == "sweep-power":
+            payload = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
+                       "delta": delta, "power_min_over_gammabar": 1e-3,
+                       "power_max_over_gammabar": 10.0, "n_powers": 100}
+            count = "near_degenerate_rows"
+        else:
+            payload = {"gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
+                       "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
+                       "n_points": 101}
+            count = "near_degenerate_points"
+        cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
-        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert low < manifest["diagnostics"]["min_null_gap"] < high
+        assert run([mode, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        diagnostics = json.loads(
+            (out / "run_manifest.json").read_text())["diagnostics"]
+        assert sorted(diagnostics) == sorted(
+            ["min_null_gap", "max_residual", count])
+        assert low < diagnostics["min_null_gap"] < high
+        assert 0.0 < diagnostics["max_residual"] < 1e-9 * 2 * np.pi * 70e6
+        assert diagnostics[count] == (78 if delta == 2e-5 else 0)
 
     def test_sweep_manifest_null_gap_without_solved_rows(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -838,13 +854,35 @@ class TestCliRuns:
                           for n in names if n.split(".")[0] == "scipy"]
         assert found == []
 
+    def test_one_builder_assembles_every_liouvillian(self):
+        # Every model is a chain of emitters: a second builder could give a
+        # model a convention of its own.
+        paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
+                          recursive=True)
+        assert paths
+        found = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for stmt in tree.body:
+                owner = getattr(stmt, "name", "<module>")
+                for node in ast.walk(stmt):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name)
+                            else getattr(func, "attr", None))
+                    if name == "liouvillian_matrix":
+                        found.append((os.path.basename(path), owner))
+        assert found == [("single_qubit.py", "emitter_chain")]
+
     def test_cli_leaves_the_model_to_the_library(self):
         # The runners convert units and write files; assembling a master
         # equation or its output operators belongs to the library.
         path = os.path.join(REPO, "src", "qdiode", "cli.py")
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
-        model = {"build_diode_liouvillian", "diode_output_ops"}
+        model = {"diode_model", "emitter_chain"}
         found = []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from qdiode.diode import (
     DARK_STATE,
     DiodeConfig,
-    build_diode_liouvillian,
     dark_bright_rates,
     dark_state_population,
     diode_efficiency,
-    diode_output_ops,
+    diode_model,
     driven_state,
     operating_point,
     optimal_tuning,
@@ -38,7 +37,7 @@ from qdiode.operators import (
 )
 from qdiode.single_qubit import (
     QubitParams,
-    build_single_qubit_liouvillian,
+    emitter_chain,
     transmission_analytic,
 )
 
@@ -88,6 +87,14 @@ class TestConfigAndHelpers:
         with pytest.warns(UserWarning):
             dark_bright_rates(1.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        # A NaN delta used to pass the |delta| >= 1 check and fail every
+        # later solve in the SVD.
+        q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            DiodeConfig(q, q, delta)
+
     def test_dark_population_projector(self):
         rho_d = np.outer(DARK_STATE, DARK_STATE.conj())
         np.testing.assert_allclose(dark_state_population(rho_d), 1.0)
@@ -106,7 +113,7 @@ class TestCollectiveDecay:
         """Population decay at 2 gamma_D (slow) and gamma_B (fast)."""
         delta = 0.02
         c = ideal_diode(delta=delta)
-        lv = build_diode_liouvillian(c)
+        lv, _, _ = diode_model(c)
         gd, gb = dark_bright_rates(delta, GAMMA, GAMMA)
         from scipy.linalg import expm
 
@@ -153,9 +160,9 @@ def test_isolated_emitter_coherence_decays_at_gamma_2(model):
     diagonal Liouvillian element; in the diode, qubit 2 stays in |g>."""
     q = QubitParams(omega_q=0.0, gamma_r=1.0, gamma_phi=0.3)
     if model == "single_qubit":
-        lv, x = build_single_qubit_liouvillian(q), SIGMA_MINUS
+        lv, x = emitter_chain([q], 1.0)[0], SIGMA_MINUS
     else:
-        lv = build_diode_liouvillian(DiodeConfig(q, q, DELTA))
+        lv = diode_model(DiodeConfig(q, q, DELTA))[0]
         x = np.kron(SIGMA_MINUS, np.diag([1.0, 0.0]))      # |gg><eg|
     v = vec(x)
     np.testing.assert_allclose(-(v.conj() @ lv @ v).real, q.gamma_2,
@@ -222,8 +229,8 @@ class TestTransmission:
             c = DiodeConfig(q1, q2, delta)
             alpha = np.sqrt(rng.uniform(0.001, 2.0) * c.gamma_bar)
             beta = np.sqrt(rng.uniform(0.0, 1.0) * c.gamma_bar)
-            rho = steady_state(build_diode_liouvillian(c, alpha, beta))
-            a_out, b_out = diode_output_ops(c, alpha, beta)
+            lv, a_out, b_out = diode_model(c, alpha, beta)
+            rho = steady_state(lv)
             flux = (expectation(a_out.conj().T @ a_out, rho).real
                     + expectation(b_out.conj().T @ b_out, rho).real)
             np.testing.assert_allclose(flux, abs(alpha) ** 2 + abs(beta) ** 2,
@@ -418,7 +425,7 @@ class TestBadPowers:
     def no_solve(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.diode.steady_states", fail)
+        monkeypatch.setattr("qdiode.single_qubit.steady_states", fail)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_operating_point_rejects(self, bad, no_solve):

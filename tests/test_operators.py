@@ -270,7 +270,7 @@ class TestSteadyStates:
 
     @staticmethod
     def mixed_stack():
-        from qdiode.diode import DiodeConfig, build_diode_liouvillian
+        from qdiode.diode import DiodeConfig, diode_model
         from qdiode.single_qubit import QubitParams
 
         q1 = QubitParams(omega_q=-0.03, gamma_r=1.0, gamma_nr=0.02,
@@ -280,16 +280,16 @@ class TestSteadyStates:
         lossy = DiodeConfig(q1, q2, 0.03)
         ideal = QubitParams(omega_q=0.0, gamma_r=1.0)
         return np.array([
-            real_form(build_diode_liouvillian(lossy, 0.3, 0.0)),
+            real_form(diode_model(lossy, 0.3, 0.0)[0]),
             # delta = 0, lossless: the dark state never decays.
-            real_form(build_diode_liouvillian(DiodeConfig(ideal, ideal, 0.0),
-                                              0.2, 0.0)),
+            real_form(diode_model(DiodeConfig(ideal, ideal, 0.0),
+                                  0.2, 0.0)[0]),
             # No null space at all.
             random_matrix(16, 60).real,
-            real_form(build_diode_liouvillian(lossy, 0.0, 1.5)),
+            real_form(diode_model(lossy, 0.0, 1.5)[0]),
             annihilating(np.diag([1.0, -1.0, 0.0, 0.0]), 61),
             annihilating(np.diag([0.6, 0.5, 0.1, -0.2]), 62),
-            real_form(build_diode_liouvillian(lossy, 0.0, 0.0)),
+            real_form(diode_model(lossy, 0.0, 0.0)[0]),
         ])
 
     def test_matches_one_solve_per_matrix(self):

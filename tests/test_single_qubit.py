@@ -11,8 +11,7 @@ import pytest
 from qdiode.operators import expectation, steady_state
 from qdiode.single_qubit import (
     QubitParams,
-    build_single_qubit_liouvillian,
-    single_qubit_output_ops,
+    emitter_chain,
     transmission_analytic,
     transmission_numeric,
 )
@@ -38,6 +37,15 @@ class TestParams:
     def test_rejects_negative_dephasing(self):
         with pytest.raises(ValueError):
             QubitParams(omega_q=0.0, gamma_r=1.0, gamma_phi=-0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field",
+                             ["omega_q", "gamma_r", "gamma_nr", "gamma_phi"])
+    def test_rejects_non_finite_fields(self, field, value):
+        # NaN passes every sign check, and then fails every solve in the SVD.
+        rates = {"omega_q": 0.0, "gamma_r": 1.0, **{field: value}}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            QubitParams(**rates)
 
 
 class TestAnalyticLimits:
@@ -93,7 +101,7 @@ class TestNumericAgreement:
 
     def test_undriven_steady_state_is_ground(self):
         q = make_qubit(gamma_phi=0.1 * GAMMA_R)
-        lv = build_single_qubit_liouvillian(q)
+        lv, _, _ = emitter_chain([q], 1.0)
         rho = steady_state(lv)
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -102,10 +110,10 @@ class TestNumericAgreement:
         # at |alpha|^2 = 100 gamma_r the residual is 1.25e-3 exactly.
         q = make_qubit()
         alpha = np.sqrt(100.0 * GAMMA_R)
-        lv = build_single_qubit_liouvillian(q, alpha)
+        lv, _, _ = emitter_chain([q], 1.0, alpha)
         rho = steady_state(lv)
         np.testing.assert_allclose(rho[1, 1].real, 0.5, atol=2e-3)
-        stronger = build_single_qubit_liouvillian(q, np.sqrt(1e4 * GAMMA_R))
+        stronger, _, _ = emitter_chain([q], 1.0, np.sqrt(1e4 * GAMMA_R))
         np.testing.assert_allclose(steady_state(stronger)[1, 1].real, 0.5,
                                    atol=2e-5)
 
@@ -132,8 +140,8 @@ class TestFluxConservation:
                            omega_q=rng.uniform(-1, 1) * GAMMA_R)
             alpha = np.sqrt(rng.uniform(0.001, 3.0) * GAMMA_R)
             beta = np.sqrt(rng.uniform(0.0, 0.5) * GAMMA_R)
-            rho = steady_state(build_single_qubit_liouvillian(q, alpha, beta))
-            a_out, b_out = single_qubit_output_ops(q, alpha, beta)
+            lv, a_out, b_out = emitter_chain([q], 1.0, alpha, beta)
+            rho = steady_state(lv)
             flux = (expectation(a_out.conj().T @ a_out, rho).real
                     + expectation(b_out.conj().T @ b_out, rho).real)
             total_in = abs(alpha) ** 2 + abs(beta) ** 2
@@ -142,8 +150,8 @@ class TestFluxConservation:
     def test_nonradiative_decay_absorbs(self):
         q = make_qubit(gamma_nr=0.2 * GAMMA_R)
         alpha = np.sqrt(0.05 * GAMMA_R)
-        rho = steady_state(build_single_qubit_liouvillian(q, alpha))
-        a_out, b_out = single_qubit_output_ops(q, alpha)
+        lv, a_out, b_out = emitter_chain([q], 1.0, alpha)
+        rho = steady_state(lv)
         flux = (expectation(a_out.conj().T @ a_out, rho).real
                 + expectation(b_out.conj().T @ b_out, rho).real)
         assert flux < abs(alpha) ** 2 * (1.0 - 1e-3)

@@ -14,18 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdiode import fitting
-from qdiode.diode import (
-    DiodeConfig,
-    _one_sided,
-    build_diode_liouvillian,
-    diode_output_ops,
-    optimal_tuning,
-)
+from qdiode.diode import DiodeConfig, _drive, diode_model, optimal_tuning
 from qdiode.operators import expectation, steady_state, vec
-from qdiode.single_qubit import (
-    QubitParams,
-    build_single_qubit_liouvillian,
-)
+from qdiode.single_qubit import QubitParams, emitter_chain
 from qdiode.spectrum import (
     LorentzianFit,
     SpectrumError,
@@ -83,9 +74,8 @@ def forward_psd_narrow():
 class TestDevicePsd:
     def test_elastic_plus_inelastic_matches_flux(self, forward_psd_wide):
         c, s = forward_psd_wide
-        lv = build_diode_liouvillian(c, AMP)
+        lv, a_out, _ = diode_model(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c, AMP)
         flux = expectation(a_out.conj().T @ a_out, rho).real
         total = s.elastic_weight + integrated_inelastic(s)
         np.testing.assert_allclose(total, flux, rtol=1e-3)
@@ -97,7 +87,7 @@ class TestDevicePsd:
     def test_narrow_line_matches_slow_liouvillian_mode(self, forward_psd_narrow):
         c, s = forward_psd_narrow
         fit = fit_lorentzian(s)
-        evals = np.linalg.eigvals(build_diode_liouvillian(c, AMP))
+        evals = np.linalg.eigvals(diode_model(c, AMP)[0])
         nonzero = evals[np.abs(evals.real) > 1e-12 * GAMMA]
         slow = nonzero[np.argmin(np.abs(nonzero.real))]
         np.testing.assert_allclose(fit.fwhm, 2.0 * abs(slow.real), rtol=0.02)
@@ -121,9 +111,8 @@ class TestDevicePsd:
 
     def test_elastic_weight_is_coherent_flux(self, forward_psd_wide):
         c, s = forward_psd_wide
-        lv = build_diode_liouvillian(c, AMP)
+        lv, a_out, _ = diode_model(c, AMP)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c, AMP)
         np.testing.assert_allclose(s.elastic_weight,
                                    abs(expectation(a_out, rho)) ** 2,
                                    rtol=1e-10)
@@ -154,9 +143,8 @@ class TestResolventMatchesEigendecomposition:
         # Forward/transmitted (alpha driven) and reverse/reflected (beta
         # driven) both observe the a_out field.
         c = ideal_diode()
-        lv = build_diode_liouvillian(c, alpha, beta)
+        lv, a_out, _ = diode_model(c, alpha, beta)
         rho = steady_state(lv)
-        a_out, _ = diode_output_ops(c, alpha, beta)
         pred = predicted_linewidth(DELTA, GAMMA, 0.0, 0.0)
         for grid in (np.linspace(-8.0 * pred, 8.0 * pred, 401),
                      np.linspace(-10.0 * GAMMA, 10.0 * GAMMA, 401)):
@@ -188,8 +176,10 @@ def drawn_spectra(c, p_over_gbar, side, port):
     """(resolvent, broadcast-stack, eigendecomposition) spectra of one port
     of a drawn device, on a grid of 16 linewidth estimates and one of
     +-10 gamma_bar; both are odd, so omega = 0 is on them."""
-    lv, ports = _one_sided(c, side, np.sqrt(p_over_gbar * c.gamma_bar))
-    out_op = ports[port == "reflected"]
+    lv, a_out, b_out = diode_model(
+        c, *_drive(side, np.sqrt(p_over_gbar * c.gamma_bar)))
+    # A forward drive is transmitted into a_out, a reverse one into b_out.
+    out_op = a_out if (side == "forward") == (port == "transmitted") else b_out
     rho = steady_state(lv)
     est = linewidth_estimate(c)
     for grid in (np.linspace(-16.0 * est, 16.0 * est, 81),
@@ -278,7 +268,7 @@ def fluorescence():
     """Strongly driven single emitter: Liouvillian, steady state, Rabi frequency."""
     q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
     alpha = np.sqrt(25.0 * GAMMA)
-    lv = build_single_qubit_liouvillian(q, alpha)
+    lv, _, _ = emitter_chain([q], 1.0, alpha)
     rho = steady_state(lv)
     omega_eff = np.sqrt(2.0 * GAMMA) * alpha
     return lv, rho, omega_eff
@@ -481,7 +471,7 @@ class TestPredictedLinewidth:
         gnr, gphi = nr_over_d * gamma_d, phi_over_d * gamma_d
         c = ideal_diode(delta=delta, gamma_nr=gnr, gamma_phi=gphi)
         amp = np.sqrt(p * GAMMA)
-        evals = np.linalg.eigvals(build_diode_liouvillian(c, amp))
+        evals = np.linalg.eigvals(diode_model(c, amp)[0])
         nonzero = evals[np.abs(evals.real) > 1e-12 * GAMMA]
         slowest = np.min(np.abs(nonzero.real))
         np.testing.assert_allclose(

@@ -10,17 +10,24 @@ no unique steady state at any power.
 """
 
 import numpy as np
-from device_strategies import PROPERTY, lossy_devices, powers_over_gbar, sides
+from device_strategies import (
+    PROPERTY,
+    drive_amplitudes,
+    lossy_devices,
+    powers_over_gbar,
+    sides,
+    single_qubit_devices,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 from svd_reference import hermitian_basis_change, svd_null_vector_states
 
 from qdiode.diode import (
     DiodeConfig,
-    _one_sided,
+    _drive,
     _solve_side,
-    build_diode_liouvillian,
     dark_bright_rates,
+    diode_model,
     optimal_tuning,
     power_sweep,
 )
@@ -30,7 +37,7 @@ from qdiode.operators import (
     real_form,
     steady_states,
 )
-from qdiode.single_qubit import QubitParams, build_single_qubit_liouvillian
+from qdiode.single_qubit import QubitParams, emitter_chain
 
 power_lists = st.lists(powers_over_gbar, min_size=1, max_size=6)
 
@@ -39,8 +46,8 @@ def side_stack(c, side, amps, form=np.asarray):
     """The Liouvillians L0 + a L1 a sweep solves at amplitudes ``amps``,
     with L(0) and L(1) each passed through ``form`` first: column stacking
     by default, the sweep's own real stack with ``form=real_form``."""
-    lv0 = form(_one_sided(c, side, 0.0)[0])
-    lv1 = form(_one_sided(c, side, 1.0)[0])
+    lv0 = form(diode_model(c, *_drive(side, 0.0))[0])
+    lv1 = form(diode_model(c, *_drive(side, 1.0))[0])
     return lv0 + amps[:, None, None] * (lv1 - lv0)
 
 
@@ -108,34 +115,18 @@ def test_power_sweep_reports_the_smallest_null_gap():
     assert info["near_degenerate_rows"] == 0
 
 
-drive_amplitudes = st.builds(
-    lambda p, phase: np.sqrt(p) * np.exp(1j * phase),
-    st.just(0.0) | powers_over_gbar, st.floats(-np.pi, np.pi))
-
-
-@st.composite
-def single_qubit_devices(draw):
-    """A single emitter with gamma_r in [0.5, 2], a detuning within 5 gamma_r
-    and gamma_nr, gamma_phi in [0, 0.1] gamma_r."""
-    gr = draw(st.floats(0.5, 2.0))
-    return QubitParams(omega_q=draw(st.floats(-5.0, 5.0)) * gr, gamma_r=gr,
-                       gamma_nr=draw(st.floats(0.0, 0.1)) * gr,
-                       gamma_phi=draw(st.floats(0.0, 0.1)) * gr)
-
-
 @PROPERTY
 @given(lossy_devices() | single_qubit_devices(),
        st.lists(st.tuples(drive_amplitudes, drive_amplitudes),
                 min_size=1, max_size=4))
 def test_real_form_keeps_every_liouvillian_and_its_steady_state(device,
                                                                  drives):
-    build = (build_diode_liouvillian if isinstance(device, DiodeConfig)
-             else build_single_qubit_liouvillian)
-    scale = (device.gamma_bar if isinstance(device, DiodeConfig)
-             else device.gamma_r)
-    stack = np.array([build(device, alpha * np.sqrt(scale),
-                            beta * np.sqrt(scale))
-                      for alpha, beta in drives])
+    diode = isinstance(device, DiodeConfig)
+    scale = np.sqrt(device.gamma_bar if diode else device.gamma_r)
+    stack = np.array([
+        (diode_model(device, alpha * scale, beta * scale) if diode
+         else emitter_chain([device], 1.0, alpha * scale, beta * scale))[0]
+        for alpha, beta in drives])
     v = hermitian_basis_change(int(round(np.sqrt(stack.shape[-1]))))
     direct = v.conj().T @ stack @ v
     real = np.array([real_form(lv) for lv in stack])
