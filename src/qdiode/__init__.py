@@ -13,7 +13,6 @@ from .diode import (
     DiodeConfig,
     DiodeOperatingPoint,
     DrivenState,
-    SweepRow,
     dark_bright_rates,
     dark_state_population,
     diode_efficiency,
@@ -71,7 +70,6 @@ __all__ = [
     "SolverError",
     "SpectrumError",
     "SpectrumResult",
-    "SweepRow",
     "analytic_iq_variance",
     "dark_bright_rates",
     "dark_state_population",

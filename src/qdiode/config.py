@@ -206,6 +206,10 @@ def _mode_checks(mode: str, echo: dict) -> None:
                     "are required when p_dark values are not given)")
         if echo["power_max"] < echo["power_min"]:
             raise ConfigError("mirror-mc: power_max must be >= power_min")
+        if echo["n_powers"] == 1 and echo["power_max"] != echo["power_min"]:
+            raise ConfigError("mirror-mc: with n_powers = 1 the sweep is "
+                              "power_min alone, so power_max must equal "
+                              "power_min")
     if mode == "spectrum":
         if echo["n_freq"] % 2 == 0:
             raise ConfigError("spectrum: n_freq must be odd so the grid is "

@@ -20,10 +20,11 @@ the device a diode.
 
 A drive of real amplitude a from one side enters L and the output operators
 affinely (the |a|^2 terms of D[a_out] and D[b_out] cancel), so
-``power_sweep``, ``operating_point`` and ``transmission`` solve each side
-with one ``single_qubit._affine_sweep`` over all their amplitudes.
-``driven_state`` solves a general drive from both sides, which has no such
-form, on its own.
+``power_sweep`` solves each side with one ``single_qubit._affine_sweep``
+over all its amplitudes. It is the one one-sided solve: its row,
+``DiodeOperatingPoint``, is the one result type, and ``operating_point`` and
+``transmission`` are one-power sweeps. ``driven_state`` solves a general
+drive from both sides, which has no such form, on its own.
 """
 
 from __future__ import annotations
@@ -75,15 +76,16 @@ class DiodeConfig:
 
 @dataclass(frozen=True)
 class DiodeOperatingPoint:
-    """Steady-state transmission and state data for one drive power."""
+    """Steady-state transmission and dark populations at one drive power:
+    a ``power_sweep`` row. ``error`` holds a message if the solve failed."""
 
+    power: float
     t_forward: complex
     t_reverse: complex
     efficiency: float
-    rho_ss_forward: np.ndarray
-    rho_ss_reverse: np.ndarray
     dark_population_forward: float
     dark_population_reverse: float
+    error: str | None = None
 
     @property
     def dark_probabilities(self) -> tuple[float, float]:
@@ -156,6 +158,9 @@ def diode_model(c: DiodeConfig, alpha: complex = 0.0,
     return emitter_chain(emitters, c.phase, alpha, beta)
 
 
+_SIDES = ("forward", "reverse")
+
+
 def _drive(direction: str, amp):
     """(alpha, beta) for a drive of amplitude ``amp`` from one side."""
     if direction == "forward":
@@ -166,43 +171,40 @@ def _drive(direction: str, amp):
 
 
 def _solve_side(c: DiodeConfig, direction: str, amps,
-                info: dict | None = None) -> list:
-    """Steady state under a drive from one side, for each real amplitude in
-    ``amps``: a (t, dark population, rho) triple, or the point's SolverError.
+                info: dict | None = None):
+    """Steady states under a drive from one side, for each real amplitude in
+    ``amps``, as columns (t, dark population, states): t and the dark
+    population are NaN where a point failed, and states is
+    ``_affine_sweep``'s list of each point's state or SolverError.
 
     One ``_affine_sweep`` over the amplitude solves the side (and fills
     ``info``). t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
     """
+    amps = np.asarray(amps, dtype=float)
     states, solved, rhos, a_mean, b_mean = _affine_sweep(
         lambda amp: diode_model(c, *_drive(direction, amp)), amps, info)
     out = a_mean if direction == "forward" else b_mean
-    a = np.asarray(amps, dtype=float)[solved]
-    t = np.divide(out, a, out=np.zeros_like(out), where=a != 0)
-    dark = np.einsum("i,nij,j->n", DARK_STATE.conj(), rhos, DARK_STATE).real
-    results = list(states)
-    for k, t_k, dark_k, rho in zip(solved, t.tolist(), dark.tolist(), rhos):
-        results[k] = (t_k, dark_k, rho)
-    return results
-
-
-def _solve_point(c: DiodeConfig, direction: str,
-                 amp: float) -> tuple[complex, float, np.ndarray]:
-    """``_solve_side`` at one amplitude, raising its SolverError."""
-    result = _solve_side(c, direction, [amp])[0]
-    if isinstance(result, SolverError):
-        raise result
-    return result
+    a = amps[solved]
+    t = np.full(amps.size, complex(np.nan, np.nan))
+    t[solved] = np.divide(out, a, out=np.zeros_like(out), where=a != 0)
+    dark = np.full(amps.size, np.nan)
+    dark[solved] = np.einsum("i,nij,j->n", DARK_STATE.conj(), rhos,
+                             DARK_STATE).real
+    return t, dark, states
 
 
 def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
     """Directional steady-state transmission amplitude at photon flux
-    ``power`` = |amplitude|^2.
+    ``power`` = |amplitude|^2: the ``power_sweep`` of that one side at that
+    one power, raising the SolverError of a failed solve.
 
     forward: t = <a_out>/alpha with beta = 0; reverse: t = <b_out>/beta with
-    alpha = 0. As in ``operating_point``, t = 0 at zero power.
+    alpha = 0. As in ``power_sweep``, t = 0 at zero power.
     """
-    _check_power(power)
-    return _solve_point(c, direction, np.sqrt(power))[0]
+    row = power_sweep(c, [power], (direction,))[0]
+    if row.error is not None:
+        raise SolverError(row.error)
+    return row.t_forward if direction == "forward" else row.t_reverse
 
 
 def diode_efficiency(t_f: complex, t_r: complex) -> float:
@@ -224,16 +226,12 @@ def _check_power(power: float) -> None:
 
 
 def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
-    """Solve both drive directions at photon flux ``power`` = |amplitude|^2."""
-    _check_power(power)
-    amp = np.sqrt(power)
-    t_f, dark_f, rho_f = _solve_point(c, "forward", amp)
-    t_r, dark_r, rho_r = _solve_point(c, "reverse", amp)
-    return DiodeOperatingPoint(
-        t_forward=t_f, t_reverse=t_r,
-        efficiency=diode_efficiency(t_f, t_r),
-        rho_ss_forward=rho_f, rho_ss_reverse=rho_r,
-        dark_population_forward=dark_f, dark_population_reverse=dark_r)
+    """Solve both drive directions at photon flux ``power`` = |amplitude|^2:
+    ``power_sweep`` at one power, raising the SolverError of a failed solve."""
+    row = power_sweep(c, [power])[0]
+    if row.error is not None:
+        raise SolverError(row.error)
+    return row
 
 
 def driven_state(c: DiodeConfig, alpha: complex,
@@ -250,21 +248,8 @@ def driven_state(c: DiodeConfig, alpha: complex,
         populations=tuple(float(rho[i, i].real) for i in range(4)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One power_sweep row; ``error`` holds a message if the solve failed."""
-
-    power: float
-    t_forward: complex
-    t_reverse: complex
-    efficiency: float
-    dark_population_forward: float
-    dark_population_reverse: float
-    error: str | None = None
-
-
 def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
-                info: dict | None = None) -> list[SweepRow]:
+                info: dict | None = None) -> list[DiodeOperatingPoint]:
     """Transmission, efficiency and dark population over ascending drive
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
@@ -286,43 +271,39 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
         _check_power(p)
     if any(p2 < p1 for p1, p2 in zip(powers, powers[1:])):
         raise ValueError("powers must be sorted ascending")
-    unknown = set(sides) - {"forward", "reverse"}
+    unknown = set(sides) - set(_SIDES)
     if unknown:
         raise ValueError(f"unknown direction(s) {sorted(unknown)}")
     amps = np.sqrt(np.asarray(powers, dtype=float))
-    solved, gaps, resids = {}, [], []
+    # One row per direction in _SIDES, one column per power.
+    t = np.full((2, len(powers)), complex(np.nan, np.nan))
+    dark = np.full((2, len(powers)), np.nan)
+    errors: list = [None] * len(powers)
+    gaps, resids = [], []
     for side in sides:
         side_info: dict = {}
-        solved[side] = _solve_side(c, side, amps, side_info)
+        k = _SIDES.index(side)
+        t[k], dark[k], states = _solve_side(c, side, amps, side_info)
+        # A power keeps the message of its first failed side.
+        errors = [str(rho) if e is None and isinstance(rho, SolverError)
+                  else e for e, rho in zip(errors, states)]
         gaps.append(side_info["null_gap"])
         resids.append(side_info["residual"])
-    nan_t = complex(np.nan, np.nan)
-    rows = []
-    for k, p in enumerate(powers):
-        t = {"forward": nan_t, "reverse": nan_t}
-        dark = {"forward": np.nan, "reverse": np.nan}
-        errors = [solved[side][k] for side in sides
-                  if isinstance(solved[side][k], SolverError)]
-        if errors:
-            rows.append(SweepRow(power=p, t_forward=nan_t, t_reverse=nan_t,
-                                 efficiency=np.nan,
-                                 dark_population_forward=np.nan,
-                                 dark_population_reverse=np.nan,
-                                 error=str(errors[0])))
-            continue
-        for side in sides:
-            t[side], dark[side], _ = solved[side][k]
-        # NaN from a side not solved propagates into the efficiency.
-        rows.append(SweepRow(
-            power=p, t_forward=t["forward"], t_reverse=t["reverse"],
-            efficiency=diode_efficiency(t["forward"], t["reverse"]),
-            dark_population_forward=dark["forward"],
-            dark_population_reverse=dark["reverse"]))
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    t[:, failed] = complex(np.nan, np.nan)
+    dark[:, failed] = np.nan
+    # NaN from a failed or unsolved side propagates into the efficiency.
+    rows = [DiodeOperatingPoint(
+                power=p, t_forward=t_f, t_reverse=t_r,
+                efficiency=diode_efficiency(t_f, t_r),
+                dark_population_forward=dark_f,
+                dark_population_reverse=dark_r, error=e)
+            for p, t_f, t_r, dark_f, dark_r, e
+            in zip(powers, *t.tolist(), *dark.tolist(), errors)]
     if info is not None:
-        # One row per side, one column per power; keep the accepted powers.
-        accepted = np.array([r.error is None for r in rows], dtype=bool)
+        # One row per solved side, one column per power; keep the accepted.
         shape = (len(sides), len(powers))
-        gaps = np.reshape(gaps, shape)[:, accepted]
-        resids = np.reshape(resids, shape)[:, accepted]
+        gaps = np.reshape(gaps, shape)[:, ~failed]
+        resids = np.reshape(resids, shape)[:, ~failed]
         _gap_diagnostics(info, gaps, resids, "near_degenerate_rows")
     return rows

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diode import SweepRow
+from .diode import DiodeOperatingPoint
 from .mirror import MirrorSweepRow
 from .spectrum import SpectrumResult
 
@@ -115,9 +115,10 @@ SWEEP_COLUMNS = ["p_over_gammabar", "t_fwd_abs", "t_fwd_arg", "t_rev_abs",
                  "t_rev_arg", "efficiency", "dark_pop_fwd", "dark_pop_rev"]
 
 
-def write_sweep_csv(path: str, rows: Sequence[SweepRow],
+def write_sweep_csv(path: str, rows: Sequence[DiodeOperatingPoint],
                     gamma_bar: float) -> None:
-    """Power sweep table; powers are stored relative to gamma_bar.
+    """Power sweep table of ``power_sweep``'s rows; powers are stored
+    relative to gamma_bar.
 
     Rows that failed to solve carry NaN in every result column; the error
     messages travel in the manifest, not the data file. Each column is

@@ -107,7 +107,10 @@ def _mirror_states(m: MirrorModel, rng: np.random.Generator,
     redraw = rng.random(m.n_samples, out=buf) < q
     redraw[0] = True
     fresh = rng.random(m.n_samples, out=buf) < m.p_dark
-    idx = np.where(redraw, np.arange(m.n_samples), 0)
+    # Index of each sample's last redraw, in the smallest unsigned dtype
+    # that holds n_samples - 1.
+    idx = np.arange(m.n_samples, dtype=np.min_scalar_type(m.n_samples - 1))
+    idx *= redraw
     np.maximum.accumulate(idx, out=idx)
     return fresh[idx]
 
@@ -162,8 +165,9 @@ def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
     return variances[0], variances[1]
 
 
-# Scratch bytes per record sample of one worker: its float64 buffer plus, at
-# the peak of a dwell-mode record, two bool and two int64 arrays.
+# An upper bound on one worker's scratch bytes per record sample: its float64
+# buffer plus, at the peak of a dwell-mode record, three bool arrays and a
+# state index of at most 8 bytes a sample: at most 19 bytes in all.
 _WORKER_BYTES_PER_SAMPLE = 26
 # The workers' scratch together stays under this (2^18 samples: 39 workers).
 _SCRATCH_BUDGET = 2 ** 28

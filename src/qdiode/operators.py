@@ -57,14 +57,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape(d, d, order="F")
-
-
 @functools.cache
 def _hermitian_coordinates(d: int) -> np.ndarray:
     """The unitary U with U vec(rho) = rho's real Hermitian coordinates

@@ -7,7 +7,7 @@ normalized by its trace. Its per-matrix tests and messages are those of
 point: same verdict, same message, and states that agree to the accuracy a
 null vector allows. It works on column-stacking Liouvillians, which
 ``hermitian_basis_change`` links to the real Hermitian coordinates
-``steady_states`` takes.
+``steady_states`` takes, and ``unvec`` undoes the column stacking.
 """
 
 import numpy as np
@@ -18,6 +18,16 @@ from qdiode.operators import (
     _density_matrix_problems,
     vec,
 )
+
+
+def unvec(v):
+    """The d x d matrix whose column stacking is ``v``."""
+    v = np.asarray(v)
+    d = int(round(np.sqrt(v.size)))
+    if d * d != v.size:
+        raise ValueError(
+            f"vector of length {v.size} is not a vectorized square matrix")
+    return v.reshape(d, d, order="F")
 
 
 def hermitian_basis_change(d):

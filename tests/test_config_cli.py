@@ -28,7 +28,7 @@ from qdiode import io
 from qdiode.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SOLVER,
                         _diode_config, run)
 from qdiode.config import MODES, TWO_PI, ConfigError, load, validate
-from qdiode.diode import SweepRow, power_sweep
+from qdiode.diode import DiodeOperatingPoint, power_sweep
 from qdiode.mirror import MirrorSweepRow
 from qdiode.spectrum import LorentzianFit, SpectrumResult
 
@@ -259,6 +259,21 @@ class TestMirrorConfig:
         with pytest.raises(ConfigError, match="power_max"):
             validate("mirror-mc", raw)
 
+    def test_one_power_needs_power_max_equal_to_power_min(self, tmp_path,
+                                                          capsys):
+        # One power is power_min alone: a different power_max would be
+        # dropped without a word.
+        raw = dict(self.BASE, p_dark_fwd=0.6, p_dark_rev=0.05, n_powers=1)
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert run(["mirror-mc", "--config", cfg,
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert "power_max" in capsys.readouterr().err
+        assert not (out / "mirror_sweep.csv").exists()
+        assert not (out / "run_manifest.json").exists()
+        single = validate("mirror-mc", dict(raw, power_max=raw["power_min"]))
+        assert single.params["n_powers"] == 1
+
 
 class TestLoad:
     def test_missing_file(self, tmp_path):
@@ -320,13 +335,15 @@ class TestFileRoundTrips:
     def test_sweep_header_and_nan_rows(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
         nan = float("nan")
-        rows = [SweepRow(power=1.0, t_forward=0.5 + 0.1j, t_reverse=0.02 + 0j,
-                         efficiency=0.4, dark_population_forward=0.6,
-                         dark_population_reverse=0.01),
-                SweepRow(power=2.0, t_forward=complex(nan, nan),
-                         t_reverse=complex(nan, nan), efficiency=nan,
-                         dark_population_forward=nan,
-                         dark_population_reverse=nan, error="degenerate")]
+        rows = [DiodeOperatingPoint(
+                    power=1.0, t_forward=0.5 + 0.1j, t_reverse=0.02 + 0j,
+                    efficiency=0.4, dark_population_forward=0.6,
+                    dark_population_reverse=0.01),
+                DiodeOperatingPoint(
+                    power=2.0, t_forward=complex(nan, nan),
+                    t_reverse=complex(nan, nan), efficiency=nan,
+                    dark_population_forward=nan,
+                    dark_population_reverse=nan, error="degenerate")]
         io.write_sweep_csv(path, rows, gamma_bar=1.0)
         table = np.genfromtxt(path, delimiter=",", names=True)
         assert list(table.dtype.names) == io.SWEEP_COLUMNS
@@ -671,16 +688,19 @@ class TestCliRuns:
             self, tmp_path):
         nan_t = complex(np.nan, np.nan)
         rows = [
-            SweepRow(power=np.float64(0.3), t_forward=0.6 - 0.2j,
-                     t_reverse=-0.1 + 0.05j, efficiency=np.float64(0.7),
-                     dark_population_forward=0.25,
-                     dark_population_reverse=np.float64(1e-300)),
-            SweepRow(power=2, t_forward=nan_t, t_reverse=nan_t,
-                     efficiency=np.nan, dark_population_forward=np.nan,
-                     dark_population_reverse=np.nan, error="failed"),
-            SweepRow(power=5e-324, t_forward=0j, t_reverse=-0.0 - 0.0j,
-                     efficiency=0.0, dark_population_forward=-0.0,
-                     dark_population_reverse=1.0),
+            DiodeOperatingPoint(
+                power=np.float64(0.3), t_forward=0.6 - 0.2j,
+                t_reverse=-0.1 + 0.05j, efficiency=np.float64(0.7),
+                dark_population_forward=0.25,
+                dark_population_reverse=np.float64(1e-300)),
+            DiodeOperatingPoint(
+                power=2, t_forward=nan_t, t_reverse=nan_t,
+                efficiency=np.nan, dark_population_forward=np.nan,
+                dark_population_reverse=np.nan, error="failed"),
+            DiodeOperatingPoint(
+                power=5e-324, t_forward=0j, t_reverse=-0.0 - 0.0j,
+                efficiency=0.0, dark_population_forward=-0.0,
+                dark_population_reverse=1.0),
         ]
         for name, sweep in (("mixed", rows), ("empty", [])):
             new, ref = (str(tmp_path / f"{name}{k}.csv") for k in (0, 1))
@@ -854,14 +874,14 @@ class TestCliRuns:
                           for n in names if n.split(".")[0] == "scipy"]
         assert found == []
 
-    def test_one_builder_assembles_every_liouvillian(self):
-        # Every model is a chain of emitters: a second builder could give a
-        # model a convention of its own.
+    @staticmethod
+    def callers(callee):
+        """(file, top-level name) of each call of ``callee`` in the package."""
         paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
                           recursive=True)
         assert paths
         found = []
-        for path in paths:
+        for path in sorted(paths):
             with open(path, encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), path)
             for stmt in tree.body:
@@ -872,9 +892,22 @@ class TestCliRuns:
                     func = node.func
                     name = (func.id if isinstance(func, ast.Name)
                             else getattr(func, "attr", None))
-                    if name == "liouvillian_matrix":
+                    if name == callee:
                         found.append((os.path.basename(path), owner))
-        assert found == [("single_qubit.py", "emitter_chain")]
+        return found
+
+    def test_one_builder_assembles_every_liouvillian(self):
+        # Every model is a chain of emitters: a second builder could give a
+        # model a convention of its own.
+        assert self.callers("liouvillian_matrix") == [
+            ("single_qubit.py", "emitter_chain")]
+
+    def test_one_path_solves_every_one_sided_drive(self):
+        # operating_point and transmission are one-power sweeps: a second
+        # route to _solve_side could give them rows of their own.
+        assert self.callers("_solve_side") == [("diode.py", "power_sweep")]
+        assert set(self.callers("power_sweep")) >= {
+            ("diode.py", "operating_point"), ("diode.py", "transmission")}
 
     def test_cli_leaves_the_model_to_the_library(self):
         # The runners convert units and write files; assembling a master

@@ -13,10 +13,13 @@ import pytest
 from device_strategies import PROPERTY, lossy_devices, powers_over_gbar
 from hypothesis import given
 from hypothesis import strategies as st
+from svd_reference import unvec
 
 from qdiode.diode import (
     DARK_STATE,
     DiodeConfig,
+    DiodeOperatingPoint,
+    _solve_side,
     dark_bright_rates,
     dark_state_population,
     diode_efficiency,
@@ -32,7 +35,6 @@ from qdiode.operators import (
     SolverError,
     expectation,
     steady_state,
-    unvec,
     vec,
 )
 from qdiode.single_qubit import (
@@ -417,6 +419,79 @@ class TestPowerSweep:
             assert np.isnan(r.efficiency)
 
 
+def field_bytes(row):
+    """Each field of a DiodeOperatingPoint bit for bit: the numbers as
+    their bytes, the error message as it is."""
+    out = []
+    for f in dataclasses.fields(row):
+        value = getattr(row, f.name)
+        out.append(value if f.name == "error" else np.asarray(value).tobytes())
+    return out
+
+
+class TestOnePath:
+    """operating_point and transmission are one-power power_sweeps."""
+
+    POWERS = [0.0, 1e-4, 0.05, 3.0]
+
+    @staticmethod
+    def lossy_diode():
+        return ideal_diode(gamma_nr=0.02 * GAMMA, gamma_phi=0.01 * GAMMA,
+                           gamma2_scale=0.8)
+
+    @pytest.mark.parametrize("p", POWERS)
+    def test_operating_point_is_the_sweep_row(self, p):
+        c = self.lossy_diode()
+        power = p * c.gamma_bar
+        op = operating_point(c, power)
+        assert field_bytes(op) == field_bytes(power_sweep(c, [power])[0])
+        assert op.power == power and op.error is None
+
+    @pytest.mark.parametrize("p", POWERS)
+    def test_operating_point_matches_the_per_side_solves(self, p):
+        # The route operating_point took before it was a sweep: one
+        # _solve_side per direction at the one amplitude.
+        c = self.lossy_diode()
+        power = p * c.gamma_bar
+        (t_f,), (dark_f,), _ = _solve_side(c, "forward", [np.sqrt(power)])
+        (t_r,), (dark_r,), _ = _solve_side(c, "reverse", [np.sqrt(power)])
+        t_f, t_r = complex(t_f), complex(t_r)
+        want = DiodeOperatingPoint(
+            power=power, t_forward=t_f, t_reverse=t_r,
+            efficiency=diode_efficiency(t_f, t_r),
+            dark_population_forward=float(dark_f),
+            dark_population_reverse=float(dark_r))
+        assert field_bytes(operating_point(c, power)) == field_bytes(want)
+
+    @pytest.mark.parametrize("p", POWERS)
+    @pytest.mark.parametrize("side", ["forward", "reverse"])
+    def test_transmission_is_the_sweep_field(self, side, p):
+        c = self.lossy_diode()
+        power = p * c.gamma_bar
+        row = power_sweep(c, [power], (side,))[0]
+        field = "t_forward" if side == "forward" else "t_reverse"
+        t = transmission(c, side, power)
+        assert type(t) is complex
+        for want in (getattr(row, field),
+                     getattr(operating_point(c, power), field)):
+            assert np.asarray(t).tobytes() == np.asarray(want).tobytes()
+
+    def test_failed_solve_raises_the_row_error(self):
+        q = QubitParams(omega_q=0.0, gamma_r=GAMMA)
+        c = DiodeConfig(q, q, 0.0)
+        power = 0.05 * GAMMA
+        row = power_sweep(c, [power])[0]
+        assert row.error
+        with pytest.raises(SolverError) as caught:
+            operating_point(c, power)
+        assert str(caught.value) == row.error
+        for side in ("forward", "reverse"):
+            one_side = power_sweep(c, [power], (side,))[0]
+            with pytest.raises(SolverError) as caught:
+                transmission(c, side, power)
+            assert str(caught.value) == one_side.error
+
+
 class TestBadPowers:
     """Negative and non-finite powers are named in a ValueError before any
     steady state is solved (np.sqrt would otherwise hand the solver NaN)."""
@@ -447,4 +522,6 @@ class TestBadPowers:
         c = ideal_diode()
         op = operating_point(c, 0.0)
         assert op.t_forward == 0 and op.t_reverse == 0
+        assert op.error is None
         assert power_sweep(c, [0.0])[0].error is None
+        assert transmission(c, "reverse", 0.0) == 0

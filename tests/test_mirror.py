@@ -26,7 +26,9 @@ from qdiode import mirror
 from qdiode.mirror import (
     IQRecord,
     MirrorModel,
+    _mirror_states,
     _record_variances,
+    _rng,
     _spawn_seeds,
     analytic_iq_variance,
     iq_variance,
@@ -173,6 +175,25 @@ class TestDwellMode:
         expected, _ = analytic_iq_variance(p, a, 0.0)
         se = variance_standard_error(p, a, 0.0, n) * np.sqrt(2.0 * 10.0)
         assert abs(vi - expected) < 4.0 * se
+
+    @pytest.mark.parametrize("n", [2, 3, 65537])
+    @pytest.mark.parametrize("dwell", [0.3, 4.0, 25.0])
+    def test_states_equal_the_int64_index_construction(self, dwell, n):
+        # The state index is built in the smallest unsigned dtype that holds
+        # n - 1 (uint8 for n = 2 and 3, uint32 for 65537); the states must
+        # be those of an int64 index.
+        m = MirrorModel(p_dark=0.4, alpha=1.0, sigma_w=0.0, n_samples=n,
+                        seed=17, dwell_samples=dwell)
+        rng = _rng(m)
+        q = -np.expm1(-1.0 / m.dwell_samples)
+        redraw = rng.random(n) < q
+        redraw[0] = True
+        fresh = rng.random(n) < m.p_dark
+        idx = np.where(redraw, np.arange(n, dtype=np.int64), 0)
+        np.maximum.accumulate(idx, out=idx)
+        np.testing.assert_array_equal(_mirror_states(m, _rng(m)), fresh[idx])
+        np.testing.assert_array_equal(
+            _mirror_states(m, _rng(m), np.empty(n)), fresh[idx])
 
 
 # ----------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import pytest
 from device_strategies import PROPERTY
 from hypothesis import given
 from hypothesis import strategies as st
-from svd_reference import hermitian_basis_change, svd_null_vector_states
+from svd_reference import (hermitian_basis_change, svd_null_vector_states,
+                           unvec)
 
 from qdiode.operators import (
     SIGMA_MINUS,
@@ -30,7 +31,6 @@ from qdiode.operators import (
     real_form,
     steady_state,
     steady_states,
-    unvec,
     vec,
 )
 

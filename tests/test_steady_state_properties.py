@@ -75,9 +75,8 @@ def test_bordered_solve_matches_the_svd_reference(c, ps, side):
 def test_every_returned_state_is_a_density_matrix(c, ps):
     amps = np.sqrt(np.sort(ps) * c.gamma_bar)
     for side in ("forward", "reverse"):
-        for point in _solve_side(c, side, amps):
-            if not isinstance(point, SolverError):
-                rho = point[2]
+        for rho in _solve_side(c, side, amps)[2]:
+            if not isinstance(rho, SolverError):
                 check_density_matrix(rho)
                 np.testing.assert_array_equal(rho, rho.conj().T)
 
@@ -158,6 +157,6 @@ def test_trace_row_keeps_the_trace_at_rates_of_order_1e8():
         gamma_d, _ = dark_bright_rates(delta, gamma, gamma)
         amps = np.sqrt(np.geomspace(1e-3 * gamma_d, 10.0 * gamma, 60))
         for side in ("forward", "reverse"):
-            for point in _solve_side(c, side, amps):
-                assert not isinstance(point, SolverError), str(point)
-                assert abs(np.trace(point[2]).real - 1.0) <= 1e-14
+            for rho in _solve_side(c, side, amps)[2]:
+                assert not isinstance(rho, SolverError), str(rho)
+                assert abs(np.trace(rho).real - 1.0) <= 1e-14
