@@ -34,6 +34,7 @@ from .mirror import (
 )
 from .operators import (
     SolverError,
+    SteadyStates,
     expectation,
     real_form,
     steady_state,
@@ -70,6 +71,7 @@ __all__ = [
     "SolverError",
     "SpectrumError",
     "SpectrumResult",
+    "SteadyStates",
     "analytic_iq_variance",
     "dark_bright_rates",
     "dark_state_population",

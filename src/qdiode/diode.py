@@ -170,27 +170,25 @@ def _drive(direction: str, amp):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _solve_side(c: DiodeConfig, direction: str, amps,
-                info: dict | None = None):
+def _solve_side(c: DiodeConfig, direction: str, amps):
     """Steady states under a drive from one side, for each real amplitude in
-    ``amps``, as columns (t, dark population, states): t and the dark
-    population are NaN where a point failed, and states is
-    ``_affine_sweep``'s list of each point's state or SolverError.
+    ``amps``, as columns (t, dark population) and the side's
+    ``SteadyStates``: t and the dark population are NaN where a point
+    failed.
 
-    One ``_affine_sweep`` over the amplitude solves the side (and fills
-    ``info``). t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
+    One ``_affine_sweep`` over the amplitude solves the side. t = <a_out>/a
+    forward, <b_out>/a reverse, and 0 at a = 0.
     """
     amps = np.asarray(amps, dtype=float)
-    states, solved, rhos, a_mean, b_mean = _affine_sweep(
-        lambda amp: diode_model(c, *_drive(direction, amp)), amps, info)
+    solved, a_mean, b_mean = _affine_sweep(
+        lambda amp: diode_model(c, *_drive(direction, amp)), amps)
     out = a_mean if direction == "forward" else b_mean
-    a = amps[solved]
-    t = np.full(amps.size, complex(np.nan, np.nan))
-    t[solved] = np.divide(out, a, out=np.zeros_like(out), where=a != 0)
-    dark = np.full(amps.size, np.nan)
-    dark[solved] = np.einsum("i,nij,j->n", DARK_STATE.conj(), rhos,
-                             DARK_STATE).real
-    return t, dark, states
+    # A failed point keeps its NaN at a = 0 too.
+    t = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
+                  where=amps != 0)
+    dark = np.einsum("i,nij,j->n", DARK_STATE.conj(), solved.rho,
+                     DARK_STATE).real
+    return t, dark, solved
 
 
 def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
@@ -256,13 +254,14 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     Each side solves all its powers in one ``_affine_sweep``. A side not in
     ``sides`` gets NaN transmission and dark population, so the efficiency
     is NaN unless both sides are solved. A power whose solve fails on any
-    side becomes a row of NaN values with the message of the first failed
-    side in ``error``; the sweep goes on.
+    side becomes a row of NaN values whose ``error`` is the first failed
+    side's ``SteadyStates.error`` message; the sweep goes on.
 
-    If ``info`` is a dict, three solver diagnostics over the solved sides of
-    the rows that did not fail are set in it: ``"min_null_gap"``, the
-    smallest s_{-2} / s_max (see ``steady_states``), and ``"max_residual"``,
-    the largest residual ||L vec(rho)||, each None if every row failed; and
+    If ``info`` is a dict, three solver diagnostics are set in it from the
+    ``null_gap`` and ``residual`` fields of each solved side's
+    ``SteadyStates``, over the rows that did not fail: ``"min_null_gap"``,
+    the smallest s_{-2} / s_max, and ``"max_residual"``, the largest
+    residual ||L vec(rho)||, each None if every row failed; and
     ``"near_degenerate_rows"``, the number of those rows with a side whose
     null gap is below ``single_qubit.NEAR_DEGENERATE_GAP``.
     """
@@ -281,14 +280,12 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     errors: list = [None] * len(powers)
     gaps, resids = [], []
     for side in sides:
-        side_info: dict = {}
         k = _SIDES.index(side)
-        t[k], dark[k], states = _solve_side(c, side, amps, side_info)
+        t[k], dark[k], solved = _solve_side(c, side, amps)
         # A power keeps the message of its first failed side.
-        errors = [str(rho) if e is None and isinstance(rho, SolverError)
-                  else e for e, rho in zip(errors, states)]
-        gaps.append(side_info["null_gap"])
-        resids.append(side_info["residual"])
+        errors = [s if e is None else e for e, s in zip(errors, solved.error)]
+        gaps.append(solved.null_gap)
+        resids.append(solved.residual)
     failed = np.array([e is not None for e in errors], dtype=bool)
     t[:, failed] = complex(np.nan, np.nan)
     dark[:, failed] = np.nan

@@ -168,8 +168,8 @@ def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
 # An upper bound on one worker's scratch bytes per record sample: its float64
 # buffer plus, at the peak of a dwell-mode record, three bool arrays and a
 # state index of at most 8 bytes a sample: at most 19 bytes in all.
-_WORKER_BYTES_PER_SAMPLE = 26
-# The workers' scratch together stays under this (2^18 samples: 39 workers).
+_WORKER_BYTES_PER_SAMPLE = 19
+# The workers' scratch together stays under this (2^18 samples: 53 workers).
 _SCRATCH_BUDGET = 2 ** 28
 
 

@@ -23,6 +23,7 @@ Basis conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,16 +173,30 @@ class SolverError(RuntimeError):
     """Steady-state failure (degenerate null space etc.)."""
 
 
-def steady_states(lvs, info: dict | None = None) -> list:
+class SteadyStates(NamedTuple):
+    """``steady_states`` of N Liouvillians, one entry per matrix: ``rho``
+    (N, d, d), all NaN where a matrix failed; ``error``, the message of the
+    test it failed, or None; ``null_gap``, s_{-2} / s_max, how far its null
+    space is from degenerate; ``residual``, ||L r|| (||L vec(rho)|| for the
+    column-stacking L), NaN where no normalized state was formed."""
+
+    rho: np.ndarray
+    error: list
+    null_gap: np.ndarray
+    residual: np.ndarray
+
+
+def steady_states(lvs) -> SteadyStates:
     """Steady states of a stack of Liouvillians in real Hermitian
     coordinates (``real_form``), from batched singular values and one
     batched bordered linear solve, all in real arithmetic.
 
     ``lvs`` is a real array of shape (N, d^2, d^2); a complex array raises
     ValueError, since a column-stacking Liouvillian must first go through
-    ``real_form``. Each matrix gets its density matrix or the SolverError it
-    fails with, in input order. The singular values alone (no singular
-    vectors) decide whether a matrix has a one-dimensional null space:
+    ``real_form``. Each matrix gets its density matrix, or NaN and the
+    message of the test it fails, in input order (see ``SteadyStates``).
+    The singular values alone (no singular vectors) decide whether a matrix
+    has a one-dimensional null space:
 
     - with no singular value below 1e-10 of the largest, the smallest must
       sit GAP_FACTOR below the next, or there is no clear null space;
@@ -202,12 +217,6 @@ def steady_states(lvs, info: dict | None = None) -> list:
     - the residual ||L r|| must stay below 1e-9 max(||L||, 1);
     - rho, rebuilt from r and so Hermitian by construction, must pass
       ``check_density_matrix``, whose message the error keeps.
-
-    If ``info`` is a dict, ``info["null_gap"]`` is set to each matrix's
-    s_{-2} / s_max, its second-smallest singular value over its largest: how
-    far the null space is from degenerate. ``info["residual"]`` is set to
-    each matrix's ||L r||, which is ||L vec(rho)|| for the column-stacking
-    L, or NaN where no normalized state was formed.
     """
     lvs = np.asarray(lvs)
     if np.iscomplexobj(lvs):
@@ -219,11 +228,6 @@ def steady_states(lvs, info: dict | None = None) -> list:
         raise ValueError(f"expected a stack of square matrices, got shape {lvs.shape}")
     n, d2 = lvs.shape[:2]
     d = _hilbert_dim(d2)
-    if n == 0:
-        if info is not None:
-            info["null_gap"] = np.zeros(0)
-            info["residual"] = np.zeros(0)
-        return []
     svals = np.linalg.svd(lvs, compute_uv=False)
     scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
     null_dim = np.sum(svals < scale[:, None] * 1e-10, axis=1)
@@ -239,36 +243,31 @@ def steady_states(lvs, info: dict | None = None) -> list:
     x[~normalizable] = 0.0
     rho = _from_hermitian_coordinates(x, d)
     resid = np.linalg.norm(lvs @ x[:, :, None], axis=(1, 2))
-    if info is not None:
-        info["null_gap"] = svals[:, -2] / scale
-        info["residual"] = np.where(normalizable, resid, np.nan)
     # ||L||_F is the root sum of squares of the singular values.
     frobenius = np.sqrt(np.sum(svals ** 2, axis=1))
     too_large = (resid > 1e-9 * np.maximum(frobenius, 1.0)).tolist()
     problems = _density_matrix_problems(rho)
-    results = []
+    errors = []
     for k, (gapless, dim, normal) in enumerate(zip(no_gap.tolist(),
                                                    null_dim.tolist(),
                                                    normalizable.tolist())):
         if gapless:
-            results.append(SolverError(
-                f"no clear Liouvillian null space (smallest singular values "
-                f"{svals[k, -1]:.3e}, {svals[k, -2]:.3e})"))
+            errors.append(f"no clear Liouvillian null space (smallest "
+                          f"singular values {svals[k, -1]:.3e}, "
+                          f"{svals[k, -2]:.3e})")
         elif dim > 1:
-            results.append(SolverError(
-                f"degenerate steady state: null space dimension {dim}"))
+            errors.append(f"degenerate steady state: null space dimension {dim}")
         elif not normal:
-            results.append(SolverError(
-                "null vector has vanishing trace; cannot normalize"))
+            errors.append("null vector has vanishing trace; cannot normalize")
         elif too_large[k]:
-            results.append(SolverError(
-                f"steady-state residual too large: {resid[k]:.3e}"))
+            errors.append(f"steady-state residual too large: {resid[k]:.3e}")
         elif problems[k] is not None:
-            results.append(SolverError(
-                f"steady state is not a density matrix: {problems[k]}"))
+            errors.append(f"steady state is not a density matrix: {problems[k]}")
         else:
-            results.append(rho[k])
-    return results
+            errors.append(None)
+    rho[np.array([e is not None for e in errors], dtype=bool)] = np.nan
+    return SteadyStates(rho, errors, svals[:, -2] / scale,
+                        np.where(normalizable, resid, np.nan))
 
 
 def _solve_for_e0(ms: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -294,11 +293,11 @@ def _solve_for_e0(ms: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def steady_state(lv: np.ndarray) -> np.ndarray:
     """Steady state of one column-stacking Liouvillian: ``steady_states`` on
-    its ``real_form``, raising its SolverError."""
-    result = steady_states(real_form(lv)[None])[0]
-    if isinstance(result, SolverError):
-        raise result
-    return result
+    its ``real_form``, raising SolverError with its message."""
+    solved = steady_states(real_form(lv)[None])
+    if solved.error[0] is not None:
+        raise SolverError(solved.error[0])
+    return solved.rho[0]
 
 
 def _density_matrix_problems(rhos: np.ndarray) -> list:

@@ -126,32 +126,26 @@ def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
     return (lv, *outputs)
 
 
-def _affine_sweep(build, xs, info: dict | None = None):
+def _affine_sweep(build, xs):
     """Steady states of a model at each real parameter value in ``xs``.
 
     ``build(x)`` returns ``emitter_chain``'s (L, a_out, b_out), each affine
     in x. L(0) and L(1) are built and converted to real Hermitian
     coordinates once, the stack L(0) + x (L(1) - L(0)) is solved in one
-    ``steady_states`` call (which fills ``info``), and the output fields
-    are read out of the solved states at once. Returns ``steady_states``'
-    list (a state or a SolverError for each x), the indices of the solved
-    points, their states stacked, and <a_out> and <b_out> at each of them.
+    ``steady_states`` call, and the output fields are read out of all the
+    states at once. Returns the ``SteadyStates`` and <a_out> and <b_out> at
+    each x, NaN where a point failed.
     """
     lv0, a0, b0 = build(0.0)
     lv1, a1, b1 = build(1.0)
     lv0, lv1 = real_form(lv0), real_form(lv1)
     xs = np.asarray(xs, dtype=float)
-    states = steady_states(lv0 + xs[:, None, None] * (lv1 - lv0), info)
-    solved = [k for k, rho in enumerate(states)
-              if not isinstance(rho, SolverError)]
-    d = a0.shape[0]
-    rhos = np.array([states[k] for k in solved]).reshape(-1, d, d)
-    x = xs[solved]
+    solved = steady_states(lv0 + xs[:, None, None] * (lv1 - lv0))
     # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = O(0) + x (O(1) - O(0)).
-    a_mean, b_mean = (np.einsum("ij,nji->n", o0, rhos)
-                      + x * np.einsum("ij,nji->n", o1 - o0, rhos)
+    a_mean, b_mean = (np.einsum("ij,nji->n", o0, solved.rho)
+                      + xs * np.einsum("ij,nji->n", o1 - o0, solved.rho)
                       for o0, o1 in ((a0, a1), (b0, b1)))
-    return states, solved, rhos, a_mean, b_mean
+    return solved, a_mean, b_mean
 
 
 def _gap_diagnostics(info: dict, gaps, residuals, count_key: str) -> None:
@@ -186,8 +180,8 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
 
     <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
     drive from the right only. The whole grid is one ``_affine_sweep`` over
-    the detuning. Raises ValueError for an undriven emitter and the first
-    failed point's SolverError.
+    the detuning. Raises ValueError for an undriven emitter or a non-finite
+    grid, and SolverError with the first failed point's message.
 
     If ``info`` is a dict, the solver diagnostics of the grid are set in it
     as ``power_sweep`` sets them: ``"min_null_gap"``, ``"max_residual"`` and
@@ -195,16 +189,18 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
-    sweep_info: dict = {}
-    states, _, _, a_mean, b_mean = _affine_sweep(
+    detunings = np.asarray(detunings, dtype=float)
+    if not np.all(np.isfinite(detunings)):
+        raise ValueError("detuning grid must be finite")
+    solved, a_mean, b_mean = _affine_sweep(
         lambda det: emitter_chain([replace(q, omega_q=det)], 1.0, alpha, beta),
-        detunings, sweep_info)
-    for rho in states:
-        if isinstance(rho, SolverError):
-            raise rho
+        detunings)
+    error = next((e for e in solved.error if e is not None), None)
+    if error is not None:
+        raise SolverError(error)
     if info is not None:
-        _gap_diagnostics(info, sweep_info["null_gap"][None],
-                         sweep_info["residual"][None], "near_degenerate_points")
+        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
+                         "near_degenerate_points")
     return a_mean / alpha if alpha != 0 else b_mean / beta
 
 

@@ -118,14 +118,16 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     """Power spectral density of a diode output field on the given grid.
 
     ``direction`` is forward|reverse (which side is driven, at photon flux
-    ``power``), ``port`` is transmitted|reflected. The grid must be symmetric
-    around zero and span at least six expected linewidths of the narrow
-    feature.
+    ``power``), ``port`` is transmitted|reflected. The grid must be finite
+    and symmetric around zero and span at least six expected linewidths of
+    the narrow feature.
     """
     if port not in ("transmitted", "reflected"):
         raise ValueError(f"unknown port {port!r}")
     _check_power(power)
     omegas = np.asarray(freq_offsets, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("frequency grid must be finite")
     if omegas.size < 8:
         raise ValueError("frequency grid too small")
     if np.max(np.abs(omegas + omegas[::-1])) > 1e-9 * np.max(np.abs(omegas)):

@@ -40,15 +40,17 @@ def one_sided(c, side, amp):
        sides)
 def test_stacked_side_solve_matches_direct_solves(c, ps, side):
     amps = np.sqrt(np.sort(ps) * c.gamma_bar)
-    for amp, t, dark, rho_got in zip(amps, *_solve_side(c, side, amps)):
+    t_col, dark_col, solved = _solve_side(c, side, amps)
+    for amp, t, dark, rho_got, error in zip(amps, t_col, dark_col,
+                                            solved.rho, solved.error):
         lv, a_out, b_out = one_sided(c, side, amp)
         try:
             rho = steady_state(lv)
-        except SolverError:
-            assert isinstance(rho_got, SolverError)
+        except SolverError as exc:
+            assert error == str(exc)
             assert np.isnan(t) and np.isnan(dark)
             continue
-        assert not isinstance(rho_got, SolverError), str(rho_got)
+        assert error is None, error
         port = a_out if side == "forward" else b_out
         np.testing.assert_allclose(t, expectation(port, rho) / amp,
                                    rtol=0, atol=1e-9)

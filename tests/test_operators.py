@@ -294,17 +294,14 @@ class TestSteadyStates:
 
     def test_matches_one_solve_per_matrix(self):
         stack = self.mixed_stack()
-        results = steady_states(stack)
+        solved = steady_states(stack)
         kinds = []
-        for lv, got in zip(stack, results):
-            want = steady_states(lv[None])[0]
-            if isinstance(want, SolverError):
-                assert isinstance(got, SolverError)
-                assert str(got) == str(want)
-                kinds.append(str(want).split(":")[0].split(" (")[0])
-            else:
-                np.testing.assert_array_equal(got, want)
-                kinds.append("ok")
+        for k, lv in enumerate(stack):
+            want = steady_states(lv[None])
+            assert solved.error[k] == want.error[0]
+            np.testing.assert_array_equal(solved.rho[k], want.rho[0])
+            kinds.append("ok" if want.error[0] is None
+                         else want.error[0].split(":")[0].split(" (")[0])
         assert kinds == ["ok", "degenerate steady state",
                          "no clear Liouvillian null space", "ok",
                          "null vector has vanishing trace; cannot normalize",
@@ -315,25 +312,30 @@ class TestSteadyStates:
         with pytest.raises(ValueError) as check:
             check_density_matrix(rho)
         assert str(check.value) == "negative eigenvalue -2.000e-01"
-        result = steady_states(annihilating(rho, 62)[None])[0]
-        assert isinstance(result, SolverError)
-        assert str(result) == ("steady state is not a density matrix: "
-                               + str(check.value))
+        solved = steady_states(annihilating(rho, 62)[None])
+        assert solved.error == ["steady state is not a density matrix: "
+                                + str(check.value)]
+        assert np.all(np.isnan(solved.rho))
 
     def test_solved_states_pass_the_density_matrix_check(self):
-        for got in steady_states(self.mixed_stack()):
-            if not isinstance(got, SolverError):
-                check_density_matrix(got)
-                np.testing.assert_array_equal(got, got.conj().T)
+        solved = steady_states(self.mixed_stack())
+        for rho, error in zip(solved.rho, solved.error):
+            if error is None:
+                check_density_matrix(rho)
+                np.testing.assert_array_equal(rho, rho.conj().T)
+            else:
+                assert np.all(np.isnan(rho))
 
     def test_mixed_stack_matches_the_svd_reference(self):
         stack = self.mixed_stack()
-        for got, want in zip(steady_states(stack),
-                             svd_null_vector_states(column_stacking(stack))):
+        solved = steady_states(stack)
+        for got, error, want in zip(solved.rho, solved.error,
+                                    svd_null_vector_states(
+                                        column_stacking(stack))):
             if isinstance(want, SolverError):
-                assert isinstance(got, SolverError)
-                assert str(got) == str(want)
+                assert error == str(want)
             else:
+                assert error is None
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_singular_bordered_matrix_fails_alone(self):
@@ -344,35 +346,33 @@ class TestSteadyStates:
         singular = -np.diag([1.0, 1.0, 0.0, 1.0])
         good = [real_form(decaying_liouvillian()),
                 real_form(decaying_liouvillian(0.1, 0.5, 2.0))]
-        results = steady_states(np.array([good[0], singular, good[1]]))
-        assert isinstance(results[1], SolverError)
-        assert str(results[1]) == ("null vector has vanishing trace; "
-                                   "cannot normalize")
-        for got, want in zip(results[::2], steady_states(np.array(good))):
-            np.testing.assert_array_equal(got, want)
+        solved = steady_states(np.array([good[0], singular, good[1]]))
+        assert solved.error == [None, "null vector has vanishing trace; "
+                                "cannot normalize", None]
+        assert np.all(np.isnan(solved.rho[1]))
+        np.testing.assert_array_equal(solved.rho[::2],
+                                      steady_states(np.array(good)).rho)
 
-    def test_info_reports_the_null_gap(self):
+    def test_reports_the_null_gap_and_residual(self):
         stack = self.mixed_stack()
-        info = {}
-        results = steady_states(stack, info)
+        solved = steady_states(stack)
         svals = np.linalg.svd(stack, compute_uv=False)
-        np.testing.assert_allclose(info["null_gap"],
+        np.testing.assert_allclose(solved.null_gap,
                                    svals[:, -2] / svals[:, 0], rtol=1e-12)
-        for lv, rho, resid in zip(column_stacking(stack), results,
-                                  info["residual"]):
-            if isinstance(rho, SolverError):
-                continue
-            np.testing.assert_allclose(resid, np.linalg.norm(lv @ vec(rho)),
-                                       rtol=0, atol=1e-15)
+        for lv, rho, error, resid in zip(column_stacking(stack), solved.rho,
+                                         solved.error, solved.residual):
+            if error is None:
+                np.testing.assert_allclose(
+                    resid, np.linalg.norm(lv @ vec(rho)), rtol=0, atol=1e-15)
         # The vanishing-trace case forms no normalized state.
-        assert np.isnan(info["residual"][4])
+        assert np.isnan(solved.residual[4])
 
     def test_empty_stack(self):
-        assert steady_states(np.zeros((0, 4, 4))) == []
-        info = {}
-        steady_states(np.zeros((0, 4, 4)), info)
-        assert info["null_gap"].shape == (0,)
-        assert info["residual"].shape == (0,)
+        solved = steady_states(np.zeros((0, 4, 4)))
+        assert solved.rho.shape == (0, 2, 2)
+        assert solved.error == []
+        assert solved.null_gap.shape == (0,)
+        assert solved.residual.shape == (0,)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 3, 3)])
     def test_rejects_bad_shapes(self, shape):
@@ -390,7 +390,7 @@ class TestSteadyStates:
         lv = decaying_liouvillian()
         rho = steady_state(lv)
         np.testing.assert_array_equal(
-            rho, steady_states(real_form(lv)[None])[0])
+            rho, steady_states(real_form(lv)[None]).rho[0])
         assert np.linalg.norm(lv @ vec(rho)) < 1e-14
 
 

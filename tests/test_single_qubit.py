@@ -14,6 +14,7 @@ from qdiode.single_qubit import (
     emitter_chain,
     transmission_analytic,
     transmission_numeric,
+    transmission_vs_detuning,
 )
 
 GAMMA_R = 2.0 * np.pi * 70e6
@@ -46,6 +47,18 @@ class TestParams:
         rates = {"omega_q": 0.0, "gamma_r": 1.0, **{field: value}}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             QubitParams(**rates)
+
+
+class TestDetuningGrid:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected_before_solve(self, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a steady state was solved")
+        monkeypatch.setattr("qdiode.single_qubit.steady_states", fail)
+        q = make_qubit(gamma_phi=0.01 * GAMMA_R)
+        with pytest.raises(ValueError, match="detuning grid must be finite"):
+            transmission_vs_detuning(q, [0.0, bad, GAMMA_R],
+                                     np.sqrt(0.1 * GAMMA_R))
 
 
 class TestAnalyticLimits:

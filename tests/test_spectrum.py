@@ -258,6 +258,18 @@ class TestPsdValidation:
         with pytest.raises(ValueError, match=f"got {bad}"):
             psd(c, "forward", "transmitted", bad, grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected_before_solve(self, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a steady state was solved")
+        monkeypatch.setattr("qdiode.spectrum.steady_state", fail)
+        c = ideal_diode()
+        est = linewidth_estimate(c)
+        grid = np.linspace(-9 * est, 9 * est, 33)
+        grid[[3, -4]] = bad, -bad
+        with pytest.raises(ValueError, match="frequency grid must be finite"):
+            psd(c, "forward", "transmitted", POWER, grid)
+
 
 # ----------------------------------------------------------------------------
 #               Resonance fluorescence of a single emitter
