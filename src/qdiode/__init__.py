@@ -43,7 +43,6 @@ from .operators import (
 from .single_qubit import (
     QubitParams,
     transmission_analytic,
-    transmission_numeric,
     transmission_vs_detuning,
 )
 from .spectrum import (
@@ -92,7 +91,6 @@ __all__ = [
     "steady_states",
     "transmission",
     "transmission_analytic",
-    "transmission_numeric",
     "transmission_vs_detuning",
     "variance_vs_power",
     "__version__",

@@ -18,13 +18,13 @@ Near phase matching the symmetric superposition
 asymmetry between drive directions in populating the quasi-dark state makes
 the device a diode.
 
-A drive of real amplitude a from one side enters L and the output operators
-affinely (the |a|^2 terms of D[a_out] and D[b_out] cancel), so
-``power_sweep`` solves each side with one ``single_qubit._affine_sweep``
-over all its amplitudes. It is the one one-sided solve: its row,
+The drive enters H, not the output dissipators (``emitter_chain``), so the
+model is affine in a real factor on the drive, and every solve is one
+``single_qubit._affine_sweep``. ``power_sweep`` solves each side over all its
+amplitudes at once. It is the one one-sided solve: its row,
 ``DiodeOperatingPoint``, is the one result type, and ``operating_point`` and
-``transmission`` are one-power sweeps. ``driven_state`` solves a general
-drive from both sides, which has no such form, on its own.
+``transmission`` are one-power sweeps. ``driven_state`` scales a drive from
+both sides as one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import SolverError, expectation, steady_state
+from .operators import SolverError, expectation
 from .single_qubit import (
     QubitParams,
     _affine_sweep,
@@ -236,9 +236,19 @@ def driven_state(c: DiodeConfig, alpha: complex,
                  beta: complex) -> DrivenState:
     """Solve the device under complex amplitudes alpha (from the left) and
     beta (from the right) at once; raises SolverError if the steady state
-    is not unique."""
-    lv, a_out, b_out = diode_model(c, alpha, beta)
-    rho = steady_state(lv)
+    is not unique.
+
+    One ``_affine_sweep`` builds the model at unit total amplitude and
+    solves it at s = ||(alpha, beta)||, so a drive from one side gives the
+    ``power_sweep`` state of that side.
+    """
+    s = math.hypot(abs(alpha), abs(beta)) or 1.0
+    solved, _, _ = _affine_sweep(
+        lambda x: diode_model(c, x * alpha / s, x * beta / s), [s])
+    if solved.error[0] is not None:
+        raise SolverError(solved.error[0])
+    rho = solved.rho[0]
+    _, a_out, b_out = diode_model(c, alpha, beta)
     return DrivenState(
         rho=rho, dark_population=dark_state_population(rho),
         flux_a=float(expectation(a_out.conj().T @ a_out, rho).real),

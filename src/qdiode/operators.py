@@ -216,7 +216,7 @@ def steady_states(lvs) -> SteadyStates:
       a non-finite r, or an exactly singular M;
     - the residual ||L r|| must stay below 1e-9 max(||L||, 1);
     - rho, rebuilt from r and so Hermitian by construction, must pass
-      ``check_density_matrix``, whose message the error keeps.
+      ``_density_matrix_problems``, whose message the error keeps.
     """
     lvs = np.asarray(lvs)
     if np.iscomplexobj(lvs):
@@ -243,8 +243,8 @@ def steady_states(lvs) -> SteadyStates:
     x[~normalizable] = 0.0
     rho = _from_hermitian_coordinates(x, d)
     resid = np.linalg.norm(lvs @ x[:, :, None], axis=(1, 2))
-    # ||L||_F is the root sum of squares of the singular values.
-    frobenius = np.sqrt(np.sum(svals ** 2, axis=1))
+    # ||L||_F from the singular values, scaled by s_max so no square overflows.
+    frobenius = scale * np.sqrt(np.sum((svals / scale[:, None]) ** 2, axis=1))
     too_large = (resid > 1e-9 * np.maximum(frobenius, 1.0)).tolist()
     problems = _density_matrix_problems(rho)
     errors = []
@@ -324,17 +324,6 @@ def _density_matrix_problems(rhos: np.ndarray) -> list:
         else:
             problems.append(None)
     return problems
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is a valid density matrix.
-
-    Trace and Hermiticity are both held to TRACE_TOL; eigenvalues may dip to
-    EIG_FLOOR.
-    """
-    problem = _density_matrix_problems(np.asarray(rho)[None])[0]
-    if problem is not None:
-        raise ValueError(problem)
 
 
 def expectation(op: np.ndarray, rho: np.ndarray) -> complex:

@@ -13,10 +13,11 @@ waveguide (Gardiner, PRL 70, 2269 (1993); Lalumiere et al., PRA 88, 043806
 (2013)): one emitter here, two in ``diode.diode_model``. For one emitter,
 <a_out>/alpha has the closed form ``transmission_analytic``.
 
-``_affine_sweep`` is the one sweep engine. A one-sided drive's real
-amplitude and an emitter's detuning each enter L and the output operators
-affinely, so a sweep builds the model at 0 and 1 only and solves its whole
-grid in one stacked ``steady_states`` call.
+``_affine_sweep`` is the one sweep engine, and every steady state of every
+mode is solved through it. A real factor on the drive and an emitter's
+detuning each enter L and the output operators affinely (the drive enters
+H, see ``emitter_chain``), so a sweep builds the model at 0 and 1 only and
+solves its whole grid in one stacked ``steady_states`` call.
 """
 
 from __future__ import annotations
@@ -94,36 +95,41 @@ def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
     between neighbours, emitter k sees the right-moving field f_1 = alpha,
     f_k = phase (f_{k-1} + L_{k-1}), and the left-moving field g_k from beta
     in reverse order; a_out and b_out leave the chain to the right and left.
+    Each output is c + A, a scalar drive part c and an emitter part A, and
+    D[A + c] = D[A] + (1/2)[c* A - c A^dag, .] moves c into H, as the SLH
+    series product does (Combes et al., Adv. Phys. X 2, 784 (2017)):
 
         H       = -sum_k (Delta_k/2) sigma_z^(k)
                   - i/2 sum_k [ L_k^dag (f_k + g_k) - h.c. ]
-        drho/dt = -i[H, rho] + D[a_out] + D[b_out]
+                  + i/2 sum_{c + A = a_out, b_out} [ c* A - c A^dag ]
+        drho/dt = -i[H, rho] + sum_{c + A = a_out, b_out} D[A]
                   + sum_k [ gamma_nr,k D[sigma_-^(k)]
-                            + (gamma_phi,k/2) D[sigma_z^(k)] ],
+                            + (gamma_phi,k/2) D[sigma_z^(k)] ].
 
-    so an undriven emitter's coherence decays at ``QubitParams.gamma_2``.
+    So L is affine in the drive term by term, with no |alpha|^2 terms to
+    cancel, and an undriven emitter's coherence decays at ``gamma_2``.
     """
     n = len(emitters)
+    ident = np.eye(2 ** n)
     sigma_minus, sigma_z = _chain_operators(n)
     jumps = [np.sqrt(q.gamma_r / 2.0) * sm
              for q, sm in zip(emitters, sigma_minus)]
     h = -0.5 * sum(q.omega_q * sz for q, sz in zip(emitters, sigma_z))
     outputs = []
     for amp, order in ((alpha, range(n)), (beta, reversed(range(n)))):
-        # No phase reaches the first emitter. (shift L_k^dag) @ field and
-        # field * shift + L_k round as the per-model builders they replaced.
-        field, shift = amp * np.eye(2 ** n, dtype=complex), 1.0
+        # The field is c + A; no phase reaches the first emitter.
+        c, field, shift = amp, np.zeros_like(ident, dtype=complex), 1.0
         for k in order:
-            drive = (shift * jumps[k].conj().T) @ field
+            drive = shift * jumps[k].conj().T @ (c * ident + field)
             h = h - 0.5j * (drive - drive.conj().T)
-            field = field * shift + jumps[k]
-            shift = phase
-        outputs.append(field)
+            c, field, shift = c * shift, field * shift + jumps[k], phase
+        h = h + 0.5j * (np.conj(c) * field - c * field.conj().T)
+        outputs.append((c, field))
     lv = liouvillian_matrix(
-        h, [(1.0, out) for out in outputs]
+        h, [(1.0, field) for _, field in outputs]
         + [(q.gamma_nr, sm) for q, sm in zip(emitters, sigma_minus)]
         + [(0.5 * q.gamma_phi, sz) for q, sz in zip(emitters, sigma_z)])
-    return (lv, *outputs)
+    return (lv, *(c * ident + field for c, field in outputs))
 
 
 def _affine_sweep(build, xs):
@@ -202,10 +208,3 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
         _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
                          "near_degenerate_points")
     return a_mean / alpha if alpha != 0 else b_mean / beta
-
-
-def transmission_numeric(q: QubitParams, alpha: complex = 0.0,
-                         beta: complex = 0.0) -> complex:
-    """Steady-state transmission from the full master equation at the
-    emitter's own detuning: ``transmission_vs_detuning`` at ``q.omega_q``."""
-    return complex(transmission_vs_detuning(q, [q.omega_q], alpha, beta)[0])

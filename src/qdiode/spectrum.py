@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diode import (DiodeConfig, _check_power, _drive, dark_bright_rates,
-                    diode_model)
+from .diode import (DiodeConfig, _check_power, _drive, _solve_side,
+                    dark_bright_rates, diode_model)
 from .fitting import _least_squares
-from .operators import steady_state, vec
+from .operators import SolverError, vec
 
 # Fraction of the peak below zero tolerated as rounding noise in the computed
 # PSD (clipped to zero). The exact spectrum is nonnegative, so anything more
@@ -120,7 +120,8 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     ``direction`` is forward|reverse (which side is driven, at photon flux
     ``power``), ``port`` is transmitted|reflected. The grid must be finite
     and symmetric around zero and span at least six expected linewidths of
-    the narrow feature.
+    the narrow feature. The steady state is the ``power_sweep`` state of
+    that side at that power; a failed solve raises its SolverError.
     """
     if port not in ("transmitted", "reflected"):
         raise ValueError(f"unknown port {port!r}")
@@ -136,10 +137,14 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     if omegas.max() - omegas.min() < 6.0 * gamma_est:
         raise ValueError("frequency grid must span at least 6 expected linewidths")
 
-    lv, a_out, b_out = diode_model(c, *_drive(direction, np.sqrt(power)))
+    amp = np.sqrt(power)
+    _, _, solved = _solve_side(c, direction, [amp])
+    if solved.error[0] is not None:
+        raise SolverError(solved.error[0])
+    rho = solved.rho[0]
+    lv, a_out, b_out = diode_model(c, *_drive(direction, amp))
     # A forward drive is transmitted into a_out, a reverse one into b_out.
     out_op = a_out if (direction == "forward") == (port == "transmitted") else b_out
-    rho = steady_state(lv)
     elastic = float(abs(np.trace(out_op @ rho)) ** 2)
     spectrum = inelastic_spectrum(lv, rho, out_op, omegas)
 
@@ -305,8 +310,3 @@ def predicted_linewidth(delta: float, gamma_bar: float, gamma_nr: float,
     """
     gamma_d = 0.5 * delta * delta * gamma_bar
     return 2.0 * (6.0 * gamma_d + gamma_nr + 2.0 * gamma_phi) + gamma_exc
-
-
-def integrated_inelastic(s: SpectrumResult) -> float:
-    """Trapezoid integral of the inelastic PSD over its grid (photons/s)."""
-    return float(np.trapezoid(s.inelastic_psd, s.freq_offsets))

@@ -35,6 +35,9 @@ def lossy_devices(draw):
 
 
 powers_over_gbar = st.floats(1e-4, 10.0)
+# A flux from 1e-4 to 1e10 gbar, drawn evenly over its decades: up to a drive
+# where eps |amplitude|^2 is far above eps times the device's rates.
+wide_powers_over_gbar = st.floats(-4.0, 10.0).map(lambda e: 10.0 ** e)
 sides = st.sampled_from(["forward", "reverse"])
 # A complex amplitude: a flux of 0 or in powers_over_gbar, at any phase.
 drive_amplitudes = st.builds(

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import scorecard
+from oracles import integrated_inelastic, transmission_numeric
 from qdiode.cli import run
 from qdiode.diode import (
     DiodeConfig,
@@ -27,17 +28,8 @@ from qdiode.diode import (
 from qdiode.fitting import FitError, fit_single_qubit
 from qdiode.mirror import variance_vs_power
 from qdiode.operators import expectation, steady_state
-from qdiode.single_qubit import (
-    QubitParams,
-    transmission_analytic,
-    transmission_numeric,
-)
-from qdiode.spectrum import (
-    fit_lorentzian,
-    integrated_inelastic,
-    predicted_linewidth,
-    psd,
-)
+from qdiode.single_qubit import QubitParams, transmission_analytic
+from qdiode.spectrum import fit_lorentzian, predicted_linewidth, psd
 
 TWO_PI = 2.0 * np.pi
 

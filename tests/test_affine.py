@@ -11,7 +11,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from device_strategies import PROPERTY, lossy_devices, powers_over_gbar, sides
+from device_strategies import (
+    PROPERTY,
+    lossy_devices,
+    powers_over_gbar,
+    sides,
+    wide_powers_over_gbar,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -77,12 +83,19 @@ def driven_qubits(draw):
 detunings = st.floats(-20.0, 20.0)
 
 
-def amplitude_sweep(draw):
+def amplitude_sweep(draw, powers=powers_over_gbar):
     """A drawn device's model as a function of a one-sided drive amplitude,
     a drawn amplitude, and the tolerance of the affine form there."""
     c, side = draw(lossy_devices()), draw(sides)
-    amp = np.sqrt(draw(powers_over_gbar) * c.gamma_bar)
+    amp = np.sqrt(draw(powers) * c.gamma_bar)
     return (lambda a: one_sided(c, side, a)), amp, 1e-14
+
+
+def strong_amplitude_sweep(draw):
+    """``amplitude_sweep`` at a flux of up to 1e10 gbar. An output
+    dissipator D[c + A] formed with its drive part c would carry the
+    rounding of its |c|^2 terms, of order eps |c|^2, there."""
+    return amplitude_sweep(draw, wide_powers_over_gbar)
 
 
 def detuning_sweep(draw):
@@ -95,8 +108,9 @@ def detuning_sweep(draw):
 
 
 @PROPERTY
-@pytest.mark.parametrize("sweep", [amplitude_sweep, detuning_sweep],
-                         ids=["amplitude", "detuning"])
+@pytest.mark.parametrize(
+    "sweep", [amplitude_sweep, strong_amplitude_sweep, detuning_sweep],
+    ids=["amplitude", "strong-amplitude", "detuning"])
 @given(data=st.data())
 def test_model_is_affine_in_the_swept_parameter(sweep, data):
     build, x, rel = sweep(data.draw)

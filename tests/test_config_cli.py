@@ -532,6 +532,22 @@ class TestCliRuns:
         assert 0.0 <= general["dark_population"] <= 1.0
         assert len(general["populations"]) == 4
 
+    def test_strong_general_drive_is_the_operating_point(self, tmp_path):
+        # alpha = 1e6 sqrt(gbar) is a flux of 1e12 gbar from the left.
+        data = []
+        for name, payload in (("general", steady_payload(p_over_gammabar=0.0,
+                                                         alpha=1e6)),
+                              ("point", steady_payload(p_over_gammabar=1e12))):
+            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+            out = tmp_path / name
+            assert run(["steady-state", "--config", cfg,
+                        "--out", str(out)]) == EXIT_OK
+            data.append(json.loads((out / "steady_state.json").read_text()))
+        general, point = data[0]["general"], data[1]["operating_point"]
+        np.testing.assert_allclose(general["dark_population"],
+                                   point["dark_population_forward"],
+                                   rtol=0, atol=1e-12)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, steady_payload())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -903,16 +919,21 @@ class TestCliRuns:
             ("single_qubit.py", "emitter_chain")]
 
     def test_one_path_solves_every_one_sided_drive(self):
-        # operating_point and transmission are one-power sweeps: a second
-        # route to _solve_side could give them rows of their own.
-        assert self.callers("_solve_side") == [("diode.py", "power_sweep")]
+        # operating_point and transmission are one-power sweeps, and a
+        # spectrum's state is a one-power side: a second route to
+        # _solve_side could give them rows of their own.
+        assert self.callers("_solve_side") == [("diode.py", "power_sweep"),
+                                               ("spectrum.py", "psd")]
         assert set(self.callers("power_sweep")) >= {
             ("diode.py", "operating_point"), ("diode.py", "transmission")}
 
     def test_one_form_of_a_failed_solve(self):
         # steady_states reports a failed matrix as a NaN state beside its
         # message; an exception object among the states would be a second
-        # form, and each caller would have to sort it out.
+        # form, and each caller would have to sort it out. Every mode solves
+        # through the sweep engine, so none reaches the one-matrix
+        # steady_state, whose raise would be a second route.
+        assert self.callers("steady_state") == []
         assert self.callers("steady_states") == [
             ("operators.py", "steady_state"),
             ("single_qubit.py", "_affine_sweep")]

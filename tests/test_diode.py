@@ -10,7 +10,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from device_strategies import PROPERTY, lossy_devices, powers_over_gbar
+from device_strategies import (
+    PROPERTY,
+    lossy_devices,
+    powers_over_gbar,
+    wide_powers_over_gbar,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 from svd_reference import unvec
@@ -490,6 +495,20 @@ class TestOnePath:
             with pytest.raises(SolverError) as caught:
                 transmission(c, side, power)
             assert str(caught.value) == one_side.error
+
+    @PROPERTY
+    @given(lossy_devices(), wide_powers_over_gbar)
+    def test_one_sided_driven_state_is_the_sweep_row(self, c, p):
+        # A drive from one side is the power_sweep side at any flux: neither
+        # route builds a model with a strong drive's rounding in it.
+        power = p * c.gamma_bar
+        row = power_sweep(c, [power])[0]
+        assert row.error is None, row.error
+        amp = np.sqrt(power)
+        for drive, want in (((amp, 0.0), row.dark_population_forward),
+                            ((0.0, amp), row.dark_population_reverse)):
+            got = driven_state(c, *drive).dark_population
+            assert abs(got - want) <= 1e-12
 
 
 class TestBadPowers:

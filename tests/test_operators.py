@@ -15,6 +15,7 @@ import pytest
 from device_strategies import PROPERTY
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import check_density_matrix
 from svd_reference import (hermitian_basis_change, svd_null_vector_states,
                            unvec)
 
@@ -22,7 +23,6 @@ from qdiode.operators import (
     SIGMA_MINUS,
     SIGMA_Z,
     SolverError,
-    check_density_matrix,
     dissipator_superop,
     expectation,
     hamiltonian_superop,
@@ -366,6 +366,16 @@ class TestSteadyStates:
                     resid, np.linalg.norm(lv @ vec(rho)), rtol=0, atol=1e-15)
         # The vanishing-trace case forms no normalized state.
         assert np.isnan(solved.residual[4])
+
+    def test_norm_does_not_overflow_at_huge_rates(self):
+        # ||L||_F from the squared singular values would overflow, with a
+        # RuntimeWarning, once s_max passes 1.3e154.
+        m = self.mixed_stack()[0]
+        solved = steady_states(1e160 * m[None])
+        assert solved.error == [None]
+        np.testing.assert_allclose(solved.rho[0],
+                                   steady_states(m[None]).rho[0],
+                                   rtol=0, atol=1e-14)
 
     def test_empty_stack(self):
         solved = steady_states(np.zeros((0, 4, 4)))

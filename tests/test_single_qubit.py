@@ -7,13 +7,13 @@ over a wide detuning/power grid checks both at once.
 
 import numpy as np
 import pytest
+from oracles import transmission_numeric
 
 from qdiode.operators import expectation, steady_state
 from qdiode.single_qubit import (
     QubitParams,
     emitter_chain,
     transmission_analytic,
-    transmission_numeric,
     transmission_vs_detuning,
 )
 

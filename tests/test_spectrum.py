@@ -12,6 +12,7 @@ import pytest
 from device_strategies import PROPERTY, lossy_devices, powers_over_gbar, sides
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import integrated_inelastic
 
 from qdiode import fitting
 from qdiode.diode import DiodeConfig, _drive, diode_model, optimal_tuning
@@ -25,7 +26,6 @@ from qdiode.spectrum import (
     _prominent_peak_count,
     fit_lorentzian,
     inelastic_spectrum,
-    integrated_inelastic,
     linewidth_estimate,
     predicted_linewidth,
     psd,
@@ -251,7 +251,7 @@ class TestPsdValidation:
     def test_bad_power_rejected_before_solve(self, bad, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.spectrum.steady_state", fail)
+        monkeypatch.setattr("qdiode.single_qubit.steady_states", fail)
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)
@@ -262,7 +262,7 @@ class TestPsdValidation:
     def test_non_finite_grid_rejected_before_solve(self, bad, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.spectrum.steady_state", fail)
+        monkeypatch.setattr("qdiode.single_qubit.steady_states", fail)
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)

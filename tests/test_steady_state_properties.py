@@ -20,6 +20,7 @@ from device_strategies import (
 )
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import check_density_matrix
 from svd_reference import hermitian_basis_change, svd_null_vector_states
 
 from qdiode.diode import (
@@ -33,7 +34,6 @@ from qdiode.diode import (
 )
 from qdiode.operators import (
     SolverError,
-    check_density_matrix,
     real_form,
     steady_state,
     steady_states,
