@@ -157,6 +157,13 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     return [path, sidecar], notes, code, {}
 
 
+def _finite_or_null(x: float) -> float | None:
+    """x, or None (JSON null) where it is not finite: strict JSON has no
+    Infinity or NaN, which a singular fit covariance gives a standard
+    error."""
+    return x if math.isfinite(x) else None
+
+
 def _run_fit(cfg: RunConfig, out_dir: str):
     p = cfg.params
     delta_omega, t = io.read_transmission_csv(p["input_csv"])
@@ -172,9 +179,10 @@ def _run_fit(cfg: RunConfig, out_dir: str):
         "gamma_r_hz": report.gamma_r / TWO_PI,
         "s_hz": report.s / TWO_PI,
         "center_offset_hz": report.omega_q / TWO_PI,
-        "stderr_gamma_r_hz": report.stderr_gamma_r / TWO_PI,
-        "stderr_s_hz": report.stderr_s / TWO_PI,
-        "stderr_center_offset_hz": report.stderr_omega_q / TWO_PI,
+        "stderr_gamma_r_hz": _finite_or_null(report.stderr_gamma_r / TWO_PI),
+        "stderr_s_hz": _finite_or_null(report.stderr_s / TWO_PI),
+        "stderr_center_offset_hz": _finite_or_null(
+            report.stderr_omega_q / TWO_PI),
         "residual_norm": report.residual_norm,
         "n_iterations": report.n_iterations,
         "converged": report.converged,
@@ -249,7 +257,8 @@ def run(argv=None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (SolverError, SpectrumError) as exc:
+    # numpy's LinAlgError is a ValueError, so it is caught first.
+    except (SolverError, SpectrumError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (OSError, ValueError) as exc:

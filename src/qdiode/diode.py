@@ -38,6 +38,7 @@ import numpy as np
 from .operators import SolverError, expectation
 from .single_qubit import (
     QubitParams,
+    _affine_model,
     _affine_sweep,
     _gap_diagnostics,
     emitter_chain,
@@ -170,18 +171,20 @@ def _drive(direction: str, amp):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _solve_side(c: DiodeConfig, direction: str, amps):
+def _solve_side(c: DiodeConfig, direction: str, amps,
+                ends: list | None = None):
     """Steady states under a drive from one side, for each real amplitude in
     ``amps``, as columns (t, dark population) and the side's
     ``SteadyStates``: t and the dark population are NaN where a point
     failed.
 
-    One ``_affine_sweep`` over the amplitude solves the side. t = <a_out>/a
-    forward, <b_out>/a reverse, and 0 at a = 0.
+    One ``_affine_sweep`` over the amplitude solves the side, and appends
+    the side's builds at amplitudes 0 and 1 to ``ends`` if it is a list.
+    t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
     """
     amps = np.asarray(amps, dtype=float)
     solved, a_mean, b_mean = _affine_sweep(
-        lambda amp: diode_model(c, *_drive(direction, amp)), amps)
+        lambda amp: diode_model(c, *_drive(direction, amp)), amps, ends)
     out = a_mean if direction == "forward" else b_mean
     # A failed point keeps its NaN at a = 0 too.
     t = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
@@ -240,15 +243,17 @@ def driven_state(c: DiodeConfig, alpha: complex,
 
     One ``_affine_sweep`` builds the model at unit total amplitude and
     solves it at s = ||(alpha, beta)||, so a drive from one side gives the
-    ``power_sweep`` state of that side.
+    ``power_sweep`` state of that side. The output fields at s are formed
+    from the same two builds.
     """
     s = math.hypot(abs(alpha), abs(beta)) or 1.0
+    ends: list = []
     solved, _, _ = _affine_sweep(
-        lambda x: diode_model(c, x * alpha / s, x * beta / s), [s])
+        lambda x: diode_model(c, x * alpha / s, x * beta / s), [s], ends)
     if solved.error[0] is not None:
         raise SolverError(solved.error[0])
     rho = solved.rho[0]
-    _, a_out, b_out = diode_model(c, alpha, beta)
+    _, a_out, b_out = _affine_model(ends, s)
     return DrivenState(
         rho=rho, dark_population=dark_state_population(rho),
         flux_a=float(expectation(a_out.conj().T @ a_out, rho).real),

@@ -132,7 +132,7 @@ def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
     return (lv, *(c * ident + field for c, field in outputs))
 
 
-def _affine_sweep(build, xs):
+def _affine_sweep(build, xs, ends: list | None = None):
     """Steady states of a model at each real parameter value in ``xs``.
 
     ``build(x)`` returns ``emitter_chain``'s (L, a_out, b_out), each affine
@@ -141,9 +141,15 @@ def _affine_sweep(build, xs):
     ``steady_states`` call, and the output fields are read out of all the
     states at once. Returns the ``SteadyStates`` and <a_out> and <b_out> at
     each x, NaN where a point failed.
+
+    If ``ends`` is a list, the two builds build(0) and build(1) are appended
+    to it, so that ``_affine_model`` forms the model at any x without a
+    third build.
     """
     lv0, a0, b0 = build(0.0)
     lv1, a1, b1 = build(1.0)
+    if ends is not None:
+        ends += [(lv0, a0, b0), (lv1, a1, b1)]
     lv0, lv1 = real_form(lv0), real_form(lv1)
     xs = np.asarray(xs, dtype=float)
     solved = steady_states(lv0 + xs[:, None, None] * (lv1 - lv0))
@@ -152,6 +158,12 @@ def _affine_sweep(build, xs):
                       + xs * np.einsum("ij,nji->n", o1 - o0, solved.rho)
                       for o0, o1 in ((a0, a1), (b0, b1)))
     return solved, a_mean, b_mean
+
+
+def _affine_model(ends, x: float):
+    """(L, a_out, b_out) at x of a model affine in x, from its builds at 0
+    and 1 that ``_affine_sweep`` appended to ``ends``."""
+    return tuple(m0 + x * (m1 - m0) for m0, m1 in zip(*ends))
 
 
 def _gap_diagnostics(info: dict, gaps, residuals, count_key: str) -> None:

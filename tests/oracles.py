@@ -1,13 +1,19 @@
-"""Small checks and readouts that no mode uses, kept as test oracles.
+"""Small checks, readouts and slow solves that no mode uses, kept as test
+oracles.
 
 ``check_density_matrix`` raises on the first density-matrix test a state
 fails, ``transmission_numeric`` reads one point of the detuning sweep, and
 ``integrated_inelastic`` integrates a spectrum over its grid.
+``broadcast_stack_spectrum`` and ``resolvent_spectrum_50_digits`` solve the
+resolvent of ``qdiode.spectrum`` one frequency at a time: by an LU
+factorization of each shifted matrix in double precision, and in 50-digit
+arithmetic.
 """
 
+import mpmath
 import numpy as np
 
-from qdiode.operators import _density_matrix_problems
+from qdiode.operators import _density_matrix_problems, vec
 from qdiode.single_qubit import transmission_vs_detuning
 
 
@@ -31,3 +37,44 @@ def transmission_numeric(q, alpha=0.0, beta=0.0):
 def integrated_inelastic(s):
     """Trapezoid integral of the inelastic PSD over its grid (photons/s)."""
     return float(np.trapezoid(s.inelastic_psd, s.freq_offsets))
+
+
+def broadcast_stack_spectrum(lv, rho_ss, out_op, omegas):
+    """The resolvent spectrum as one batched LU solve of the stack
+    L - P + i omega I over the grid, in column-stacking coordinates: the
+    route ``inelastic_spectrum`` took before its pole-residue form."""
+    n = lv.shape[0]
+    rho_v = vec(rho_ss)
+    dv = vec(out_op @ rho_ss) - np.trace(out_op @ rho_ss) * rho_v
+    shifted = lv - np.outer(rho_v, vec(np.eye(rho_ss.shape[0])))
+    mats = shifted[None, :, :] + 1j * omegas[:, None, None] * np.eye(n)
+    x = np.linalg.solve(mats, np.broadcast_to(dv[:, None], (omegas.size, n, 1)))
+    return -(x[:, :, 0] @ vec(out_op).conj()).real / np.pi
+
+
+def resolvent_spectrum_50_digits(lv, rho_ss, out_op, omegas):
+    """The resolvent spectrum of the same double-precision L, rho and A,
+    solved in 50-digit arithmetic at each frequency and rounded once."""
+    with mpmath.workdps(50):
+        d = rho_ss.shape[0]
+        op, rho = mpmath.matrix(out_op.tolist()), mpmath.matrix(rho_ss.tolist())
+        op_rho = op * rho
+        mean = sum(op_rho[i, i] for i in range(d))
+        # Column stacking: entry (i, j) of a d x d matrix sits at i + j d.
+        entries = [(i, j) for j in range(d) for i in range(d)]
+        dv = mpmath.matrix([op_rho[i, j] - mean * rho[i, j] for i, j in entries])
+        shifted = mpmath.matrix(lv.tolist())
+        for k, (i, j) in enumerate(entries):
+            for kk, (ii, jj) in enumerate(entries):
+                if ii == jj:
+                    shifted[k, kk] -= rho[i, j]
+        spectrum = []
+        for w in omegas:
+            m = shifted.copy()
+            for k in range(d * d):
+                m[k, k] += mpmath.mpc(0, w)
+            x = mpmath.lu_solve(m, dv)
+            overlap = sum(mpmath.conj(op[i, j]) * xk
+                          for (i, j), xk in zip(entries, x))
+            spectrum.append(float(-mpmath.re(overlap) / mpmath.pi))
+    return np.array(spectrum)

@@ -763,6 +763,26 @@ class TestCliRuns:
         assert abs(result["center_offset_hz"]) < 1e3
         assert result["converged"]
 
+    def test_singular_covariance_writes_null_standard_errors(self, tmp_path):
+        # Every point at one detuning: the centre offset has a zero Jacobian
+        # column, the covariance is singular and the standard errors are
+        # infinite. Strict JSON has no Infinity, so they are written null.
+        scan = tmp_path / "scan.csv"
+        scan.write_text("delta_omega_hz,t_abs\n" + "0,0.2\n" * 5 + "0,0.6\n",
+                        encoding="utf-8")
+        cfg = write_config(tmp_path, {"input_csv": str(scan),
+                                      "initial_gamma_r_hz": 70e6})
+        out = tmp_path / "out"
+        assert run(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+        result = json.loads((out / "fit_result.json").read_text(),
+                            parse_constant=strict)
+        assert [result[f"stderr_{k}_hz"] for k in
+                ("gamma_r", "s", "center_offset")] == [None, None, None]
+        assert np.isfinite(result["gamma_r_hz"])
+
     def test_spectrum_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path, steady_payload(
             direction="forward", port="transmitted", n_freq=65,
@@ -1057,6 +1077,22 @@ class TestExitCodes:
         cfg = write_config(tmp_path, steady_payload(delta=0.0))
         assert run(["steady-state", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+
+    def test_linalg_error_is_a_solver_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        # numpy's LinAlgError is a ValueError, but raised by a solve it is a
+        # solver error, not a configuration error.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr("qdiode.spectrum.inelastic_spectrum", fail)
+        cfg = write_config(tmp_path, steady_payload(
+            direction="forward", port="transmitted", n_freq=65))
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", cfg,
+                    "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "solver error: Eigenvalues did not converge\n")
+        assert not (out / "run_manifest.json").exists()
 
     def test_fit_error(self, tmp_path):
         scan = str(tmp_path / "flat.csv")

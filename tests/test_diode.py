@@ -47,6 +47,7 @@ from qdiode.single_qubit import (
     emitter_chain,
     transmission_analytic,
 )
+from qdiode.spectrum import linewidth_estimate, psd
 
 GAMMA = 2.0 * np.pi * 70e6
 DELTA = np.sqrt(1e-3)
@@ -509,6 +510,26 @@ class TestOnePath:
                             ((0.0, amp), row.dark_population_reverse)):
             got = driven_state(c, *drive).dark_population
             assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("solve", ["driven_state", "psd"])
+    def test_two_model_builds_per_solve(self, solve, monkeypatch):
+        # The sweep builds the model at 0 and 1, and the output fields (and
+        # psd's L) are formed from those two builds: diode_model runs twice,
+        # each time through the one emitter_chain call it makes.
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return emitter_chain(*args, **kwargs)
+        monkeypatch.setattr("qdiode.diode.emitter_chain", counted)
+        c = self.lossy_diode()
+        if solve == "driven_state":
+            driven_state(c, *np.sqrt(c.gamma_bar) * np.array([0.3, 0.1j]))
+        else:
+            est = linewidth_estimate(c)
+            psd(c, "forward", "transmitted", 0.05 * c.gamma_bar,
+                np.linspace(-10.0 * est, 10.0 * est, 41))
+        assert len(builds) == 2
 
 
 class TestBadPowers:
