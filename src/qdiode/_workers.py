@@ -1,0 +1,85 @@
+"""The package's one worker map: items shared out among threads bound to the
+CPUs the process may run on.
+
+It serves work whose time goes to numpy and LAPACK calls that release the
+interpreter lock, and whose items share nothing: mirror-mc's records and the
+two sides of a power sweep. There is one worker per allowed CPU, capped by
+the caller, and each worker takes every k-th item. Each worker binds itself
+to its own CPU: where the scheduler does not balance load (a cpuset with
+load balancing switched off), a new thread may stay on its creator's CPU,
+and unbound workers then share one core. Only the workers' own masks change,
+never the calling thread's. With one worker the items are computed inline
+and no thread starts; where binding is unavailable or refused the workers
+run unbound. An item's result depends only on the item, so the results do
+not depend on the number of CPUs.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+
+
+def allowed_cpus() -> list[int]:
+    """The CPUs this process may run on, ascending."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def bound_map(fn, items, max_workers: int, name: str,
+              scratch=lambda: None) -> list:
+    """``[fn(item, s) for item in items]``, in order, on bound workers.
+
+    There are k = min(len(allowed_cpus()), len(items), max_workers) workers.
+    Worker w, a thread named f"{name}-{w}", binds itself to the w-th allowed
+    CPU, makes its own scratch s = ``scratch()`` and computes items w,
+    w + k, w + 2k, ...; the calling thread only starts and joins them. With
+    one worker the calling thread computes every item, in order. A worker
+    stops at its first exception, its scratch's included, which takes the
+    place of its item; once every worker is joined, the first exception in
+    item order is raised. An interrupt of the join stops every worker before
+    its next item.
+    """
+    cpus = allowed_cpus()[:min(len(items), max_workers)]
+    results: list = [None] * len(items)
+    stop = threading.Event()
+
+    def work(w: int) -> None:
+        k = w
+        try:
+            s = scratch()
+            for k in range(w, len(items), len(cpus)):
+                if stop.is_set():
+                    return
+                results[k] = fn(items[k], s)
+        except Exception as exc:  # raised by the caller after the joins
+            results[k] = exc
+
+    def bound_work(w: int) -> None:
+        try:
+            os.sched_setaffinity(0, {cpus[w]})   # this thread's mask only
+        except (AttributeError, OSError):
+            pass                                 # run unbound
+        work(w)
+
+    if len(cpus) == 1:
+        work(0)
+    else:
+        workers = [threading.Thread(target=bound_work, args=(w,),
+                                    name=f"{name}-{w}")
+                   for w in range(len(cpus))]
+        for t in workers:
+            t.start()
+        try:
+            for t in workers:
+                t.join()
+        except BaseException:
+            stop.set()
+            for t in workers:
+                t.join()
+            raise
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results

@@ -21,7 +21,9 @@ the device a diode.
 The drive enters H, not the output dissipators (``emitter_chain``), so the
 model is affine in a real factor on the drive, and every solve is one
 ``single_qubit._affine_sweep``. ``power_sweep`` solves each side over all its
-amplitudes at once. It is the one one-sided solve: its row,
+amplitudes at once, and a long sweep solves its two sides, which are two
+cascaded master equations that share no work, at once on two bound worker
+threads (``_workers.bound_map``). It is the one one-sided solve: its row,
 ``DiodeOperatingPoint``, is the one result type, and ``operating_point`` and
 ``transmission`` are one-power sweeps. ``driven_state`` scales a drive from
 both sides as one.
@@ -35,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._workers import bound_map
 from .operators import SolverError, expectation
 from .single_qubit import (
     QubitParams,
@@ -160,6 +163,11 @@ def diode_model(c: DiodeConfig, alpha: complex = 0.0,
 
 
 _SIDES = ("forward", "reverse")
+# A sweep of both sides over at least this many powers solves them at once,
+# one per worker. Below it the thread starts, and the two workers' turns at
+# the interpreter lock, cost about as much as they save: the measured
+# crossover on a 2-vCPU host (BENCH_parallel_sides.json, "crossover").
+_PARALLEL_SIDES_MIN_POWERS = 128
 
 
 def _drive(direction: str, amp):
@@ -266,11 +274,18 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     """Transmission, efficiency and dark population over ascending drive
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
-    Each side solves all its powers in one ``_affine_sweep``. A side not in
-    ``sides`` gets NaN transmission and dark population, so the efficiency
-    is NaN unless both sides are solved. A power whose solve fails on any
-    side becomes a row of NaN values whose ``error`` is the first failed
-    side's ``SteadyStates.error`` message; the sweep goes on.
+    Each side solves all its powers in one ``_affine_sweep``. The two sides
+    share no work: with both in ``sides`` and at least
+    _PARALLEL_SIDES_MIN_POWERS powers, they are solved at once, one on each
+    of two worker threads bound to their CPUs (``_workers.bound_map``, the
+    worker map mirror-mc uses); otherwise, and with one allowed CPU, in the
+    calling thread, which a one-power sweep never leaves. Each side's values
+    depend on that side alone, so every row, message and diagnostic is the
+    same for any number of CPUs. A side not in ``sides`` gets NaN
+    transmission and dark population, so the efficiency is NaN unless both
+    sides are solved. A power whose solve fails on any side becomes a row of
+    NaN values whose ``error`` is the first failed side's
+    ``SteadyStates.error`` message; the sweep goes on.
 
     If ``info`` is a dict, three solver diagnostics are set in it from the
     ``null_gap`` and ``residual`` fields of each solved side's
@@ -294,9 +309,12 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     dark = np.full((2, len(powers)), np.nan)
     errors: list = [None] * len(powers)
     gaps, resids = [], []
-    for side in sides:
+    workers = len(sides) if len(powers) >= _PARALLEL_SIDES_MIN_POWERS else 1
+    solved_sides = bound_map(lambda side, _: _solve_side(c, side, amps),
+                             sides, workers, "qdiode-sweep")
+    for side, (t_side, dark_side, solved) in zip(sides, solved_sides):
         k = _SIDES.index(side)
-        t[k], dark[k], solved = _solve_side(c, side, amps)
+        t[k], dark[k] = t_side, dark_side
         # A power keeps the message of its first failed side.
         errors = [s if e is None else e for e, s in zip(errors, solved.error)]
         gaps.append(solved.null_gap)

@@ -23,25 +23,22 @@ there, in the same stream order and with the same pairwise sums as
 ``iq_variance(simulate_mirror(m))``, whose values it equals bit for bit.
 
 The records of a sweep are independent, and most of a record's time goes to
-numpy fills that release the interpreter lock, so the sweep computes them on
-worker threads: one per CPU the process may run on, capped at the number of
-records and at a scratch-memory budget, each with its own buffer, each taking
-every k-th record. Each worker binds itself to its own CPU: where the
-scheduler does not balance load (a cpuset with load balancing switched off),
-a new thread may stay on its creator's CPU, and unbound workers then share
-one core. Only the workers' own masks change, never the calling thread's.
-With one worker the records are computed inline; where binding is
-unavailable or refused the workers run unbound. A record's values depend
-only on its own seed, so the outputs do not depend on the number of CPUs.
+numpy fills that release the interpreter lock, so the sweep computes them
+through the package's one worker map, ``_workers.bound_map``, which the
+power sweep's two sides share: one thread per CPU the process may run on,
+each bound to its CPU and taking every k-th record, or inline with one.
+Here the workers are also capped at a scratch-memory budget, and each draws
+into a buffer of its own. A record's values depend only on its own seed, so
+the outputs do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._workers import bound_map
 
 
 @dataclass(frozen=True)
@@ -173,69 +170,21 @@ _WORKER_BYTES_PER_SAMPLE = 19
 _SCRATCH_BUDGET = 2 ** 28
 
 
-def _allowed_cpus() -> list[int]:
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
 def _record_map(models: list[MirrorModel]) -> list[tuple[float, float]]:
-    """``_record_variances`` of every model, in order, on bound workers.
+    """``_record_variances`` of every model, in order, on the package's
+    bound workers (``_workers.bound_map``), each drawing into one buffer of
+    its own.
 
-    The models share one n_samples. Worker w binds itself to the w-th allowed
-    CPU and computes records w, w + k, w + 2k, ... of k workers in one buffer
-    of its own; the calling thread only starts and joins them. A worker stops
-    at its first exception, its buffer's allocation included, which takes the
-    place of its record; once every worker is joined, the first exception in
-    record order is raised. An interrupt of the join stops every worker
-    before its next record.
+    The models share one n_samples. The workers are capped by the scratch
+    budget; a buffer's allocation failure takes the place of its worker's
+    first record.
     """
     for m in models:
         _check_two_samples(m.n_samples)
     n = max((m.n_samples for m in models), default=2)
     budget = max(1, _SCRATCH_BUDGET // (_WORKER_BYTES_PER_SAMPLE * n))
-    cpus = _allowed_cpus()[:min(len(models), budget)]
-    results: list = [None] * len(models)
-    stop = threading.Event()
-
-    def work(w: int) -> None:
-        k = w
-        try:
-            buf = np.empty(models[w].n_samples)
-            for k in range(w, len(models), len(cpus)):
-                if stop.is_set():
-                    return
-                results[k] = _record_variances(models[k], buf)
-        except Exception as exc:  # raised by the caller after the joins
-            results[k] = exc
-
-    def bound_work(w: int) -> None:
-        try:
-            os.sched_setaffinity(0, {cpus[w]})   # this thread's mask only
-        except (AttributeError, OSError):
-            pass                                 # run unbound
-        work(w)
-
-    if len(cpus) == 1:
-        work(0)
-    else:
-        workers = [threading.Thread(target=bound_work, args=(w,),
-                                    name=f"qdiode-mirror-{w}")
-                   for w in range(len(cpus))]
-        for t in workers:
-            t.start()
-        try:
-            for t in workers:
-                t.join()
-        except BaseException:
-            stop.set()
-            for t in workers:
-                t.join()
-            raise
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    return results
+    return bound_map(_record_variances, models, budget, "qdiode-mirror",
+                     lambda: np.empty(n))
 
 
 def analytic_iq_variance(p_dark: float, alpha: complex,

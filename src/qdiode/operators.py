@@ -177,8 +177,9 @@ class SteadyStates(NamedTuple):
     """``steady_states`` of N Liouvillians, one entry per matrix: ``rho``
     (N, d, d), all NaN where a matrix failed; ``error``, the message of the
     test it failed, or None; ``null_gap``, s_{-2} / s_max, how far its null
-    space is from degenerate; ``residual``, ||L r|| (||L vec(rho)|| for the
-    column-stacking L), NaN where no normalized state was formed."""
+    space is from degenerate (NaN for a non-finite matrix); ``residual``,
+    ||L r|| (||L vec(rho)|| for the column-stacking L), NaN where no
+    normalized state was formed."""
 
     rho: np.ndarray
     error: list
@@ -195,8 +196,9 @@ def steady_states(lvs) -> SteadyStates:
     ValueError, since a column-stacking Liouvillian must first go through
     ``real_form``. Each matrix gets its density matrix, or NaN and the
     message of the test it fails, in input order (see ``SteadyStates``).
-    The singular values alone (no singular vectors) decide whether a matrix
-    has a one-dimensional null space:
+    A matrix with a non-finite entry fails alone, with NaN null gap. The
+    singular values alone (no singular vectors) decide whether a matrix has
+    a one-dimensional null space:
 
     - with no singular value below 1e-10 of the largest, the smallest must
       sit GAP_FACTOR below the next, or there is no clear null space;
@@ -228,6 +230,11 @@ def steady_states(lvs) -> SteadyStates:
         raise ValueError(f"expected a stack of square matrices, got shape {lvs.shape}")
     n, d2 = lvs.shape[:2]
     d = _hilbert_dim(d2)
+    # A non-finite matrix would fail the SVD of the whole stack: it is
+    # solved as zeros, and fails alone.
+    finite = np.isfinite(lvs).all(axis=(1, 2))
+    if not finite.all():
+        lvs = np.where(finite[:, None, None], lvs, 0.0)
     svals = np.linalg.svd(lvs, compute_uv=False)
     scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
     null_dim = np.sum(svals < scale[:, None] * 1e-10, axis=1)
@@ -248,10 +255,12 @@ def steady_states(lvs) -> SteadyStates:
     too_large = (resid > 1e-9 * np.maximum(frobenius, 1.0)).tolist()
     problems = _density_matrix_problems(rho)
     errors = []
-    for k, (gapless, dim, normal) in enumerate(zip(no_gap.tolist(),
-                                                   null_dim.tolist(),
-                                                   normalizable.tolist())):
-        if gapless:
+    for k, (fin, gapless, dim, normal) in enumerate(zip(
+            finite.tolist(), no_gap.tolist(), null_dim.tolist(),
+            normalizable.tolist())):
+        if not fin:
+            errors.append("Liouvillian has non-finite entries")
+        elif gapless:
             errors.append(f"no clear Liouvillian null space (smallest "
                           f"singular values {svals[k, -1]:.3e}, "
                           f"{svals[k, -2]:.3e})")
@@ -266,7 +275,8 @@ def steady_states(lvs) -> SteadyStates:
         else:
             errors.append(None)
     rho[np.array([e is not None for e in errors], dtype=bool)] = np.nan
-    return SteadyStates(rho, errors, svals[:, -2] / scale,
+    return SteadyStates(rho, errors,
+                        np.where(finite, svals[:, -2] / scale, np.nan),
                         np.where(normalizable, resid, np.nan))
 
 

@@ -947,6 +947,28 @@ class TestCliRuns:
         assert set(self.callers("power_sweep")) >= {
             ("diode.py", "operating_point"), ("diode.py", "transmission")}
 
+    def test_one_worker_map(self):
+        # mirror-mc's records and a power sweep's sides share one bound
+        # worker map; a second one could bind, stop or raise differently.
+        paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
+                          recursive=True)
+        threads, binds = set(), set()
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            name = os.path.basename(path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    if any(a.name == "threading" for a in node.names):
+                        threads.add(name)
+                elif isinstance(node, ast.ImportFrom):
+                    if node.module == "threading":
+                        threads.add(name)
+                elif (isinstance(node, ast.Attribute)
+                      and node.attr == "sched_setaffinity"):
+                    binds.add(name)
+        assert threads == binds == {"_workers.py"}
+
     def test_one_form_of_a_failed_solve(self):
         # steady_states reports a failed matrix as a NaN state beside its
         # message; an exception object among the states would be a second

@@ -7,6 +7,8 @@ values, and the single-emitter limit from the closed-form scattering result.
 """
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from svd_reference import unvec
 
+from qdiode import diode
 from qdiode.diode import (
     DARK_STATE,
     DiodeConfig,
@@ -530,6 +533,103 @@ class TestOnePath:
             psd(c, "forward", "transmitted", 0.05 * c.gamma_bar,
                 np.linspace(-10.0 * est, 10.0 * est, 41))
         assert len(builds) == 2
+
+
+class TestParallelSides:
+    """A two-sided sweep of enough powers solves its sides at once, one per
+    bound worker; its outputs do not depend on the CPUs allowed."""
+
+    @staticmethod
+    def sweeps():
+        """A lossy 400-power sweep, and a lossless delta = 2e-5 one whose
+        rows partly fail."""
+        lossy = TestOnePath.lossy_diode()
+        lossless = ideal_diode(delta=2e-5)
+        return [(lossy, np.geomspace(1e-4, 10.0, 400) * lossy.gamma_bar),
+                (lossless, np.geomspace(1e-3, 10.0, 100) * lossless.gamma_bar)]
+
+    @staticmethod
+    def allow_cpus(monkeypatch, n):
+        """Report n allowed CPUs; a worker bound to a CPU that does not
+        exist runs unbound."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def spy_sides(monkeypatch, fail=None):
+        """Log (side, thread) of each _solve_side call; raise for ``fail``."""
+        calls = []
+        inner = diode._solve_side
+
+        def spy(c, side, amps, ends=None):
+            calls.append((side, threading.current_thread()))
+            if side == fail:
+                raise RuntimeError(f"side {side}")
+            return inner(c, side, amps, ends)
+
+        monkeypatch.setattr(diode, "_solve_side", spy)
+        return calls
+
+    @staticmethod
+    def outputs(c, powers):
+        info: dict = {}
+        rows = power_sweep(c, powers, info=info)
+        return [repr(r) for r in rows], [r.error for r in rows], info
+
+    def test_outputs_equal_with_one_cpu_and_with_the_real_mask(
+            self, monkeypatch):
+        real = [self.outputs(c, powers) for c, powers in self.sweeps()]
+        assert real[0][2]["near_degenerate_rows"] == 0
+        assert 0 < sum(e is not None for e in real[1][1]) < 100
+        self.allow_cpus(monkeypatch, 1)
+        calls = self.spy_sides(monkeypatch)
+        assert [self.outputs(c, powers)
+                for c, powers in self.sweeps()] == real
+        assert {t for _, t in calls} == {threading.current_thread()}
+
+    def test_two_sides_run_on_two_workers(self, monkeypatch):
+        self.allow_cpus(monkeypatch, 8)
+        calls = self.spy_sides(monkeypatch)
+        c, powers = self.sweeps()[0]
+        power_sweep(c, powers)
+        threads = dict(calls)
+        assert sorted(threads) == ["forward", "reverse"]
+        assert [t.name for t in threads.values()] == [
+            "qdiode-sweep-0", "qdiode-sweep-1"]
+
+    def test_short_or_one_sided_sweeps_start_no_thread(self, monkeypatch):
+        self.allow_cpus(monkeypatch, 8)
+
+        def no_start(self):
+            raise AssertionError(f"thread {self.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        c, powers = self.sweeps()[0]
+        power = powers[200]
+        operating_point(c, power)
+        transmission(c, "reverse", power)
+        power_sweep(c, [power])
+        power_sweep(c, powers[:diode._PARALLEL_SIDES_MIN_POWERS - 1])
+        power_sweep(c, powers, sides=("forward",))
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        self.allow_cpus(monkeypatch, 2)
+        start = threading.active_count()
+        calls = self.spy_sides(monkeypatch, fail="reverse")
+        c, powers = self.sweeps()[0]
+        with pytest.raises(RuntimeError, match="^side reverse$"):
+            power_sweep(c, powers)
+        assert threading.active_count() == start
+        assert threading.current_thread() not in {t for _, t in calls}
+        assert sorted(side for side, _ in calls) == ["forward", "reverse"]
+
+    def test_calling_thread_keeps_its_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("os.sched_getaffinity is not available")
+        before = os.sched_getaffinity(0)
+        for c, powers in self.sweeps():
+            power_sweep(c, powers)
+        assert os.sched_getaffinity(0) == before
 
 
 class TestBadPowers:

@@ -353,6 +353,30 @@ class TestSteadyStates:
         np.testing.assert_array_equal(solved.rho[::2],
                                       steady_states(np.array(good)).rho)
 
+    def test_non_finite_matrix_fails_alone(self, capfd):
+        # Unmasked, a NaN entry fails the batched SVD for every member, and
+        # an inf entry makes LAPACK complain on stderr and the residual
+        # product warn (an error under this suite's warning filter).
+        good = self.mixed_stack()[[0, 3, 6, 1]]
+        nan, inf = good[0].copy(), good[2].copy()
+        nan[3, 5] = np.nan
+        inf[0, 0] = np.inf
+        stack = np.array([good[0], nan, good[1], good[2], inf, good[3]])
+        solved = steady_states(stack)
+        want = steady_states(good)
+        keep = [0, 2, 3, 5]
+        assert [solved.error[k] for k in keep] == want.error
+        for got, ref in ((solved.rho[keep], want.rho),
+                         (solved.null_gap[keep], want.null_gap),
+                         (solved.residual[keep], want.residual)):
+            np.testing.assert_array_equal(got, ref)
+        for k in (1, 4):
+            assert solved.error[k] == "Liouvillian has non-finite entries"
+            assert np.all(np.isnan(solved.rho[k]))
+            assert np.isnan(solved.null_gap[k])
+            assert np.isnan(solved.residual[k])
+        assert capfd.readouterr().err == ""
+
     def test_reports_the_null_gap_and_residual(self):
         stack = self.mixed_stack()
         solved = steady_states(stack)
