@@ -22,41 +22,26 @@ Run from the repository root; PARENT_DIR is a checkout of the parent commit
   A round's crossover is the smallest n from which two workers win most
   pairs at every larger n measured, on both devices; the floor is the
   largest round's.
-- ``pairs``: ``perfbench/run.py --trace 0`` on each workload, parent and
-  change alternating which runs first, with each pair's data files
-  (every output but the manifest) compared byte for byte.
+- ``pairs``: ``bench_pairs.pairs``, the paired perfbench runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 
-BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-os.environ.update(dict.fromkeys(BLAS_ENV, "1"))
+# bench_pairs sets one BLAS thread before numpy loads, and puts src and
+# perfbench on the path.
+from bench_pairs import ROOT, jobs_mod, paired_record, quartiles, verdict
+import numpy as np
+from qdiode import cli, config, diode
 
-import numpy as np  # noqa: E402
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
-import jobs as jobs_mod  # noqa: E402
-from qdiode import cli, config, diode  # noqa: E402
-
-METRICS = ("run_s", "total_s", "setup_s", "cpu_s", "peak_rss_mb", "ok_frac")
 CROSSOVER_POWERS = (4, 16, 32, 48, 64, 80, 100, 128, 160, 200, 400)
-
-
-def quartiles(xs) -> list[float]:
-    return [float(v) for v in np.percentile(xs, [25, 50, 75])]
 
 
 def sweep_devices():
@@ -166,86 +151,6 @@ def crossover(repeats: int, rounds: int) -> dict:
             "floor_in_code": floor}
 
 
-def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    work = os.path.join(tree, "perfbench", "_work", workload)
-    digest = hashlib.sha256()
-    for job in jobs_mod.make_jobs(workload, seed, work):
-        for fname, data in jobs_mod.data_files(work, job).items():
-            digest.update(f"{job.name}/{fname}".encode() + data)
-    return {"correct": last["correct"],
-            "data_sha256": digest.hexdigest(),
-            **{m: last["metrics"][m]["value"] for m in METRICS}}
-
-
-def pairs(parent: str, workloads, n_pairs: int, seed: int,
-          seconds: float) -> list[dict]:
-    summary = []
-    for workload in workloads:
-        runs = []
-        for i in range(n_pairs):
-            sides = [("parent", parent), ("change", ROOT)]
-            if i % 2:
-                sides.reverse()
-            pair = {name: perfbench(tree, workload, seed, seconds)
-                    for name, tree in sides}
-            pair["first"] = sides[0][0]
-            runs.append(pair)
-            print(workload, i, {k: pair[k]["run_s"] for k in ("parent", "change")},
-                  file=sys.stderr)
-        entry = {"workload": workload, "seed": seed, "seconds": seconds,
-                 "pairs": n_pairs,
-                 "all_correct": all(r[s]["correct"] for r in runs
-                                    for s in ("parent", "change")),
-                 "data_files_identical": all(
-                     r["parent"]["data_sha256"] == r["change"]["data_sha256"]
-                     for r in runs)}
-        for m in METRICS:
-            par = [r["parent"][m] for r in runs]
-            chg = [r["change"][m] for r in runs]
-            entry[m] = {
-                "parent_q1_median_q3": quartiles(par),
-                "change_q1_median_q3": quartiles(chg),
-                "change_lower": sum(c < p for p, c in zip(par, chg)),
-                "change_higher": sum(c > p for p, c in zip(par, chg))}
-        entry["runs"] = runs
-        summary.append(entry)
-    return summary
-
-
-def verdict(summary: list[dict]) -> dict:
-    """The claim (power-scan run_s lower in at least 9 of 10 pairs, by more
-    than the parent's interquartile range), and for every workload and
-    metric the change's median over the parent's, against the bound that
-    BENCHMARK.json fixes."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bounds = {e["name"]: e["bound"]
-                  for e in json.load(fh)["end_to_end"]}
-    out = {}
-    for entry in summary:
-        for m in METRICS:
-            par_med = entry[m]["parent_q1_median_q3"][1]
-            chg_med = entry[m]["change_q1_median_q3"][1]
-            ratio = chg_med / par_med if par_med else None
-            out[f"{entry['workload']}.{m}"] = {
-                "change_median_over_parent": ratio,
-                "bound": bounds[m],
-                "within_bound": (ratio is None or (
-                    ratio >= 1 - bounds[m] if m == "ok_frac"
-                    else ratio <= 1 + bounds[m]))}
-        if entry["workload"] == "power-scan":
-            run = entry["run_s"]
-            par_q1, par_med, par_q3 = run["parent_q1_median_q3"]
-            out["claim_met"] = (
-                10 * run["change_lower"] >= 9 * entry["pairs"]
-                and par_med - run["change_q1_median_q3"][1] > par_q3 - par_q1)
-    return out
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", help="checkout of the parent commit; "
@@ -280,22 +185,11 @@ def main() -> int:
         record["pairs_command"] = old.get("pairs_command", old["command"])
         for key in ("parent", "claim", "pairing", "pairs"):
             record[key] = old[key]
+        record["verdict"] = verdict(record["pairs"], "power-scan")
     elif args.parent:
-        record["parent"] = subprocess.run(
-            ["git", "-C", args.parent, "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=True).stdout.strip()
-        record["claim"] = {
-            "workload": "power-scan", "metric": "run_s", "better": "lower",
-            "rule": "change lower in at least 9 of 10 pairs, and the "
-                    "difference of medians larger than the parent's "
-                    "interquartile range"}
-        record["pairing"] = ("pairs alternate which side runs first: "
-                             "even-numbered pairs (from 0) parent first")
-        record["pairs"] = pairs(os.path.abspath(args.parent),
-                                args.workloads.split(","), args.pairs,
-                                args.seed, args.seconds)
-    if "pairs" in record:
-        record["verdict"] = verdict(record["pairs"])
+        record.update(paired_record(args.parent, "power-scan",
+                                    args.workloads.split(","), args.pairs,
+                                    args.seed, args.seconds))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -1,18 +1,27 @@
 """Command-line entry point.
 
-    qdiode <mode> --config <file.json> [--out <dir>] [--seed <n>]
+    qdiode <mode> --config FILE [--out DIR] [--seed N]
 
 Modes: steady-state, sweep-power, sweep-frequency, spectrum, fit, mirror-mc.
 Each run writes its data files plus run_manifest.json into the output
 directory. Exit codes: 0 success, 2 configuration error, 3 solver error,
 4 fit error.
+
+``_parse_args`` reads that one grammar by hand: the options may come before
+or after the mode, as ``--opt value`` or ``--opt=value``, and are never
+abbreviated. A usage error prints the usage line and ``qdiode: error: ...``
+to stderr and exits 2; ``-h``/``--help`` prints the help and exits 0. The
+CLI imports neither argparse nor gettext, so a run loads no locale
+machinery. Each runner converts units, calls one library function and hands
+its results to ``io``; the solver diagnostics a library call sets in its
+``info`` dict become the manifest's ``diagnostics``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
+import re
 import sys
 import time
 
@@ -64,8 +73,9 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
 
     alpha = p["alpha"] * math.sqrt(gamma_bar)
     beta = p["beta"] * math.sqrt(gamma_bar)
+    info: dict = {}
     if alpha != 0.0 or beta != 0.0:
-        state = driven_state(c, alpha, beta)
+        state = driven_state(c, alpha, beta, info)
         payload["general"] = {
             "alpha_over_sqrt_gammabar": p["alpha"],
             "beta_over_sqrt_gammabar": p["beta"],
@@ -76,7 +86,7 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
         }
     else:
         power = p["p_over_gammabar"] * gamma_bar
-        op = operating_point(c, power)
+        op = operating_point(c, power, info)
         payload["operating_point"] = {
             "p_over_gammabar": p["p_over_gammabar"],
             "t_forward": [op.t_forward.real, op.t_forward.imag],
@@ -89,7 +99,7 @@ def _run_steady_state(cfg: RunConfig, out_dir: str):
         }
     path = os.path.join(out_dir, "steady_state.json")
     io.write_json(path, payload)
-    return [path], [], EXIT_OK, {}
+    return [path], [], EXIT_OK, info
 
 
 def _run_sweep_power(cfg: RunConfig, out_dir: str):
@@ -136,8 +146,9 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     half_span = 0.5 * p["span_linewidths"] * width_scale
     grid = np.linspace(-half_span, half_span, p["n_freq"])
 
+    info: dict = {}
     result = psd(c, direction, p["port"], p["p_over_gammabar"] * gamma_bar,
-                 grid)
+                 grid, info)
     notes = []
     code = EXIT_OK
     if p["fit"]:
@@ -154,7 +165,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
         "predicted_fwhm_hz": predicted / TWO_PI,
         "p_over_gammabar": p["p_over_gammabar"],
     })
-    return [path, sidecar], notes, code, {}
+    return [path, sidecar], notes, code, info
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -197,11 +208,12 @@ def _run_fit(cfg: RunConfig, out_dir: str):
 def _run_mirror_mc(cfg: RunConfig, out_dir: str):
     p = cfg.params
     notes = []
+    info: dict = {}
     if "p_dark_fwd" in p:
         p_fwd, p_rev = p["p_dark_fwd"], p["p_dark_rev"]
     else:
         c = _diode_config(p)
-        op = operating_point(c, p["p_over_gammabar"] * c.gamma_bar)
+        op = operating_point(c, p["p_over_gammabar"] * c.gamma_bar, info)
         p_fwd, p_rev = op.dark_probabilities
         notes.append(f"p_dark from diode steady state: fwd = {p_fwd:.6g}, "
                      f"rev = {p_rev:.6g}")
@@ -210,7 +222,7 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str):
                              p["n_samples"], p["dwell_samples"])
     path = os.path.join(out_dir, "mirror_sweep.csv")
     io.write_mirror_csv(path, rows, cfg.seed)
-    return [path], notes, EXIT_OK, {}
+    return [path], notes, EXIT_OK, info
 
 
 _RUNNERS = {
@@ -227,30 +239,94 @@ _RUNNERS = {
 #                             Entry point
 # -----------------------------------------------------------------------------
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdiode",
-        description="Waveguide quantum diode simulation and analysis")
-    parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    return parser
+_USAGE = "usage: qdiode <mode> --config FILE [--out DIR] [--seed N]"
+_HELP = f"""{_USAGE}
+
+Waveguide quantum diode simulation and analysis.
+
+modes:
+  {", ".join(MODES)}
+
+options:
+  -h, --help     show this help message and exit
+  --config FILE  JSON config file (required)
+  --out DIR      output directory (default: .)
+  --seed N       override the config seed
+
+exit codes: 0 success, 2 configuration error, 3 solver error, 4 fit error"""
+_OPTIONS = ("--config", "--out", "--seed")
+# The values argparse would take for an option beginning with "-".
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message: str):
+    print(f"{_USAGE}\nqdiode: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _parse_args(argv) -> tuple[str, str, str, int | None]:
+    """(mode, config, out, seed) from ``qdiode <mode> --config FILE [--out
+    DIR] [--seed N]``: options before or after the mode, each as ``--opt
+    value`` or ``--opt=value``, the last of a repeated option winning.
+
+    ``-h`` or ``--help`` anywhere prints the help text and exits 0. A usage
+    error (a missing mode or --config, an unknown mode, option or
+    abbreviation, a second positional, an option without its value, a seed
+    that is not an integer) prints the usage line and the error to stderr
+    and exits 2, as argparse did.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(_HELP)
+        raise SystemExit(EXIT_OK)
+    opts = {"--out": "."}
+    mode, stray = None, []
+    tokens = iter(argv)
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        if name in _OPTIONS:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or (value.startswith("-")
+                                     and not _NEGATIVE_NUMBER.match(value)):
+                    _usage_error(f"argument {name}: expected one argument")
+            opts[name] = value
+        elif tok.startswith("-") or mode is not None:
+            stray.append(tok)
+        else:
+            mode = tok
+    if stray:
+        _usage_error(f"unrecognized arguments: {' '.join(stray)}")
+    config = opts.get("--config")
+    missing = [n for n, v in (("mode", mode), ("--config", config))
+               if v is None]
+    if missing:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(missing))
+    if mode not in MODES:
+        _usage_error(f"argument mode: invalid choice: {mode!r} (choose from "
+                     + ", ".join(map(repr, MODES)) + ")")
+    seed = opts.get("--seed")
+    if seed is not None:
+        try:
+            seed = int(seed)
+        except ValueError:
+            _usage_error(f"argument --seed: invalid int value: {seed!r}")
+    return mode, config, opts["--out"], seed
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    mode, config_path, out_dir, seed = _parse_args(
+        sys.argv[1:] if argv is None else list(argv))
     t0 = time.perf_counter()
     try:
-        cfg = load(args.mode, args.config)
-        if args.seed is not None:
-            if args.seed < 0:
+        cfg = load(mode, config_path)
+        if seed is not None:
+            if seed < 0:
                 raise ConfigError("--seed must be nonnegative")
             cfg = RunConfig(mode=cfg.mode, echo=cfg.echo, params=cfg.params,
-                            seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
-        outputs, notes, code, diagnostics = _RUNNERS[cfg.mode](cfg, args.out)
+                            seed=seed)
+        os.makedirs(out_dir, exist_ok=True)
+        outputs, notes, code, diagnostics = _RUNNERS[cfg.mode](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -264,9 +340,15 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # A count too large for memory fails its first allocation, before
+        # any data file is opened.
+        print(f"config error: the arrays this config asks for could not be "
+              f"allocated: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     wall = time.perf_counter() - t0
-    io.write_manifest(args.out, cfg.mode, cfg.echo, cfg.seed, wall,
+    io.write_manifest(out_dir, cfg.mode, cfg.echo, cfg.seed, wall,
                       outputs, notes, diagnostics)
     for path in outputs:
         print(path)

@@ -234,17 +234,19 @@ def _check_power(power: float) -> None:
         raise ValueError(f"drive power must be finite and >= 0, got {power}")
 
 
-def operating_point(c: DiodeConfig, power: float) -> DiodeOperatingPoint:
+def operating_point(c: DiodeConfig, power: float,
+                    info: dict | None = None) -> DiodeOperatingPoint:
     """Solve both drive directions at photon flux ``power`` = |amplitude|^2:
-    ``power_sweep`` at one power, raising the SolverError of a failed solve."""
-    row = power_sweep(c, [power])[0]
+    ``power_sweep`` at one power, raising the SolverError of a failed solve.
+    ``info`` is passed to that sweep, which sets its solver diagnostics."""
+    row = power_sweep(c, [power], info=info)[0]
     if row.error is not None:
         raise SolverError(row.error)
     return row
 
 
-def driven_state(c: DiodeConfig, alpha: complex,
-                 beta: complex) -> DrivenState:
+def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
+                 info: dict | None = None) -> DrivenState:
     """Solve the device under complex amplitudes alpha (from the left) and
     beta (from the right) at once; raises SolverError if the steady state
     is not unique.
@@ -252,7 +254,9 @@ def driven_state(c: DiodeConfig, alpha: complex,
     One ``_affine_sweep`` builds the model at unit total amplitude and
     solves it at s = ||(alpha, beta)||, so a drive from one side gives the
     ``power_sweep`` state of that side. The output fields at s are formed
-    from the same two builds.
+    from the same two builds. If ``info`` is a dict, the solve's
+    diagnostics are set in it as a one-power, one-sided ``power_sweep``
+    sets them.
     """
     s = math.hypot(abs(alpha), abs(beta)) or 1.0
     ends: list = []
@@ -260,6 +264,9 @@ def driven_state(c: DiodeConfig, alpha: complex,
         lambda x: diode_model(c, x * alpha / s, x * beta / s), [s], ends)
     if solved.error[0] is not None:
         raise SolverError(solved.error[0])
+    if info is not None:
+        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
+                         "near_degenerate_rows")
     rho = solved.rho[0]
     _, a_out, b_out = _affine_model(ends, s)
     return DrivenState(

@@ -6,6 +6,10 @@ CSV writer hands whole columns to one helper, ``_write_columns``: a column is
 scaled once as an array (``/ TWO_PI``, ``* TWO_PI``), turned into Python
 floats with ``tolist()`` and written as repr(), the shortest round-trip
 form, so a rerun with identical inputs produces byte-identical data files.
+The rows are joined by hand, with commas and the csv module's default
+``\r\n`` row terminator, and the file is written in one call: a repr() of a
+float and a header name never need quoting, so the bytes are the ones
+``csv.writer`` gave. ``write_json`` likewise writes one ``json.dumps``.
 The one reader, ``read_transmission_csv`` (the ``fit`` input), parses its
 table with ``_read_table``: every cell with float(), naming the file and line
 of a cell or row it cannot read. The manifest is the one file allowed to differ
@@ -34,18 +38,17 @@ def _write_columns(path: str, header: Sequence[str], columns,
                    preamble: str = "") -> None:
     """Write a CSV table to path: the preamble, the header row, then the
     float columns side by side, each converted once to Python floats and
-    written cell by cell as repr. Columns of unequal length are a ValueError
-    raised before the path is opened, so an existing file is left alone."""
+    written as repr, every row ended by the csv dialect's ``\r\n``. Columns
+    of unequal length are a ValueError raised before the path is opened, so
+    an existing file is left alone."""
     cells = [np.asarray(col, dtype=float).tolist() for col in columns]
     lengths = [len(c) for c in cells]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns {list(header)} have unequal lengths "
                          f"{lengths}")
+    rows = map(",".join, zip(*(map(repr, c) for c in cells)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(preamble)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(map(repr, c) for c in cells)))
+        fh.write(preamble + "\r\n".join([",".join(header), *rows, ""]))
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray, list[str]]:
@@ -194,9 +197,9 @@ def write_mirror_csv(path: str, rows: Sequence[MirrorSweepRow],
 # -----------------------------------------------------------------------------
 
 def write_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_manifest(out_dir: str, mode: str, echo: dict, seed: int,

@@ -51,7 +51,7 @@ import numpy as np
 from .diode import DiodeConfig, _check_power, _solve_side, dark_bright_rates
 from .fitting import _least_squares
 from .operators import SolverError, _hermitian_coordinates, real_form, vec
-from .single_qubit import _affine_model
+from .single_qubit import _affine_model, _gap_diagnostics
 
 # Fraction of the peak below zero tolerated as rounding noise in the computed
 # PSD (clipped to zero). The exact spectrum is nonnegative, so anything more
@@ -164,7 +164,7 @@ def linewidth_estimate(c: DiodeConfig) -> float:
 
 
 def psd(c: DiodeConfig, direction: str, port: str, power: float,
-        freq_offsets) -> SpectrumResult:
+        freq_offsets, info: dict | None = None) -> SpectrumResult:
     """Power spectral density of a diode output field on the given grid.
 
     ``direction`` is forward|reverse (which side is driven, at photon flux
@@ -173,7 +173,9 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     the narrow feature. The steady state is the ``power_sweep`` state of
     that side at that power; a failed solve raises its SolverError. L and
     the output field at that power are formed from the sweep's two builds,
-    so the spectrum's L is the one the state solves.
+    so the spectrum's L is the one the state solves. If ``info`` is a
+    dict, the solve's diagnostics are set in it as that ``power_sweep``
+    sets them.
     """
     if port not in ("transmitted", "reflected"):
         raise ValueError(f"unknown port {port!r}")
@@ -194,6 +196,9 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     _, _, solved = _solve_side(c, direction, [amp], ends)
     if solved.error[0] is not None:
         raise SolverError(solved.error[0])
+    if info is not None:
+        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
+                         "near_degenerate_rows")
     rho = solved.rho[0]
     lv, a_out, b_out = _affine_model(ends, amp)
     # A forward drive is transmitted into a_out, a reverse one into b_out.

@@ -85,6 +85,51 @@ def benchmark_jobs(workload, seed, workdir):
              jobs.out_dir(workdir, j)) for j in made]
 
 
+def cold_run_modules(tmp_path, names):
+    """Exit codes of all six modes run one after another by cli.run in one
+    fresh interpreter, and the modules named in ``names``, or in a package
+    named there, loaded after the last run."""
+    dev = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 66e6, "gamma_nr_hz": 2e5,
+           "gamma_phi_hz": 2e5, "delta": DELTA}
+    point = {**dev, "p_over_gammabar": 0.05}
+    scan = str(tmp_path / "freq" / "frequency_sweep.csv")
+    jobs = [
+        ("steady-state", point),
+        ("sweep-power", {**dev, "power_min_over_gammabar": 0.01,
+                         "power_max_over_gammabar": 1.0, "n_powers": 3}),
+        ("sweep-frequency", {"gamma_r_hz": 72.4299e6,
+                             "gamma_phi_hz": 211.4e3,
+                             "power_over_gamma_r": 1e-4,
+                             "n_points": 41}),
+        ("fit", {"input_csv": scan, "initial_gamma_r_hz": 80e6,
+                 "power_over_gamma_r": 1e-4}),
+        ("spectrum", {**point, "direction": "forward",
+                      "port": "transmitted", "n_freq": 65}),
+        ("mirror-mc", {**point, "sigma_w": 0.05, "n_samples": 4096,
+                       "power_min": 0.0, "power_max": 1.0,
+                       "n_powers": 3}),
+    ]
+    argvs = []
+    for mode, payload in jobs:
+        name = "freq" if mode == "sweep-frequency" else mode
+        cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        argvs.append([mode, "--config", cfg,
+                      "--out", str(tmp_path / name)])
+    src = os.path.dirname(os.path.dirname(qdiode.__file__))
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "names = set(json.loads(sys.argv[3])); "
+            "import qdiode.cli; "
+            "codes = [qdiode.cli.run(a) for a in json.loads(sys.argv[2])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m in names or m.split('.')[0] in names)]))")
+    proc = subprocess.run([sys.executable, "-c", code, src,
+                           json.dumps(argvs), json.dumps(sorted(names))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.split("\n")[-2])
+    return codes, loaded
+
+
 def steady_payload(**overrides):
     base = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
             "p_over_gammabar": 0.05}
@@ -851,43 +896,69 @@ class TestCliRuns:
         # A cold start pays for every module the CLI loads. No mode needs
         # scipy, and numpy.ma (which np.median and np.percentile import)
         # would cost tens of milliseconds inside the run.
-        dev = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 66e6, "gamma_nr_hz": 2e5,
-               "gamma_phi_hz": 2e5, "delta": DELTA}
-        point = {**dev, "p_over_gammabar": 0.05}
-        scan = str(tmp_path / "freq" / "frequency_sweep.csv")
-        jobs = [
-            ("steady-state", point),
-            ("sweep-power", {**dev, "power_min_over_gammabar": 0.01,
-                             "power_max_over_gammabar": 1.0, "n_powers": 3}),
-            ("sweep-frequency", {"gamma_r_hz": 72.4299e6,
-                                 "gamma_phi_hz": 211.4e3,
-                                 "power_over_gamma_r": 1e-4,
-                                 "n_points": 41}),
-            ("fit", {"input_csv": scan, "initial_gamma_r_hz": 80e6,
-                     "power_over_gamma_r": 1e-4}),
-            ("spectrum", {**point, "direction": "forward",
-                          "port": "transmitted", "n_freq": 65}),
-            ("mirror-mc", {**point, "sigma_w": 0.05, "n_samples": 4096,
-                           "power_min": 0.0, "power_max": 1.0,
-                           "n_powers": 3}),
-        ]
-        argvs = []
-        for mode, payload in jobs:
-            name = "freq" if mode == "sweep-frequency" else mode
-            cfg = write_config(tmp_path, payload, name=f"{name}.json")
-            argvs.append([mode, "--config", cfg,
-                          "--out", str(tmp_path / name)])
-        src = os.path.dirname(os.path.dirname(qdiode.__file__))
-        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-                "import qdiode.cli; "
-                "codes = [qdiode.cli.run(a) for a in json.loads(sys.argv[2])]; "
-                "print(codes, sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
-        proc = subprocess.run([sys.executable, "-c", code, src,
-                               json.dumps(argvs)],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0] []"
+        assert cold_run_modules(tmp_path, {"scipy", "numpy.ma"}) == (
+            [0, 0, 0, 0, 0, 0], [])
+
+    def test_cold_run_loads_no_locale_machinery(self, tmp_path):
+        # argparse builds its parser through gettext, whose first lookup
+        # imports locale: milliseconds of every cold job spent on help text.
+        assert cold_run_modules(tmp_path, {"argparse", "gettext", "locale"}) == (
+            [0, 0, 0, 0, 0, 0], [])
+
+    @pytest.mark.parametrize("mode, payload, sides", [
+        ("steady-state", {}, ("forward", "reverse")),
+        ("steady-state", {"p_over_gammabar": 0.0, "alpha": 0.3},
+         ("forward",)),
+        ("spectrum", {"direction": "reverse", "port": "reflected",
+                      "n_freq": 65}, ("reverse",)),
+        ("mirror-mc", {"sigma_w": 0.05, "n_samples": 64, "power_min": 0.0,
+                       "power_max": 1.0, "n_powers": 2},
+         ("forward", "reverse")),
+    ], ids=["operating-point", "general-drive", "spectrum", "mirror-mc"])
+    def test_single_point_manifest_diagnostics(self, tmp_path, mode,
+                                               payload, sides):
+        # Each single-point mode reports the solver diagnostics of its one
+        # steady state, the ones a power_sweep at that point reports.
+        cfg = write_config(tmp_path, steady_payload(
+            gamma_r2_hz=66e6, gamma_nr_hz=2e5, gamma_phi_hz=2e5, **payload))
+        out = tmp_path / "out"
+        assert run([mode, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        p = load(mode, cfg).params
+        c = _diode_config(p)
+        # The general drive is alpha sqrt(gbar) from the left alone.
+        power = (p["alpha"] ** 2 if "alpha" in payload
+                 else p["p_over_gammabar"]) * c.gamma_bar
+        info: dict = {}
+        power_sweep(c, [power], sides, info)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["diagnostics"] == info
+        assert set(info) == {"min_null_gap", "max_residual",
+                             "near_degenerate_rows"}
+        assert 0.0 < info["min_null_gap"] < 1.0
+
+    @pytest.mark.parametrize("mode, payload", [
+        ("mirror-mc", {"p_dark_fwd": 0.6, "p_dark_rev": 0.05,
+                       "sigma_w": 0.05, "power_min": 0.5, "power_max": 2.0,
+                       "n_powers": 3, "n_samples": 10 ** 15}),
+        ("sweep-power", {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
+                         "delta": DELTA, "power_min_over_gammabar": 0.01,
+                         "power_max_over_gammabar": 1.0,
+                         "n_powers": 10 ** 15}),
+        ("spectrum", steady_payload(direction="forward", port="transmitted",
+                                    n_freq=10 ** 15 + 1)),
+    ], ids=["mirror-mc", "sweep-power", "spectrum"])
+    def test_unallocatable_count_is_a_config_error(self, tmp_path, capsys,
+                                                   mode, payload):
+        # 10^15 doubles are 7 PiB: the first allocation fails at once, and
+        # touches no memory, before any data file is opened.
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run([mode, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the arrays this config asks "
+                              "for could not be allocated: ")
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
 
     def test_no_module_imports_scipy(self):
         # numpy is the one runtime dependency. The cold-import test above
@@ -1139,8 +1210,8 @@ class TestExitCodes:
 
 
 class TestUsage:
-    """Command-line usage errors exit through argparse with code 2, the
-    configuration-error code, and write no output directory."""
+    """Command-line usage errors print the usage line and exit with code 2,
+    the configuration-error code, and write no output directory."""
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -1149,8 +1220,13 @@ class TestUsage:
         ["spectrum", "--config", "c.json", "--seed", "x"],
         ["fit", "--config", "c.json", "--seed", "1.5"],
         ["mirror-mc", "--config", "c.json", "--threads", "2"],
+        ["steady-state", "fit", "--config", "c.json"],
+        ["steady-state", "--config"],
+        ["steady-state", "--out", "--config", "c.json"],
+        ["steady-state", "--conf", "c.json"],
     ], ids=["no-mode", "unknown-mode", "no-config", "word-seed",
-            "fraction-seed", "unknown-option"])
+            "fraction-seed", "unknown-option", "second-positional",
+            "config-last", "option-as-value", "abbreviated-option"])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -1172,6 +1248,38 @@ class TestUsage:
             run(["--help"])
         out = capsys.readouterr().out
         assert all(mode in out for mode in MODES)
+
+    def test_help_lists_every_option(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["-h"])
+        out = capsys.readouterr().out
+        assert all(opt in out for opt in ("--config", "--out", "--seed"))
+
+    def test_usage_error_message(self, capsys):
+        # Options are never abbreviated, where argparse took a prefix.
+        with pytest.raises(SystemExit):
+            run(["steady-state", "--conf", "c.json"])
+        assert capsys.readouterr().err == (
+            "usage: qdiode <mode> --config FILE [--out DIR] [--seed N]\n"
+            "qdiode: error: unrecognized arguments: --conf c.json\n")
+
+    @pytest.mark.parametrize("form", ["equals", "options-first"])
+    def test_option_forms(self, tmp_path, form):
+        # --opt=value, and options before the mode, read as the spaced form
+        # after the mode.
+        cfg = write_config(tmp_path, steady_payload())
+        spaced, other = tmp_path / "spaced", tmp_path / form
+        argv = {"equals": ["steady-state", f"--config={cfg}",
+                           f"--out={other}", "--seed=3"],
+                "options-first": ["--seed", "3", "--out", str(other),
+                                  "--config", cfg, "steady-state"]}[form]
+        assert run(argv) == EXIT_OK
+        assert run(["steady-state", "--config", cfg, "--out", str(spaced),
+                    "--seed", "3"]) == EXIT_OK
+        assert filecmp.cmp(spaced / "steady_state.json",
+                           other / "steady_state.json", shallow=False)
+        manifest = json.loads((other / "run_manifest.json").read_text())
+        assert manifest["seed"] == 3
 
     def test_module_exit_codes(self, tmp_path):
         # The codes a shell sees from ``python -m qdiode``.
