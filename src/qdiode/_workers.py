@@ -3,15 +3,16 @@ CPUs the process may run on.
 
 It serves work whose time goes to numpy and LAPACK calls that release the
 interpreter lock, and whose items share nothing: mirror-mc's records and the
-two sides of a power sweep. There is one worker per allowed CPU, capped by
-the caller, and each worker takes every k-th item. Each worker binds itself
-to its own CPU: where the scheduler does not balance load (a cpuset with
-load balancing switched off), a new thread may stay on its creator's CPU,
-and unbound workers then share one core. Only the workers' own masks change,
-never the calling thread's. With one worker the items are computed inline
-and no thread starts; where binding is unavailable or refused the workers
-run unbound. An item's result depends only on the item, so the results do
-not depend on the number of CPUs.
+two sides of a power sweep. A worker holds nothing between items: each item
+makes what it needs, a record its own sample buffer. There is one worker per
+allowed CPU, capped by the caller, and each worker takes every k-th item.
+Each worker binds itself to its own CPU: where the scheduler does not
+balance load (a cpuset with load balancing switched off), a new thread may
+stay on its creator's CPU, and unbound workers then share one core. Only
+the workers' own masks change, never the calling thread's. With one worker
+the items are computed inline and no thread starts; where binding is
+unavailable or refused the workers run unbound. An item's result depends
+only on the item, so the results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ def allowed_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def bound_map(fn, items, max_workers: int, name: str,
-              scratch=lambda: None) -> list:
-    """``[fn(item, s) for item in items]``, in order, on bound workers.
+def bound_map(fn, items, max_workers: int, name: str) -> list:
+    """``[fn(item) for item in items]``, in order, on bound workers.
 
     There are k = min(len(allowed_cpus()), len(items), max_workers) workers.
     Worker w, a thread named f"{name}-{w}", binds itself to the w-th allowed
-    CPU, makes its own scratch s = ``scratch()`` and computes items w,
-    w + k, w + 2k, ...; the calling thread only starts and joins them. With
-    one worker the calling thread computes every item, in order. A worker
-    stops at its first exception, its scratch's included, which takes the
+    CPU and computes items w, w + k, w + 2k, ...; the calling thread only
+    starts and joins them. With one worker the calling thread computes every
+    item, in order. A worker stops at its first exception, which takes the
     place of its item; once every worker is joined, the first exception in
     item order is raised. An interrupt of the join stops every worker before
     its next item.
@@ -48,11 +47,10 @@ def bound_map(fn, items, max_workers: int, name: str,
     def work(w: int) -> None:
         k = w
         try:
-            s = scratch()
             for k in range(w, len(items), len(cpus)):
                 if stop.is_set():
                     return
-                results[k] = fn(items[k], s)
+                results[k] = fn(items[k])
         except Exception as exc:  # raised by the caller after the joins
             results[k] = exc
 

@@ -20,13 +20,18 @@ the device a diode.
 
 The drive enters H, not the output dissipators (``emitter_chain``), so the
 model is affine in a real factor on the drive, and every solve is one
-``single_qubit._affine_sweep``. ``power_sweep`` solves each side over all its
-amplitudes at once, and a long sweep solves its two sides, which are two
-cascaded master equations that share no work, at once on two bound worker
-threads (``_workers.bound_map``). It is the one one-sided solve: its row,
-``DiodeOperatingPoint``, is the one result type, and ``operating_point`` and
-``transmission`` are one-power sweeps. ``driven_state`` scales a drive from
-both sides as one.
+``single_qubit._affine_sweep``. There are two ways in, one per job:
+
+- ``power_sweep`` is the one sweep. It solves each side over all its
+  amplitudes at once, and a long sweep solves its two sides, which are two
+  cascaded master equations that share no work, at once on two bound worker
+  threads (``_workers.bound_map``). Its row, ``DiodeOperatingPoint``, is the
+  one result type, and ``operating_point`` and ``transmission`` are
+  one-power sweeps.
+- ``_solve_drive`` is the one single-point solve: it scales a drive from
+  both sides as one and returns the state with the model it solved.
+  ``driven_state`` and ``spectrum.psd`` read their outputs from it, and a
+  drive from one side gives that side's ``power_sweep`` state bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from ._workers import bound_map
 from .operators import SolverError, expectation
 from .single_qubit import (
     QubitParams,
-    _affine_model,
     _affine_sweep,
     _gap_diagnostics,
     emitter_chain,
@@ -66,7 +70,7 @@ class DiodeConfig:
         if abs(self.delta) >= 1.0:
             warnings.warn(f"|delta| = {abs(self.delta):.3f} is outside the "
                           "perturbative regime the dark/bright analysis assumes",
-                          stacklevel=2)
+                          stacklevel=3)   # the caller of the dataclass
 
     @property
     def gamma_bar(self) -> float:
@@ -179,20 +183,19 @@ def _drive(direction: str, amp):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _solve_side(c: DiodeConfig, direction: str, amps,
-                ends: list | None = None):
+def _solve_side(c: DiodeConfig, direction: str, amps):
     """Steady states under a drive from one side, for each real amplitude in
     ``amps``, as columns (t, dark population) and the side's
     ``SteadyStates``: t and the dark population are NaN where a point
     failed.
 
-    One ``_affine_sweep`` over the amplitude solves the side, and appends
-    the side's builds at amplitudes 0 and 1 to ``ends`` if it is a list.
-    t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0.
+    One ``_affine_sweep`` over the amplitude, from the side's builds at
+    amplitudes 0 and 1, solves the side. t = <a_out>/a forward, <b_out>/a
+    reverse, and 0 at a = 0.
     """
     amps = np.asarray(amps, dtype=float)
     solved, a_mean, b_mean = _affine_sweep(
-        lambda amp: diode_model(c, *_drive(direction, amp)), amps, ends)
+        [diode_model(c, *_drive(direction, amp)) for amp in (0.0, 1.0)], amps)
     out = a_mean if direction == "forward" else b_mean
     # A failed point keeps its NaN at a = 0 too.
     t = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
@@ -245,30 +248,38 @@ def operating_point(c: DiodeConfig, power: float,
     return row
 
 
-def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
-                 info: dict | None = None) -> DrivenState:
-    """Solve the device under complex amplitudes alpha (from the left) and
-    beta (from the right) at once; raises SolverError if the steady state
-    is not unique.
+def _solve_drive(c: DiodeConfig, alpha: complex, beta: complex,
+                 info: dict | None = None):
+    """The steady state under complex amplitudes alpha (from the left) and
+    beta (from the right) at once, and the model (L, a_out, b_out) it
+    solves; raises SolverError if the steady state is not unique.
 
-    One ``_affine_sweep`` builds the model at unit total amplitude and
-    solves it at s = ||(alpha, beta)||, so a drive from one side gives the
-    ``power_sweep`` state of that side. The output fields at s are formed
-    from the same two builds. If ``info`` is a dict, the solve's
+    The model is built at 0 and at unit total amplitude, and one
+    ``_affine_sweep`` solves it at s = ||(alpha, beta)||, so a drive from
+    one side gives the ``power_sweep`` state of that side. The model at s
+    is formed from the same two builds. If ``info`` is a dict, the solve's
     diagnostics are set in it as a one-power, one-sided ``power_sweep``
     sets them.
     """
     s = math.hypot(abs(alpha), abs(beta)) or 1.0
-    ends: list = []
-    solved, _, _ = _affine_sweep(
-        lambda x: diode_model(c, x * alpha / s, x * beta / s), [s], ends)
+    ends = [diode_model(c, x * alpha / s, x * beta / s) for x in (0.0, 1.0)]
+    solved, _, _ = _affine_sweep(ends, [s])
     if solved.error[0] is not None:
         raise SolverError(solved.error[0])
     if info is not None:
-        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
-                         "near_degenerate_rows")
-    rho = solved.rho[0]
-    _, a_out, b_out = _affine_model(ends, s)
+        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None])
+    return solved.rho[0], tuple(m0 + s * (m1 - m0) for m0, m1 in zip(*ends))
+
+
+def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
+                 info: dict | None = None) -> DrivenState:
+    """Solve the device under complex amplitudes alpha (from the left) and
+    beta (from the right) at once: ``_solve_drive``'s state, with the
+    output fluxes of its model. Raises SolverError if the steady state is
+    not unique, and sets the solve's diagnostics in ``info`` if it is a
+    dict.
+    """
+    rho, (_, a_out, b_out) = _solve_drive(c, alpha, beta, info)
     return DrivenState(
         rho=rho, dark_population=dark_state_population(rho),
         flux_a=float(expectation(a_out.conj().T @ a_out, rho).real),
@@ -317,7 +328,7 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     errors: list = [None] * len(powers)
     gaps, resids = [], []
     workers = len(sides) if len(powers) >= _PARALLEL_SIDES_MIN_POWERS else 1
-    solved_sides = bound_map(lambda side, _: _solve_side(c, side, amps),
+    solved_sides = bound_map(lambda side: _solve_side(c, side, amps),
                              sides, workers, "qdiode-sweep")
     for side, (t_side, dark_side, solved) in zip(sides, solved_sides):
         k = _SIDES.index(side)
@@ -342,5 +353,5 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
         shape = (len(sides), len(powers))
         gaps = np.reshape(gaps, shape)[:, ~failed]
         resids = np.reshape(resids, shape)[:, ~failed]
-        _gap_diagnostics(info, gaps, resids, "near_degenerate_rows")
+        _gap_diagnostics(info, gaps, resids)
     return rows

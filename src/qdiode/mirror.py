@@ -18,18 +18,18 @@ reproducible bit for bit from the seed.
 
 ``simulate_mirror`` returns a record's samples and is the sample-level
 reference. The sweep, ``variance_vs_power``, never builds a record: it draws
-each record into a reused float64 buffer and computes its two variances
-there, in the same stream order and with the same pairwise sums as
-``iq_variance(simulate_mirror(m))``, whose values it equals bit for bit.
+each record into one float64 buffer of its own and computes its two
+variances there, in the same stream order and with the same pairwise sums
+as ``iq_variance(simulate_mirror(m))``, whose values it equals bit for bit.
 
 The records of a sweep are independent, and most of a record's time goes to
 numpy fills that release the interpreter lock, so the sweep computes them
 through the package's one worker map, ``_workers.bound_map``, which the
 power sweep's two sides share: one thread per CPU the process may run on,
 each bound to its CPU and taking every k-th record, or inline with one.
-Here the workers are also capped at a scratch-memory budget, and each draws
-into a buffer of its own. A record's values depend only on its own seed, so
-the outputs do not depend on the number of CPUs.
+Here the workers are also capped at a scratch-memory budget, since each
+holds one record's buffer at a time. A record's values depend only on its
+own seed, so the outputs do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -136,17 +136,18 @@ def iq_variance(r: IQRecord) -> tuple[float, float]:
     return float(np.var(r.i_samples, ddof=1)), float(np.var(r.q_samples, ddof=1))
 
 
-def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
-    """``iq_variance(simulate_mirror(m))``, bit for bit, computed in ``buf``.
+def _record_variances(m: MirrorModel) -> tuple[float, float]:
+    """``iq_variance(simulate_mirror(m))``, bit for bit, computed in place.
 
-    buf is a float64 array of n_samples that is overwritten. The draws come in
-    simulate_mirror's order (states, then w, then v), sigma_w * z equals
+    One float64 buffer of n_samples holds every draw in turn. The draws come
+    in simulate_mirror's order (states, then w, then v), sigma_w * z equals
     normal(0, sigma_w) up to the sign of a zero, and the variance repeats
     np.var(ddof=1)'s steps: pairwise mean, subtract, square, pairwise sum.
     """
     n = m.n_samples
     _check_two_samples(n)
     rng = _rng(m)
+    buf = np.empty(n)
     x = _mirror_states(m, rng, buf)
     variances = []
     for amp in (np.real(m.alpha), np.imag(m.alpha)):
@@ -162,29 +163,12 @@ def _record_variances(m: MirrorModel, buf: np.ndarray) -> tuple[float, float]:
     return variances[0], variances[1]
 
 
-# An upper bound on one worker's scratch bytes per record sample: its float64
-# buffer plus, at the peak of a dwell-mode record, three bool arrays and a
-# state index of at most 8 bytes a sample: at most 19 bytes in all.
+# An upper bound on one worker's scratch bytes per record sample: its record's
+# float64 buffer plus, at the peak of a dwell-mode record, three bool arrays
+# and a state index of at most 8 bytes a sample: at most 19 bytes in all.
 _WORKER_BYTES_PER_SAMPLE = 19
 # The workers' scratch together stays under this (2^18 samples: 53 workers).
 _SCRATCH_BUDGET = 2 ** 28
-
-
-def _record_map(models: list[MirrorModel]) -> list[tuple[float, float]]:
-    """``_record_variances`` of every model, in order, on the package's
-    bound workers (``_workers.bound_map``), each drawing into one buffer of
-    its own.
-
-    The models share one n_samples. The workers are capped by the scratch
-    budget; a buffer's allocation failure takes the place of its worker's
-    first record.
-    """
-    for m in models:
-        _check_two_samples(m.n_samples)
-    n = max((m.n_samples for m in models), default=2)
-    budget = max(1, _SCRATCH_BUDGET // (_WORKER_BYTES_PER_SAMPLE * n))
-    return bound_map(_record_variances, models, budget, "qdiode-mirror",
-                     lambda: np.empty(n))
 
 
 def analytic_iq_variance(p_dark: float, alpha: complex,
@@ -213,10 +197,11 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
     order. The powers and every record's model are checked before any record
     is drawn. The 2 * len(powers) records are then shared out among worker
     threads, one per allowed CPU and each bound to its CPU, or computed
-    inline by one (see the module docstring). Each worker draws its records
-    into one float64 buffer and computes their variances there in place; the
-    rows equal those rebuilt from ``simulate_mirror`` and ``iq_variance``,
-    the sample-level reference, bit for bit, whatever the number of CPUs.
+    inline by one (see the module docstring); the workers' scratch stays
+    under _SCRATCH_BUDGET. Each record is drawn into a float64 buffer of its
+    own and its variances are computed there in place; the rows equal those
+    rebuilt from ``simulate_mirror`` and ``iq_variance``, the sample-level
+    reference, bit for bit, whatever the number of CPUs.
     """
     powers = np.asarray(powers, dtype=float)
     if not np.all(np.isfinite(powers)):
@@ -230,7 +215,9 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
                           dwell_samples=dwell_samples)
               for k, alpha in enumerate(alphas)
               for side, p_dark in enumerate((p_dark_fwd, p_dark_rev))]
-    variances = _record_map(models)
+    _check_two_samples(n_samples)
+    workers = max(1, _SCRATCH_BUDGET // (_WORKER_BYTES_PER_SAMPLE * n_samples))
+    variances = bound_map(_record_variances, models, workers, "qdiode-mirror")
     return [MirrorSweepRow(
                 power=float(p),
                 var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,

@@ -16,8 +16,8 @@ waveguide (Gardiner, PRL 70, 2269 (1993); Lalumiere et al., PRA 88, 043806
 ``_affine_sweep`` is the one sweep engine, and every steady state of every
 mode is solved through it. A real factor on the drive and an emitter's
 detuning each enter L and the output operators affinely (the drive enters
-H, see ``emitter_chain``), so a sweep builds the model at 0 and 1 only and
-solves its whole grid in one stacked ``steady_states`` call.
+H, see ``emitter_chain``), so a sweep takes the model built at 0 and 1 only
+and solves its whole grid in one stacked ``steady_states`` call.
 """
 
 from __future__ import annotations
@@ -132,24 +132,17 @@ def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
     return (lv, *(c * ident + field for c, field in outputs))
 
 
-def _affine_sweep(build, xs, ends: list | None = None):
+def _affine_sweep(ends, xs):
     """Steady states of a model at each real parameter value in ``xs``.
 
-    ``build(x)`` returns ``emitter_chain``'s (L, a_out, b_out), each affine
-    in x. L(0) and L(1) are built and converted to real Hermitian
-    coordinates once, the stack L(0) + x (L(1) - L(0)) is solved in one
-    ``steady_states`` call, and the output fields are read out of all the
-    states at once. Returns the ``SteadyStates`` and <a_out> and <b_out> at
-    each x, NaN where a point failed.
-
-    If ``ends`` is a list, the two builds build(0) and build(1) are appended
-    to it, so that ``_affine_model`` forms the model at any x without a
-    third build.
+    ``ends`` holds the model at 0 and at 1, each ``emitter_chain``'s
+    (L, a_out, b_out) for a model affine in x. L(0) and L(1) are converted
+    to real Hermitian coordinates once, the stack L(0) + x (L(1) - L(0)) is
+    solved in one ``steady_states`` call, and the output fields are read out
+    of all the states at once. Returns the ``SteadyStates`` and <a_out> and
+    <b_out> at each x, NaN where a point failed.
     """
-    lv0, a0, b0 = build(0.0)
-    lv1, a1, b1 = build(1.0)
-    if ends is not None:
-        ends += [(lv0, a0, b0), (lv1, a1, b1)]
+    (lv0, a0, b0), (lv1, a1, b1) = ends
     lv0, lv1 = real_form(lv0), real_form(lv1)
     xs = np.asarray(xs, dtype=float)
     solved = steady_states(lv0 + xs[:, None, None] * (lv1 - lv0))
@@ -160,19 +153,15 @@ def _affine_sweep(build, xs, ends: list | None = None):
     return solved, a_mean, b_mean
 
 
-def _affine_model(ends, x: float):
-    """(L, a_out, b_out) at x of a model affine in x, from its builds at 0
-    and 1 that ``_affine_sweep`` appended to ``ends``."""
-    return tuple(m0 + x * (m1 - m0) for m0, m1 in zip(*ends))
-
-
-def _gap_diagnostics(info: dict, gaps, residuals, count_key: str) -> None:
+def _gap_diagnostics(info: dict, gaps, residuals) -> None:
     """Set the smallest null gap, the largest residual (each None without
-    points) and, as ``count_key``, the number of points with a side whose
-    null gap is below NEAR_DEGENERATE_GAP, from (sides, points) arrays."""
+    points) and ``near_degenerate_rows``, the number of points with a side
+    whose null gap is below NEAR_DEGENERATE_GAP, from (sides, points)
+    arrays."""
     info["min_null_gap"] = float(gaps.min()) if gaps.size else None
     info["max_residual"] = float(residuals.max()) if residuals.size else None
-    info[count_key] = int(np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
+    info["near_degenerate_rows"] = int(
+        np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
 
 
 def transmission_analytic(q: QubitParams, delta_omega, alpha: complex):
@@ -203,7 +192,7 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
 
     If ``info`` is a dict, the solver diagnostics of the grid are set in it
     as ``power_sweep`` sets them: ``"min_null_gap"``, ``"max_residual"`` and
-    ``"near_degenerate_points"``.
+    ``"near_degenerate_rows"``.
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
@@ -211,12 +200,11 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
     if not np.all(np.isfinite(detunings)):
         raise ValueError("detuning grid must be finite")
     solved, a_mean, b_mean = _affine_sweep(
-        lambda det: emitter_chain([replace(q, omega_q=det)], 1.0, alpha, beta),
-        detunings)
+        [emitter_chain([replace(q, omega_q=det)], 1.0, alpha, beta)
+         for det in (0.0, 1.0)], detunings)
     error = next((e for e in solved.error if e is not None), None)
     if error is not None:
         raise SolverError(error)
     if info is not None:
-        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
-                         "near_degenerate_points")
+        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None])
     return a_mean / alpha if alpha != 0 else b_mean / beta

@@ -48,10 +48,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diode import DiodeConfig, _check_power, _solve_side, dark_bright_rates
+from .diode import DiodeConfig, _check_power, _drive, _solve_drive
 from .fitting import _least_squares
-from .operators import SolverError, _hermitian_coordinates, real_form, vec
-from .single_qubit import _affine_model, _gap_diagnostics
+from .operators import _hermitian_coordinates, real_form, vec
 
 # Fraction of the peak below zero tolerated as rounding noise in the computed
 # PSD (clipped to zero). The exact spectrum is nonnegative, so anything more
@@ -154,9 +153,11 @@ def linewidth_estimate(c: DiodeConfig) -> float:
     qubits, floored at 1e-6 gamma_bar. It sets the CLI spectrum grid, whose
     span_linewidths counts units of twice this value, and psd's minimum-span
     check. It is a fixed grid scale, not the line's width, which
-    predicted_linewidth gives.
+    predicted_linewidth gives. gamma_D = delta^2 gbar / 2 is computed here,
+    not by ``dark_bright_rates``, so that a device outside the perturbative
+    regime warns once, when it is made.
     """
-    gamma_d, _ = dark_bright_rates(c.delta, c.q1.gamma_r, c.q2.gamma_r)
+    gamma_d = 0.5 * c.delta * c.delta * c.gamma_bar
     gamma_nr = 0.5 * (c.q1.gamma_nr + c.q2.gamma_nr)
     gamma_phi = 0.5 * (c.q1.gamma_phi + c.q2.gamma_phi)
     est = 3.0 * gamma_d + gamma_nr + 2.0 * gamma_phi
@@ -170,12 +171,12 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     ``direction`` is forward|reverse (which side is driven, at photon flux
     ``power``), ``port`` is transmitted|reflected. The grid must be finite
     and symmetric around zero and span at least six expected linewidths of
-    the narrow feature. The steady state is the ``power_sweep`` state of
-    that side at that power; a failed solve raises its SolverError. L and
-    the output field at that power are formed from the sweep's two builds,
-    so the spectrum's L is the one the state solves. If ``info`` is a
-    dict, the solve's diagnostics are set in it as that ``power_sweep``
-    sets them.
+    the narrow feature. The steady state and the model are
+    ``diode._solve_drive``'s for a drive from that side at that power: the
+    state is the ``power_sweep`` state of that side, and the spectrum's L
+    and output field are the ones the state solves. A failed solve raises
+    its SolverError. If ``info`` is a dict, the solve's diagnostics are set
+    in it as that ``power_sweep`` sets them.
     """
     if port not in ("transmitted", "reflected"):
         raise ValueError(f"unknown port {port!r}")
@@ -191,16 +192,8 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     if omegas.max() - omegas.min() < 6.0 * gamma_est:
         raise ValueError("frequency grid must span at least 6 expected linewidths")
 
-    amp = np.sqrt(power)
-    ends: list = []
-    _, _, solved = _solve_side(c, direction, [amp], ends)
-    if solved.error[0] is not None:
-        raise SolverError(solved.error[0])
-    if info is not None:
-        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None],
-                         "near_degenerate_rows")
-    rho = solved.rho[0]
-    lv, a_out, b_out = _affine_model(ends, amp)
+    rho, (lv, a_out, b_out) = _solve_drive(
+        c, *_drive(direction, np.sqrt(power)), info)
     # A forward drive is transmitted into a_out, a reverse one into b_out.
     out_op = a_out if (direction == "forward") == (port == "transmitted") else b_out
     elastic = float(abs(np.trace(out_op @ rho)) ** 2)

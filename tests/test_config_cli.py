@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -671,22 +672,21 @@ class TestCliRuns:
             payload = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
                        "delta": delta, "power_min_over_gammabar": 1e-3,
                        "power_max_over_gammabar": 10.0, "n_powers": 100}
-            count = "near_degenerate_rows"
         else:
             payload = {"gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
                        "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
                        "n_points": 101}
-            count = "near_degenerate_points"
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert run([mode, "--config", cfg, "--out", str(out)]) == EXIT_OK
         diagnostics = json.loads(
             (out / "run_manifest.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == sorted(
-            ["min_null_gap", "max_residual", count])
+            ["min_null_gap", "max_residual", "near_degenerate_rows"])
         assert low < diagnostics["min_null_gap"] < high
         assert 0.0 < diagnostics["max_residual"] < 1e-9 * 2 * np.pi * 70e6
-        assert diagnostics[count] == (78 if delta == 2e-5 else 0)
+        assert diagnostics["near_degenerate_rows"] == (
+            78 if delta == 2e-5 else 0)
 
     def test_sweep_manifest_null_gap_without_solved_rows(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -845,6 +845,19 @@ class TestCliRuns:
         # its docstring).
         ratio = meta["lorentzian_fit"]["fwhm_hz"] / meta["predicted_fwhm_hz"]
         assert 0.75 < ratio < 1.25
+
+    def test_out_of_range_device_warns_once_at_its_caller(self, tmp_path):
+        # One device outside the perturbative regime is one warning, and it
+        # points at the code that made the device, not at the dataclass's
+        # generated __init__.
+        cfg = write_config(tmp_path, steady_payload(
+            delta=1.2, direction="forward", port="transmitted", n_freq=65))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+        user = [w for w in caught if issubclass(w.category, UserWarning)]
+        assert len(user) == 1, [str(w.message) for w in user]
+        assert user[0].filename != "<string>"
 
     def test_mirror_mc_explicit(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -1011,12 +1024,38 @@ class TestCliRuns:
 
     def test_one_path_solves_every_one_sided_drive(self):
         # operating_point and transmission are one-power sweeps, and a
-        # spectrum's state is a one-power side: a second route to
-        # _solve_side could give them rows of their own.
-        assert self.callers("_solve_side") == [("diode.py", "power_sweep"),
-                                               ("spectrum.py", "psd")]
+        # general drive and a spectrum's state are the one single-point
+        # solve: a second route to either could give them rows of their own.
+        assert self.callers("_solve_side") == [("diode.py", "power_sweep")]
         assert set(self.callers("power_sweep")) >= {
             ("diode.py", "operating_point"), ("diode.py", "transmission")}
+        assert self.callers("_solve_drive") == [("diode.py", "driven_state"),
+                                                ("spectrum.py", "psd")]
+
+    def test_private_seams_are_pinned(self):
+        # A private name imported by another module is a seam between
+        # layers; a new one must be added here on purpose.
+        paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
+                          recursive=True)
+        found = set()
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    found |= {(os.path.basename(path), node.module, a.name)
+                              for a in node.names
+                              if a.name.startswith("_")
+                              and not a.name.startswith("__")}
+        assert found == {
+            ("diode.py", "single_qubit", "_affine_sweep"),
+            ("diode.py", "single_qubit", "_gap_diagnostics"),
+            ("spectrum.py", "diode", "_check_power"),
+            ("spectrum.py", "diode", "_drive"),
+            ("spectrum.py", "diode", "_solve_drive"),
+            ("spectrum.py", "fitting", "_least_squares"),
+            ("spectrum.py", "operators", "_hermitian_coordinates"),
+        }
 
     def test_one_worker_map(self):
         # mirror-mc's records and a power sweep's sides share one bound

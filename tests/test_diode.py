@@ -16,6 +16,7 @@ from device_strategies import (
     PROPERTY,
     lossy_devices,
     powers_over_gbar,
+    sides,
     wide_powers_over_gbar,
 )
 from hypothesis import given
@@ -27,6 +28,8 @@ from qdiode.diode import (
     DARK_STATE,
     DiodeConfig,
     DiodeOperatingPoint,
+    _drive,
+    _solve_drive,
     _solve_side,
     dark_bright_rates,
     dark_state_population,
@@ -514,6 +517,17 @@ class TestOnePath:
             got = driven_state(c, *drive).dark_population
             assert abs(got - want) <= 1e-12
 
+    @PROPERTY
+    @given(lossy_devices(), wide_powers_over_gbar, sides)
+    def test_one_sided_drive_solve_is_the_side_solve(self, c, p, side):
+        # The single-point solve of a drive from one side is the sweep's
+        # one-power state of that side, bit for bit.
+        amp = np.sqrt(p * c.gamma_bar)
+        solved = _solve_side(c, side, [amp])[2]
+        assert solved.error[0] is None, solved.error[0]
+        rho, _ = _solve_drive(c, *_drive(side, amp))
+        assert np.array_equal(rho, solved.rho[0])
+
     @pytest.mark.parametrize("solve", ["driven_state", "psd"])
     def test_two_model_builds_per_solve(self, solve, monkeypatch):
         # The sweep builds the model at 0 and 1, and the output fields (and
@@ -561,11 +575,11 @@ class TestParallelSides:
         calls = []
         inner = diode._solve_side
 
-        def spy(c, side, amps, ends=None):
+        def spy(c, side, amps):
             calls.append((side, threading.current_thread()))
             if side == fail:
                 raise RuntimeError(f"side {side}")
-            return inner(c, side, amps, ends)
+            return inner(c, side, amps)
 
         monkeypatch.setattr(diode, "_solve_side", spy)
         return calls

@@ -6,7 +6,7 @@ standard error computed from the exact fourth central moment rather than
 from the samples themselves.
 
 The sweep never builds a sample record: it computes each record's variances
-in a reused buffer, on worker threads bound to the allowed CPUs.
+in a buffer of its own, on worker threads bound to the allowed CPUs.
 ``iq_variance(simulate_mirror(m))`` is the reference it must equal bit for
 bit, and the rows must not depend on the CPUs the process may use.
 """
@@ -16,13 +16,14 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiode import mirror
+from qdiode import _workers, mirror
 from qdiode.mirror import (
     IQRecord,
     MirrorModel,
@@ -287,9 +288,20 @@ def reference_variances(m):
     return iq_variance(simulate_mirror(m))
 
 
+EMPTY = np.empty
+
+
+def nan_filled(*args, **kwargs):
+    """np.empty whose memory is dirty: every byte 0xFF, a NaN in a float."""
+    buf = EMPTY(*args, **kwargs)
+    buf.view(np.uint8).fill(0xFF)
+    return buf
+
+
 def in_place_variances(m):
     # A dirty buffer: nothing of its old contents may leak into the result.
-    return _record_variances(m, np.full(m.n_samples, np.nan))
+    with mock.patch.object(np, "empty", nan_filled):
+        return _record_variances(m)
 
 
 class TestRecordVariances:
@@ -384,14 +396,14 @@ def spy_records(monkeypatch, fail=()):
     calls = []
     inner = mirror._record_variances
 
-    def spy(m, buf):
+    def spy(m):
         k = record_index(m)
         mask = (frozenset(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else None)
         calls.append((k, threading.current_thread(), mask))
         if k in fail:
             raise RuntimeError(f"record {k}")
-        return inner(m, buf)
+        return inner(m)
 
     monkeypatch.setattr(mirror, "_record_variances", spy)
     return calls
@@ -492,8 +504,9 @@ class TestWorkers:
         with pytest.raises(MemoryError, match="^no buffer for worker 1$"):
             variance_vs_power(**SWEEP)
         assert threading.active_count() == start
-        # Worker 1 (records 1, 4, 7) drew nothing; the others ran to the end.
-        assert sorted(k for k, _, _ in calls) == [0, 2, 3, 5, 6, 8, 9]
+        # Worker 1 (records 1, 4, 7) stopped at its first record, whose
+        # buffer it could not allocate; the others ran to the end.
+        assert sorted(k for k, _, _ in calls) == [0, 1, 2, 3, 5, 6, 8, 9]
 
     def test_interrupted_join_stops_the_workers(self, monkeypatch):
         allow_cpus(monkeypatch, 2)
@@ -502,7 +515,7 @@ class TestWorkers:
                               n_samples=16, seed=s) for s in range(200)]
         drawn = []
 
-        def slow(m, buf):
+        def slow(m):
             drawn.append(m.seed)
             time.sleep(0.01)
             return (0.0, 0.0)
@@ -519,7 +532,8 @@ class TestWorkers:
 
         monkeypatch.setattr(threading.Thread, "join", interrupted_join)
         with pytest.raises(KeyboardInterrupt):
-            mirror._record_map(models)
+            _workers.bound_map(mirror._record_variances, models, len(models),
+                               "qdiode-mirror")
         assert threading.active_count() == start
         # Each worker finished at most the record it was drawing, far from
         # the 100 records each would draw in 1 s.
@@ -545,10 +559,10 @@ class TestWorkers:
         n = 2 ** 15
         m = MirrorModel(p_dark=0.3, alpha=1.0 + 0.5j, sigma_w=0.1,
                         n_samples=n, seed=5, dwell_samples=dwell)
-        _record_variances(m, np.empty(n))   # first-call allocations
+        _record_variances(m)   # first-call allocations
         tracemalloc.start()
         try:
-            _record_variances(m, np.empty(n))
+            _record_variances(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
