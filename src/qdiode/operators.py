@@ -3,17 +3,17 @@
 Everything here works on plain numpy arrays for Hilbert space dimensions 2
 and 4. Two coordinate systems for a d x d density matrix are fixed here:
 
-- column stacking (Fortran order), the one the superoperator functions use:
+- column stacking (Fortran order), the one ``liouvillian_matrix`` uses:
   vec(A @ rho @ B) = kron(B.T, A) @ vec(rho);
 - real Hermitian coordinates, the one the steady-state solver uses: the
   d^2 real numbers r = U vec(rho) of rho on the orthonormal Hermitian basis
   E_jj, (E_jk + E_kj)/sqrt(2), i(E_jk - E_kj)/sqrt(2) for j < k. In order,
   r holds rho_jj for each j, then sqrt(2) Re rho_jk, then sqrt(2) Im rho_jk,
-  each over the pairs j < k in np.triu_indices order. U is unitary, and a
-  Lindblad generator L preserves Hermiticity, so ``real_form(L)`` =
-  U L U^dag is a real matrix with the singular values of L (the coherence-
-  vector form of Alicki and Lendi, Quantum Dynamical Semigroups and
-  Applications, 1987).
+  each over the pairs j < k in np.triu_indices order. U alone fixes this
+  order, and U^dag rebuilds vec(rho) from r. U is unitary, and a Lindblad
+  generator L preserves Hermiticity, so ``real_form(L)`` = U L U^dag is a
+  real matrix with the singular values of L (the coherence-vector form of
+  Alicki and Lendi, Quantum Dynamical Semigroups and Applications, 1987).
 
 Basis conventions, fixed once for the whole package:
   single qubit:  |g> = (1, 0),  |e> = (0, 1),  sigma_z |g> = +|g>
@@ -75,33 +75,20 @@ def _hermitian_coordinates(d: int) -> np.ndarray:
     return u
 
 
-@functools.cache
-def _entry_order(d: int) -> np.ndarray:
-    """For each entry of a d x d matrix in C order, its place in
-    (rho_jj for each j, rho_jk for j < k, rho_kj for j < k)."""
-    j, k = np.triu_indices(d, 1)
-    order = np.empty(d * d, dtype=np.intp)
-    order[np.arange(d) * (d + 1)] = np.arange(d)
-    order[j * d + k] = d + np.arange(j.size)
-    order[k * d + j] = d + j.size + np.arange(j.size)
-    order.flags.writeable = False
-    return order
-
-
 def _from_hermitian_coordinates(x: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian d x d matrices whose real Hermitian coordinates are the
-    rows of ``x``."""
-    pairs = (d * d - d) // 2
-    upper = (x[:, d:d + pairs] + 1j * x[:, d + pairs:]) * np.sqrt(0.5)
-    entries = np.concatenate([x[:, :d], upper, upper.conj()], axis=1)
-    return entries[:, _entry_order(d)].reshape(-1, d, d)
+    rows of ``x``: unvec(U^dag r) for each row r."""
+    v = x @ _hermitian_coordinates(d).conj()
+    # vec is column stacking, so the C-order reshape of a row is rho^T.
+    return v.reshape(-1, d, d).transpose(0, 2, 1).copy()
 
 
 def _hilbert_dim(d2: int) -> int:
-    """d for a superoperator of size d^2; ValueError for any other size."""
+    """d >= 2 for a superoperator of size d^2; ValueError for any other size."""
     d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise ValueError(f"Liouvillian of size {d2} does not act on square matrices")
+    if d < 2 or d * d != d2:
+        raise ValueError(f"Liouvillian of size {d2} does not act on d x d "
+                         f"matrices, d >= 2")
     return d
 
 
@@ -129,39 +116,31 @@ def real_form(lv: np.ndarray) -> np.ndarray:
 #                     Master equation building blocks
 # -----------------------------------------------------------------------------
 
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[H, .] in column-stacking convention."""
-    h = np.asarray(h, dtype=complex)
-    ident = np.eye(h.shape[0], dtype=complex)
-    return -1j * (kron(ident, h) - kron(h.T, ident))
-
-
-def dissipator_superop(x: np.ndarray) -> np.ndarray:
-    """Superoperator of D[X] in column-stacking convention."""
-    x = np.asarray(x, dtype=complex)
-    ident = np.eye(x.shape[0], dtype=complex)
-    xdx = x.conj().T @ x
-    return kron(x.conj(), x) - 0.5 * (kron(ident, xdx) + kron(xdx.T, ident))
-
-
 def liouvillian_matrix(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Build the full Liouvillian for -i[H,.] + sum_k gamma_k D[X_k].
+    """The column-stacking Liouvillian of -i[H,.] + sum_k gamma_k D[X_k]:
 
-    ``jumps`` is a list of (rate, operator) pairs; rates must be nonnegative
-    and H must be Hermitian. A zero-rate jump is skipped, so callers list
-    every channel.
+        L = -i (1 (x) H - H^T (x) 1)
+            + sum_k gamma_k (X_k^* (x) X_k - (1 (x) Y_k + Y_k^T (x) 1) / 2)
+
+    with Y_k = X_k^dag X_k. ``jumps`` is a list of (rate, operator) pairs;
+    rates must be nonnegative and H must be Hermitian. A zero-rate jump is
+    skipped, so callers list every channel.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be square")
     if np.max(np.abs(h - h.conj().T)) > HERM_TOL * max(1.0, np.max(np.abs(h))):
         raise ValueError("Hamiltonian is not Hermitian")
-    lv = hamiltonian_superop(h)
+    ident = np.eye(h.shape[0], dtype=complex)
+    lv = -1j * (kron(ident, h) - kron(h.T, ident))
     for rate, op in jumps:
         if rate < 0:
             raise ValueError(f"negative jump rate {rate}")
         if rate > 0:
-            lv = lv + rate * dissipator_superop(op)
+            x = np.asarray(op, dtype=complex)
+            xdx = x.conj().T @ x
+            lv = lv + rate * (kron(x.conj(), x)
+                              - 0.5 * (kron(ident, xdx) + kron(xdx.T, ident)))
     return lv
 
 

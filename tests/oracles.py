@@ -4,6 +4,8 @@ oracles.
 ``check_density_matrix`` raises on the first density-matrix test a state
 fails, ``transmission_numeric`` reads one point of the detuning sweep, and
 ``integrated_inelastic`` integrates a spectrum over its grid.
+``linear_transmission`` is a two-emitter device's transmission in its
+linear limit, from transfer matrices.
 ``broadcast_stack_spectrum`` and ``resolvent_spectrum_50_digits`` solve the
 resolvent of ``qdiode.spectrum`` one frequency at a time: by an LU
 factorization of each shifted matrix in double precision, and in 50-digit
@@ -37,6 +39,18 @@ def transmission_numeric(q, alpha=0.0, beta=0.0):
 def integrated_inelastic(s):
     """Trapezoid integral of the inelastic PSD over its grid (photons/s)."""
     return float(np.trapezoid(s.inelastic_psd, s.freq_offsets))
+
+
+def linear_transmission(c):
+    """The weak-drive transmission of the two-emitter device ``c``, the same
+    from either side. Each emitter scatters with r_k = -(gamma_r,k/2) /
+    (gamma_2,k + i omega_q,k) and t_k = 1 + r_k, and the field between them
+    gains e^{i phi} = ``c.phase`` each way, so the chain of transfer matrices
+    gives t = t_1 t_2 e^{i phi} / (1 - r_1 r_2 e^{2 i phi}) (Lalumiere et
+    al., PRA 88, 043806 (2013))."""
+    r1, r2 = (-0.5 * q.gamma_r / (q.gamma_2 + 1j * q.omega_q)
+              for q in (c.q1, c.q2))
+    return (1 + r1) * (1 + r2) * c.phase / (1 - r1 * r2 * c.phase ** 2)
 
 
 def broadcast_stack_spectrum(lv, rho_ss, out_op, omegas):

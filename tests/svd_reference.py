@@ -8,6 +8,10 @@ point: same verdict, same message, and states that agree to the accuracy a
 null vector allows. It works on column-stacking Liouvillians, which
 ``hermitian_basis_change`` links to the real Hermitian coordinates
 ``steady_states`` takes, and ``unvec`` undoes the column stacking.
+
+``index_table_rebuild`` is the rebuild of a density matrix from its real
+Hermitian coordinates that ``operators._from_hermitian_coordinates``
+replaced: a gather through a hand-built table of entry positions.
 """
 
 import numpy as np
@@ -50,6 +54,21 @@ def hermitian_basis_change(d):
              + [1j * (unit(j, k) - unit(k, j)) / np.sqrt(2.0)
                 for j, k in pairs])
     return np.array([vec(b) for b in basis]).T
+
+
+def index_table_rebuild(x, d):
+    """The Hermitian d x d matrices whose real Hermitian coordinates are the
+    rows of ``x``, each entry gathered from (rho_jj for each j, rho_jk for
+    j < k, rho_kj for j < k) by its place in C order."""
+    j, k = np.triu_indices(d, 1)
+    order = np.empty(d * d, dtype=np.intp)
+    order[np.arange(d) * (d + 1)] = np.arange(d)
+    order[j * d + k] = d + np.arange(j.size)
+    order[k * d + j] = d + j.size + np.arange(j.size)
+    pairs = j.size
+    upper = (x[:, d:d + pairs] + 1j * x[:, d + pairs:]) * np.sqrt(0.5)
+    entries = np.concatenate([x[:, :d], upper, upper.conj()], axis=1)
+    return entries[:, order].reshape(-1, d, d)
 
 
 def svd_null_vector_states(lvs) -> list:

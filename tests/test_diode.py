@@ -21,6 +21,7 @@ from device_strategies import (
 )
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import linear_transmission
 from svd_reference import unvec
 
 from qdiode import diode
@@ -317,6 +318,25 @@ def test_far_detuned_second_emitter_leaves_the_first_alone(c, log_detuning,
     t_two = transmission(far, "forward", power) / far.phase
     t_one = transmission_analytic(q1, q1.omega_q, np.sqrt(power))
     assert abs(t_two - t_one) <= max(q1.gamma_r, q2.gamma_r) / detuning
+
+
+@PROPERTY
+@given(lossy_devices())
+def test_linear_limit_is_reciprocal_and_matches_transfer_matrices(c):
+    """Nonreciprocity needs the nonlinearity: at p <= 1e-6 gamma_D the
+    transmission is the same from both sides and is the transfer-matrix
+    chain of two weak-drive scatterers, up to O(p / gamma_D). gamma_phi is
+    0, so gamma_2 = gamma_1/2 under either model's dephasing convention
+    (see test_isolated_emitter_coherence_decays_at_gamma_2)."""
+    c = dataclasses.replace(c, q1=dataclasses.replace(c.q1, gamma_phi=0.0),
+                            q2=dataclasses.replace(c.q2, gamma_phi=0.0))
+    gamma_d = 0.5 * c.delta ** 2 * c.gamma_bar
+    oracle = linear_transmission(c)
+    for row in power_sweep(c, [1e-8 * gamma_d, 1e-6 * gamma_d]):
+        bound = 4.0 * row.power / gamma_d + 1e-12
+        assert abs(row.t_forward - row.t_reverse) <= bound
+        assert abs(row.t_forward - oracle) <= bound
+        assert abs(row.t_reverse - oracle) <= bound
 
 
 class TestDarkStateTrapping:

@@ -16,16 +16,15 @@ from device_strategies import PROPERTY
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import check_density_matrix
-from svd_reference import (hermitian_basis_change, svd_null_vector_states,
-                           unvec)
+from svd_reference import (hermitian_basis_change, index_table_rebuild,
+                           svd_null_vector_states, unvec)
 
 from qdiode.operators import (
     SIGMA_MINUS,
     SIGMA_Z,
     SolverError,
-    dissipator_superop,
+    _from_hermitian_coordinates,
     expectation,
-    hamiltonian_superop,
     kron,
     liouvillian_matrix,
     real_form,
@@ -60,6 +59,37 @@ def decaying_liouvillian(delta_omega=0.3, drive=0.8, gamma=1.0):
     return liouvillian_matrix(h, [(gamma, SIGMA_MINUS)])
 
 
+def numpy_uses_outside(name, owner):
+    """Each use of numpy's ``name`` in src/qdiode, as file:line, outside the
+    body of the function ``owner`` of operators.py: an attribute np.<name>
+    or numpy.<name>, or a ``from numpy import <name>``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "qdiode")
+    paths = glob.glob(os.path.join(src, "**", "*.py"), recursive=True)
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        owner_defs = [f for f in tree.body
+                      if isinstance(f, ast.FunctionDef) and f.name == owner
+                      and os.path.basename(path) == "operators.py"]
+        allowed = {id(n) for f in owner_defs for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses = (node.attr == name
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy"))
+            elif isinstance(node, ast.ImportFrom):
+                uses = (node.module == "numpy"
+                        and any(a.name == name for a in node.names))
+            else:
+                continue
+            if uses and id(node) not in allowed:
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
+    return found
+
+
 # ----------------------------------------------------------------------------
 #                        Elementary building blocks
 # ----------------------------------------------------------------------------
@@ -90,31 +120,13 @@ class TestKronAndVec:
 
     def test_np_kron_only_inside_operators_kron(self):
         # operators.kron is the package's one tensor product.
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src", "qdiode")
-        paths = glob.glob(os.path.join(src, "**", "*.py"), recursive=True)
-        assert paths
-        found = []
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), path)
-            kron_defs = [f for f in tree.body
-                         if isinstance(f, ast.FunctionDef) and f.name == "kron"
-                         and os.path.basename(path) == "operators.py"]
-            allowed = {id(n) for f in kron_defs for n in ast.walk(f)}
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Attribute):
-                    uses = (node.attr == "kron"
-                            and isinstance(node.value, ast.Name)
-                            and node.value.id in ("np", "numpy"))
-                elif isinstance(node, ast.ImportFrom):
-                    uses = (node.module == "numpy"
-                            and any(a.name == "kron" for a in node.names))
-                else:
-                    continue
-                if uses and id(node) not in allowed:
-                    found.append(f"{os.path.basename(path)}:{node.lineno}")
-        assert found == []
+        assert numpy_uses_outside("kron", "kron") == []
+
+    def test_np_triu_indices_only_inside_hermitian_coordinates(self):
+        # U is the one table of the real-coordinate order: a second table
+        # of the pairs j < k could order them differently.
+        assert numpy_uses_outside("triu_indices",
+                                  "_hermitian_coordinates") == []
 
     def test_vec_unvec_round_trip(self):
         rho = random_matrix(4, 3)
@@ -139,8 +151,8 @@ class TestSuperoperators:
         h = h + h.conj().T
         rho = random_density_matrix(4, 8)
         direct = -1j * (h @ rho - rho @ h)
-        np.testing.assert_allclose(unvec(hamiltonian_superop(h) @ vec(rho)),
-                                   direct, atol=1e-12)
+        np.testing.assert_allclose(
+            unvec(liouvillian_matrix(h, []) @ vec(rho)), direct, atol=1e-12)
 
     def test_dissipator_superop_term_by_term(self):
         x = random_matrix(4, 9)
@@ -148,8 +160,8 @@ class TestSuperoperators:
         direct = (x @ rho @ x.conj().T
                   - 0.5 * x.conj().T @ x @ rho
                   - 0.5 * rho @ x.conj().T @ x)
-        np.testing.assert_allclose(unvec(dissipator_superop(x) @ vec(rho)),
-                                   direct, atol=1e-12)
+        lv = liouvillian_matrix(np.zeros_like(x), [(1.0, x)])
+        np.testing.assert_allclose(unvec(lv @ vec(rho)), direct, atol=1e-12)
         np.testing.assert_allclose(dissipator_apply(x, rho), direct,
                                    atol=1e-12)
 
@@ -259,10 +271,44 @@ class TestRealForm:
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             real_form(random_matrix(16, 60))
 
-    @pytest.mark.parametrize("shape", [(16,), (4, 3), (3, 3)])
+    @pytest.mark.parametrize("shape", [(16,), (4, 3), (3, 3), (1, 1), (0, 0)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             real_form(np.zeros(shape))
+
+
+@st.composite
+def coordinate_rows(draw):
+    """d in {2, 4} and rows of d^2 real coordinates with magnitudes from
+    1e-300 to 1e14, some of them +0.0 or -0.0."""
+    d = draw(st.sampled_from([2, 4]))
+    value = st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+                      st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99),
+                      st.integers(-300, 13))
+    x = np.array(draw(st.lists(st.lists(value, min_size=d * d,
+                                        max_size=d * d),
+                               min_size=1, max_size=6)))
+    for k, zero in draw(st.lists(st.tuples(st.integers(0, x.size - 1),
+                                           st.sampled_from([0.0, -0.0])),
+                                 max_size=x.size // 2)):
+        x.flat[k] = zero
+    return d, x
+
+
+class TestHermitianCoordinates:
+    """The rebuild of rho from r through U^dag against the index table."""
+
+    @PROPERTY
+    @given(coordinate_rows())
+    def test_rebuild_matches_the_index_table(self, case):
+        d, x = case
+        got = _from_hermitian_coordinates(x, d)
+        want = index_table_rebuild(x, d)
+        assert got.shape == want.shape == (x.shape[0], d, d)
+        assert np.all(got == want)
+        # A zero coordinate may come back with the other sign of zero.
+        for k in np.flatnonzero(np.all(x != 0, axis=1)):
+            assert got[k].tobytes() == want[k].tobytes()
 
 
 class TestSteadyStates:
@@ -408,10 +454,15 @@ class TestSteadyStates:
         assert solved.null_gap.shape == (0,)
         assert solved.residual.shape == (0,)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 3, 3)])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 3, 3),
+                                       (2, 1, 1), (1, 0, 0)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             steady_states(np.zeros(shape))
+
+    def test_steady_state_rejects_a_one_level_liouvillian(self):
+        with pytest.raises(ValueError, match="size 1 "):
+            steady_state(np.zeros((1, 1)))
 
     def test_rejects_a_complex_stack_naming_real_form(self):
         stack = np.array([decaying_liouvillian()])
