@@ -23,13 +23,16 @@ import json
 import math
 import os
 import platform
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .diode import DiodeOperatingPoint
-from .mirror import MirrorSweepRow
-from .spectrum import SpectrumResult
+from . import __version__
+
+if TYPE_CHECKING:   # annotations only: io imports no physics module
+    from .diode import DiodeOperatingPoint
+    from .mirror import MirrorSweepRow
+    from .spectrum import SpectrumResult
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,8 +209,6 @@ def write_manifest(out_dir: str, mode: str, echo: dict, seed: int,
                    wall_time_s: float, outputs: Iterable[str],
                    notes: Sequence[str] = (),
                    diagnostics: dict | None = None) -> str:
-    from . import __version__
-
     payload = {
         "mode": mode,
         "config": echo,

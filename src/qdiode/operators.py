@@ -123,21 +123,28 @@ def liouvillian_matrix(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> 
             + sum_k gamma_k (X_k^* (x) X_k - (1 (x) Y_k + Y_k^T (x) 1) / 2)
 
     with Y_k = X_k^dag X_k. ``jumps`` is a list of (rate, operator) pairs;
-    rates must be nonnegative and H must be Hermitian. A zero-rate jump is
+    rates must be finite and nonnegative, H must be a Hermitian square
+    matrix and every jump operator must have H's shape. A zero-rate jump is
     skipped, so callers list every channel.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("Hamiltonian must be square")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian must be a square matrix, got shape "
+                         f"{h.shape}")
     if np.max(np.abs(h - h.conj().T)) > HERM_TOL * max(1.0, np.max(np.abs(h))):
         raise ValueError("Hamiltonian is not Hermitian")
     ident = np.eye(h.shape[0], dtype=complex)
     lv = -1j * (kron(ident, h) - kron(h.T, ident))
-    for rate, op in jumps:
+    for k, (rate, op) in enumerate(jumps):
+        x = np.asarray(op, dtype=complex)
+        if x.shape != h.shape:
+            raise ValueError(f"jump {k} has shape {x.shape}, but the "
+                             f"Hamiltonian has shape {h.shape}")
+        if not np.isfinite(rate):
+            raise ValueError(f"non-finite jump rate {rate} (jump {k})")
         if rate < 0:
             raise ValueError(f"negative jump rate {rate}")
         if rate > 0:
-            x = np.asarray(op, dtype=complex)
             xdx = x.conj().T @ x
             lv = lv + rate * (kron(x.conj(), x)
                               - 0.5 * (kron(ident, xdx) + kron(xdx.T, ident)))

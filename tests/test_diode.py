@@ -339,6 +339,21 @@ def test_linear_limit_is_reciprocal_and_matches_transfer_matrices(c):
         assert abs(row.t_reverse - oracle) <= bound
 
 
+@pytest.mark.parametrize("loss", [0.0, 0.01], ids=["lossless", "lossy"])
+def test_nonreciprocity_grows_linearly_out_of_the_linear_limit(loss):
+    """Dynamic reciprocity seen from the other side: out of the reciprocal
+    linear limit, |t_f - t_r| grows in proportion to the power, a decade per
+    decade, since the difference is the nonlinearity's first order. The
+    lowest power's difference stands 100 times above the rounding term of
+    the linear-limit test, so the ratios are not rounding noise."""
+    c = ideal_diode(delta=0.03, gamma_nr=loss * GAMMA, gamma_phi=loss * GAMMA)
+    rows = power_sweep(c, [p * c.gamma_bar for p in (1e-10, 1e-9, 1e-8)])
+    gaps = [abs(r.t_forward - r.t_reverse) for r in rows]
+    assert gaps[0] >= 1e-10
+    np.testing.assert_allclose(np.divide(gaps[1:], gaps[:-1]), 10.0,
+                               rtol=0.01)
+
+
 class TestDarkStateTrapping:
     """The two limits of the forward dark-state rate balance derived in
     acceptance check 2, and the reverse population law its reverse limit

@@ -194,6 +194,33 @@ class TestSuperoperators:
         with pytest.raises(ValueError):
             liouvillian_matrix(np.eye(2), [(-1.0, SIGMA_MINUS)])
 
+    @pytest.mark.parametrize("rate, message", [
+        (float("nan"), "non-finite jump rate nan"),
+        (float("inf"), "non-finite jump rate inf"),
+        (-float("inf"), "non-finite jump rate -inf"),
+        (-1.0, "negative jump rate -1.0"),
+    ])
+    def test_rejects_a_bad_rate_naming_it(self, rate, message):
+        # NaN fails both `rate < 0` and `rate > 0`: unchecked, its jump
+        # would be dropped without a word.
+        with pytest.raises(ValueError, match=message):
+            liouvillian_matrix(np.eye(2), [(0.5, SIGMA_MINUS),
+                                           (rate, SIGMA_MINUS)])
+
+    @pytest.mark.parametrize("h", [np.zeros(3), np.zeros((2, 3)),
+                                   np.zeros((1, 2, 2))],
+                             ids=["1-d", "non-square", "3-d"])
+    def test_rejects_a_hamiltonian_that_is_not_a_square_matrix(self, h):
+        with pytest.raises(ValueError, match="must be a square matrix"):
+            liouvillian_matrix(h, [])
+
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    def test_mismatched_jump_names_its_index_and_both_shapes(self, rate):
+        with pytest.raises(ValueError, match=r"jump 1 has shape \(2, 2\), "
+                           r"but the Hamiltonian has shape \(4, 4\)"):
+            liouvillian_matrix(np.eye(4), [(1.0, np.eye(4)),
+                                           (rate, SIGMA_MINUS)])
+
     def test_rejects_non_hermitian_hamiltonian(self):
         with pytest.raises(ValueError):
             liouvillian_matrix(random_matrix(2, 15), [])
