@@ -153,7 +153,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     code = EXIT_OK
     if p["fit"]:
         try:
-            result = result.with_fit(fit_lorentzian(result))
+            result = result._replace(fitted=fit_lorentzian(result))
         except SpectrumError as exc:
             notes.append(f"lorentzian fit failed: {exc}")
             code = EXIT_FIT
@@ -323,8 +323,7 @@ def run(argv=None) -> int:
         if seed is not None:
             if seed < 0:
                 raise ConfigError("--seed must be nonnegative")
-            cfg = RunConfig(mode=cfg.mode, echo=cfg.echo, params=cfg.params,
-                            seed=seed)
+            cfg = cfg._replace(seed=seed)
         os.makedirs(out_dir, exist_ok=True)
         outputs, notes, code, diagnostics = _RUNNERS[cfg.mode](cfg, out_dir)
     except ConfigError as exc:

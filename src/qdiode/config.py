@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,8 +26,7 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """One schema entry: JSON type, requiredness, default, and range check."""
 
     kind: type
@@ -124,8 +122,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A validated run: mode, external-unit echo, and internal parameters."""
 
     mode: str

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class DiodeConfig:
         return np.exp(1j * ((PI - self.delta) % (2.0 * PI)))
 
 
-@dataclass(frozen=True)
-class DiodeOperatingPoint:
+class DiodeOperatingPoint(NamedTuple):
     """Steady-state transmission and dark populations at one drive power:
     a ``power_sweep`` row. ``error`` holds a message if the solve failed."""
 
@@ -104,8 +104,7 @@ class DiodeOperatingPoint:
                 min(max(self.dark_population_reverse, 0.0), 1.0))
 
 
-@dataclass(frozen=True)
-class DrivenState:
+class DrivenState(NamedTuple):
     """Steady state under a general drive from both sides: the output
     fluxes <a_out^dag a_out> and <b_out^dag b_out> in photons/s, and the
     populations of |gg>, |ge>, |eg>, |ee>."""
@@ -137,12 +136,16 @@ def dark_bright_rates(delta: float, gr1: float, gr2: float) -> tuple[float, floa
     return 0.5 * delta * delta * gbar, 2.0 * gbar
 
 
-def dark_state_population(rho: np.ndarray) -> float:
-    """<+|rho|+> for the symmetric single-excitation state."""
+def dark_state_population(rho: np.ndarray) -> float | np.ndarray:
+    """<+|rho|+> for the symmetric single-excitation state: a float for one
+    4x4 state, an array for an (N, 4, 4) stack. A state reads the same bits
+    alone as in a stack."""
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError("dark-state population is defined for 4x4 states")
-    return float(np.real(DARK_STATE.conj() @ rho @ DARK_STATE))
+    stack = rho if rho.ndim == 3 else rho[None]
+    dark = np.einsum("i,nij,j->n", DARK_STATE.conj(), stack, DARK_STATE).real
+    return dark if rho.ndim == 3 else float(dark[0])
 
 
 # -----------------------------------------------------------------------------
@@ -200,9 +203,7 @@ def _solve_side(c: DiodeConfig, direction: str, amps):
     # A failed point keeps its NaN at a = 0 too.
     t = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
                   where=amps != 0)
-    dark = np.einsum("i,nij,j->n", DARK_STATE.conj(), solved.rho,
-                     DARK_STATE).real
-    return t, dark, solved
+    return t, dark_state_population(solved.rho), solved
 
 
 def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
@@ -252,7 +253,8 @@ def _solve_drive(c: DiodeConfig, alpha: complex, beta: complex,
                  info: dict | None = None):
     """The steady state under complex amplitudes alpha (from the left) and
     beta (from the right) at once, and the model (L, a_out, b_out) it
-    solves; raises SolverError if the steady state is not unique.
+    solves; raises ValueError for a non-finite amplitude and SolverError if
+    the steady state is not unique.
 
     The model is built at 0 and at unit total amplitude, and one
     ``_affine_sweep`` solves it at s = ||(alpha, beta)||, so a drive from
@@ -261,6 +263,9 @@ def _solve_drive(c: DiodeConfig, alpha: complex, beta: complex,
     diagnostics are set in it as a one-power, one-sided ``power_sweep``
     sets them.
     """
+    for name, amp in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(amp):
+            raise ValueError(f"drive amplitude {name} must be finite, got {amp}")
     s = math.hypot(abs(alpha), abs(beta)) or 1.0
     ends = [diode_model(c, x * alpha / s, x * beta / s) for x in (0.0, 1.0)]
     solved, _, _ = _affine_sweep(ends, [s])
@@ -275,8 +280,8 @@ def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
                  info: dict | None = None) -> DrivenState:
     """Solve the device under complex amplitudes alpha (from the left) and
     beta (from the right) at once: ``_solve_drive``'s state, with the
-    output fluxes of its model. Raises SolverError if the steady state is
-    not unique, and sets the solve's diagnostics in ``info`` if it is a
+    output fluxes of its model. Raises ``_solve_drive``'s ValueError or
+    SolverError, and sets the solve's diagnostics in ``info`` if it is a
     dict.
     """
     rho, (_, a_out, b_out) = _solve_drive(c, alpha, beta, info)

@@ -37,7 +37,7 @@ the Jacobian at the optimum by the delta method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class FitError(RuntimeError):
     """Fit rejected (unidentifiable data) or failed to converge."""
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Fit diagnostics: residual norm, standard errors, iteration record.
 
     ``n_iterations`` is the number of points whose Jacobian the optimizer
@@ -78,8 +77,7 @@ class FitReport:
     magnitude_only: bool
 
 
-@dataclass(frozen=True)
-class _Solution:
+class _Solution(NamedTuple):
     """Outcome of _least_squares; fun and jac are taken at x."""
 
     x: np.ndarray
@@ -205,10 +203,12 @@ def fit_single_qubit(data, alpha: complex, initial: QubitParams,
     """Fit (gamma_r, gamma_nr + 2 gamma_phi, omega_q) to a transmission trace.
 
     ``data`` is a sequence of (delta_omega, t) pairs; t may be complex or a
-    real magnitude |t|. Returns (QubitParams, FitReport). Raises FitError for
-    non-finite points, unidentifiable (flat) data, or when the optimizer
-    reaches its evaluation cap.
+    real magnitude |t|. Returns (QubitParams, FitReport). Raises ValueError
+    for a non-finite alpha, and FitError for non-finite points, flat
+    (unidentifiable) data, or when the optimizer reaches its evaluation cap.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"drive amplitude alpha must be finite, got {alpha}")
     pairs = list(data)
     if len(pairs) < 6:
         raise FitError(f"need at least 6 data points, got {len(pairs)}")

@@ -35,6 +35,7 @@ own seed, so the outputs do not depend on the number of CPUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,16 +72,14 @@ class MirrorModel:
             raise ValueError("dwell_samples must be nonnegative")
 
 
-@dataclass(frozen=True)
-class IQRecord:
+class IQRecord(NamedTuple):
     """Demodulated in-phase and out-of-phase quadrature samples."""
 
     i_samples: np.ndarray
     q_samples: np.ndarray
 
 
-@dataclass(frozen=True)
-class MirrorSweepRow:
+class MirrorSweepRow(NamedTuple):
     """Measured and analytic quadrature variances at one drive power."""
 
     power: float

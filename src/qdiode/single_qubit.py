@@ -187,8 +187,8 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
 
     <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
     drive from the right only. The whole grid is one ``_affine_sweep`` over
-    the detuning. Raises ValueError for an undriven emitter or a non-finite
-    grid, and SolverError with the first failed point's message.
+    the detuning. Raises ValueError for an undriven emitter, a non-finite
+    amplitude or grid, and SolverError with the first failed point's message.
 
     If ``info`` is a dict, the solver diagnostics of the grid are set in it
     as ``power_sweep`` sets them: ``"min_null_gap"``, ``"max_residual"`` and
@@ -196,6 +196,9 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
     """
     if alpha == 0 and beta == 0:
         raise ValueError("transmission requires a nonzero drive")
+    for name, amp in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(amp):
+            raise ValueError(f"drive amplitude {name} must be finite, got {amp}")
     detunings = np.asarray(detunings, dtype=float)
     if not np.all(np.isfinite(detunings)):
         raise ValueError("detuning grid must be finite")

@@ -44,7 +44,7 @@ about eps there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class SpectrumError(RuntimeError):
     """Spectrum computation or Lorentzian fit failure."""
 
 
-@dataclass(frozen=True)
-class LorentzianFit:
+class LorentzianFit(NamedTuple):
     """Fitted Lorentzian a (fwhm/2)^2 / ((w-center)^2 + (fwhm/2)^2) + offset."""
 
     center: float
@@ -80,17 +79,13 @@ class LorentzianFit:
     residual_norm: float
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Elastic weight plus inelastic PSD on a frequency-offset grid."""
 
     elastic_weight: float              # photons/s
     freq_offsets: np.ndarray           # rad/s relative to the drive
     inelastic_psd: np.ndarray          # photons/s per rad/s
     fitted: LorentzianFit | None = None
-
-    def with_fit(self, fit: LorentzianFit) -> "SpectrumResult":
-        return replace(self, fitted=fit)
 
 
 # -----------------------------------------------------------------------------

@@ -400,9 +400,10 @@ class TestFileRoundTrips:
         path = str(tmp_path / "spectrum.csv")
         w = np.linspace(-5.0, 5.0, 11)
         s = SpectrumResult(elastic_weight=0.3, freq_offsets=w,
-                           inelastic_psd=np.exp(-w ** 2)).with_fit(
-            LorentzianFit(center=0.1, fwhm=2.0, area=1.5, peak_height=0.9,
-                          offset=0.0, residual_norm=1e-3))
+                           inelastic_psd=np.exp(-w ** 2))._replace(
+            fitted=LorentzianFit(center=0.1, fwhm=2.0, area=1.5,
+                                 peak_height=0.9, offset=0.0,
+                                 residual_norm=1e-3))
         sidecar = io.write_spectrum_csv(path, s)
         w2, p2 = read_spectrum_csv(path)
         np.testing.assert_array_equal(w2, w)

@@ -118,6 +118,19 @@ class TestConfigAndHelpers:
         with pytest.raises(ValueError):
             dark_state_population(np.eye(2))
 
+    def test_dark_population_of_a_stack_is_each_states(self):
+        # One readout serves a sweep's stack and a single state, bit for bit.
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        stack = m @ m.conj().transpose(0, 2, 1)
+        dark = dark_state_population(stack)
+        assert dark.shape == (7,)
+        alone = [dark_state_population(rho) for rho in stack]
+        assert all(isinstance(d, float) for d in alone)
+        assert dark.tolist() == alone
+        with pytest.raises(ValueError):
+            dark_state_population(np.zeros((2, 3, 4, 4)))
+
 
 # ----------------------------------------------------------------------------
 #                    Collective decay of the undriven pair
@@ -275,8 +288,8 @@ class TestTransmission:
         op = operating_point(ideal_diode(), 0.05 * GAMMA)
         assert op.dark_probabilities == (op.dark_population_forward,
                                          op.dark_population_reverse)
-        rounded = dataclasses.replace(op, dark_population_forward=1.0 + 2e-16,
-                                      dark_population_reverse=-3e-17)
+        rounded = op._replace(dark_population_forward=1.0 + 2e-16,
+                              dark_population_reverse=-3e-17)
         assert rounded.dark_probabilities == (1.0, 0.0)
 
 
@@ -470,9 +483,8 @@ def field_bytes(row):
     """Each field of a DiodeOperatingPoint bit for bit: the numbers as
     their bytes, the error message as it is."""
     out = []
-    for f in dataclasses.fields(row):
-        value = getattr(row, f.name)
-        out.append(value if f.name == "error" else np.asarray(value).tobytes())
+    for name, value in zip(row._fields, row):
+        out.append(value if name == "error" else np.asarray(value).tobytes())
     return out
 
 
@@ -550,7 +562,7 @@ class TestOnePath:
         for drive, want in (((amp, 0.0), row.dark_population_forward),
                             ((0.0, amp), row.dark_population_reverse)):
             got = driven_state(c, *drive).dark_population
-            assert abs(got - want) <= 1e-12
+            assert got == want
 
     @PROPERTY
     @given(lossy_devices(), wide_powers_over_gbar, sides)
@@ -681,9 +693,13 @@ class TestParallelSides:
         assert os.sched_getaffinity(0) == before
 
 
+NON_FINITE_AMPLITUDES = [np.nan, np.inf, -np.inf, complex(1.0, np.nan)]
+
+
 class TestBadPowers:
     """Negative and non-finite powers are named in a ValueError before any
-    steady state is solved (np.sqrt would otherwise hand the solver NaN)."""
+    steady state is solved (np.sqrt would otherwise hand the solver NaN),
+    and so are non-finite amplitudes, before any model is built."""
 
     @pytest.fixture
     def no_solve(self, monkeypatch):
@@ -706,6 +722,18 @@ class TestBadPowers:
         c = ideal_diode()
         with pytest.raises(ValueError, match=f"got {bad}"):
             power_sweep(c, [0.01 * c.gamma_bar, bad])
+
+    @pytest.mark.parametrize("bad", NON_FINITE_AMPLITUDES)
+    def test_driven_state_rejects_non_finite_amplitude(self, bad,
+                                                       monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a model was built")
+        monkeypatch.setattr(diode, "diode_model", fail)
+        c = ideal_diode()
+        with pytest.raises(ValueError, match="amplitude alpha must be finite"):
+            driven_state(c, bad, 0.0)
+        with pytest.raises(ValueError, match="amplitude beta must be finite"):
+            driven_state(c, 1.0, bad)
 
     def test_zero_power_still_allowed(self):
         c = ideal_diode()

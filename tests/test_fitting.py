@@ -109,6 +109,16 @@ class TestDegenerateInputs:
         with pytest.raises(FitError, match="1 of 200 data points"):
             fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(1.0, np.nan)])
+    def test_non_finite_amplitude_rejected(self, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the model was evaluated")
+        monkeypatch.setattr(fitting, "_model", fail)
+        delta, t = make_trace()
+        with pytest.raises(ValueError, match="amplitude alpha must be finite"):
+            fit_single_qubit(list(zip(delta, t)), bad, default_initial())
+
     def test_numerical_noise_floor_rejected(self):
         rng = np.random.default_rng(9)
         delta = np.linspace(-1.0, 1.0, 80) * GR_TRUE

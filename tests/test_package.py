@@ -4,10 +4,14 @@
 submodule that defines it, and imports that submodule on first use (PEP
 562). These tests pin what a caller sees: every name resolves to its
 submodule's object, a bare ``import qdiode`` loads neither numpy nor any
-submodule, and ``io`` imports no physics module.
+submodule, and ``io`` imports no physics module. They also pin the one
+kind of plain record: a dataclass validates its fields in
+``__post_init__``, and every other record is a NamedTuple.
 """
 
 import ast
+import glob
+import importlib
 import json
 import os
 import subprocess
@@ -20,6 +24,12 @@ import qdiode
 SRC = os.path.dirname(os.path.dirname(qdiode.__file__))
 PHYSICS = ["diode", "fitting", "mirror", "operators", "single_qubit",
            "spectrum"]
+# The records with no checks of their own, by module.
+RECORDS = [("config", "Field"), ("config", "RunConfig"),
+           ("diode", "DiodeOperatingPoint"), ("diode", "DrivenState"),
+           ("fitting", "FitReport"), ("fitting", "_Solution"),
+           ("mirror", "IQRecord"), ("mirror", "MirrorSweepRow"),
+           ("spectrum", "LorentzianFit"), ("spectrum", "SpectrumResult")]
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +120,48 @@ def test_io_imports_submodules_for_annotations_only():
     outside = [(node.module, [a.name for a in node.names])
                for node in relative if id(node) not in guarded]
     assert outside == [(None, ["__version__"])]
+
+
+def package_classes():
+    """(module, class node) for every class defined in ``src/qdiode``."""
+    for path in sorted(glob.glob(os.path.join(SRC, "qdiode", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        module = os.path.basename(path)[:-3]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield module, node
+
+
+def test_only_self_validating_records_are_dataclasses():
+    decorated, named_tuples = {}, set()
+    for module, node in package_classes():
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators):
+            decorated[node.name] = {n.name for n in node.body
+                                      if isinstance(n, ast.FunctionDef)}
+        if any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               for b in node.bases):
+            named_tuples.add((module, node.name))
+    assert set(decorated) == {"QubitParams", "DiodeConfig", "MirrorModel"}
+    assert all("__post_init__" in methods for methods in decorated.values())
+    assert named_tuples == {("operators", "SteadyStates"), *RECORDS}
+
+
+@pytest.mark.parametrize("module, name", RECORDS)
+def test_a_record_is_immutable_and_replaces_one_field(module, name):
+    cls = getattr(importlib.import_module(f"qdiode.{module}"), name)
+    values = [object() for _ in cls._fields]
+    record = cls(*values)
+    for k, field in enumerate(cls._fields):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        new = object()
+        changed = record._replace(**{field: new})
+        assert type(changed) is cls
+        assert getattr(changed, field) is new
+        assert all(a is b for i, (a, b) in enumerate(zip(changed, values))
+                   if i != k)
+        assert all(a is b for a, b in zip(record, values))

@@ -60,6 +60,19 @@ class TestDetuningGrid:
             transmission_vs_detuning(q, [0.0, bad, GAMMA_R],
                                      np.sqrt(0.1 * GAMMA_R))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(1.0, np.nan)])
+    def test_non_finite_amplitude_rejected_before_model(self, bad,
+                                                        monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a model was built")
+        monkeypatch.setattr("qdiode.single_qubit.emitter_chain", fail)
+        q = make_qubit()
+        with pytest.raises(ValueError, match="amplitude alpha must be finite"):
+            transmission_vs_detuning(q, [0.0, 1.0], bad)
+        with pytest.raises(ValueError, match="amplitude beta must be finite"):
+            transmission_vs_detuning(q, [0.0, 1.0], 0.0, bad)
+
 
 class TestAnalyticLimits:
     def test_full_reflection_on_resonance_lossless(self):

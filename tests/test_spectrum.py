@@ -400,7 +400,7 @@ class TestFitLorentzian:
     def test_with_fit_leaves_original_unchanged(self):
         w = np.linspace(-10.0, 10.0, 201)
         s = SpectrumResult(0.0, w, lorentzian(w, 1.0, 0.0, 1.0, 0.0))
-        fitted = s.with_fit(fit_lorentzian(s))
+        fitted = s._replace(fitted=fit_lorentzian(s))
         assert s.fitted is None
         assert isinstance(fitted.fitted, LorentzianFit)
 
