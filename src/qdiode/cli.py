@@ -126,10 +126,9 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     amp = math.sqrt(p["power_over_gamma_r"] * q.gamma_r)
     half_span = p["span_linewidths"] * q.gamma_2
     grid = np.linspace(-half_span, half_span, p["n_points"])
-    alpha, beta = (0.0, amp) if p["side"] == "reverse" else (amp, 0.0)
     # The file axis is the qubit's detuning from the drive.
     info: dict = {}
-    t_vals = transmission_vs_detuning(q, grid, alpha, beta, info)
+    t_vals = transmission_vs_detuning(q, grid, amp, info)
     path = os.path.join(out_dir, "frequency_sweep.csv")
     io.write_transmission_csv(path, grid, t_vals)
     return [path], [], EXIT_OK, info
@@ -179,13 +178,10 @@ def _run_fit(cfg: RunConfig, out_dir: str):
     p = cfg.params
     delta_omega, t = io.read_transmission_csv(p["input_csv"])
     alpha = math.sqrt(p["power_over_gamma_r"] * p["initial_gamma_r_hz"])
-    s0 = p.get("initial_s_hz")
     initial = QubitParams(omega_q=0.0, gamma_r=p["initial_gamma_r_hz"],
-                          gamma_nr=0.0,
-                          gamma_phi=0.5 * s0 if s0 is not None else 0.0)
-    fitted, report = fit_single_qubit(list(zip(delta_omega, t)), alpha,
-                                      initial,
-                                      magnitude_only=p.get("magnitude_only"))
+                          gamma_phi=0.5 * p["initial_s_hz"])
+    fitted, report = fit_single_qubit(delta_omega, t, alpha, initial,
+                                      magnitude_only=p["magnitude_only"])
     payload = {
         "gamma_r_hz": report.gamma_r / TWO_PI,
         "s_hz": report.s / TWO_PI,

@@ -83,7 +83,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                                    exclusive_min=True),
         "span_linewidths": _num(default=4.0, minimum=0.0, exclusive_min=True),
         "n_points": _int(default=201, minimum=2),
-        "side": Field(str, default="forward", choices=("forward", "reverse")),
     },
     "spectrum": {
         **_TWO_QUBIT_RATES,
@@ -99,9 +98,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "input_csv": Field(str, required=True),
         "initial_gamma_r_hz": _num(required=True, minimum=0.0,
                                    exclusive_min=True),
-        "initial_s_hz": _num(minimum=0.0),
+        "initial_s_hz": _num(default=0.0, minimum=0.0),
         "power_over_gamma_r": _num(default=0.0, minimum=0.0),
-        "magnitude_only": Field(bool),
+        "magnitude_only": Field(bool, default=False),
     },
     "mirror-mc": {
         "p_dark_fwd": _num(minimum=0.0, maximum=1.0),

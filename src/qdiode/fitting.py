@@ -1,10 +1,11 @@
 """Least-squares spectroscopy fitter for single-emitter transmission traces.
 
-The data axis is the nominal qubit's detuning from the drive, delta_omega,
-swept by the drive; the fitter estimates a center correction dc so the
-returned qubit frequency is initial.omega_q + dc. A single low-power
-magnitude trace cannot separate gamma_nr from gamma_phi (they enter the
-lineshape through gamma_2 nearly degenerately), so the fit parameters are
+A trace is two arrays: the nominal qubit's detuning from the drive,
+delta_omega, and t, complex or a real magnitude |t| (fitted in magnitude).
+The fitter estimates a center correction dc so the returned qubit frequency
+is initial.omega_q + dc. A single low-power magnitude trace cannot separate
+gamma_nr from gamma_phi (they enter the lineshape through gamma_2 nearly
+degenerately), so the fit parameters are
 
     gamma_r,   s = gamma_nr + 2 gamma_phi,   omega_q
 
@@ -25,7 +26,8 @@ magnitude-only traces, whose s sits in a flat valley, it drove ln s towards
 -inf where a trust region converges (More, Lecture Notes in Mathematics 630,
 1978). The engine stops when a step, or the relative decrease in cost it
 brings, falls below 1e-12; it may evaluate the model at most 200 times,
-and hitting that cap is a FitError.
+and hitting that cap is a FitError. So is a stall, a converged fit that
+leaves STALL_FRACTION or more of the flat model t = 1's residual norm.
 
 The single-qubit fit runs in the coordinates (ln gamma_r, ln s,
 dc / gamma_2_initial); ``_model`` gives the transmission of
@@ -52,6 +54,10 @@ TOLERANCE = 1e-12
 # 1e-3 is cautious here: on the benchmark's fit traces it took 13-16 Jacobian
 # evaluations, 1e-6 takes 9-11 and scipy's trust region took 6-8.
 DAMPING_START = 1e-6
+# A converged fit whose residual norm is at least this share of the flat model
+# t = 1's is a stall. On a 70 MHz line it read 1e-15 (noiseless), 0.013 (1%
+# noise), 0.199 (six points at one detuning) and 1.000 (started 10x too high).
+STALL_FRACTION = 0.5
 
 
 class FitError(RuntimeError):
@@ -198,33 +204,33 @@ def _noise_floor(values: np.ndarray) -> float:
     return 1.4826 * _median(np.abs(diffs)) / np.sqrt(2.0)
 
 
-def fit_single_qubit(data, alpha: complex, initial: QubitParams,
-                     magnitude_only: bool | None = None):
+def fit_single_qubit(delta_omega, t, alpha: complex, initial: QubitParams,
+                     magnitude_only: bool = False):
     """Fit (gamma_r, gamma_nr + 2 gamma_phi, omega_q) to a transmission trace.
 
-    ``data`` is a sequence of (delta_omega, t) pairs; t may be complex or a
-    real magnitude |t|. Returns (QubitParams, FitReport). Raises ValueError
-    for a non-finite alpha, and FitError for non-finite points, flat
-    (unidentifiable) data, or when the optimizer reaches its evaluation cap.
+    ``delta_omega`` and ``t`` are 1-d arrays of one length, as
+    ``io.read_transmission_csv`` returns them. A real t is a magnitude |t|
+    and is fitted in magnitude; a complex t is fitted in the complex plane,
+    or in magnitude with ``magnitude_only``. Returns (QubitParams,
+    FitReport). Raises ValueError for arrays of another shape or a non-finite
+    alpha, and FitError for non-finite points, flat (unidentifiable) data, a
+    stall, or when the optimizer reaches its evaluation cap.
     """
+    delta_omega, t = np.asarray(delta_omega, dtype=float), np.asarray(t)
+    if delta_omega.ndim != 1 or t.shape != delta_omega.shape:
+        raise ValueError("delta_omega and t must be equal-length 1-d arrays, "
+                         f"got shapes {delta_omega.shape} and {t.shape}")
     if not np.isfinite(alpha):
         raise ValueError(f"drive amplitude alpha must be finite, got {alpha}")
-    pairs = list(data)
-    if len(pairs) < 6:
-        raise FitError(f"need at least 6 data points, got {len(pairs)}")
-    delta_omega = np.array([p[0] for p in pairs], dtype=float)
-    t_raw = np.array([p[1] for p in pairs])
-    if magnitude_only is None:
-        magnitude_only = not np.iscomplexobj(t_raw)
-    if magnitude_only:
-        target = np.abs(t_raw).astype(float)
-    else:
-        target = t_raw.astype(complex)
+    if delta_omega.size < 6:
+        raise FitError(f"need at least 6 data points, got {delta_omega.size}")
+    magnitude_only = magnitude_only or not np.iscomplexobj(t)
+    target = np.abs(t).astype(float) if magnitude_only else t.astype(complex)
 
     n_bad = int(np.count_nonzero(~(np.isfinite(delta_omega)
                                    & np.isfinite(target))))
     if n_bad:
-        raise FitError(f"{n_bad} of {len(pairs)} data points are not finite")
+        raise FitError(f"{n_bad} of {t.size} data points are not finite")
 
     # Identifiability guard: a trace with no resonance feature above its own
     # noise floor pins none of the parameters.
@@ -245,6 +251,10 @@ def fit_single_qubit(data, alpha: complex, initial: QubitParams,
     if not sol.success:
         raise FitError(f"no convergence after {sol.nfev} evaluations "
                        f"(residual norm {np.linalg.norm(sol.fun):.3e})")
+    stall = np.linalg.norm(sol.fun) / np.linalg.norm(target - 1.0)
+    if stall >= STALL_FRACTION:
+        raise FitError(f"fit stalled: it leaves {stall:.3f} of the residual "
+                       "norm of the flat model t = 1")
 
     gamma_r = float(np.exp(sol.x[0]))
     s = float(np.exp(sol.x[1]))

@@ -57,11 +57,11 @@ def _write_columns(path: str, header: Sequence[str], columns,
 def _read_table(path: str) -> tuple[list[str], np.ndarray, list[str]]:
     """The header of a result CSV (empty for an empty file), its body as a
     float array of one row per line, and its '#' comment lines; blank lines
-    are skipped. A row whose cell count differs from the header's, or a cell
-    that is not a number, is a ValueError naming the file and the line."""
+    and a UTF-8 BOM are skipped. A row whose cell count is not the header's,
+    or a cell that is not a number, is a ValueError naming file and line."""
     header: list[str] = []
     body, comments = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for r in reader:
             if not r or (len(r) == 1 and not r[0].strip()):

@@ -11,7 +11,8 @@ in photons/s, are arguments of each solve.
 ``emitter_chain`` builds the master equation of emitters cascaded along the
 waveguide (Gardiner, PRL 70, 2269 (1993); Lalumiere et al., PRA 88, 043806
 (2013)): one emitter here, two in ``diode.diode_model``. For one emitter,
-<a_out>/alpha has the closed form ``transmission_analytic``.
+<a_out>/alpha has the closed form ``transmission_analytic``. One emitter is
+mirror-symmetric, so reciprocal at every power: nonreciprocity needs two.
 
 ``_affine_sweep`` is the one sweep engine, and every steady state of every
 mode is solved through it. A real factor on the drive and an emitter's
@@ -179,35 +180,35 @@ def transmission_analytic(q: QubitParams, delta_omega, alpha: complex):
     return complex(t) if np.isscalar(delta_omega) else t
 
 
-def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex = 0.0,
-                             beta: complex = 0.0,
+def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex,
                              info: dict | None = None) -> np.ndarray:
-    """Steady-state transmission from the full master equation at each
-    detuning from the drive in ``detunings`` (``q.omega_q`` is not used).
+    """Steady-state transmission <a_out>/alpha from the full master equation
+    at each detuning from the drive in ``detunings`` (``q.omega_q`` is not
+    used).
 
-    <a_out>/alpha when alpha != 0 (whatever beta is); <b_out>/beta for a
-    drive from the right only. The whole grid is one ``_affine_sweep`` over
-    the detuning. Raises ValueError for an undriven emitter, a non-finite
-    amplitude or grid, and SolverError with the first failed point's message.
+    The drive alpha comes from the left: one emitter is reciprocal, so a
+    drive from the right gives the same <b_out>/beta, bit for bit. The whole
+    grid is one ``_affine_sweep`` over the detuning. Raises ValueError for
+    an undriven emitter, a non-finite amplitude or grid, and SolverError
+    with the first failed point's message.
 
     If ``info`` is a dict, the solver diagnostics of the grid are set in it
     as ``power_sweep`` sets them: ``"min_null_gap"``, ``"max_residual"`` and
     ``"near_degenerate_rows"``.
     """
-    if alpha == 0 and beta == 0:
+    if alpha == 0:
         raise ValueError("transmission requires a nonzero drive")
-    for name, amp in (("alpha", alpha), ("beta", beta)):
-        if not np.isfinite(amp):
-            raise ValueError(f"drive amplitude {name} must be finite, got {amp}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"drive amplitude alpha must be finite, got {alpha}")
     detunings = np.asarray(detunings, dtype=float)
     if not np.all(np.isfinite(detunings)):
         raise ValueError("detuning grid must be finite")
-    solved, a_mean, b_mean = _affine_sweep(
-        [emitter_chain([replace(q, omega_q=det)], 1.0, alpha, beta)
+    solved, a_mean, _ = _affine_sweep(
+        [emitter_chain([replace(q, omega_q=det)], 1.0, alpha)
          for det in (0.0, 1.0)], detunings)
     error = next((e for e in solved.error if e is not None), None)
     if error is not None:
         raise SolverError(error)
     if info is not None:
         _gap_diagnostics(info, solved.null_gap[None], solved.residual[None])
-    return a_mean / alpha if alpha != 0 else b_mean / beta
+    return a_mean / alpha

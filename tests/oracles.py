@@ -30,10 +30,10 @@ def check_density_matrix(rho):
         raise ValueError(problem)
 
 
-def transmission_numeric(q, alpha=0.0, beta=0.0):
+def transmission_numeric(q, alpha=0.0):
     """Steady-state transmission from the full master equation at the
     emitter's own detuning: ``transmission_vs_detuning`` at ``q.omega_q``."""
-    return complex(transmission_vs_detuning(q, [q.omega_q], alpha, beta)[0])
+    return complex(transmission_vs_detuning(q, [q.omega_q], alpha)[0])
 
 
 def integrated_inelastic(s):

@@ -300,7 +300,7 @@ def test_fit_recovery_monte_carlo():
         noise = (rng.standard_normal(200) + 1j * rng.standard_normal(200))
         t_noisy = t_clean * (1.0 + 0.01 / np.sqrt(2.0) * noise)
         try:
-            _, report = fit_single_qubit(list(zip(delta_omega, t_noisy)),
+            _, report = fit_single_qubit(delta_omega, t_noisy,
                                          0.0, initial)
         except FitError:
             continue

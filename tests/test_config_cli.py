@@ -31,6 +31,7 @@ from qdiode.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SOLVER,
 from qdiode.config import MODES, TWO_PI, ConfigError, load, validate
 from qdiode.diode import DiodeOperatingPoint, power_sweep
 from qdiode.mirror import MirrorSweepRow
+from qdiode.single_qubit import QubitParams, transmission_analytic
 from qdiode.spectrum import LorentzianFit, SpectrumResult
 
 DELTA = float(np.sqrt(1e-3))
@@ -200,12 +201,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="odd"):
             validate("spectrum", raw)
 
-    def test_bidirectional_sweep_drive_rejected(self):
-        # sweep-frequency drives one side; sweep-power's "both" drives each
-        # side in turn.
-        raw = {"gamma_r_hz": 70e6, "power_over_gamma_r": 0.1, "side": "both"}
-        with pytest.raises(ConfigError, match="'side' must be one of"):
-            validate("sweep-frequency", raw)
+    def test_sweep_frequency_side_is_an_unknown_key(self, tmp_path):
+        # One emitter is reciprocal, so sweep-frequency drives it from the
+        # left only; sweep-power keeps its side, as the diode is not.
+        for side in ("forward", "reverse", "both"):
+            raw = {"gamma_r_hz": 70e6, "power_over_gamma_r": 0.1,
+                   "side": side}
+            with pytest.raises(ConfigError, match="unknown key 'side'"):
+                validate("sweep-frequency", raw)
+        assert run(["sweep-frequency", "--config", write_config(tmp_path, raw),
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_power_ordering_enforced(self):
         raw = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
@@ -247,7 +252,11 @@ class TestValidation:
         assert power.echo["side"] == "both"
         freq = validate("sweep-frequency", {"gamma_r_hz": 70e6,
                                             "power_over_gamma_r": 0.1})
-        assert freq.echo["side"] == "forward"
+        assert "side" not in freq.echo
+        fit = validate("fit", {"input_csv": "scan.csv",
+                               "initial_gamma_r_hz": 70e6})
+        assert fit.echo["magnitude_only"] is False
+        assert fit.echo["initial_s_hz"] == 0.0
 
     def test_optional_keys_stay_absent(self):
         cfg = validate("steady-state", steady_payload())
@@ -370,6 +379,18 @@ class TestFileRoundTrips:
         io.write_transmission_csv(path, d, t)
         d2, t2 = io.read_transmission_csv(path)
         assert not np.iscomplexobj(t2)
+        np.testing.assert_array_equal(t2, t)
+
+    @pytest.mark.parametrize("t", [np.linspace(0.1, 1.0, 5),
+                                   np.exp(1j * np.linspace(0, 1, 5))])
+    def test_byte_order_mark_skipped(self, tmp_path, t):
+        # Spreadsheets and instruments often start a CSV with a UTF-8 BOM.
+        path = tmp_path / "scan.csv"
+        d = np.linspace(-1e9, 1e9, 5)
+        io.write_transmission_csv(str(path), d, t)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        d2, t2 = io.read_transmission_csv(str(path))
+        np.testing.assert_array_equal(d2, d)
         np.testing.assert_array_equal(t2, t)
 
     def test_unrecognized_header_rejected(self, tmp_path):
@@ -770,22 +791,6 @@ class TestCliRuns:
             write_sweep_csv_rowwise(ref, sweep, 0.7)
             assert filecmp.cmp(new, ref, shallow=False)
 
-    def test_sweep_frequency_beta_matches_alpha(self, tmp_path):
-        # A lone drive from either side, alpha (forward) or beta (reverse),
-        # sees the same emitter.
-        scan = {"gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
-                "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
-                "span_linewidths": 4.0, "n_points": 41}
-        outs = []
-        for name, extra in (("alpha", {}), ("beta", {"side": "reverse"})):
-            cfg = write_config(tmp_path, {**scan, **extra},
-                               name=f"{name}.json")
-            outs.append(tmp_path / name)
-            assert run(["sweep-frequency", "--config", cfg,
-                        "--out", str(outs[-1])]) == EXIT_OK
-        assert filecmp.cmp(outs[0] / "frequency_sweep.csv",
-                           outs[1] / "frequency_sweep.csv", shallow=False)
-
     def test_sweep_frequency_then_fit(self, tmp_path):
         # Weak probe: the fitter reconstructs the drive amplitude from the
         # initial rate guess, so saturation must stay negligible for the
@@ -808,6 +813,25 @@ class TestCliRuns:
                                    rtol=1e-2)
         assert abs(result["center_offset_hz"]) < 1e3
         assert result["converged"]
+
+    def test_magnitude_trace_is_fitted_in_magnitude(self, tmp_path):
+        # "magnitude_only": false cannot make a |t| trace complex: the fit
+        # is in magnitude, and recovers the line that made it.
+        q = QubitParams(omega_q=0.0, gamma_r=TWO_PI * 70e6,
+                        gamma_phi=TWO_PI * 300e3)
+        delta = np.linspace(-4.0, 4.0, 201) * q.gamma_2
+        scan = str(tmp_path / "scan.csv")
+        io.write_transmission_csv(
+            scan, delta, np.abs(transmission_analytic(q, delta, 0.0)))
+        cfg = write_config(tmp_path, {"input_csv": scan,
+                                      "initial_gamma_r_hz": 60e6,
+                                      "magnitude_only": False})
+        out = tmp_path / "out"
+        assert run(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        result = json.loads((out / "fit_result.json").read_text())
+        assert result["magnitude_only"] is True
+        np.testing.assert_allclose(result["gamma_r_hz"], 70e6, rtol=1e-6)
+        np.testing.assert_allclose(result["s_hz"], 600e3, rtol=1e-6)
 
     def test_singular_covariance_writes_null_standard_errors(self, tmp_path):
         # Every point at one detuning: the centre offset has a zero Jacobian

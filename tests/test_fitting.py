@@ -27,7 +27,7 @@ def default_initial(gr_scale=1.3, s_scale=0.6):
 class TestNoiselessRoundTrip:
     def test_recovers_parameters_to_a_tenth_percent(self):
         delta, t = make_trace()
-        fitted, report = fit_single_qubit(list(zip(delta, t)), 0.0,
+        fitted, report = fit_single_qubit(delta, t, 0.0,
                                           default_initial())
         np.testing.assert_allclose(report.gamma_r, GR_TRUE, rtol=1e-3)
         np.testing.assert_allclose(report.s, S_TRUE, rtol=1e-3)
@@ -42,7 +42,7 @@ class TestNoiselessRoundTrip:
         # Data recorded against a mis-calibrated axis: true resonance sits
         # at -offset on this axis.
         t = transmission_analytic(q, delta - offset, 0.0)
-        fitted, report = fit_single_qubit(list(zip(delta, t)), 0.0,
+        fitted, report = fit_single_qubit(delta, t, 0.0,
                                           default_initial())
         np.testing.assert_allclose(report.omega_q, -offset, rtol=1e-6)
         np.testing.assert_allclose(report.gamma_r, GR_TRUE, rtol=1e-6)
@@ -50,14 +50,14 @@ class TestNoiselessRoundTrip:
     def test_finite_power_round_trip(self):
         alpha = np.sqrt(0.2 * GR_TRUE)
         delta, t = make_trace(alpha=alpha)
-        fitted, report = fit_single_qubit(list(zip(delta, t)), alpha,
+        fitted, report = fit_single_qubit(delta, t, alpha,
                                           default_initial())
         np.testing.assert_allclose(report.gamma_r, GR_TRUE, rtol=1e-3)
         np.testing.assert_allclose(report.s, S_TRUE, rtol=1e-3)
 
     def test_magnitude_only_round_trip(self):
         delta, t = make_trace()
-        fitted, report = fit_single_qubit(list(zip(delta, np.abs(t))), 0.0,
+        fitted, report = fit_single_qubit(delta, np.abs(t), 0.0,
                                           default_initial())
         assert report.magnitude_only
         np.testing.assert_allclose(report.gamma_r, GR_TRUE, rtol=1e-3)
@@ -73,7 +73,7 @@ class TestNoisyRecovery:
         for _ in range(20):
             noise = 1.0 + 0.01 * (rng.standard_normal(t.size)
                                   + 1j * rng.standard_normal(t.size)) / np.sqrt(2)
-            fitted, report = fit_single_qubit(list(zip(delta, t * noise)), 0.0,
+            fitted, report = fit_single_qubit(delta, t * noise, 0.0,
                                               default_initial())
             if (abs(report.gamma_r - GR_TRUE) / GR_TRUE < 0.02
                     and abs(report.s - S_TRUE) / S_TRUE < 0.10):
@@ -85,7 +85,7 @@ class TestNoisyRecovery:
         rng = np.random.default_rng(5)
         noise = 1.0 + 0.01 * (rng.standard_normal(t.size)
                               + 1j * rng.standard_normal(t.size)) / np.sqrt(2)
-        fitted, report = fit_single_qubit(list(zip(delta, t * noise)), 0.0,
+        fitted, report = fit_single_qubit(delta, t * noise, 0.0,
                                           default_initial())
         assert 0.0 < report.stderr_gamma_r < 0.05 * GR_TRUE
         assert 0.0 < report.stderr_s < 0.5 * S_TRUE
@@ -96,18 +96,18 @@ class TestDegenerateInputs:
         delta = np.linspace(-1.0, 1.0, 50) * GR_TRUE
         flat = np.ones(50, dtype=complex)
         with pytest.raises(FitError, match="unidentifiable"):
-            fit_single_qubit(list(zip(delta, flat)), 0.0, default_initial())
+            fit_single_qubit(delta, flat, 0.0, default_initial())
 
     def test_too_few_points_rejected(self):
         delta, t = make_trace(n_points=5)
         with pytest.raises(FitError):
-            fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
+            fit_single_qubit(delta, t, 0.0, default_initial())
 
     def test_non_finite_point_rejected(self):
         delta, t = make_trace()
         t[17] = np.nan
         with pytest.raises(FitError, match="1 of 200 data points"):
-            fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
+            fit_single_qubit(delta, t, 0.0, default_initial())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
                                      complex(1.0, np.nan)])
@@ -117,7 +117,7 @@ class TestDegenerateInputs:
         monkeypatch.setattr(fitting, "_model", fail)
         delta, t = make_trace()
         with pytest.raises(ValueError, match="amplitude alpha must be finite"):
-            fit_single_qubit(list(zip(delta, t)), bad, default_initial())
+            fit_single_qubit(delta, t, bad, default_initial())
 
     def test_numerical_noise_floor_rejected(self):
         rng = np.random.default_rng(9)
@@ -125,7 +125,7 @@ class TestDegenerateInputs:
         t = 1.0 + 1e-14 * (rng.standard_normal(80)
                            + 1j * rng.standard_normal(80))
         with pytest.raises(FitError):
-            fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
+            fit_single_qubit(delta, t, 0.0, default_initial())
 
 
 class TestEvaluationCap:
@@ -133,7 +133,63 @@ class TestEvaluationCap:
         monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 2)
         delta, t = make_trace()
         with pytest.raises(FitError, match="no convergence after 2"):
-            fit_single_qubit(list(zip(delta, t)), 0.0, default_initial())
+            fit_single_qubit(delta, t, 0.0, default_initial())
+
+
+class TestStall:
+    """A fit that converges where the model is flat over the data explains
+    none of the resonance: it is a FitError, not a result."""
+
+    def trace(self):
+        q = QubitParams(omega_q=0.0, gamma_r=2.0 * np.pi * 70e6,
+                        gamma_phi=2.0 * np.pi * 100e3)
+        delta = np.linspace(-4.0, 4.0, 201) * q.gamma_2
+        return q, delta, transmission_analytic(q, delta, 0.0)
+
+    def test_start_ten_times_too_high_is_a_fit_error(self):
+        # Without the check this returned s of about 3e27 Hz, a residual
+        # norm equal to the flat model's and standard errors of 0.
+        q, delta, t = self.trace()
+        initial = QubitParams(omega_q=0.0, gamma_r=10.0 * q.gamma_r)
+        with pytest.raises(FitError, match="stalled"):
+            fit_single_qubit(delta, t, 0.0, initial)
+
+    def test_one_percent_noise_is_far_from_a_stall(self):
+        q, delta, t = self.trace()
+        rng = np.random.default_rng(3)
+        t = t * (1.0 + 0.01 * (rng.standard_normal(t.size)
+                               + 1j * rng.standard_normal(t.size))
+                 / np.sqrt(2))
+        initial = QubitParams(omega_q=0.0, gamma_r=1.2 * q.gamma_r)
+        _, report = fit_single_qubit(delta, t, 0.0, initial)
+        assert (report.residual_norm
+                < 0.1 * fitting.STALL_FRACTION * np.linalg.norm(t - 1.0))
+        np.testing.assert_allclose(report.gamma_r, q.gamma_r, rtol=0.02)
+
+
+class TestInputs:
+    @pytest.mark.parametrize("magnitude_only", [False, True])
+    def test_real_trace_is_fitted_in_magnitude(self, magnitude_only):
+        delta, t = make_trace()
+        _, report = fit_single_qubit(delta, np.abs(t), 0.0,
+                                     default_initial(), magnitude_only)
+        assert report.magnitude_only
+        np.testing.assert_allclose(report.gamma_r, GR_TRUE, rtol=1e-6)
+
+    def test_complex_trace_in_magnitude_on_request(self):
+        delta, t = make_trace()
+        got = fit_single_qubit(delta, t, 0.0, default_initial(),
+                               magnitude_only=True)
+        want = fit_single_qubit(delta, np.abs(t), 0.0, default_initial())
+        assert got == want
+
+    @pytest.mark.parametrize("delta_shape, t_shape", [
+        ((200,), (199,)), ((200,), (200, 1)), ((2, 100), (2, 100))])
+    def test_arrays_of_another_shape_rejected(self, delta_shape, t_shape):
+        delta, t = make_trace()
+        with pytest.raises(ValueError, match="equal-length 1-d arrays"):
+            fit_single_qubit(np.resize(delta, delta_shape),
+                             np.resize(t, t_shape), 0.0, default_initial())
 
 
 class TestIdempotence:
@@ -142,10 +198,10 @@ class TestIdempotence:
         rng = np.random.default_rng(11)
         noise = 1.0 + 0.02 * (rng.standard_normal(t.size)
                               + 1j * rng.standard_normal(t.size)) / np.sqrt(2)
-        first, rep1 = fit_single_qubit(list(zip(delta, t * noise)), 0.0,
+        first, rep1 = fit_single_qubit(delta, t * noise, 0.0,
                                        default_initial())
         model = transmission_analytic(first, delta + rep1.omega_q, 0.0)
-        second, rep2 = fit_single_qubit(list(zip(delta, model)), 0.0, first)
+        second, rep2 = fit_single_qubit(delta, model, 0.0, first)
         np.testing.assert_allclose(rep2.gamma_r, rep1.gamma_r, rtol=1e-6)
         np.testing.assert_allclose(rep2.s, rep1.s, rtol=1e-4)
 
@@ -246,7 +302,7 @@ class TestEngineMatchesScipy:
                      / np.sqrt(2))
         target = np.abs(t) if magnitude_only else t
         initial = default_initial(gr_scale=BATTERY_STARTS[k])
-        _, report = fit_single_qubit(list(zip(delta, target)), 0.0, initial)
+        _, report = fit_single_qubit(delta, target, 0.0, initial)
 
         center_scale = initial.gamma_2
         x0 = [np.log(initial.gamma_r), np.log(2.0 * initial.gamma_phi), 0.0]

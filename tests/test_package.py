@@ -6,7 +6,9 @@ submodule that defines it, and imports that submodule on first use (PEP
 submodule's object, a bare ``import qdiode`` loads neither numpy nor any
 submodule, and ``io`` imports no physics module. They also pin the one
 kind of plain record: a dataclass validates its fields in
-``__post_init__``, and every other record is a NamedTuple.
+``__post_init__``, and every other record is a NamedTuple. And every config
+key is read by its mode's runner: a key that no runner reads could only be an
+option that changes nothing.
 """
 
 import ast
@@ -20,6 +22,7 @@ import sys
 import pytest
 
 import qdiode
+from qdiode import cli, config
 
 SRC = os.path.dirname(os.path.dirname(qdiode.__file__))
 PHYSICS = ["diode", "fitting", "mirror", "operators", "single_qubit",
@@ -165,3 +168,43 @@ def test_a_record_is_immutable_and_replaces_one_field(module, name):
         assert all(a is b for i, (a, b) in enumerate(zip(changed, values))
                    if i != k)
         assert all(a is b for a, b in zip(record, values))
+
+
+def params_reads(function):
+    """The keys ``function`` reads from its params dict ``p``: those of its
+    ``p["k"]`` subscripts, and those of its ``p.get("k", ...)`` calls."""
+    subscripts, gets = set(), set()
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == "p"
+                and isinstance(node.slice, ast.Constant)):
+            subscripts.add(node.slice.value)
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "p"):
+            gets.add(node.args[0].value)
+    return subscripts, gets
+
+
+@pytest.mark.parametrize("mode", config.MODES)
+def test_every_schema_key_is_read_by_its_runner(mode):
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), cli.__file__)
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    runner = functions[cli._RUNNERS[mode].__name__]
+    # A runner that builds the two-qubit device reads its keys there.
+    parts = [runner]
+    if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "_diode_config" for node in ast.walk(runner)):
+        parts.append(functions["_diode_config"])
+    subscripts, gets = set(), set()
+    for function in parts:
+        s, g = params_reads(function)
+        subscripts |= s
+        gets |= g
+    schema = set(config.SCHEMAS[mode])
+    assert schema - subscripts - gets == set()
+    assert subscripts - schema == set()

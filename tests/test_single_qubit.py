@@ -5,13 +5,19 @@ Liouvillian are derived independently, so agreement between them to 1e-8
 over a wide detuning/power grid checks both at once.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from device_strategies import PROPERTY, wide_powers_over_gbar
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import transmission_numeric
 
 from qdiode.operators import expectation, steady_state
 from qdiode.single_qubit import (
     QubitParams,
+    _affine_sweep,
     emitter_chain,
     transmission_analytic,
     transmission_vs_detuning,
@@ -70,8 +76,6 @@ class TestDetuningGrid:
         q = make_qubit()
         with pytest.raises(ValueError, match="amplitude alpha must be finite"):
             transmission_vs_detuning(q, [0.0, 1.0], bad)
-        with pytest.raises(ValueError, match="amplitude beta must be finite"):
-            transmission_vs_detuning(q, [0.0, 1.0], 0.0, bad)
 
 
 class TestAnalyticLimits:
@@ -152,9 +156,48 @@ class TestNumericAgreement:
         amp = np.sqrt(0.4 * GAMMA_R)
         # The emitter couples equally to both directions, so <b_out>/beta
         # under a drive from the right is the forward closed form.
-        np.testing.assert_allclose(transmission_numeric(q, beta=amp),
+        lv, _, b_out = emitter_chain([q], 1.0, 0.0, amp)
+        np.testing.assert_allclose(expectation(b_out, steady_state(lv)) / amp,
                                    transmission_analytic(q, q.omega_q, amp),
                                    atol=1e-12)
+
+
+@st.composite
+def lossy_emitters(draw):
+    """An emitter with gamma_r in [0.5, 2], gamma_nr <= 0.2 gamma_r and
+    gamma_phi <= 0.3 gamma_r, a complex drive of flux from 1e-4 to 1e10
+    gamma_r, and a grid of up to 7 detunings within 20 gamma_r."""
+    gr = draw(st.floats(0.5, 2.0))
+    q = QubitParams(omega_q=0.0, gamma_r=gr,
+                    gamma_nr=draw(st.floats(0.0, 0.2)) * gr,
+                    gamma_phi=draw(st.floats(0.0, 0.3)) * gr)
+    flux = draw(wide_powers_over_gbar)
+    amp = np.sqrt(flux * gr) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    grid = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=7))
+    return q, flux, amp, np.array(grid) * gr
+
+
+@PROPERTY
+@given(lossy_emitters())
+def test_one_emitter_is_reciprocal_bit_for_bit(drawn):
+    """One emitter is mirror-symmetric: a drive from the right sees, in
+    <b_out>, exactly what the same drive from the left sees in <a_out>. This
+    is why a diode needs two emitters, and why a single-emitter sweep drives
+    from the left only."""
+    q, flux, amp, grid = drawn
+
+    def sweep(alpha, beta):
+        return _affine_sweep([emitter_chain([replace(q, omega_q=det)], 1.0,
+                                            alpha, beta)
+                              for det in (0.0, 1.0)], grid)
+
+    _, forward, _ = sweep(amp, 0.0)
+    _, _, reverse = sweep(0.0, amp)
+    assert np.array_equal(forward / amp, reverse / amp)
+    if flux <= 1e6:
+        np.testing.assert_allclose(forward / amp,
+                                   transmission_analytic(q, grid, amp),
+                                   rtol=0, atol=1e-12)
 
 
 class TestFluxConservation:
