@@ -20,18 +20,20 @@ the device a diode.
 
 The drive enters H, not the output dissipators (``emitter_chain``), so the
 model is affine in a real factor on the drive, and every solve is one
-``single_qubit._affine_sweep``. There are two ways in, one per job:
+``_drive_sweep``: the model built at 0 and at 1 times a drive, and one
+``single_qubit._affine_sweep`` over the scales. There are two ways in, one
+per job:
 
-- ``power_sweep`` is the one sweep. It solves each side over all its
-  amplitudes at once, and a long sweep solves its two sides, which are two
-  cascaded master equations that share no work, at once on two bound worker
-  threads (``_workers.bound_map``). Its row, ``DiodeOperatingPoint``, is the
-  one result type, and ``operating_point`` and ``transmission`` are
+- ``power_sweep`` is the one sweep. It runs ``_drive_sweep`` once per side
+  over all its amplitudes, and a long sweep solves its two sides, which are
+  two cascaded master equations that share no work, at once on two bound
+  worker threads (``_workers.bound_map``). Its row, ``DiodeOperatingPoint``,
+  is the one result type, and ``operating_point`` and ``transmission`` are
   one-power sweeps.
-- ``_solve_drive`` is the one single-point solve: it scales a drive from
+- ``driven_state`` is the one single-point solve: it scales a drive from
   both sides as one and returns the state with the model it solved.
-  ``driven_state`` and ``spectrum.psd`` read their outputs from it, and a
-  drive from one side gives that side's ``power_sweep`` state bit for bit.
+  ``spectrum.psd`` reads its state and model from it, and a drive from one
+  side gives that side's ``power_sweep`` state bit for bit.
 """
 
 from __future__ import annotations
@@ -107,13 +109,15 @@ class DiodeOperatingPoint(NamedTuple):
 class DrivenState(NamedTuple):
     """Steady state under a general drive from both sides: the output
     fluxes <a_out^dag a_out> and <b_out^dag b_out> in photons/s, and the
-    populations of |gg>, |ge>, |eg>, |ee>."""
+    populations of |gg>, |ge>, |eg>, |ee>. ``model`` is the
+    (L, a_out, b_out) that ``rho`` solves."""
 
     rho: np.ndarray
     dark_population: float
     flux_a: float
     flux_b: float
     populations: tuple[float, float, float, float]
+    model: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # -----------------------------------------------------------------------------
@@ -127,13 +131,19 @@ def optimal_tuning(delta: float, gamma_bar: float) -> tuple[float, float]:
 
 
 def dark_bright_rates(delta: float, gr1: float, gr2: float) -> tuple[float, float]:
-    """Quasi-dark and bright collective decay rates (gamma_D, gamma_B)."""
+    """Quasi-dark and bright collective decay rates (gamma_D, gamma_B);
+    raises ValueError for a non-finite delta or a rate that is not positive."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    for name, rate in (("gr1", gr1), ("gr2", gr2)):
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {rate}")
     if abs(delta) >= 1.0:
         warnings.warn(f"|delta| = {abs(delta):.3f} is outside the perturbative "
                       "regime; gamma_D = delta^2 gbar/2 is a small-delta result",
                       stacklevel=2)
-    gbar = np.sqrt(gr1 * gr2)
-    return 0.5 * delta * delta * gbar, 2.0 * gbar
+    gbar = math.sqrt(gr1 * gr2)
+    return float(0.5 * delta * delta * gbar), 2.0 * gbar
 
 
 def dark_state_population(rho: np.ndarray) -> float | np.ndarray:
@@ -186,24 +196,13 @@ def _drive(direction: str, amp):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _solve_side(c: DiodeConfig, direction: str, amps):
-    """Steady states under a drive from one side, for each real amplitude in
-    ``amps``, as columns (t, dark population) and the side's
-    ``SteadyStates``: t and the dark population are NaN where a point
-    failed.
-
-    One ``_affine_sweep`` over the amplitude, from the side's builds at
-    amplitudes 0 and 1, solves the side. t = <a_out>/a forward, <b_out>/a
-    reverse, and 0 at a = 0.
-    """
-    amps = np.asarray(amps, dtype=float)
-    solved, a_mean, b_mean = _affine_sweep(
-        [diode_model(c, *_drive(direction, amp)) for amp in (0.0, 1.0)], amps)
-    out = a_mean if direction == "forward" else b_mean
-    # A failed point keeps its NaN at a = 0 too.
-    t = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
-                  where=amps != 0)
-    return t, dark_state_population(solved.rho), solved
+def _drive_sweep(c: DiodeConfig, alpha: complex, beta: complex, scales):
+    """The one solve of a diode drive: the ``SteadyStates``, <a_out> and
+    <b_out> (NaN where a point failed) under the drive (x alpha, x beta) at
+    each real scale x in ``scales``, and the model's builds at x = 0 and 1,
+    which one ``_affine_sweep`` solves."""
+    ends = [diode_model(c, x * alpha, x * beta) for x in (0.0, 1.0)]
+    return (*_affine_sweep(ends, scales), ends)
 
 
 def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
@@ -249,47 +248,35 @@ def operating_point(c: DiodeConfig, power: float,
     return row
 
 
-def _solve_drive(c: DiodeConfig, alpha: complex, beta: complex,
-                 info: dict | None = None):
-    """The steady state under complex amplitudes alpha (from the left) and
-    beta (from the right) at once, and the model (L, a_out, b_out) it
-    solves; raises ValueError for a non-finite amplitude and SolverError if
-    the steady state is not unique.
+def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
+                 info: dict | None = None) -> DrivenState:
+    """Solve the device under complex amplitudes alpha (from the left) and
+    beta (from the right) at once: the one single-point solve. Raises
+    ValueError for a non-finite amplitude and SolverError if the steady
+    state is not unique; if ``info`` is a dict, sets the solve's diagnostics
+    in it as a one-power, one-sided ``power_sweep`` sets them.
 
-    The model is built at 0 and at unit total amplitude, and one
-    ``_affine_sweep`` solves it at s = ||(alpha, beta)||, so a drive from
-    one side gives the ``power_sweep`` state of that side. The model at s
-    is formed from the same two builds. If ``info`` is a dict, the solve's
-    diagnostics are set in it as a one-power, one-sided ``power_sweep``
-    sets them.
+    One ``_drive_sweep`` of the drive at unit total amplitude solves it at
+    s = ||(alpha, beta)||, and ``model`` is formed at s from its two builds,
+    so a drive from one side gives that side's ``power_sweep`` state.
     """
     for name, amp in (("alpha", alpha), ("beta", beta)):
         if not np.isfinite(amp):
             raise ValueError(f"drive amplitude {name} must be finite, got {amp}")
     s = math.hypot(abs(alpha), abs(beta)) or 1.0
-    ends = [diode_model(c, x * alpha / s, x * beta / s) for x in (0.0, 1.0)]
-    solved, _, _ = _affine_sweep(ends, [s])
+    solved, _, _, ends = _drive_sweep(c, alpha / s, beta / s, [s])
     if solved.error[0] is not None:
         raise SolverError(solved.error[0])
     if info is not None:
         _gap_diagnostics(info, solved.null_gap[None], solved.residual[None])
-    return solved.rho[0], tuple(m0 + s * (m1 - m0) for m0, m1 in zip(*ends))
-
-
-def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
-                 info: dict | None = None) -> DrivenState:
-    """Solve the device under complex amplitudes alpha (from the left) and
-    beta (from the right) at once: ``_solve_drive``'s state, with the
-    output fluxes of its model. Raises ``_solve_drive``'s ValueError or
-    SolverError, and sets the solve's diagnostics in ``info`` if it is a
-    dict.
-    """
-    rho, (_, a_out, b_out) = _solve_drive(c, alpha, beta, info)
+    model = tuple(m0 + s * (m1 - m0) for m0, m1 in zip(*ends))
+    rho, (_, a_out, b_out) = solved.rho[0], model
     return DrivenState(
         rho=rho, dark_population=dark_state_population(rho),
         flux_a=float(expectation(a_out.conj().T @ a_out, rho).real),
         flux_b=float(expectation(b_out.conj().T @ b_out, rho).real),
-        populations=tuple(float(rho[i, i].real) for i in range(4)))
+        populations=tuple(float(rho[i, i].real) for i in range(4)),
+        model=model)
 
 
 def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
@@ -297,7 +284,7 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     """Transmission, efficiency and dark population over ascending drive
     powers (photon flux |amp|^2), driving from each side in ``sides``.
 
-    Each side solves all its powers in one ``_affine_sweep``. The two sides
+    Each side solves all its powers in one ``_drive_sweep``. The two sides
     share no work: with both in ``sides`` and at least
     _PARALLEL_SIDES_MIN_POWERS powers, they are solved at once, one on each
     of two worker threads bound to their CPUs (``_workers.bound_map``, the
@@ -333,11 +320,17 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     errors: list = [None] * len(powers)
     gaps, resids = [], []
     workers = len(sides) if len(powers) >= _PARALLEL_SIDES_MIN_POWERS else 1
-    solved_sides = bound_map(lambda side: _solve_side(c, side, amps),
-                             sides, workers, "qdiode-sweep")
-    for side, (t_side, dark_side, solved) in zip(sides, solved_sides):
+    solved_sides = bound_map(
+        lambda side: _drive_sweep(c, *_drive(side, 1.0), amps),
+        sides, workers, "qdiode-sweep")
+    for side, (solved, a_mean, b_mean, _) in zip(sides, solved_sides):
         k = _SIDES.index(side)
-        t[k], dark[k] = t_side, dark_side
+        out = a_mean if side == "forward" else b_mean
+        # t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0; a failed
+        # point keeps its NaN at a = 0 too.
+        t[k] = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
+                         where=amps != 0)
+        dark[k] = dark_state_population(solved.rho)
         # A power keeps the message of its first failed side.
         errors = [s if e is None else e for e, s in zip(errors, solved.error)]
         gaps.append(solved.null_gap)

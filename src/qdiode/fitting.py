@@ -99,7 +99,8 @@ def _least_squares(fun, x0) -> _Solution:
     """Minimize 0.5 |r(x)|^2 from x0 (module docstring's algorithm).
 
     ``fun(x)`` returns the residuals r and their Jacobian dr/dx. A trial
-    point whose residuals are not finite counts as a rejected step.
+    point whose residuals or Jacobian are not finite counts as a rejected
+    step.
     Reaching MAX_EVALUATIONS calls of fun returns success=False.
     """
     x = np.array(x0, dtype=float)
@@ -132,7 +133,8 @@ def _least_squares(fun, x0) -> _Solution:
             damped = mu / (sig * sig + mu)
             predicted = 0.5 * float(np.sum(z * z * (1.0 - damped * damped)))
             gain = -1.0
-            if np.all(np.isfinite(r_new)) and predicted > 0.0:
+            if (predicted > 0.0 and np.all(np.isfinite(r_new))
+                    and np.all(np.isfinite(jac_new))):
                 cost_new = 0.5 * float(r_new @ r_new)
                 gain = (cost - cost_new) / predicted
             if gain > 0.0:

@@ -220,9 +220,9 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
     return [MirrorSweepRow(
                 power=float(p),
                 var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,
-                var_i_fwd_analytic=analytic_iq_variance(p_dark_fwd, alpha,
-                                                        sigma_w)[0],
-                var_i_rev_analytic=analytic_iq_variance(p_dark_rev, alpha,
-                                                        sigma_w)[0])
+                var_i_fwd_analytic=float(analytic_iq_variance(
+                    p_dark_fwd, alpha, sigma_w)[0]),
+                var_i_rev_analytic=float(analytic_iq_variance(
+                    p_dark_rev, alpha, sigma_w)[0]))
             for p, alpha, (vi_f, vq_f), (vi_r, vq_r)
             in zip(powers, alphas, variances[0::2], variances[1::2])]

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diode import DiodeConfig, _check_power, _drive, _solve_drive
+from .diode import DiodeConfig, _check_power, _drive, driven_state
 from .fitting import _least_squares
 from .operators import _hermitian_coordinates, real_form, vec
 
@@ -166,11 +166,11 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     ``direction`` is forward|reverse (which side is driven, at photon flux
     ``power``), ``port`` is transmitted|reflected. The grid must be finite
     and symmetric around zero and span at least six expected linewidths of
-    the narrow feature. The steady state and the model are
-    ``diode._solve_drive``'s for a drive from that side at that power: the
-    state is the ``power_sweep`` state of that side, and the spectrum's L
-    and output field are the ones the state solves. A failed solve raises
-    its SolverError. If ``info`` is a dict, the solve's diagnostics are set
+    the narrow feature. The steady state and the model are the
+    ``driven_state`` of a drive from that side at that power: the state is
+    the ``power_sweep`` state of that side, and the spectrum's L and output
+    field are the ``model`` the state solves. A failed solve raises its
+    SolverError. If ``info`` is a dict, the solve's diagnostics are set
     in it as that ``power_sweep`` sets them.
     """
     if port not in ("transmitted", "reflected"):
@@ -187,8 +187,8 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     if omegas.max() - omegas.min() < 6.0 * gamma_est:
         raise ValueError("frequency grid must span at least 6 expected linewidths")
 
-    rho, (lv, a_out, b_out) = _solve_drive(
-        c, *_drive(direction, np.sqrt(power)), info)
+    state = driven_state(c, *_drive(direction, np.sqrt(power)), info)
+    rho, (lv, a_out, b_out) = state.rho, state.model
     # A forward drive is transmitted into a_out, a reverse one into b_out.
     out_op = a_out if (direction == "forward") == (port == "transmitted") else b_out
     elastic = float(abs(np.trace(out_op @ rho)) ** 2)

@@ -21,7 +21,13 @@ from device_strategies import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdiode.diode import _solve_side, dark_state_population, diode_model
+from qdiode.diode import (
+    _drive,
+    _drive_sweep,
+    dark_state_population,
+    diode_model,
+    power_sweep,
+)
 from qdiode.operators import SolverError, expectation, steady_state
 from qdiode.single_qubit import (
     QubitParams,
@@ -45,8 +51,13 @@ def one_sided(c, side, amp):
 @given(lossy_devices(), st.lists(powers_over_gbar, min_size=1, max_size=6),
        sides)
 def test_stacked_side_solve_matches_direct_solves(c, ps, side):
-    amps = np.sqrt(np.sort(ps) * c.gamma_bar)
-    t_col, dark_col, solved = _solve_side(c, side, amps)
+    powers = np.sort(ps) * c.gamma_bar
+    amps = np.sqrt(powers)
+    solved = _drive_sweep(c, *_drive(side, 1.0), amps)[0]
+    rows = power_sweep(c, powers, (side,))
+    t_col = [r.t_forward if side == "forward" else r.t_reverse for r in rows]
+    dark_col = [r.dark_population_forward if side == "forward"
+                else r.dark_population_reverse for r in rows]
     for amp, t, dark, rho_got, error in zip(amps, t_col, dark_col,
                                             solved.rho, solved.error):
         lv, a_out, b_out = one_sided(c, side, amp)

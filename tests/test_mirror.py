@@ -226,6 +226,13 @@ class TestVarianceVsPower:
                 r.var_i_fwd_analytic,
                 analytic_iq_variance(0.5, np.sqrt(r.power), 0.2)[0])
 
+    def test_row_fields_are_python_floats(self):
+        # np.sqrt of a numpy power made the analytic fields np.float64.
+        rows = variance_vs_power(0.5, 0.1, [0.0, 2.0], sigma_w=0.2, seed=7,
+                                 n_samples=256)
+        for r in rows:
+            assert [type(v) for v in r] == [float] * len(r), r
+
     def test_sweep_is_order_independent(self):
         # Child streams are spawned per point, so the point at 3.0 computed
         # beside another power, with the same child seeds, reproduces the

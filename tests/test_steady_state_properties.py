@@ -26,7 +26,7 @@ from svd_reference import hermitian_basis_change, svd_null_vector_states
 from qdiode.diode import (
     DiodeConfig,
     _drive,
-    _solve_side,
+    _drive_sweep,
     dark_bright_rates,
     diode_model,
     optimal_tuning,
@@ -99,7 +99,7 @@ def test_a_failed_solve_is_a_nan_state_beside_its_message(c, ps, side):
 def test_every_returned_state_is_a_density_matrix(c, ps):
     amps = np.sqrt(np.sort(ps) * c.gamma_bar)
     for side in ("forward", "reverse"):
-        solved = _solve_side(c, side, amps)[2]
+        solved = _drive_sweep(c, *_drive(side, 1.0), amps)[0]
         for rho, error in zip(solved.rho, solved.error):
             if error is None:
                 check_density_matrix(rho)
@@ -181,7 +181,7 @@ def test_trace_row_keeps_the_trace_at_rates_of_order_1e8():
         gamma_d, _ = dark_bright_rates(delta, gamma, gamma)
         amps = np.sqrt(np.geomspace(1e-3 * gamma_d, 10.0 * gamma, 60))
         for side in ("forward", "reverse"):
-            solved = _solve_side(c, side, amps)[2]
+            solved = _drive_sweep(c, *_drive(side, 1.0), amps)[0]
             assert solved.error == [None] * amps.size
             traces = np.trace(solved.rho, axis1=1, axis2=2).real
             assert np.max(np.abs(traces - 1.0)) <= 1e-14
