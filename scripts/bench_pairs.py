@@ -1,10 +1,16 @@
 """Paired end-to-end benchmark runs of this tree against a parent checkout.
 
-Imported by the ``bench_*.py`` scripts, which add their own in-process
-measurements. ``pairs`` runs ``perfbench/run.py --trace 0`` on each
-workload, parent and change alternating which runs first, and compares each
-pair's data files (every output but the manifest) byte for byte; ``verdict``
-judges the medians against the bounds of ``BENCHMARK.json`` and a claim on
+    python scripts/bench_pairs.py PARENT_DIR [--workloads W ...] [--pairs N]
+        [--seconds S] [--seed K] [--claim WORKLOAD]
+
+runs ``pairs`` on the workloads (default: all three) and prints ``verdict``
+as JSON; without ``--claim`` it judges no claim, only the bounds. The
+``bench_*.py`` scripts import it and add their own in-process measurements.
+
+``pairs`` runs ``perfbench/run.py --trace 0`` on each workload, parent and
+change alternating which runs first, and compares each pair's data files
+(every output but the manifest) byte for byte; ``verdict`` judges the
+medians against the bounds of ``BENCHMARK.json`` and a claim on
 one workload's ``run_s``.
 
 Importing this module sets one BLAS thread in the environment, as perfbench
@@ -13,6 +19,7 @@ does, so import it before numpy.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -144,3 +151,24 @@ def paired_record(parent: str, claim_workload: str, workloads, n_pairs: int,
             "pairing": PAIRING,
             "pairs": summary,
             "verdict": verdict(summary, claim_workload)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="checkout of the parent commit")
+    ap.add_argument("--workloads", nargs="+", choices=jobs_mod.WORKLOADS,
+                    default=list(jobs_mod.WORKLOADS))
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=36.0)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--claim", choices=jobs_mod.WORKLOADS,
+                    help="the workload whose run_s the change claims to lower")
+    args = ap.parse_args(argv)
+    summary = pairs(os.path.abspath(args.parent), args.workloads, args.pairs,
+                    args.seed, args.seconds)
+    print(json.dumps(verdict(summary, args.claim), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

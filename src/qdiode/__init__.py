@@ -50,7 +50,6 @@ _ORIGIN = {
     "simulate_mirror": "mirror",
     "steady_state": "operators",
     "steady_states": "operators",
-    "transmission": "diode",
     "transmission_analytic": "single_qubit",
     "transmission_vs_detuning": "single_qubit",
     "variance_vs_power": "mirror",

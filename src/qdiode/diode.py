@@ -27,9 +27,9 @@ per job:
 - ``power_sweep`` is the one sweep. It runs ``_drive_sweep`` once per side
   over all its amplitudes, and a long sweep solves its two sides, which are
   two cascaded master equations that share no work, at once on two bound
-  worker threads (``_workers.bound_map``). Its row, ``DiodeOperatingPoint``,
-  is the one result type, and ``operating_point`` and ``transmission`` are
-  one-power sweeps.
+  worker threads (``_workers.bound_map``). It takes one 1-d array of powers
+  in any order, and its row, ``DiodeOperatingPoint``, is the one result
+  type: ``operating_point`` is a one-power sweep.
 - ``driven_state`` is the one single-point solve: it scales a drive from
   both sides as one and returns the state with the model it solved.
   ``spectrum.psd`` reads its state and model from it, and a drive from one
@@ -205,20 +205,6 @@ def _drive_sweep(c: DiodeConfig, alpha: complex, beta: complex, scales):
     return (*_affine_sweep(ends, scales), ends)
 
 
-def transmission(c: DiodeConfig, direction: str, power: float) -> complex:
-    """Directional steady-state transmission amplitude at photon flux
-    ``power`` = |amplitude|^2: the ``power_sweep`` of that one side at that
-    one power, raising the SolverError of a failed solve.
-
-    forward: t = <a_out>/alpha with beta = 0; reverse: t = <b_out>/beta with
-    alpha = 0. As in ``power_sweep``, t = 0 at zero power.
-    """
-    row = power_sweep(c, [power], (direction,))[0]
-    if row.error is not None:
-        raise SolverError(row.error)
-    return row.t_forward if direction == "forward" else row.t_reverse
-
-
 def diode_efficiency(t_f: complex, t_r: complex) -> float:
     """Nonreciprocity measure E = |t_f| (|t_f| - |t_r|) / (|t_f| + |t_r|).
 
@@ -231,10 +217,14 @@ def diode_efficiency(t_f: complex, t_r: complex) -> float:
     return af * (af - ar) / total
 
 
-def _check_power(power: float) -> None:
-    """Raise ValueError unless ``power`` is a finite, nonnegative photon flux."""
-    if not (np.isfinite(power) and power >= 0):
-        raise ValueError(f"drive power must be finite and >= 0, got {power}")
+def _check_power(power) -> None:
+    """Raise ValueError, naming the first bad value, unless ``power`` (a
+    number or an array) holds only finite, nonnegative photon fluxes."""
+    power = np.asarray(power)
+    bad = ~(np.isfinite(power) & (power >= 0))
+    if bad.any():
+        raise ValueError(
+            f"drive power must be finite and >= 0, got {power[bad][0]}")
 
 
 def operating_point(c: DiodeConfig, power: float,
@@ -281,8 +271,9 @@ def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
 
 def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
                 info: dict | None = None) -> list[DiodeOperatingPoint]:
-    """Transmission, efficiency and dark population over ascending drive
-    powers (photon flux |amp|^2), driving from each side in ``sides``.
+    """Transmission, efficiency and dark population at each drive power
+    (photon flux |amp|^2) of the 1-d ``powers``, in any order, one row per
+    power, driving from each side in the tuple ``sides``.
 
     Each side solves all its powers in one ``_drive_sweep``. The two sides
     share no work: with both in ``sides`` and at least
@@ -305,15 +296,17 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     ``"near_degenerate_rows"``, the number of those rows with a side whose
     null gap is below ``single_qubit.NEAR_DEGENERATE_GAP``.
     """
-    powers = list(powers)
-    for p in powers:
-        _check_power(p)
-    if any(p2 < p1 for p1, p2 in zip(powers, powers[1:])):
-        raise ValueError("powers must be sorted ascending")
+    powers = np.asarray(list(powers), dtype=float)
+    if powers.ndim != 1:
+        raise ValueError(f"powers must be 1-d, got shape {powers.shape}")
+    _check_power(powers)
+    if isinstance(sides, str):
+        raise ValueError(f"sides must be a tuple of directions, such as "
+                         f"({sides!r},), not the string {sides!r}")
     unknown = set(sides) - set(_SIDES)
     if unknown:
         raise ValueError(f"unknown direction(s) {sorted(unknown)}")
-    amps = np.sqrt(np.asarray(powers, dtype=float))
+    amps = np.sqrt(powers)
     # One row per direction in _SIDES, one column per power.
     t = np.full((2, len(powers)), complex(np.nan, np.nan))
     dark = np.full((2, len(powers)), np.nan)
@@ -345,7 +338,7 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
                 dark_population_forward=dark_f,
                 dark_population_reverse=dark_r, error=e)
             for p, t_f, t_r, dark_f, dark_r, e
-            in zip(powers, *t.tolist(), *dark.tolist(), errors)]
+            in zip(powers.tolist(), *t.tolist(), *dark.tolist(), errors)]
     if info is not None:
         # One row per solved side, one column per power; keep the accepted.
         shape = (len(sides), len(powers))

@@ -66,6 +66,10 @@ class MirrorModel:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_w < 0:
             raise ValueError("sigma_w must be nonnegative")
+        if (isinstance(self.n_samples, bool)
+                or not isinstance(self.n_samples, (int, np.integer))):
+            raise ValueError(
+                f"n_samples must be an int, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
         if self.dwell_samples < 0:

@@ -281,6 +281,14 @@ class TestValidation:
             MirrorModel(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=10,
                         seed=0, dwell_samples=-1.0)
 
+    @pytest.mark.parametrize("bad", [16.0, True])
+    def test_n_samples_must_be_an_int(self, bad):
+        # 16.0 used to fail in the worker map with numpy's TypeError, and
+        # True was read as one sample.
+        with pytest.raises(ValueError, match="n_samples must be an int"):
+            variance_vs_power(0.5, 0.1, [1.0], sigma_w=0.1, seed=0,
+                              n_samples=bad)
+
     def test_variance_needs_two_samples(self):
         r = IQRecord(i_samples=np.array([1.0]), q_samples=np.array([1.0]))
         with pytest.raises(ValueError, match="two samples"):
