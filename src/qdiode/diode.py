@@ -21,8 +21,9 @@ the device a diode.
 The drive enters H, not the output dissipators (``emitter_chain``), so the
 model is affine in a real factor on the drive, and every solve is one
 ``_drive_sweep``: the model built at 0 and at 1 times a drive, and one
-``single_qubit._affine_sweep`` over the scales. There are two ways in, one
-per job:
+``single_qubit._affine_sweep`` over the scales, which takes one
+eigendecomposition per side (``operators.pencil_states``) and leaves each
+failure to the SVD rule. There are two ways in, one per job:
 
 - ``power_sweep`` is the one sweep. It runs ``_drive_sweep`` once per side
   over all its amplitudes, and a long sweep solves its two sides, which are
@@ -273,7 +274,8 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
                 info: dict | None = None) -> list[DiodeOperatingPoint]:
     """Transmission, efficiency and dark population at each drive power
     (photon flux |amp|^2) of the 1-d ``powers``, in any order, one row per
-    power, driving from each side in the tuple ``sides``.
+    power, driving from each side in the tuple ``sides``, which names one
+    or both directions, each once (ValueError otherwise).
 
     Each side solves all its powers in one ``_drive_sweep``. The two sides
     share no work: with both in ``sides`` and at least
@@ -291,8 +293,10 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     If ``info`` is a dict, three solver diagnostics are set in it from the
     ``null_gap`` and ``residual`` fields of each solved side's
     ``SteadyStates``, over the rows that did not fail: ``"min_null_gap"``,
-    the smallest s_{-2} / s_max, and ``"max_residual"``, the largest
-    residual ||L vec(rho)||, each None if every row failed; and
+    the smallest s_{-2} / s_max, or lower bound on it where the pencil
+    solved the row (see ``operators.pencil_states``), and
+    ``"max_residual"``, the largest residual ||L vec(rho)||, each None if
+    every row failed; and
     ``"near_degenerate_rows"``, the number of those rows with a side whose
     null gap is below ``single_qubit.NEAR_DEGENERATE_GAP``.
     """
@@ -306,6 +310,9 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     unknown = set(sides) - set(_SIDES)
     if unknown:
         raise ValueError(f"unknown direction(s) {sorted(unknown)}")
+    if not sides or len(set(sides)) != len(sides):
+        raise ValueError(f"sides must name each direction to solve once, "
+                         f"got {tuple(sides)!r}")
     amps = np.sqrt(powers)
     # One row per direction in _SIDES, one column per power.
     t = np.full((2, len(powers)), complex(np.nan, np.nan))

@@ -18,7 +18,9 @@ mirror-symmetric, so reciprocal at every power: nonreciprocity needs two.
 mode is solved through it. A real factor on the drive and an emitter's
 detuning each enter L and the output operators affinely (the drive enters
 H, see ``emitter_chain``), so a sweep takes the model built at 0 and 1 only
-and solves its whole grid in one stacked ``steady_states`` call.
+and solves its whole grid in one ``operators.pencil_states`` call: one
+eigendecomposition for the sweep, with every point it cannot prove left to
+the SVD rule of ``operators.steady_states``, which so decides every failure.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .operators import (
     SolverError,
     kron,
     liouvillian_matrix,
+    pencil_states,
     real_form,
-    steady_states,
 )
 
 # A solved point whose null gap s_{-2}/s_max is below this is near the
@@ -138,15 +140,18 @@ def _affine_sweep(ends, xs):
 
     ``ends`` holds the model at 0 and at 1, each ``emitter_chain``'s
     (L, a_out, b_out) for a model affine in x. L(0) and L(1) are converted
-    to real Hermitian coordinates once, the stack L(0) + x (L(1) - L(0)) is
-    solved in one ``steady_states`` call, and the output fields are read out
+    to real Hermitian coordinates once, L(0) + x (L(1) - L(0)) is solved at
+    every x in one ``pencil_states`` call, and the output fields are read out
     of all the states at once. Returns the ``SteadyStates`` and <a_out> and
-    <b_out> at each x, NaN where a point failed.
+    <b_out> at each x, NaN where a point failed. A point's ``null_gap`` is
+    the SVD's where it failed or the SVD solved it, and a lower bound on
+    that gap where the pencil solved it; its values do not depend on the
+    other points of the sweep.
     """
     (lv0, a0, b0), (lv1, a1, b1) = ends
     lv0, lv1 = real_form(lv0), real_form(lv1)
     xs = np.asarray(xs, dtype=float)
-    solved = steady_states(lv0 + xs[:, None, None] * (lv1 - lv0))
+    solved = pencil_states(lv0, lv1, xs)
     # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = O(0) + x (O(1) - O(0)).
     a_mean, b_mean = (np.einsum("ij,nji->n", o0, solved.rho)
                       + xs * np.einsum("ij,nji->n", o1 - o0, solved.rho)

@@ -5,7 +5,8 @@ oracles.
 fails, ``transmission_numeric`` reads one point of the detuning sweep, and
 ``integrated_inelastic`` integrates a spectrum over its grid.
 ``linear_transmission`` is a two-emitter device's transmission in its
-linear limit, from transfer matrices.
+linear limit, from transfer matrices. ``sweep_null_gaps`` gives a diode
+sweep's null gaps from the SVD and its lower bounds from direct inverses.
 ``broadcast_stack_spectrum`` and ``resolvent_spectrum_50_digits`` solve the
 resolvent of ``qdiode.spectrum`` one frequency at a time: by an LU
 factorization of each shifted matrix in double precision, and in 50-digit
@@ -15,8 +16,33 @@ arithmetic.
 import mpmath
 import numpy as np
 
-from qdiode.operators import _density_matrix_problems, vec
+from qdiode.diode import _drive, diode_model
+from qdiode.operators import (
+    _density_matrix_problems,
+    real_form,
+    steady_states,
+    vec,
+)
 from qdiode.single_qubit import transmission_vs_detuning
+
+
+def sweep_null_gaps(c, side, amps):
+    """For one side of a diode sweep over the drive amplitudes ``amps``:
+    each L's null gap s_{-2} / s_max from the SVD of ``steady_states``, and
+    1 / (||M^-1||_F ||L||_F) from a direct inverse of each M, L with row 0
+    replaced by the trace row scaled by ||L(0)||_F. The second is the lower
+    bound ``pencil_states`` reports, formed without its eigendecomposition.
+    """
+    l0, l1 = (real_form(diode_model(c, *_drive(side, x))[0])
+              for x in (0.0, 1.0))
+    stack = l0 + np.asarray(amps)[:, None, None] * (l1 - l0)
+    d = int(round(np.sqrt(l0.shape[0])))
+    bordered = stack.copy()
+    bordered[:, 0, :d] = np.linalg.norm(l0)
+    bordered[:, 0, d:] = 0.0
+    bound = 1.0 / (np.linalg.norm(np.linalg.inv(bordered), axis=(1, 2))
+                   * np.linalg.norm(stack, axis=(1, 2)))
+    return steady_states(stack).null_gap, bound
 
 
 def check_density_matrix(rho):

@@ -25,6 +25,7 @@ import pytest
 from device_strategies import PROPERTY
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sweep_null_gaps
 from sweep_csv_reference import (write_mirror_csv_rowwise,
                                  write_spectrum_table_rowwise,
                                  write_sweep_csv_rowwise,
@@ -720,6 +721,8 @@ class TestCliRuns:
         # Lossless and nearly degenerate: accepted rows sit just above the
         # solver's 1e-10 null-space threshold.
         (2e-5, 1e-10, 3e-10),
+        # Every point takes the pencil route, whose gap is a lower bound:
+        # the range holds for the SVD's gap.
         (DELTA, 1e-4, 1.0),
         # No delta: a sweep-frequency of one emitter, whose smallest nonzero
         # singular value is of order its gamma_2 at every detuning.
@@ -743,7 +746,16 @@ class TestCliRuns:
             (out / "run_manifest.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == sorted(
             ["min_null_gap", "max_residual", "near_degenerate_rows"])
-        assert low < diagnostics["min_null_gap"] < high
+        gap = diagnostics["min_null_gap"]
+        if delta == DELTA:
+            c = _diode_config(load(mode, cfg).params)
+            amps = np.sqrt(np.geomspace(1e-3, 10.0, 100) * c.gamma_bar)
+            gaps, bounds = zip(*(sweep_null_gaps(c, side, amps)
+                                 for side in ("forward", "reverse")))
+            assert gap <= np.min(gaps)
+            assert gap == pytest.approx(np.min(bounds), rel=1e-6)
+            gap = np.min(gaps)
+        assert low < gap < high
         assert 0.0 < diagnostics["max_residual"] < 1e-9 * 2 * np.pi * 70e6
         assert diagnostics["near_degenerate_rows"] == (
             78 if delta == 2e-5 else 0)
@@ -1149,10 +1161,14 @@ class TestCliRuns:
         # message; an exception object among the states would be a second
         # form, and each caller would have to sort it out. Every mode solves
         # through the sweep engine, so none reaches the one-matrix
-        # steady_state, whose raise would be a second route.
+        # steady_state, whose raise would be a second route. The sweep
+        # engine solves through pencil_states, whose every failed point is
+        # steady_states' own.
         assert self.callers("steady_state") == []
         assert self.callers("steady_states") == [
-            ("operators.py", "steady_state"),
+            ("operators.py", "pencil_states"),
+            ("operators.py", "steady_state")]
+        assert self.callers("pencil_states") == [
             ("single_qubit.py", "_affine_sweep")]
         paths = sorted(glob.glob(os.path.join(REPO, "src", "qdiode", "**",
                                               "*.py"), recursive=True))

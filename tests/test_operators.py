@@ -27,6 +27,7 @@ from qdiode.operators import (
     expectation,
     kron,
     liouvillian_matrix,
+    pencil_states,
     real_form,
     steady_state,
     steady_states,
@@ -486,6 +487,16 @@ class TestSteadyStates:
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             steady_states(np.zeros(shape))
+
+    @pytest.mark.parametrize("l0, l1, xs, match", [
+        (np.eye(4), np.eye(16), [1.0], "one shape"),
+        (np.eye(4), np.eye(4), [[1.0]], "1-d"),
+        (np.eye(3), np.eye(3), [1.0], "size 3 "),
+        (np.eye(4) + 0j, np.eye(4), [1.0], "real_form"),
+    ])
+    def test_pencil_states_rejects_bad_input(self, l0, l1, xs, match):
+        with pytest.raises(ValueError, match=match):
+            pencil_states(l0, l1, xs)
 
     def test_steady_state_rejects_a_one_level_liouvillian(self):
         with pytest.raises(ValueError, match="size 1 "):

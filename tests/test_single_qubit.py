@@ -60,7 +60,7 @@ class TestDetuningGrid:
     def test_non_finite_grid_rejected_before_solve(self, bad, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.single_qubit.steady_states", fail)
+        monkeypatch.setattr("qdiode.single_qubit.pencil_states", fail)
         q = make_qubit(gamma_phi=0.01 * GAMMA_R)
         with pytest.raises(ValueError, match="detuning grid must be finite"):
             transmission_vs_detuning(q, [0.0, bad, GAMMA_R],

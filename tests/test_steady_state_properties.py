@@ -10,6 +10,7 @@ no unique steady state at any power.
 """
 
 import numpy as np
+import pytest
 from device_strategies import (
     PROPERTY,
     drive_amplitudes,
@@ -17,10 +18,11 @@ from device_strategies import (
     powers_over_gbar,
     sides,
     single_qubit_devices,
+    wide_powers_over_gbar,
 )
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import check_density_matrix
+from oracles import check_density_matrix, sweep_null_gaps
 from svd_reference import hermitian_basis_change, svd_null_vector_states
 
 from qdiode.diode import (
@@ -33,12 +35,15 @@ from qdiode.diode import (
     power_sweep,
 )
 from qdiode.operators import (
+    PENCIL_MIN_GAP,
     SolverError,
+    _pencil_factors,
+    pencil_states,
     real_form,
     steady_state,
     steady_states,
 )
-from qdiode.single_qubit import QubitParams, emitter_chain
+from qdiode.single_qubit import QubitParams, _gap_diagnostics, emitter_chain
 
 power_lists = st.lists(powers_over_gbar, min_size=1, max_size=6)
 
@@ -119,20 +124,112 @@ def test_symmetric_lossless_device_at_zero_delta_never_solves(gr, ps):
     assert info["min_null_gap"] is None
 
 
-def test_power_sweep_reports_the_smallest_null_gap():
+def side_ends(c, side):
+    """The real forms of L(0) and L(1) of one side's sweep."""
+    return [real_form(diode_model(c, *_drive(side, x))[0]) for x in (0.0, 1.0)]
+
+
+def ideal_lossy_device():
     q1 = QubitParams(omega_q=-0.03, gamma_r=1.0, gamma_nr=0.02, gamma_phi=0.01)
     q2 = QubitParams(omega_q=0.0, gamma_r=0.9, gamma_nr=0.02, gamma_phi=0.01)
-    c = DiodeConfig(q1, q2, 0.03)
+    return DiodeConfig(q1, q2, 0.03)
+
+
+def near_degenerate_rows(solved):
+    """A sweep's ``near_degenerate_rows`` diagnostic, as power_sweep sets
+    it for one side."""
+    info = {}
+    ok = np.array([e is None for e in solved.error], dtype=bool)
+    _gap_diagnostics(info, solved.null_gap[None, ok],
+                     solved.residual[None, ok])
+    return info["near_degenerate_rows"]
+
+
+@PROPERTY
+@given(lossy_devices(), st.lists(wide_powers_over_gbar, min_size=1,
+                                 max_size=40), sides)
+def test_pencil_states_keep_the_svd_rule(c, ps, side):
+    # The pencil keeps a point only where its bound proves that the SVD rule
+    # passes it, so every failure and message is the SVD's.
+    l0, l1 = side_ends(c, side)
+    amps = np.sqrt(np.array(ps) * c.gamma_bar)
+    got = pencil_states(l0, l1, amps)
+    want = steady_states(l0 + amps[:, None, None] * (l1 - l0))
+    assert got.error == want.error
+    ok = np.array([e is None for e in want.error], dtype=bool)
+    assert np.all(np.isnan(got.rho[~ok]))
+    # Each is accurate to about eps / gap, as in the SVD reference test
+    # above: 1e-12 wherever the null gap exceeds 1e-3. The drawn examples
+    # differ by at most 5.6e-13, at a gap of 1.6e-6.
+    deviation = np.max(np.abs(got.rho - want.rho), axis=(1, 2))
+    assert np.all(deviation[ok]
+                  <= np.maximum(1e-12, 1e-15 / want.null_gap[ok]))
+    assert np.all(got.null_gap <= want.null_gap)
+    assert near_degenerate_rows(got) == near_degenerate_rows(want)
+
+
+@pytest.mark.parametrize("side", ["forward", "reverse"])
+def test_a_singular_pencil_leaves_every_point_to_the_svd(side):
+    # Symmetric, lossless and at delta = 0, the undriven device keeps its
+    # dark state, so the bordered L(0) is singular: no point is the pencil's.
+    q = QubitParams(omega_q=0.0, gamma_r=1.0)
+    l0, l1 = side_ends(DiodeConfig(q, q, 0.0), side)
+    assert _pencil_factors(l0, l1) is None
+    amps = np.sqrt(np.geomspace(1e-3, 10.0, 30))
+    got = pencil_states(l0, l1, amps)
+    want = steady_states(l0 + amps[:, None, None] * (l1 - l0))
+    assert got.error == want.error
+    assert all(e is not None for e in got.error)
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("side", ["forward", "reverse"])
+def test_the_near_degenerate_sweep_fails_the_svd_rows(side):
+    # The power-scan benchmark's degenerate job: 70 MHz emitters at
+    # delta = 2e-5, whose strongest 22 drives have no unique steady state.
+    q = QubitParams(omega_q=0.0, gamma_r=2 * np.pi * 70e6)
+    c = DiodeConfig(q, q, 2e-5)
+    l0, l1 = side_ends(c, side)
+    amps = np.sqrt(np.geomspace(1e-3, 10.0, 100) * c.gamma_bar)
+    got = pencil_states(l0, l1, amps)
+    want = steady_states(l0 + amps[:, None, None] * (l1 - l0))
+    assert got.error == want.error
+    assert [k for k, e in enumerate(got.error) if e] == list(range(78, 100))
+    assert near_degenerate_rows(got) == near_degenerate_rows(want) == 78
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_end_leaves_every_point_to_the_svd(bad):
+    l0, l1 = side_ends(ideal_lossy_device(), "forward")
+    l1[3, 5] = bad
+    amps = np.sqrt(np.geomspace(1e-3, 10.0, 5))
+    got = pencil_states(l0, l1, amps)
+    want = steady_states(l0 + amps[:, None, None] * (l1 - l0))
+    assert got.error == want.error == (
+        ["Liouvillian has non-finite entries"] * amps.size)
+    assert np.all(np.isnan(got.rho)) and np.all(np.isnan(got.null_gap))
+
+
+def test_power_sweep_reports_the_smallest_null_gap():
+    c = ideal_lossy_device()
     powers = np.geomspace(1e-3, 10.0, 7) * c.gamma_bar
     info = {}
     rows = power_sweep(c, powers, info=info)
     assert all(r.error is None for r in rows)
-    gaps, resids = [], []
+    svd_gaps, bounds, resids = [], [], []
     for side in ("forward", "reverse"):
-        solved = steady_states(side_stack(c, side, np.sqrt(powers), real_form))
-        gaps.extend(solved.null_gap)
-        resids.extend(solved.residual)
-    assert info["min_null_gap"] == min(gaps)
+        gaps, bound = sweep_null_gaps(c, side, np.sqrt(powers))
+        svd_gaps.extend(gaps)
+        bounds.extend(bound)
+        resids.extend(_drive_sweep(c, *_drive(side, 1.0),
+                                   np.sqrt(powers))[0].residual)
+    # Each bound clears the pencil's floor, so the manifest's gap is the
+    # smallest bound: a lower bound on the SVD's.
+    assert min(bounds) >= PENCIL_MIN_GAP
+    assert info["min_null_gap"] <= min(svd_gaps)
+    assert info["min_null_gap"] == pytest.approx(min(bounds), rel=1e-6)
     assert info["max_residual"] == max(resids)
     assert info["near_degenerate_rows"] == 0
 
