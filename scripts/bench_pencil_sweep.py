@@ -11,15 +11,13 @@ sample is a fresh interpreter that imports qdiode from one tree, the
 parent's and this tree's alternating which goes first.
 
 - ``in_process``: on perfbench power-scan's sweep device at seed 0 (400
-  powers), the median of ``--reps`` calls of one side's
-  ``diode._drive_sweep`` (forward, all 400 powers) and of one
+  powers), the median of ``--reps`` calls of a one-sided
+  ``diode.power_sweep`` (forward, all 400 powers) and of one
   ``diode.driven_state`` (forward, at the middle power), after two warm-up
-  calls; each sample's medians are one entry of its quartiles.
+  calls; each sample's medians are one entry of its quartiles. Both are
+  public calls, so a sample runs in either tree.
 - ``cold_jobs``: perfbench power-scan's sweep and degenerate jobs at seed 0,
   the time inside ``cli.run`` of each.
-- ``workers``: the sweep job in this tree alone, its two sides on two
-  worker threads against inline (the thread floor raised above 400 in the
-  child only), alternating.
 - ``pairs``: ``bench_pairs.paired_record`` on every workload, with the claim
   on power-scan's ``run_s``; with ``--other-seed``, ``claim_on_other_seed``:
   power-scan's pairs at that seed, one not used while the change was
@@ -53,10 +51,10 @@ if kind == "in_process":
     cfg, reps = sys.argv[3], int(sys.argv[4])
     p = config.load("sweep-power", cfg).params
     c = cli._diode_config(p)
-    amps = np.sqrt(np.geomspace(p["power_min_over_gammabar"],
-                                p["power_max_over_gammabar"],
-                                p["n_powers"]) * c.gamma_bar)
-    mid = float(amps[amps.size // 2])
+    powers = np.geomspace(p["power_min_over_gammabar"],
+                          p["power_max_over_gammabar"],
+                          p["n_powers"]) * c.gamma_bar
+    mid = float(np.sqrt(powers[powers.size // 2]))
 
     def median_ms(fn):
         times = []
@@ -67,13 +65,11 @@ if kind == "in_process":
                 times.append(time.perf_counter() - t0)
         return 1e3 * statistics.median(times)
 
-    out = {"drive_sweep_ms": median_ms(
-               lambda: diode._drive_sweep(c, 1.0, 0.0, amps)),
+    out = {"side_sweep_ms": median_ms(
+               lambda: diode.power_sweep(c, powers, ("forward",))),
            "driven_state_ms": median_ms(
                lambda: diode.driven_state(c, mid, 0.0))}
 else:
-    if kind == "inline":
-        diode._PARALLEL_SIDES_MIN_POWERS = 10 ** 9
     t0 = time.perf_counter()
     code = cli.run(sys.argv[3:])
     out = {"code": code, "run_ms": 1e3 * (time.perf_counter() - t0)}
@@ -160,12 +156,6 @@ def main() -> int:
                                 trees[side], "job", *argv[name]))
             for name in ("sweep", "degenerate")}
         print(json.dumps(record["cold_jobs"], indent=1), file=sys.stderr)
-        record["workers"] = {
-            "job": "perfbench power-scan sweep job, seed 0, this tree",
-            **alternate({"two_workers": "job", "inline": "inline"},
-                        args.samples, lambda kind: child(
-                            ROOT, kind, *argv["sweep"]))}
-        print(json.dumps(record["workers"], indent=1), file=sys.stderr)
     if args.pairs:
         record.update(paired_record(args.parent, "power-scan",
                                     args.workloads.split(","), args.pairs,

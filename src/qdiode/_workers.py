@@ -1,18 +1,14 @@
 """The package's one worker map: items shared out among threads bound to the
 CPUs the process may run on.
 
-It serves work whose time goes to numpy and LAPACK calls that release the
-interpreter lock, and whose items share nothing: mirror-mc's records and the
-two sides of a power sweep. A worker holds nothing between items: each item
-makes what it needs, a record its own sample buffer. There is one worker per
-allowed CPU, capped by the caller, and each worker takes every k-th item.
-Each worker binds itself to its own CPU: where the scheduler does not
-balance load (a cpuset with load balancing switched off), a new thread may
-stay on its creator's CPU, and unbound workers then share one core. Only
-the workers' own masks change, never the calling thread's. With one worker
-the items are computed inline and no thread starts; where binding is
-unavailable or refused the workers run unbound. An item's result depends
-only on the item, so the results do not depend on the number of CPUs.
+It serves mirror-mc's records, whose time goes to numpy calls that release
+the interpreter lock and which share nothing. Each worker binds itself to
+its own CPU: where the scheduler does not balance load (a cpuset with load
+balancing switched off), a new thread may stay on its creator's CPU, and
+unbound workers then share one core. Only the workers' own masks change,
+never the calling thread's; where binding is unavailable or refused the
+workers run unbound. An item's result depends only on the item, so the
+results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -21,26 +17,21 @@ import os
 import threading
 
 
-def allowed_cpus() -> list[int]:
-    """The CPUs this process may run on, ascending."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
 def bound_map(fn, items, max_workers: int, name: str) -> list:
     """``[fn(item) for item in items]``, in order, on bound workers.
 
-    There are k = min(len(allowed_cpus()), len(items), max_workers) workers.
-    Worker w, a thread named f"{name}-{w}", binds itself to the w-th allowed
-    CPU and computes items w, w + k, w + 2k, ...; the calling thread only
-    starts and joins them. With one worker the calling thread computes every
-    item, in order. A worker stops at its first exception, which takes the
-    place of its item; once every worker is joined, the first exception in
-    item order is raised. An interrupt of the join stops every worker before
-    its next item.
+    There are k workers, the least of the number of CPUs the process may run
+    on, len(items) and max_workers. Worker w, a thread named f"{name}-{w}",
+    binds itself to the w-th allowed CPU and computes items w, w + k,
+    w + 2k, ...; the calling thread only starts and joins them. With one
+    worker the calling thread computes every item, in order. A worker stops
+    at its first exception, which takes the place of its item; once every
+    worker is joined, the first exception in item order is raised. An
+    interrupt of the join stops every worker before its next item.
     """
-    cpus = allowed_cpus()[:min(len(items), max_workers)]
+    allowed = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+               else range(os.cpu_count() or 1))
+    cpus = sorted(allowed)[:min(len(items), max_workers)]
     results: list = [None] * len(items)
     stop = threading.Event()
 

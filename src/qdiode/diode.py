@@ -20,17 +20,15 @@ the device a diode.
 
 The drive enters H, not the output dissipators (``emitter_chain``), so the
 model is affine in a real factor on the drive, and every solve is one
-``_drive_sweep``: the model built at 0 and at 1 times a drive, and one
-``single_qubit._affine_sweep`` over the scales, which takes one
-eigendecomposition per side (``operators.pencil_states``) and leaves each
+``_drive_sweep``: the model at 0, built once, and at 1 times each drive,
+and one ``single_qubit._affine_sweep`` per drive over the scales, which
+takes one eigendecomposition (``operators.pencil_states``) and leaves each
 failure to the SVD rule. There are two ways in, one per job:
 
-- ``power_sweep`` is the one sweep. It runs ``_drive_sweep`` once per side
-  over all its amplitudes, and a long sweep solves its two sides, which are
-  two cascaded master equations that share no work, at once on two bound
-  worker threads (``_workers.bound_map``). It takes one 1-d array of powers
-  in any order, and its row, ``DiodeOperatingPoint``, is the one result
-  type: ``operating_point`` is a one-power sweep.
+- ``power_sweep`` is the one sweep: one ``_drive_sweep`` of its sides over
+  all its amplitudes, which solves the sides in turn. It takes one 1-d
+  array of powers in any order, and its row, ``DiodeOperatingPoint``, is
+  the one result type: ``operating_point`` is a one-power sweep.
 - ``driven_state`` is the one single-point solve: it scales a drive from
   both sides as one and returns the state with the model it solved.
   ``spectrum.psd`` reads its state and model from it, and a drive from one
@@ -46,12 +44,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._workers import bound_map
 from .operators import SolverError, expectation
 from .single_qubit import (
     QubitParams,
     _affine_sweep,
     _gap_diagnostics,
+    _sweep_ends,
     emitter_chain,
 )
 
@@ -174,18 +172,18 @@ def diode_model(c: DiodeConfig, alpha: complex = 0.0,
     with gamma_phi doubled: the diode applies gamma_phi D[sigma_z], and a
     coherence decays at gamma_1/2 + 2 gamma_phi, not at ``gamma_2``.
     """
+    return emitter_chain(*_chain(c, alpha, beta))
+
+
+def _chain(c: DiodeConfig, alpha: complex = 0.0, beta: complex = 0.0):
+    """The device's ``emitter_chain`` arguments under (alpha, beta)."""
     # ROADMAP item 1 removes this doubling (and edits predicted_linewidth),
     # which gives both models the single-qubit convention.
-    emitters = [replace(q, gamma_phi=2.0 * q.gamma_phi) for q in (c.q1, c.q2)]
-    return emitter_chain(emitters, c.phase, alpha, beta)
+    return ([replace(q, gamma_phi=2.0 * q.gamma_phi) for q in (c.q1, c.q2)],
+            c.phase, alpha, beta)
 
 
 _SIDES = ("forward", "reverse")
-# A sweep of both sides over at least this many powers solves them at once,
-# one per worker. Below it the thread starts, and the two workers' turns at
-# the interpreter lock, cost about as much as they save: the measured
-# crossover on a 2-vCPU host (BENCH_parallel_sides.json, "crossover").
-_PARALLEL_SIDES_MIN_POWERS = 128
 
 
 def _drive(direction: str, amp):
@@ -197,13 +195,14 @@ def _drive(direction: str, amp):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _drive_sweep(c: DiodeConfig, alpha: complex, beta: complex, scales):
-    """The one solve of a diode drive: the ``SteadyStates``, <a_out> and
-    <b_out> (NaN where a point failed) under the drive (x alpha, x beta) at
-    each real scale x in ``scales``, and the model's builds at x = 0 and 1,
-    which one ``_affine_sweep`` solves."""
-    ends = [diode_model(c, x * alpha, x * beta) for x in (0.0, 1.0)]
-    return (*_affine_sweep(ends, scales), ends)
+def _drive_sweep(c: DiodeConfig, drives, scales):
+    """The one solve of diode drives: for each (alpha, beta) in ``drives``,
+    the ``SteadyStates``, <a_out> and <b_out> (NaN where a point failed)
+    under the drive (x alpha, x beta) at each real scale x in ``scales``,
+    and the models at x = 0 (one for all drives) and 1 that it solves."""
+    zero, *ones = _sweep_ends(_chain(c), [_chain(c, *d) for d in drives])
+    return [(*_affine_sweep((zero, one), scales), (zero, one))
+            for one in ones]
 
 
 def diode_efficiency(t_f: complex, t_r: complex) -> float:
@@ -255,7 +254,7 @@ def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
         if not np.isfinite(amp):
             raise ValueError(f"drive amplitude {name} must be finite, got {amp}")
     s = math.hypot(abs(alpha), abs(beta)) or 1.0
-    solved, _, _, ends = _drive_sweep(c, alpha / s, beta / s, [s])
+    [(solved, _, _, ends)] = _drive_sweep(c, [(alpha / s, beta / s)], [s])
     if solved.error[0] is not None:
         raise SolverError(solved.error[0])
     if info is not None:
@@ -277,18 +276,12 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     power, driving from each side in the tuple ``sides``, which names one
     or both directions, each once (ValueError otherwise).
 
-    Each side solves all its powers in one ``_drive_sweep``. The two sides
-    share no work: with both in ``sides`` and at least
-    _PARALLEL_SIDES_MIN_POWERS powers, they are solved at once, one on each
-    of two worker threads bound to their CPUs (``_workers.bound_map``, the
-    worker map mirror-mc uses); otherwise, and with one allowed CPU, in the
-    calling thread, which a one-power sweep never leaves. Each side's values
-    depend on that side alone, so every row, message and diagnostic is the
-    same for any number of CPUs. A side not in ``sides`` gets NaN
-    transmission and dark population, so the efficiency is NaN unless both
-    sides are solved. A power whose solve fails on any side becomes a row of
-    NaN values whose ``error`` is the first failed side's
-    ``SteadyStates.error`` message; the sweep goes on.
+    One ``_drive_sweep`` solves each side's powers in turn; the sides share
+    only the undriven model, so a side's values do not depend on the other.
+    A side not in ``sides`` gets NaN transmission and dark population, so
+    the efficiency is NaN unless both sides are solved. A power whose solve
+    fails on any side becomes a row of NaN values whose ``error`` is the
+    first failed side's ``SteadyStates.error`` message; the sweep goes on.
 
     If ``info`` is a dict, three solver diagnostics are set in it from the
     ``null_gap`` and ``residual`` fields of each solved side's
@@ -319,11 +312,8 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     dark = np.full((2, len(powers)), np.nan)
     errors: list = [None] * len(powers)
     gaps, resids = [], []
-    workers = len(sides) if len(powers) >= _PARALLEL_SIDES_MIN_POWERS else 1
-    solved_sides = bound_map(
-        lambda side: _drive_sweep(c, *_drive(side, 1.0), amps),
-        sides, workers, "qdiode-sweep")
-    for side, (solved, a_mean, b_mean, _) in zip(sides, solved_sides):
+    for side, (solved, a_mean, b_mean, _) in zip(sides, _drive_sweep(
+            c, [_drive(side, 1.0) for side in sides], amps)):
         k = _SIDES.index(side)
         out = a_mean if side == "forward" else b_mean
         # t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0; a failed
@@ -348,8 +338,6 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
             in zip(powers.tolist(), *t.tolist(), *dark.tolist(), errors)]
     if info is not None:
         # One row per solved side, one column per power; keep the accepted.
-        shape = (len(sides), len(powers))
-        gaps = np.reshape(gaps, shape)[:, ~failed]
-        resids = np.reshape(resids, shape)[:, ~failed]
-        _gap_diagnostics(info, gaps, resids)
+        _gap_diagnostics(info, np.array(gaps)[:, ~failed],
+                         np.array(resids)[:, ~failed])
     return rows

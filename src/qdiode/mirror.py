@@ -24,9 +24,8 @@ as ``iq_variance(simulate_mirror(m))``, whose values it equals bit for bit.
 
 The records of a sweep are independent, and most of a record's time goes to
 numpy fills that release the interpreter lock, so the sweep computes them
-through the package's one worker map, ``_workers.bound_map``, which the
-power sweep's two sides share: one thread per CPU the process may run on,
-each bound to its CPU and taking every k-th record, or inline with one.
+through the package's one worker map, ``_workers.bound_map``: one bound
+thread per CPU the process may run on, or inline with one.
 Here the workers are also capped at a scratch-memory budget, since each
 holds one record's buffer at a time. A record's values depend only on its
 own seed, so the outputs do not depend on the number of CPUs.

@@ -17,8 +17,8 @@ mirror-symmetric, so reciprocal at every power: nonreciprocity needs two.
 ``_affine_sweep`` is the one sweep engine, and every steady state of every
 mode is solved through it. A real factor on the drive and an emitter's
 detuning each enter L and the output operators affinely (the drive enters
-H, see ``emitter_chain``), so a sweep takes the model built at 0 and 1 only
-and solves its whole grid in one ``operators.pencil_states`` call: one
+H, see ``emitter_chain``), so a sweep takes the model at 0 and 1 only
+(``_sweep_ends``) and solves its whole grid in one ``pencil_states`` call: one
 eigendecomposition for the sweep, with every point it cannot prove left to
 the SVD rule of ``operators.steady_states``, which so decides every failure.
 """
@@ -112,6 +112,13 @@ def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
     So L is affine in the drive term by term, with no |alpha|^2 terms to
     cancel, and an undriven emitter's coherence decays at ``gamma_2``.
     """
+    h, jumps, outputs = _chain_terms(emitters, phase, alpha, beta)
+    return (liouvillian_matrix(h, jumps), *outputs)
+
+
+def _chain_terms(emitters, phase, alpha, beta):
+    """``emitter_chain``'s H, (rate, operator) jump list and (a_out, b_out);
+    neither the drive nor a detuning enters the jumps."""
     n = len(emitters)
     ident = np.eye(2 ** n)
     sigma_minus, sigma_z = _chain_operators(n)
@@ -128,11 +135,25 @@ def emitter_chain(emitters, phase: complex, alpha: complex = 0.0,
             c, field, shift = c * shift, field * shift + jumps[k], phase
         h = h + 0.5j * (np.conj(c) * field - c * field.conj().T)
         outputs.append((c, field))
-    lv = liouvillian_matrix(
-        h, [(1.0, field) for _, field in outputs]
-        + [(q.gamma_nr, sm) for q, sm in zip(emitters, sigma_minus)]
-        + [(0.5 * q.gamma_phi, sz) for q, sz in zip(emitters, sigma_z)])
-    return (lv, *(c * ident + field for c, field in outputs))
+    return (h, [(1.0, field) for _, field in outputs]
+            + [(q.gamma_nr, sm) for q, sm in zip(emitters, sigma_minus)]
+            + [(0.5 * q.gamma_phi, sz) for q, sz in zip(emitters, sigma_z)],
+            tuple(c * ident + field for c, field in outputs))
+
+
+def _sweep_ends(start, ends):
+    """The models (L, a_out, b_out) at 0 and at each end at 1 of sweeps of a
+    drive or of detunings from 0, from ``_chain_terms``' arguments for each:
+    the dissipators are assembled once, in L(0), and L(1) = L(0) - i[H(1) -
+    H(0), .]. A drive term changes the excitation number and a detuning
+    adds imaginary parts to diagonal entries, real in one emitter's L(0), so
+    each lands on zeros of L(0), and L(1) is ``emitter_chain``'s bit for
+    bit."""
+    h0, jumps, outputs = _chain_terms(*start)
+    lv0 = liouvillian_matrix(h0, jumps)
+    return [(lv0, *outputs)] + [
+        (lv0 + liouvillian_matrix(h - h0, []), *outs)
+        for h, _, outs in (_chain_terms(*end) for end in ends)]
 
 
 def _affine_sweep(ends, xs):
@@ -208,9 +229,9 @@ def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex,
     detunings = np.asarray(detunings, dtype=float)
     if not np.all(np.isfinite(detunings)):
         raise ValueError("detuning grid must be finite")
-    solved, a_mean, _ = _affine_sweep(
-        [emitter_chain([replace(q, omega_q=det)], 1.0, alpha)
-         for det in (0.0, 1.0)], detunings)
+    start, end = (([replace(q, omega_q=det)], 1.0, alpha, 0.0)
+                  for det in (0.0, 1.0))
+    solved, a_mean, _ = _affine_sweep(_sweep_ends(start, [end]), detunings)
     error = next((e for e in solved.error if e is not None), None)
     if error is not None:
         raise SolverError(error)

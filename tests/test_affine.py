@@ -53,7 +53,7 @@ def one_sided(c, side, amp):
 def test_stacked_side_solve_matches_direct_solves(c, ps, side):
     powers = np.sort(ps) * c.gamma_bar
     amps = np.sqrt(powers)
-    solved = _drive_sweep(c, *_drive(side, 1.0), amps)[0]
+    solved = _drive_sweep(c, [_drive(side, 1.0)], amps)[0][0]
     rows = power_sweep(c, powers, (side,))
     t_col = [r.t_forward if side == "forward" else r.t_reverse for r in rows]
     dark_col = [r.dark_population_forward if side == "forward"

@@ -1093,14 +1093,21 @@ class TestCliRuns:
 
     def test_one_builder_assembles_every_liouvillian(self):
         # Every model is a chain of emitters: a second builder could give a
-        # model a convention of its own.
+        # model a convention of its own. A sweep's ends assemble the chain's
+        # terms too, its dissipators once and then each end's commutator.
         assert self.callers("liouvillian_matrix") == [
-            ("single_qubit.py", "emitter_chain")]
+            ("single_qubit.py", "emitter_chain"),
+            ("single_qubit.py", "_sweep_ends"),
+            ("single_qubit.py", "_sweep_ends")]
 
     def test_one_path_solves_every_one_sided_drive(self):
         # operating_point is a one-power sweep, and a general drive and a
         # spectrum's state are the one single-point solve: a second route to
-        # either could give them rows of their own.
+        # either could give them rows of their own. Every sweep's ends are
+        # built with its dissipators assembled once.
+        assert self.callers("_sweep_ends") == [
+            ("diode.py", "_drive_sweep"),
+            ("single_qubit.py", "transmission_vs_detuning")]
         assert self.callers("_affine_sweep") == [
             ("diode.py", "_drive_sweep"),
             ("single_qubit.py", "transmission_vs_detuning")]
@@ -1128,6 +1135,7 @@ class TestCliRuns:
         assert found == {
             ("diode.py", "single_qubit", "_affine_sweep"),
             ("diode.py", "single_qubit", "_gap_diagnostics"),
+            ("diode.py", "single_qubit", "_sweep_ends"),
             ("spectrum.py", "diode", "_check_power"),
             ("spectrum.py", "diode", "_drive"),
             ("spectrum.py", "fitting", "_least_squares"),
@@ -1135,8 +1143,11 @@ class TestCliRuns:
         }
 
     def test_one_worker_map(self):
-        # mirror-mc's records and a power sweep's sides share one bound
-        # worker map; a second one could bind, stop or raise differently.
+        # mirror-mc's records are the one work shared out among threads, on
+        # one bound worker map; a second map could bind, stop or raise
+        # differently, and a power sweep solves its sides in turn.
+        assert self.callers("bound_map") == [("mirror.py",
+                                              "variance_vs_power")]
         paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
                           recursive=True)
         threads, binds = set(), set()

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from oracles import linear_transmission
 from svd_reference import unvec
 
-from qdiode import diode
+from qdiode import single_qubit
 from qdiode.diode import (
     DARK_STATE,
     DiodeConfig,
@@ -559,7 +559,7 @@ class TestOnePath:
         c = self.lossy_diode()
         power = p * c.gamma_bar
         amp = np.sqrt(power)
-        solves = {side: _drive_sweep(c, *_drive(side, 1.0), [amp])
+        solves = {side: _drive_sweep(c, [_drive(side, 1.0)], [amp])[0]
                   for side in ("forward", "reverse")}
         (t_f,) = solves["forward"][1] / amp if amp else [0.0]
         (t_r,) = solves["reverse"][2] / amp if amp else [0.0]
@@ -618,7 +618,7 @@ class TestOnePath:
         # The single-point solve of a drive from one side is the sweep's
         # one-power state of that side, bit for bit.
         amp = np.sqrt(p * c.gamma_bar)
-        solved = _drive_sweep(c, *_drive(side, 1.0), [amp])[0]
+        solved = _drive_sweep(c, [_drive(side, 1.0)], [amp])[0][0]
         assert solved.error[0] is None, solved.error[0]
         rho = driven_state(c, *_drive(side, amp)).rho
         assert np.array_equal(rho, solved.rho[0])
@@ -662,17 +662,31 @@ class TestOnePath:
         got = psd(c, side, port, power, grid).inelastic_psd
         assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def assemblies(monkeypatch):
+        """Log the number of jumps of each Liouvillian assembly."""
+        jumps = []
+        inner = single_qubit.liouvillian_matrix
+
+        def counted(h, jump_list):
+            jumps.append(len(jump_list))
+            return inner(h, jump_list)
+        monkeypatch.setattr(single_qubit, "liouvillian_matrix", counted)
+        return jumps
+
     @pytest.mark.parametrize("solve", ["driven_state", "psd"])
     def test_two_model_builds_per_solve(self, solve, monkeypatch):
-        # The sweep builds the model at 0 and 1, and the output fields (and
-        # psd's L) are formed from those two builds: diode_model runs twice,
-        # each time through the one emitter_chain call it makes.
+        # The sweep builds the model's terms at 0 and 1, and the output
+        # fields (and psd's L) are formed from those two builds; L(0) is
+        # assembled with its dissipators, L(1) - L(0) from H alone.
         builds = []
+        inner = single_qubit._chain_terms
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             builds.append(args)
-            return emitter_chain(*args, **kwargs)
-        monkeypatch.setattr("qdiode.diode.emitter_chain", counted)
+            return inner(*args)
+        monkeypatch.setattr(single_qubit, "_chain_terms", counted)
+        jumps = self.assemblies(monkeypatch)
         c = self.lossy_diode()
         if solve == "driven_state":
             driven_state(c, *np.sqrt(c.gamma_bar) * np.array([0.3, 0.1j]))
@@ -681,105 +695,36 @@ class TestOnePath:
             psd(c, "forward", "transmitted", 0.05 * c.gamma_bar,
                 np.linspace(-10.0 * est, 10.0 * est, 41))
         assert len(builds) == 2
+        assert [n > 0 for n in jumps] == [True, False]
 
+    @pytest.mark.parametrize("solve", ["operating_point", "power_sweep"])
+    def test_sweep_assembles_the_dissipators_once(self, solve, monkeypatch):
+        # Both sides share the model at 0, the one assembly with the
+        # dissipators; each side adds the commutator of its drive.
+        jumps = self.assemblies(monkeypatch)
+        c = self.lossy_diode()
+        if solve == "operating_point":
+            operating_point(c, 0.05 * c.gamma_bar)
+        else:
+            power_sweep(c, np.geomspace(1e-4, 10.0, 400) * c.gamma_bar)
+        assert [n > 0 for n in jumps] == [True, False, False]
 
-class TestParallelSides:
-    """A two-sided sweep of enough powers solves its sides at once, one per
-    bound worker; its outputs do not depend on the CPUs allowed."""
-
-    @staticmethod
-    def sweeps():
-        """A lossy 400-power sweep, and a lossless delta = 2e-5 one whose
-        rows partly fail."""
-        lossy = TestOnePath.lossy_diode()
-        lossless = ideal_diode(delta=2e-5)
-        return [(lossy, np.geomspace(1e-4, 10.0, 400) * lossy.gamma_bar),
-                (lossless, np.geomspace(1e-3, 10.0, 100) * lossless.gamma_bar)]
-
-    @staticmethod
-    def allow_cpus(monkeypatch, n):
-        """Report n allowed CPUs; a worker bound to a CPU that does not
-        exist runs unbound."""
+    def test_no_sweep_starts_a_thread(self, monkeypatch):
+        # The sides are solved in turn in the calling thread, at any length
+        # and however many CPUs the process may use.
         monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(n)), raising=False)
-
-    @staticmethod
-    def spy_sides(monkeypatch, fail=None):
-        """Log (side, thread) of each _drive_sweep call, the side read from
-        alpha; raise for ``fail``."""
-        calls = []
-        inner = diode._drive_sweep
-
-        def spy(c, alpha, beta, scales):
-            side = "forward" if alpha else "reverse"
-            calls.append((side, threading.current_thread()))
-            if side == fail:
-                raise RuntimeError(f"side {side}")
-            return inner(c, alpha, beta, scales)
-
-        monkeypatch.setattr(diode, "_drive_sweep", spy)
-        return calls
-
-    @staticmethod
-    def outputs(c, powers):
-        info: dict = {}
-        rows = power_sweep(c, powers, info=info)
-        return [repr(r) for r in rows], [r.error for r in rows], info
-
-    def test_outputs_equal_with_one_cpu_and_with_the_real_mask(
-            self, monkeypatch):
-        real = [self.outputs(c, powers) for c, powers in self.sweeps()]
-        assert real[0][2]["near_degenerate_rows"] == 0
-        assert 0 < sum(e is not None for e in real[1][1]) < 100
-        self.allow_cpus(monkeypatch, 1)
-        calls = self.spy_sides(monkeypatch)
-        assert [self.outputs(c, powers)
-                for c, powers in self.sweeps()] == real
-        assert {t for _, t in calls} == {threading.current_thread()}
-
-    def test_two_sides_run_on_two_workers(self, monkeypatch):
-        self.allow_cpus(monkeypatch, 8)
-        calls = self.spy_sides(monkeypatch)
-        c, powers = self.sweeps()[0]
-        power_sweep(c, powers)
-        threads = dict(calls)
-        assert sorted(threads) == ["forward", "reverse"]
-        assert [t.name for t in threads.values()] == [
-            "qdiode-sweep-0", "qdiode-sweep-1"]
-
-    def test_short_or_one_sided_sweeps_start_no_thread(self, monkeypatch):
-        self.allow_cpus(monkeypatch, 8)
+                            lambda pid: set(range(8)), raising=False)
 
         def no_start(self):
             raise AssertionError(f"thread {self.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        c, powers = self.sweeps()[0]
-        power = powers[200]
-        operating_point(c, power)
-        power_sweep(c, [power], ("reverse",))
-        power_sweep(c, [power])
-        power_sweep(c, powers[:diode._PARALLEL_SIDES_MIN_POWERS - 1])
-        power_sweep(c, powers, sides=("forward",))
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        self.allow_cpus(monkeypatch, 2)
-        start = threading.active_count()
-        calls = self.spy_sides(monkeypatch, fail="reverse")
-        c, powers = self.sweeps()[0]
-        with pytest.raises(RuntimeError, match="^side reverse$"):
-            power_sweep(c, powers)
-        assert threading.active_count() == start
-        assert threading.current_thread() not in {t for _, t in calls}
-        assert sorted(side for side, _ in calls) == ["forward", "reverse"]
-
-    def test_calling_thread_keeps_its_mask(self):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("os.sched_getaffinity is not available")
-        before = os.sched_getaffinity(0)
-        for c, powers in self.sweeps():
-            power_sweep(c, powers)
-        assert os.sched_getaffinity(0) == before
+        c = self.lossy_diode()
+        powers = np.geomspace(1e-4, 10.0, 400) * c.gamma_bar
+        operating_point(c, powers[200])
+        for n in (1, 127, 128, 400):
+            for sides in (("forward",), ("reverse",), ("forward", "reverse")):
+                power_sweep(c, powers[:n], sides)
 
 
 NON_FINITE_AMPLITUDES = [np.nan, np.inf, -np.inf, complex(1.0, np.nan)]
@@ -812,7 +757,7 @@ class TestBadPowers:
                                                        monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a model was built")
-        monkeypatch.setattr(diode, "diode_model", fail)
+        monkeypatch.setattr(single_qubit, "_chain_terms", fail)
         c = ideal_diode()
         with pytest.raises(ValueError, match="amplitude alpha must be finite"):
             driven_state(c, bad, 0.0)

@@ -104,7 +104,7 @@ def test_a_failed_solve_is_a_nan_state_beside_its_message(c, ps, side):
 def test_every_returned_state_is_a_density_matrix(c, ps):
     amps = np.sqrt(np.sort(ps) * c.gamma_bar)
     for side in ("forward", "reverse"):
-        solved = _drive_sweep(c, *_drive(side, 1.0), amps)[0]
+        solved = _drive_sweep(c, [_drive(side, 1.0)], amps)[0][0]
         for rho, error in zip(solved.rho, solved.error):
             if error is None:
                 check_density_matrix(rho)
@@ -223,8 +223,8 @@ def test_power_sweep_reports_the_smallest_null_gap():
         gaps, bound = sweep_null_gaps(c, side, np.sqrt(powers))
         svd_gaps.extend(gaps)
         bounds.extend(bound)
-        resids.extend(_drive_sweep(c, *_drive(side, 1.0),
-                                   np.sqrt(powers))[0].residual)
+        resids.extend(_drive_sweep(c, [_drive(side, 1.0)],
+                                   np.sqrt(powers))[0][0].residual)
     # Each bound clears the pencil's floor, so the manifest's gap is the
     # smallest bound: a lower bound on the SVD's.
     assert min(bounds) >= PENCIL_MIN_GAP
@@ -278,7 +278,7 @@ def test_trace_row_keeps_the_trace_at_rates_of_order_1e8():
         gamma_d, _ = dark_bright_rates(delta, gamma, gamma)
         amps = np.sqrt(np.geomspace(1e-3 * gamma_d, 10.0 * gamma, 60))
         for side in ("forward", "reverse"):
-            solved = _drive_sweep(c, *_drive(side, 1.0), amps)[0]
+            solved = _drive_sweep(c, [_drive(side, 1.0)], amps)[0][0]
             assert solved.error == [None] * amps.size
             traces = np.trace(solved.rho, axis1=1, axis2=2).real
             assert np.max(np.abs(traces - 1.0)) <= 1e-14
