@@ -15,10 +15,21 @@ CLI imports neither argparse nor gettext, so a run loads no locale
 machinery. Each runner converts units, calls one library function and hands
 its results to ``io``; the solver diagnostics a library call sets in its
 ``info`` dict become the manifest's ``diagnostics``.
+
+Importing this module ends with ``gc.freeze()``: every object alive at that
+point (numpy's and qdiode's module state, about 21k objects) moves
+to the collector's permanent generation, which no later collection walks.
+A cold job exits 15-30 ms sooner for it, because interpreter shutdown
+would otherwise walk those objects in two full collections, and the import
+leaves next to no garbage to keep. The collector stays enabled. A caller
+that imports this module to call ``run`` in its own process, such as a test
+or a notebook, keeps this effect: objects alive at that import are never
+cycle-collected, and objects made after it are collected as usual.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import re
@@ -354,3 +365,8 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+# Last: move the import-time objects out of the collector's reach, so that
+# the full collections at interpreter exit skip them (see the docstring).
+gc.freeze()

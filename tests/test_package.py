@@ -39,16 +39,21 @@ RECORDS = [("config", "Field"), ("config", "RunConfig"),
 def cold_import():
     """sys.modules of a fresh interpreter after ``import qdiode``, after
     ``import qdiode.io`` and after a first ``qdiode.diode``, with what a
-    bare ``import qdiode`` lets a caller reach."""
+    bare ``import qdiode`` lets a caller reach; then the collector's frozen
+    object count after each of those steps and after ``import qdiode.cli``,
+    and whether the collector is still enabled at the end."""
     code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "import gc, json, sys; sys.path.insert(0, sys.argv[1]); "
         "seen = lambda: sorted(m for m in sys.modules "
         "if m == 'numpy' or m.startswith('qdiode')); "
-        "import qdiode; bare = seen(); "
+        "import qdiode; bare = seen(); frozen = [gc.get_freeze_count()]; "
         "reach = {n: hasattr(qdiode, n) for n in ('cli', 'config', 'io')}; "
-        "import qdiode.io; io = seen(); "
+        "import qdiode.io; io = seen(); frozen.append(gc.get_freeze_count()); "
         "same = qdiode.diode.power_sweep is qdiode.power_sweep; "
-        "print(json.dumps([bare, reach, io, seen(), same]))")
+        "after = seen(); frozen.append(gc.get_freeze_count()); "
+        "import qdiode.cli; frozen.append(gc.get_freeze_count()); "
+        "print(json.dumps([bare, reach, io, after, same, frozen, "
+        "gc.isenabled()]))")
     proc = subprocess.run([sys.executable, "-c", code, SRC],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -56,7 +61,7 @@ def cold_import():
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy(cold_import):
-    bare, reach, _, _, _ = cold_import
+    bare, reach, *_ = cold_import
     assert bare == ["qdiode"]
     # cli, config and io were never bound by the package: each still needs
     # its own import.
@@ -64,14 +69,24 @@ def test_bare_import_loads_no_submodule_and_no_numpy(cold_import):
 
 
 def test_io_imports_no_physics_module(cold_import):
-    _, _, io, _, _ = cold_import
+    _, _, io, *_ = cold_import
     assert io == ["numpy", "qdiode", "qdiode.io"]
 
 
 def test_a_submodule_resolves_on_first_use(cold_import):
-    _, _, _, after, same = cold_import
+    _, _, _, after, same, *_ = cold_import
     assert "qdiode.diode" in after
     assert same
+
+
+def test_only_the_cli_import_freezes_the_collector(cold_import):
+    # The library leaves the collector alone; the CLI freezes its
+    # import-time objects so that interpreter exit does not walk them, and
+    # leaves the collector running for what a job allocates.
+    *_, frozen, enabled = cold_import
+    assert frozen[:3] == [0, 0, 0]
+    assert frozen[3] > 0
+    assert enabled
 
 
 @pytest.mark.parametrize("name", [n for n in qdiode.__all__
