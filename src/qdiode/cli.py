@@ -151,7 +151,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str):
     gamma_bar = c.gamma_bar
     direction = p["direction"]
     predicted = predicted_linewidth(c.delta, gamma_bar, c.q1.gamma_nr,
-                                    c.q1.gamma_phi, p["gamma_exc_hz"])
+                                    c.q1.gamma_phi)
     width_scale = 2.0 * linewidth_estimate(c)
     half_span = 0.5 * p["span_linewidths"] * width_scale
     grid = np.linspace(-half_span, half_span, p["n_freq"])

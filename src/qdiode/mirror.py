@@ -23,22 +23,26 @@ variances there, in the same stream order and with the same pairwise sums
 as ``iq_variance(simulate_mirror(m))``, whose values it equals bit for bit.
 
 The records of a sweep are independent, and most of a record's time goes to
-numpy fills that release the interpreter lock, so the sweep computes them
-through the package's one worker map, ``_workers.bound_map``: one bound
-thread per CPU the process may run on, or inline with one.
-Here the workers are also capped at a scratch-memory budget, since each
-holds one record's buffer at a time. A record's values depend only on its
-own seed, so the outputs do not depend on the number of CPUs.
+numpy fills that release the interpreter lock, so the sweep shares them out
+on the package's one worker map, ``_map_records``: one thread per CPU the
+process may run on, or inline with one, capped at a scratch-memory budget
+since each worker holds one record's buffer at a time. Each worker binds
+itself to its own CPU: where the scheduler does not balance load (a cpuset
+with load balancing switched off), a new thread may stay on its creator's
+CPU, and unbound workers then share one core. Only the workers' own masks
+change, never the calling thread's; where binding is unavailable or refused
+the workers run unbound. A record's values depend only on its own seed, so
+the outputs do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from ._workers import bound_map
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,65 @@ _WORKER_BYTES_PER_SAMPLE = 19
 _SCRATCH_BUDGET = 2 ** 28
 
 
+def _map_records(models: list[MirrorModel],
+                 max_threads: int) -> list[tuple[float, float]]:
+    """``[_record_variances(m) for m in models]``, in order, on bound workers.
+
+    There are k workers, the least of the number of CPUs the process may run
+    on, len(models) and max_threads. Worker w, a thread named
+    f"qdiode-mirror-{w}", binds itself to the w-th allowed CPU and computes
+    records w, w + k, w + 2k, ...; the calling thread only starts and joins
+    them. With one worker the calling thread computes every record, in
+    order. A worker stops at its first exception, which takes the place of
+    its record; once every worker is joined, the first exception in record
+    order is raised. An interrupt of the join stops every worker before its
+    next record.
+    """
+    allowed = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+               else range(os.cpu_count() or 1))
+    cpus = sorted(allowed)[:min(len(models), max_threads)]
+    results: list = [None] * len(models)
+    stop = threading.Event()
+
+    def work(w: int) -> None:
+        k = w
+        try:
+            for k in range(w, len(models), len(cpus)):
+                if stop.is_set():
+                    return
+                results[k] = _record_variances(models[k])
+        except Exception as exc:  # raised by the caller after the joins
+            results[k] = exc
+
+    def bound_work(w: int) -> None:
+        try:
+            os.sched_setaffinity(0, {cpus[w]})   # this thread's mask only
+        except (AttributeError, OSError):
+            pass                                 # run unbound
+        work(w)
+
+    if len(cpus) == 1:
+        work(0)
+    else:
+        workers = [threading.Thread(target=bound_work, args=(w,),
+                                    name=f"qdiode-mirror-{w}")
+                   for w in range(len(cpus))]
+        for t in workers:
+            t.start()
+        try:
+            for t in workers:
+                t.join()
+        except BaseException:
+            stop.set()
+            for t in workers:
+                t.join()
+            raise
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
 def analytic_iq_variance(p_dark: float, alpha: complex,
                          sigma_w: float) -> tuple[float, float]:
     """Population-level quadrature variances of the blinking-mirror model."""
@@ -219,7 +282,7 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
               for side, p_dark in enumerate((p_dark_fwd, p_dark_rev))]
     _check_two_samples(n_samples)
     workers = max(1, _SCRATCH_BUDGET // (_WORKER_BYTES_PER_SAMPLE * n_samples))
-    variances = bound_map(_record_variances, models, workers, "qdiode-mirror")
+    variances = _map_records(models, workers)
     return [MirrorSweepRow(
                 power=float(p),
                 var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,

@@ -319,7 +319,7 @@ def fit_lorentzian(s: SpectrumResult) -> LorentzianFit:
 
 
 def predicted_linewidth(delta: float, gamma_bar: float, gamma_nr: float,
-                        gamma_phi: float, gamma_exc: float = 0.0) -> float:
+                        gamma_phi: float) -> float:
     """Analytic FWHM of the quasi-dark emission line (rad/s).
 
     Twice the rate Gamma at which the forward dark-state population relaxes,
@@ -337,8 +337,7 @@ def predicted_linewidth(delta: float, gamma_bar: float, gamma_nr: float,
 
     Hence Gamma = Gamma_in + Gamma_out = 6 gamma_D + gamma_nr + 2 gamma_phi,
     and the lossless FWHM is 6 delta^2 gamma_bar. The lossless forward dark
-    population is Gamma_in / Gamma = 2/3. An optional additive excess
-    broadening models detection-chain noise.
+    population is Gamma_in / Gamma = 2/3.
 
     The rates hold in the window delta^2 gamma_bar << p << gamma_bar. Below
     it the coherence no longer dephases faster than the populations relax,
@@ -355,4 +354,4 @@ def predicted_linewidth(delta: float, gamma_bar: float, gamma_nr: float,
     window, the fit is within 4% of the formula.
     """
     gamma_d = 0.5 * delta * delta * gamma_bar
-    return 2.0 * (6.0 * gamma_d + gamma_nr + 2.0 * gamma_phi) + gamma_exc
+    return 2.0 * (6.0 * gamma_d + gamma_nr + 2.0 * gamma_phi)

@@ -1145,9 +1145,12 @@ class TestCliRuns:
     def test_one_worker_map(self):
         # mirror-mc's records are the one work shared out among threads, on
         # one bound worker map; a second map could bind, stop or raise
-        # differently, and a power sweep solves its sides in turn.
-        assert self.callers("bound_map") == [("mirror.py",
-                                              "variance_vs_power")]
+        # differently, and a power sweep solves its sides in turn. The map
+        # is private to mirror, so a second caller elsewhere would show up
+        # as a new seam in test_private_seams_are_pinned.
+        assert self.callers("_map_records") == [("mirror.py",
+                                                 "variance_vs_power")]
+        assert self.callers("Thread") == [("mirror.py", "_map_records")]
         paths = glob.glob(os.path.join(REPO, "src", "qdiode", "**", "*.py"),
                           recursive=True)
         threads, binds = set(), set()
@@ -1165,7 +1168,7 @@ class TestCliRuns:
                 elif (isinstance(node, ast.Attribute)
                       and node.attr == "sched_setaffinity"):
                     binds.add(name)
-        assert threads == binds == {"_workers.py"}
+        assert threads == binds == {"mirror.py"}
 
     def test_one_form_of_a_failed_solve(self):
         # steady_states reports a failed matrix as a NaN state beside its
@@ -1235,6 +1238,13 @@ class TestExitCodes:
         assert run(["spectrum", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "'n_taus'" in capsys.readouterr().err
+
+    def test_removed_gamma_exc_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, steady_payload(
+            direction="forward", port="transmitted", gamma_exc_hz=0.0))
+        assert run(["spectrum", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "unknown key 'gamma_exc_hz'" in capsys.readouterr().err
 
     def test_ragged_fit_input(self, tmp_path, capsys):
         scan = tmp_path / "scan.csv"

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiode import _workers, mirror
+from qdiode import mirror
 from qdiode.mirror import (
     IQRecord,
     MirrorModel,
@@ -547,8 +547,7 @@ class TestWorkers:
 
         monkeypatch.setattr(threading.Thread, "join", interrupted_join)
         with pytest.raises(KeyboardInterrupt):
-            _workers.bound_map(mirror._record_variances, models, len(models),
-                               "qdiode-mirror")
+            mirror._map_records(models, len(models))
         assert threading.active_count() == start
         # Each worker finished at most the record it was drawing, far from
         # the 100 records each would draw in 1 s.

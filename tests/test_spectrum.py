@@ -529,12 +529,6 @@ class TestPredictedLinewidth:
             slowest, 0.5 * predicted_linewidth(delta, GAMMA, gnr, gphi),
             rtol=0.01)
 
-    def test_excess_broadening_is_additive(self):
-        base = predicted_linewidth(0.03, 1.0, 0.0, 0.0)
-        np.testing.assert_allclose(
-            predicted_linewidth(0.03, 1.0, 0.0, 0.0, gamma_exc=0.7),
-            base + 0.7)
-
     def test_estimate_has_floor(self):
         c = ideal_diode(delta=1e-9)
         np.testing.assert_allclose(linewidth_estimate(c), 1e-6 * c.gamma_bar)
