@@ -51,7 +51,6 @@ _ORIGIN = {
     "steady_state": "operators",
     "steady_states": "operators",
     "transmission_analytic": "single_qubit",
-    "transmission_vs_detuning": "single_qubit",
     "variance_vs_power": "mirror",
 }
 _SUBMODULES = frozenset(_ORIGIN.values())

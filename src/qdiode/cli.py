@@ -44,7 +44,7 @@ from .diode import (DiodeConfig, SolverError, driven_state, operating_point,
                     optimal_tuning, power_sweep)
 from .fitting import FitError, fit_single_qubit
 from .mirror import variance_vs_power
-from .single_qubit import QubitParams, transmission_vs_detuning
+from .single_qubit import QubitParams, transmission_analytic
 from .spectrum import (SpectrumError, fit_lorentzian, linewidth_estimate,
                        predicted_linewidth, psd)
 
@@ -138,11 +138,9 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
     half_span = p["span_linewidths"] * q.gamma_2
     grid = np.linspace(-half_span, half_span, p["n_points"])
     # The file axis is the qubit's detuning from the drive.
-    info: dict = {}
-    t_vals = transmission_vs_detuning(q, grid, amp, info)
     path = os.path.join(out_dir, "frequency_sweep.csv")
-    io.write_transmission_csv(path, grid, t_vals)
-    return [path], [], EXIT_OK, info
+    io.write_transmission_csv(path, grid, transmission_analytic(q, grid, amp))
+    return [path], [], EXIT_OK, {}
 
 
 def _run_spectrum(cfg: RunConfig, out_dir: str):

@@ -19,11 +19,12 @@ asymmetry between drive directions in populating the quasi-dark state makes
 the device a diode.
 
 The drive enters H, not the output dissipators (``emitter_chain``), so the
-model is affine in a real factor on the drive, and every solve is one
-``_drive_sweep``: the model at 0, built once, and at 1 times each drive,
-and one ``single_qubit._affine_sweep`` per drive over the scales, which
-takes one eigendecomposition (``operators.pencil_states``) and leaves each
-failure to the SVD rule. There are two ways in, one per job:
+model is affine in a real factor on the drive, and every steady state of
+every mode is solved by one ``_drive_sweep``: the model at 0, built once,
+and at 1 times each drive, and one ``operators.pencil_states`` call per
+drive over the scales, which takes one eigendecomposition and leaves each
+point it cannot prove to the SVD rule of ``operators.steady_states``, which
+so decides every failure. There are two ways in, one per job:
 
 - ``power_sweep`` is the one sweep: one ``_drive_sweep`` of its sides over
   all its amplitudes, which solves the sides in turn. It takes one 1-d
@@ -44,16 +45,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import SolverError, expectation
-from .single_qubit import (
-    QubitParams,
-    _affine_sweep,
-    _gap_diagnostics,
-    _sweep_ends,
-    emitter_chain,
+from .operators import (
+    SolverError,
+    expectation,
+    liouvillian_matrix,
+    pencil_states,
+    real_form,
 )
+from .single_qubit import QubitParams, _chain_terms, emitter_chain
 
 PI = np.pi
+# A solved point whose null gap s_{-2}/s_max is below this is near the
+# solver's 1e-10 degeneracy threshold, and its state has few correct digits.
+NEAR_DEGENERATE_GAP = 1e-8
 # |+> = (|ge> + |eg>)/sqrt(2) in the basis |gg>, |ge>, |eg>, |ee>
 DARK_STATE = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -199,10 +203,45 @@ def _drive_sweep(c: DiodeConfig, drives, scales):
     """The one solve of diode drives: for each (alpha, beta) in ``drives``,
     the ``SteadyStates``, <a_out> and <b_out> (NaN where a point failed)
     under the drive (x alpha, x beta) at each real scale x in ``scales``,
-    and the models at x = 0 (one for all drives) and 1 that it solves."""
-    zero, *ones = _sweep_ends(_chain(c), [_chain(c, *d) for d in drives])
-    return [(*_affine_sweep((zero, one), scales), (zero, one))
-            for one in ones]
+    and the models (L, a_out, b_out) at x = 0 (one for all drives) and 1
+    that it solves.
+
+    The model is affine in x. Its dissipators are assembled once, in L(0),
+    and L(1) = L(0) - i[H(1) - H(0), .]: a drive term changes the
+    excitation number, so it lands on zeros of L(0), and L(1) is
+    ``diode_model``'s bit for bit. Each drive's L(0) + x (L(1) - L(0)) is
+    solved, in real Hermitian coordinates, at every x in one
+    ``pencil_states`` call, and the output fields are read out of all its
+    states at once. A point's ``null_gap`` is the SVD's where it failed or
+    the SVD solved it, and a lower bound on that gap where the pencil solved
+    it; its values do not depend on the other points of the sweep.
+    """
+    h0, jumps, outs0 = _chain_terms(*_chain(c))
+    lv0 = liouvillian_matrix(h0, jumps)
+    real0, xs = real_form(lv0), np.asarray(scales, dtype=float)
+    sweeps = []
+    for drive in drives:
+        h1, _, outs1 = _chain_terms(*_chain(c, *drive))
+        lv1 = lv0 + liouvillian_matrix(h1 - h0, [])
+        solved = pencil_states(real0, real_form(lv1), xs)
+        # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = O(0) + x (O(1) - O(0)).
+        a_mean, b_mean = (np.einsum("ij,nji->n", o0, solved.rho)
+                          + xs * np.einsum("ij,nji->n", o1 - o0, solved.rho)
+                          for o0, o1 in zip(outs0, outs1))
+        sweeps.append((solved, a_mean, b_mean,
+                       ((lv0, *outs0), (lv1, *outs1))))
+    return sweeps
+
+
+def _gap_diagnostics(info: dict, gaps, residuals) -> None:
+    """Set the smallest null gap, the largest residual (each None without
+    points) and ``near_degenerate_rows``, the number of points with a side
+    whose null gap is below NEAR_DEGENERATE_GAP, from (sides, points)
+    arrays."""
+    info["min_null_gap"] = float(gaps.min()) if gaps.size else None
+    info["max_residual"] = float(residuals.max()) if residuals.size else None
+    info["near_degenerate_rows"] = int(
+        np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
 
 
 def diode_efficiency(t_f: complex, t_r: complex) -> float:
@@ -291,7 +330,7 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     ``"max_residual"``, the largest residual ||L vec(rho)||, each None if
     every row failed; and
     ``"near_degenerate_rows"``, the number of those rows with a side whose
-    null gap is below ``single_qubit.NEAR_DEGENERATE_GAP``.
+    null gap is below ``NEAR_DEGENERATE_GAP``.
     """
     powers = np.asarray(list(powers), dtype=float)
     if powers.ndim != 1:

@@ -44,7 +44,7 @@ EIG_FLOOR = -1e-9
 # this factor below the next one for a one-dimensional null space.
 GAP_FACTOR = 1e6
 # ``pencil_states`` keeps a point's pencil state only where the lower bound on
-# its null gap is at least this, 100 x single_qubit.NEAR_DEGENERATE_GAP, and
+# its null gap is at least this, 100 x diode.NEAR_DEGENERATE_GAP, and
 # its refined normwise backward error is at most PENCIL_BACKWARD_TOL, the
 # resolvent's spectrum.RESOLVENT_BACKWARD_TOL.
 PENCIL_MIN_GAP = 1e-6

@@ -6,44 +6,26 @@ directions, non-radiative decay gamma_nr and pure dephasing gamma_phi. The
 frame rotates at the drive frequency, so an emitter's frequency enters only
 as its detuning from the drive, ``QubitParams.omega_q``. The drives alpha
 (from the left) and beta (from the right), whose squares are photon fluxes
-in photons/s, are arguments of each solve.
+in photons/s, are arguments of each model.
 
 ``emitter_chain`` builds the master equation of emitters cascaded along the
 waveguide (Gardiner, PRL 70, 2269 (1993); Lalumiere et al., PRA 88, 043806
-(2013)): one emitter here, two in ``diode.diode_model``. For one emitter,
-<a_out>/alpha has the closed form ``transmission_analytic``. One emitter is
-mirror-symmetric, so reciprocal at every power: nonreciprocity needs two.
-
-``_affine_sweep`` is the one sweep engine, and every steady state of every
-mode is solved through it. A real factor on the drive and an emitter's
-detuning each enter L and the output operators affinely (the drive enters
-H, see ``emitter_chain``), so a sweep takes the model at 0 and 1 only
-(``_sweep_ends``) and solves its whole grid in one ``pencil_states`` call: one
-eigendecomposition for the sweep, with every point it cannot prove left to
-the SVD rule of ``operators.steady_states``, which so decides every failure.
+(2013)): one emitter here, two in ``diode.diode_model``, whose sweeps
+assemble the chain from ``_chain_terms``. For one emitter, <a_out>/alpha
+has the closed form ``transmission_analytic``, which sweep-frequency
+writes. One emitter is mirror-symmetric, so reciprocal at every power:
+nonreciprocity needs two.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import (
-    SIGMA_MINUS,
-    SIGMA_Z,
-    SolverError,
-    kron,
-    liouvillian_matrix,
-    pencil_states,
-    real_form,
-)
-
-# A solved point whose null gap s_{-2}/s_max is below this is near the
-# solver's 1e-10 degeneracy threshold, and its state has few correct digits.
-NEAR_DEGENERATE_GAP = 1e-8
+from .operators import SIGMA_MINUS, SIGMA_Z, kron, liouvillian_matrix
 
 
 @dataclass(frozen=True)
@@ -141,100 +123,34 @@ def _chain_terms(emitters, phase, alpha, beta):
             tuple(c * ident + field for c, field in outputs))
 
 
-def _sweep_ends(start, ends):
-    """The models (L, a_out, b_out) at 0 and at each end at 1 of sweeps of a
-    drive or of detunings from 0, from ``_chain_terms``' arguments for each:
-    the dissipators are assembled once, in L(0), and L(1) = L(0) - i[H(1) -
-    H(0), .]. A drive term changes the excitation number and a detuning
-    adds imaginary parts to diagonal entries, real in one emitter's L(0), so
-    each lands on zeros of L(0), and L(1) is ``emitter_chain``'s bit for
-    bit."""
-    h0, jumps, outputs = _chain_terms(*start)
-    lv0 = liouvillian_matrix(h0, jumps)
-    return [(lv0, *outputs)] + [
-        (lv0 + liouvillian_matrix(h - h0, []), *outs)
-        for h, _, outs in (_chain_terms(*end) for end in ends)]
-
-
-def _affine_sweep(ends, xs):
-    """Steady states of a model at each real parameter value in ``xs``.
-
-    ``ends`` holds the model at 0 and at 1, each ``emitter_chain``'s
-    (L, a_out, b_out) for a model affine in x. L(0) and L(1) are converted
-    to real Hermitian coordinates once, L(0) + x (L(1) - L(0)) is solved at
-    every x in one ``pencil_states`` call, and the output fields are read out
-    of all the states at once. Returns the ``SteadyStates`` and <a_out> and
-    <b_out> at each x, NaN where a point failed. A point's ``null_gap`` is
-    the SVD's where it failed or the SVD solved it, and a lower bound on
-    that gap where the pencil solved it; its values do not depend on the
-    other points of the sweep.
-    """
-    (lv0, a0, b0), (lv1, a1, b1) = ends
-    lv0, lv1 = real_form(lv0), real_form(lv1)
-    xs = np.asarray(xs, dtype=float)
-    solved = pencil_states(lv0, lv1, xs)
-    # <O> = tr(O rho) = sum_ij O_ij rho_ji, for O = O(0) + x (O(1) - O(0)).
-    a_mean, b_mean = (np.einsum("ij,nji->n", o0, solved.rho)
-                      + xs * np.einsum("ij,nji->n", o1 - o0, solved.rho)
-                      for o0, o1 in ((a0, a1), (b0, b1)))
-    return solved, a_mean, b_mean
-
-
-def _gap_diagnostics(info: dict, gaps, residuals) -> None:
-    """Set the smallest null gap, the largest residual (each None without
-    points) and ``near_degenerate_rows``, the number of points with a side
-    whose null gap is below NEAR_DEGENERATE_GAP, from (sides, points)
-    arrays."""
-    info["min_null_gap"] = float(gaps.min()) if gaps.size else None
-    info["max_residual"] = float(residuals.max()) if residuals.size else None
-    info["near_degenerate_rows"] = int(
-        np.sum(np.any(gaps < NEAR_DEGENERATE_GAP, axis=0)))
-
-
 def transmission_analytic(q: QubitParams, delta_omega, alpha: complex):
-    """Steady-state transmission amplitude of a single driven emitter.
+    """Steady-state transmission <a_out>/alpha of one emitter driven from
+    the left at amplitude alpha, in closed form (Astafiev et al., Science
+    327, 840 (2010)): with x = delta_omega/gamma_2 and the saturation
+    s = 2|alpha|^2 gamma_r/(gamma_1 gamma_2),
 
-    t = 1 - (gamma_r / 2 gamma_2) (1 - i d/gamma_2)
-            / (1 + (d/gamma_2)^2 + 2|alpha|^2 gamma_r/(gamma_1 gamma_2))
+        t = 1 - (gamma_r / 2 gamma_2) (1 - i x) / (1 + x^2 + s).
 
-    ``delta_omega`` may be a scalar or an array (evaluated elementwise).
+    ``delta_omega``, the emitter's detuning from the drive, may be a scalar
+    or an array (evaluated elementwise); ``q.omega_q`` is not used. One
+    emitter is reciprocal, so a drive from the right gives the same
+    <b_out>/beta. Every finite detuning evaluates without overflow, and
+    t -> 1 far from resonance. Raises ValueError for a non-finite amplitude
+    or detuning.
     """
-    g1, g2 = q.gamma_1, q.gamma_2
-    d = np.asarray(delta_omega, dtype=float) / g2
-    sat = 2.0 * abs(alpha) ** 2 * q.gamma_r / (g1 * g2)
-    t = 1.0 - (q.gamma_r / (2.0 * g2)) * (1.0 - 1j * d) / (1.0 + d * d + sat)
-    return complex(t) if np.isscalar(delta_omega) else t
-
-
-def transmission_vs_detuning(q: QubitParams, detunings, alpha: complex,
-                             info: dict | None = None) -> np.ndarray:
-    """Steady-state transmission <a_out>/alpha from the full master equation
-    at each detuning from the drive in ``detunings`` (``q.omega_q`` is not
-    used).
-
-    The drive alpha comes from the left: one emitter is reciprocal, so a
-    drive from the right gives the same <b_out>/beta, bit for bit. The whole
-    grid is one ``_affine_sweep`` over the detuning. Raises ValueError for
-    an undriven emitter, a non-finite amplitude or grid, and SolverError
-    with the first failed point's message.
-
-    If ``info`` is a dict, the solver diagnostics of the grid are set in it
-    as ``power_sweep`` sets them: ``"min_null_gap"``, ``"max_residual"`` and
-    ``"near_degenerate_rows"``.
-    """
-    if alpha == 0:
-        raise ValueError("transmission requires a nonzero drive")
     if not np.isfinite(alpha):
         raise ValueError(f"drive amplitude alpha must be finite, got {alpha}")
-    detunings = np.asarray(detunings, dtype=float)
-    if not np.all(np.isfinite(detunings)):
+    delta = np.asarray(delta_omega, dtype=float)
+    if not np.all(np.isfinite(delta)):
         raise ValueError("detuning grid must be finite")
-    start, end = (([replace(q, omega_q=det)], 1.0, alpha, 0.0)
-                  for det in (0.0, 1.0))
-    solved, a_mean, _ = _affine_sweep(_sweep_ends(start, [end]), detunings)
-    error = next((e for e in solved.error if e is not None), None)
-    if error is not None:
-        raise SolverError(error)
-    if info is not None:
-        _gap_diagnostics(info, solved.null_gap[None], solved.residual[None])
-    return a_mean / alpha
+    r, g2 = abs(alpha), q.gamma_2
+    # r gamma_r/gamma_1 <= r and r/gamma_2 are finite, so s overflows only
+    # where its value is beyond the float range, and there t = 1.
+    sat = 2.0 * (r * (q.gamma_r / q.gamma_1)) * (r / g2)
+    # The fraction times a^2/a^2, a = gamma_2/m and m = max(gamma_2, |delta|),
+    # so that a and a x are at most 1 in magnitude.
+    m = np.maximum(g2, np.abs(delta))
+    a, ax = g2 / m, delta / m
+    t = 1.0 - (0.5 * q.gamma_r / g2) * a * (a - 1j * ax) / (
+        a * a + ax * ax + sat * a * a)
+    return complex(t) if np.isscalar(delta_omega) else t

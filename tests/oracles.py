@@ -2,8 +2,10 @@
 oracles.
 
 ``check_density_matrix`` raises on the first density-matrix test a state
-fails, ``transmission_numeric`` reads one point of the detuning sweep, and
-``integrated_inelastic`` integrates a spectrum over its grid.
+fails, ``transmission_numeric`` solves one emitter's master equation for
+the transmission that ``single_qubit.transmission_analytic`` gives in
+closed form, and ``integrated_inelastic`` integrates a spectrum over its
+grid.
 ``linear_transmission`` is a two-emitter device's transmission in its
 linear limit, from transfer matrices. ``sweep_null_gaps`` gives a diode
 sweep's null gaps from the SVD and its lower bounds from direct inverses.
@@ -19,11 +21,13 @@ import numpy as np
 from qdiode.diode import _drive, diode_model
 from qdiode.operators import (
     _density_matrix_problems,
+    expectation,
     real_form,
+    steady_state,
     steady_states,
     vec,
 )
-from qdiode.single_qubit import transmission_vs_detuning
+from qdiode.single_qubit import emitter_chain
 
 
 def sweep_null_gaps(c, side, amps):
@@ -57,9 +61,14 @@ def check_density_matrix(rho):
 
 
 def transmission_numeric(q, alpha=0.0):
-    """Steady-state transmission from the full master equation at the
-    emitter's own detuning: ``transmission_vs_detuning`` at ``q.omega_q``."""
-    return complex(transmission_vs_detuning(q, [q.omega_q], alpha)[0])
+    """Steady-state transmission <a_out>/alpha of one emitter at its own
+    detuning ``q.omega_q``, driven from the left: ``steady_state`` of the
+    one-emitter ``emitter_chain``. Raises ValueError for an undriven
+    emitter."""
+    if alpha == 0:
+        raise ValueError("transmission requires a nonzero drive")
+    lv, a_out, _ = emitter_chain([q], 1.0, alpha)
+    return complex(expectation(a_out, steady_state(lv)) / alpha)
 
 
 def integrated_inelastic(s):

@@ -1,10 +1,12 @@
 """Affine Liouvillian assembly against direct assembly, on drawn devices.
 
-The sweeps solve L(x) = L(0) + x (L(1) - L(0)) for a real drive amplitude x
-(diode) or a detuning x (single qubit), instead of assembling every point.
-These properties check that form, and the sweep results, against direct
-assembly and direct solves at each point. Hypothesis draws derandomized
-examples, so every run tests the same devices.
+The diode's sweeps solve L(x) = L(0) + x (L(1) - L(0)) for a real drive
+amplitude x, instead of assembling every point. These properties check that
+form, and the sweep results, against direct assembly and direct solves at
+each point. The one-emitter model is affine in its detuning too, and the
+closed form that sweep-frequency writes is checked against direct solves.
+Hypothesis draws derandomized examples, so every run tests the same
+devices.
 """
 
 from dataclasses import replace
@@ -32,7 +34,7 @@ from qdiode.operators import SolverError, expectation, steady_state
 from qdiode.single_qubit import (
     QubitParams,
     emitter_chain,
-    transmission_vs_detuning,
+    transmission_analytic,
 )
 
 
@@ -138,8 +140,10 @@ def test_model_is_affine_in_the_swept_parameter(sweep, data):
 @given(driven_qubits(two_sided=False),
        st.lists(detunings, min_size=1, max_size=6))
 def test_detuning_grid_matches_direct_solves(drive, grid):
+    # sweep-frequency writes the closed form on its grid; it must be the
+    # master equation's transmission at every point.
     q, alpha, _ = drive
-    got = transmission_vs_detuning(q, grid, alpha)
+    got = transmission_analytic(q, grid, alpha)
     for det, t in zip(grid, got):
         lv, a_out, _ = emitter_chain([replace(q, omega_q=det)], 1.0, alpha)
         rho = steady_state(lv)

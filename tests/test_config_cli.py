@@ -724,31 +724,23 @@ class TestCliRuns:
         # Every point takes the pencil route, whose gap is a lower bound:
         # the range holds for the SVD's gap.
         (DELTA, 1e-4, 1.0),
-        # No delta: a sweep-frequency of one emitter, whose smallest nonzero
-        # singular value is of order its gamma_2 at every detuning.
-        (None, 0.1, 1.0),
     ])
     def test_sweep_manifest_reports_the_null_gap(self, tmp_path, delta, low,
                                                  high):
-        mode = "sweep-frequency" if delta is None else "sweep-power"
-        if mode == "sweep-power":
-            payload = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
-                       "delta": delta, "power_min_over_gammabar": 1e-3,
-                       "power_max_over_gammabar": 10.0, "n_powers": 100}
-        else:
-            payload = {"gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
-                       "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
-                       "n_points": 101}
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": delta,
+            "power_min_over_gammabar": 1e-3, "power_max_over_gammabar": 10.0,
+            "n_powers": 100})
         out = tmp_path / "out"
-        assert run([mode, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert run(["sweep-power", "--config", cfg,
+                    "--out", str(out)]) == EXIT_OK
         diagnostics = json.loads(
             (out / "run_manifest.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == sorted(
             ["min_null_gap", "max_residual", "near_degenerate_rows"])
         gap = diagnostics["min_null_gap"]
         if delta == DELTA:
-            c = _diode_config(load(mode, cfg).params)
+            c = _diode_config(load("sweep-power", cfg).params)
             amps = np.sqrt(np.geomspace(1e-3, 10.0, 100) * c.gamma_bar)
             gaps, bounds = zip(*(sweep_null_gaps(c, side, amps)
                                  for side in ("forward", "reverse")))
@@ -759,6 +751,19 @@ class TestCliRuns:
         assert 0.0 < diagnostics["max_residual"] < 1e-9 * 2 * np.pi * 70e6
         assert diagnostics["near_degenerate_rows"] == (
             78 if delta == 2e-5 else 0)
+
+    def test_sweep_frequency_manifest_has_no_diagnostics(self, tmp_path):
+        # sweep-frequency writes the closed form and solves nothing, so it
+        # has no solver diagnostics to report, as fit has none.
+        cfg = write_config(tmp_path, {
+            "gamma_r_hz": 72.4299e6, "gamma_nr_hz": 191.1e3,
+            "gamma_phi_hz": 211.4e3, "power_over_gamma_r": 0.3,
+            "n_points": 101})
+        out = tmp_path / "out"
+        assert run(["sweep-frequency", "--config", cfg,
+                    "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "diagnostics" not in manifest
 
     def test_sweep_manifest_null_gap_without_solved_rows(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -1093,24 +1098,25 @@ class TestCliRuns:
 
     def test_one_builder_assembles_every_liouvillian(self):
         # Every model is a chain of emitters: a second builder could give a
-        # model a convention of its own. A sweep's ends assemble the chain's
-        # terms too, its dissipators once and then each end's commutator.
+        # model a convention of its own. A diode sweep assembles the chain's
+        # terms too, its dissipators once and then each drive's commutator.
         assert self.callers("liouvillian_matrix") == [
-            ("single_qubit.py", "emitter_chain"),
-            ("single_qubit.py", "_sweep_ends"),
-            ("single_qubit.py", "_sweep_ends")]
+            ("diode.py", "_drive_sweep"),
+            ("diode.py", "_drive_sweep"),
+            ("single_qubit.py", "emitter_chain")]
+        assert self.callers("_chain_terms") == [
+            ("diode.py", "_drive_sweep"),
+            ("diode.py", "_drive_sweep"),
+            ("single_qubit.py", "emitter_chain")]
 
     def test_one_path_solves_every_one_sided_drive(self):
         # operating_point is a one-power sweep, and a general drive and a
         # spectrum's state are the one single-point solve: a second route to
-        # either could give them rows of their own. Every sweep's ends are
-        # built with its dissipators assembled once.
-        assert self.callers("_sweep_ends") == [
-            ("diode.py", "_drive_sweep"),
-            ("single_qubit.py", "transmission_vs_detuning")]
-        assert self.callers("_affine_sweep") == [
-            ("diode.py", "_drive_sweep"),
-            ("single_qubit.py", "transmission_vs_detuning")]
+        # either could give them rows of their own. One emitter is never
+        # solved: sweep-frequency writes its closed form, and no other mode
+        # evaluates it.
+        assert self.callers("transmission_analytic") == [
+            ("cli.py", "_run_sweep_frequency")]
         assert self.callers("_drive_sweep") == [("diode.py", "driven_state"),
                                                 ("diode.py", "power_sweep")]
         assert ("diode.py", "operating_point") in self.callers("power_sweep")
@@ -1133,9 +1139,7 @@ class TestCliRuns:
                               if a.name.startswith("_")
                               and not a.name.startswith("__")}
         assert found == {
-            ("diode.py", "single_qubit", "_affine_sweep"),
-            ("diode.py", "single_qubit", "_gap_diagnostics"),
-            ("diode.py", "single_qubit", "_sweep_ends"),
+            ("diode.py", "single_qubit", "_chain_terms"),
             ("spectrum.py", "diode", "_check_power"),
             ("spectrum.py", "diode", "_drive"),
             ("spectrum.py", "fitting", "_least_squares"),
@@ -1173,17 +1177,17 @@ class TestCliRuns:
     def test_one_form_of_a_failed_solve(self):
         # steady_states reports a failed matrix as a NaN state beside its
         # message; an exception object among the states would be a second
-        # form, and each caller would have to sort it out. Every mode solves
-        # through the sweep engine, so none reaches the one-matrix
-        # steady_state, whose raise would be a second route. The sweep
-        # engine solves through pencil_states, whose every failed point is
+        # form, and each caller would have to sort it out. Every mode that
+        # solves does so through the diode's sweep, so none reaches the
+        # one-matrix steady_state, whose raise would be a second route. The
+        # sweep solves through pencil_states, whose every failed point is
         # steady_states' own.
         assert self.callers("steady_state") == []
         assert self.callers("steady_states") == [
             ("operators.py", "pencil_states"),
             ("operators.py", "steady_state")]
         assert self.callers("pencil_states") == [
-            ("single_qubit.py", "_affine_sweep")]
+            ("diode.py", "_drive_sweep")]
         paths = sorted(glob.glob(os.path.join(REPO, "src", "qdiode", "**",
                                               "*.py"), recursive=True))
         found = []
@@ -1300,6 +1304,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "p_over_gammabar" in err and "alpha or beta" in err
         assert not out.exists()
+
+    def test_overflowing_frequency_grid_is_a_config_error(self, tmp_path,
+                                                          capsys):
+        # gamma_2 times the span overflows, so the grid holds infinities: the
+        # closed form refuses it rather than write NaN transmissions.
+        cfg = write_config(tmp_path, {"gamma_r_hz": 1e300,
+                                      "power_over_gamma_r": 0.1,
+                                      "span_linewidths": 1e10})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            # np.linspace warns as it spans the infinite range.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(["sweep-frequency", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: detuning grid must be finite\n")
+        assert not (out / "run_manifest.json").exists()
+
+    def test_far_detuned_frequency_grid_transmits(self, tmp_path):
+        # Every finite detuning has a transmission, |t| -> 1 far from
+        # resonance, where (delta/gamma_2)^2 overflows.
+        cfg = write_config(tmp_path, {"gamma_r_hz": 70e6,
+                                      "power_over_gamma_r": 0.1,
+                                      "span_linewidths": 1e200,
+                                      "n_points": 5})
+        out = tmp_path / "out"
+        assert run(["sweep-frequency", "--config", cfg,
+                    "--out", str(out)]) == EXIT_OK
+        delta, t = io.read_transmission_csv(str(out / "frequency_sweep.csv"))
+        assert np.all(np.isfinite(delta)) and np.all(np.isfinite(t))
+        np.testing.assert_allclose(np.abs(t[[0, 1, 3, 4]]), 1.0, rtol=0,
+                                   atol=1e-15)
 
     def test_missing_config_file(self, tmp_path):
         assert run(["steady-state", "--config", str(tmp_path / "nope.json"),

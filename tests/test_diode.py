@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from oracles import linear_transmission
 from svd_reference import unvec
 
-from qdiode import single_qubit
+from qdiode import diode
 from qdiode.diode import (
     DARK_STATE,
     DiodeConfig,
@@ -666,12 +666,12 @@ class TestOnePath:
     def assemblies(monkeypatch):
         """Log the number of jumps of each Liouvillian assembly."""
         jumps = []
-        inner = single_qubit.liouvillian_matrix
+        inner = diode.liouvillian_matrix
 
         def counted(h, jump_list):
             jumps.append(len(jump_list))
             return inner(h, jump_list)
-        monkeypatch.setattr(single_qubit, "liouvillian_matrix", counted)
+        monkeypatch.setattr(diode, "liouvillian_matrix", counted)
         return jumps
 
     @pytest.mark.parametrize("solve", ["driven_state", "psd"])
@@ -680,12 +680,12 @@ class TestOnePath:
         # fields (and psd's L) are formed from those two builds; L(0) is
         # assembled with its dissipators, L(1) - L(0) from H alone.
         builds = []
-        inner = single_qubit._chain_terms
+        inner = diode._chain_terms
 
         def counted(*args):
             builds.append(args)
             return inner(*args)
-        monkeypatch.setattr(single_qubit, "_chain_terms", counted)
+        monkeypatch.setattr(diode, "_chain_terms", counted)
         jumps = self.assemblies(monkeypatch)
         c = self.lossy_diode()
         if solve == "driven_state":
@@ -739,7 +739,7 @@ class TestBadPowers:
     def no_solve(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.single_qubit.pencil_states", fail)
+        monkeypatch.setattr("qdiode.diode.pencil_states", fail)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_operating_point_rejects(self, bad, no_solve):
@@ -757,7 +757,7 @@ class TestBadPowers:
                                                        monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a model was built")
-        monkeypatch.setattr(single_qubit, "_chain_terms", fail)
+        monkeypatch.setattr(diode, "_chain_terms", fail)
         c = ideal_diode()
         with pytest.raises(ValueError, match="amplitude alpha must be finite"):
             driven_state(c, bad, 0.0)

@@ -5,6 +5,7 @@ Liouvillian are derived independently, so agreement between them to 1e-8
 over a wide detuning/power grid checks both at once.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,8 @@ from oracles import transmission_numeric
 from qdiode.operators import expectation, steady_state
 from qdiode.single_qubit import (
     QubitParams,
-    _affine_sweep,
     emitter_chain,
     transmission_analytic,
-    transmission_vs_detuning,
 )
 
 GAMMA_R = 2.0 * np.pi * 70e6
@@ -56,26 +55,52 @@ class TestParams:
 
 
 class TestDetuningGrid:
+    # Without these checks a grid that overflowed to infinity would be
+    # written as NaN transmissions.
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_grid_rejected_before_solve(self, bad, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.single_qubit.pencil_states", fail)
+    def test_non_finite_grid_rejected_before_solve(self, bad):
         q = make_qubit(gamma_phi=0.01 * GAMMA_R)
         with pytest.raises(ValueError, match="detuning grid must be finite"):
-            transmission_vs_detuning(q, [0.0, bad, GAMMA_R],
-                                     np.sqrt(0.1 * GAMMA_R))
+            transmission_analytic(q, [0.0, bad, GAMMA_R],
+                                  np.sqrt(0.1 * GAMMA_R))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
                                      complex(1.0, np.nan)])
-    def test_non_finite_amplitude_rejected_before_model(self, bad,
-                                                        monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a model was built")
-        monkeypatch.setattr("qdiode.single_qubit.emitter_chain", fail)
-        q = make_qubit()
+    def test_non_finite_amplitude_rejected_before_model(self, bad):
         with pytest.raises(ValueError, match="amplitude alpha must be finite"):
-            transmission_vs_detuning(q, [0.0, 1.0], bad)
+            transmission_analytic(make_qubit(), [0.0, 1.0], bad)
+
+    @pytest.mark.parametrize("power", [0.0, 0.3, 1e6])
+    def test_far_detuned_emitter_transmits_without_overflow(self, power):
+        # (delta/gamma_2)^2 overflows beyond |delta| ~ 1e154 gamma_2; the
+        # scaled form stays finite and gives the far-detuned |t| -> 1.
+        # There t = 1 + i gamma_r / (2 delta) to first order in 1/delta.
+        q = make_qubit(gamma_nr=0.02 * GAMMA_R, gamma_phi=0.01 * GAMMA_R)
+        grid = np.array([-1e200, -1e160, 1e160, 1e200]) * q.gamma_2
+        with warnings.catch_warnings(), np.errstate(over="raise",
+                                                    invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            t = transmission_analytic(q, grid, np.sqrt(power * GAMMA_R))
+        np.testing.assert_array_equal(t.real, 1.0)
+        np.testing.assert_allclose(t.imag, q.gamma_r / (2.0 * grid),
+                                   rtol=1e-12)
+
+    def test_scaled_form_is_the_plain_form(self):
+        # Wherever (delta/gamma_2)^2 does not overflow, the scaled form is
+        # the textbook one to rounding.
+        q = make_qubit(gamma_nr=0.02 * GAMMA_R, gamma_phi=0.01 * GAMMA_R)
+        grid = np.concatenate([np.linspace(-4.0, 4.0, 81),
+                               np.geomspace(4.0, 1e150, 30),
+                               -np.geomspace(4.0, 1e150, 30)]) * q.gamma_2
+        for power in [0.0, 0.3, 1e6]:
+            alpha = np.sqrt(power * GAMMA_R)
+            d = grid / q.gamma_2
+            sat = 2.0 * abs(alpha) ** 2 * q.gamma_r / (q.gamma_1 * q.gamma_2)
+            plain = 1.0 - (q.gamma_r / (2.0 * q.gamma_2)) * (1.0 - 1j * d) / (
+                1.0 + d * d + sat)
+            np.testing.assert_allclose(transmission_analytic(q, grid, alpha),
+                                       plain, rtol=4e-16, atol=4e-16)
 
 
 class TestAnalyticLimits:
@@ -186,13 +211,17 @@ def test_one_emitter_is_reciprocal_bit_for_bit(drawn):
     from the left only."""
     q, flux, amp, grid = drawn
 
-    def sweep(alpha, beta):
-        return _affine_sweep([emitter_chain([replace(q, omega_q=det)], 1.0,
-                                            alpha, beta)
-                              for det in (0.0, 1.0)], grid)
+    def solve(alpha, beta):
+        means = []
+        for det in grid:
+            lv, a_out, b_out = emitter_chain([replace(q, omega_q=det)], 1.0,
+                                             alpha, beta)
+            rho = steady_state(lv)
+            means.append((expectation(a_out, rho), expectation(b_out, rho)))
+        return np.array(means).T
 
-    _, forward, _ = sweep(amp, 0.0)
-    _, _, reverse = sweep(0.0, amp)
+    forward, _ = solve(amp, 0.0)
+    _, reverse = solve(0.0, amp)
     assert np.array_equal(forward / amp, reverse / amp)
     if flux <= 1e6:
         np.testing.assert_allclose(forward / amp,

@@ -290,7 +290,7 @@ class TestPsdValidation:
     def test_bad_power_rejected_before_solve(self, bad, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.single_qubit.pencil_states", fail)
+        monkeypatch.setattr("qdiode.diode.pencil_states", fail)
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)
@@ -301,7 +301,7 @@ class TestPsdValidation:
     def test_non_finite_grid_rejected_before_solve(self, bad, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a steady state was solved")
-        monkeypatch.setattr("qdiode.single_qubit.pencil_states", fail)
+        monkeypatch.setattr("qdiode.diode.pencil_states", fail)
         c = ideal_diode()
         est = linewidth_estimate(c)
         grid = np.linspace(-9 * est, 9 * est, 33)

@@ -29,6 +29,7 @@ from qdiode.diode import (
     DiodeConfig,
     _drive,
     _drive_sweep,
+    _gap_diagnostics,
     dark_bright_rates,
     diode_model,
     optimal_tuning,
@@ -43,7 +44,7 @@ from qdiode.operators import (
     steady_state,
     steady_states,
 )
-from qdiode.single_qubit import QubitParams, _gap_diagnostics, emitter_chain
+from qdiode.single_qubit import QubitParams, emitter_chain
 
 power_lists = st.lists(powers_over_gbar, min_size=1, max_size=6)
 
