@@ -117,6 +117,11 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
     p = cfg.params
     c = _diode_config(p)
     gamma_bar = c.gamma_bar
+    # Checked before the grid is scaled, which would warn as it overflows.
+    power_max = p["power_max_over_gammabar"] * gamma_bar
+    if not math.isfinite(power_max):
+        raise ValueError("drive power must be finite and >= 0, "
+                         f"got {power_max}")
     powers = np.geomspace(p["power_min_over_gammabar"],
                           p["power_max_over_gammabar"],
                           p["n_powers"]) * gamma_bar
@@ -136,6 +141,9 @@ def _run_sweep_frequency(cfg: RunConfig, out_dir: str):
                     gamma_nr=p["gamma_nr_hz"], gamma_phi=p["gamma_phi_hz"])
     amp = math.sqrt(p["power_over_gamma_r"] * q.gamma_r)
     half_span = p["span_linewidths"] * q.gamma_2
+    # np.linspace warns where the span 2 * half_span overflows.
+    if not math.isfinite(2.0 * half_span):
+        raise ValueError("detuning grid must be finite")
     grid = np.linspace(-half_span, half_span, p["n_points"])
     # The file axis is the qubit's detuning from the drive.
     path = os.path.join(out_dir, "frequency_sweep.csv")
@@ -224,7 +232,7 @@ def _run_mirror_mc(cfg: RunConfig, out_dir: str):
                      f"rev = {p_rev:.6g}")
     powers = np.linspace(p["power_min"], p["power_max"], p["n_powers"])
     rows = variance_vs_power(p_fwd, p_rev, powers, p["sigma_w"], cfg.seed,
-                             p["n_samples"], p["dwell_samples"])
+                             p["n_samples"])
     path = os.path.join(out_dir, "mirror_sweep.csv")
     io.write_mirror_csv(path, rows, cfg.seed)
     return [path], notes, EXIT_OK, info

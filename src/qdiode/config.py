@@ -115,7 +115,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "power_min": _num(required=True, minimum=0.0),
         "power_max": _num(required=True, minimum=0.0),
         "n_powers": _int(required=True, minimum=1),
-        "dwell_samples": _num(default=0.0, minimum=0.0),
     },
 }
 

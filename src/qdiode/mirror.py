@@ -11,10 +11,9 @@ For occupation probability P the excess in-phase variance is
     <Delta I^2> = Re(alpha)^2 P (1 - P) + sigma_w^2,
 
 while the out-of-phase quadrature stays at the noise floor for real alpha.
-Sampling X independently per point is the default; an exponential dwell-time
-mode correlates consecutive samples without changing the marginal statistics.
-All randomness flows through counter-based Philox streams so results are
-reproducible bit for bit from the seed.
+The variance does not depend on how long the mirror stays in a state, so
+each X is drawn independently. All randomness flows through counter-based
+Philox streams so results are reproducible bit for bit from the seed.
 
 ``simulate_mirror`` returns a record's samples and is the sample-level
 reference. The sweep, ``variance_vs_power``, never builds a record: it draws
@@ -47,23 +46,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MirrorModel:
-    """Blinking-mirror ensemble description.
-
-    dwell_samples = 0 draws each X independently; a positive value gives the
-    state an exponential holding time with that mean (in samples).
-    """
+    """Blinking-mirror ensemble: each of n_samples states is reflecting
+    with probability p_dark, independently of the others."""
 
     p_dark: float
     alpha: complex
     sigma_w: float
     n_samples: int
     seed: int
-    dwell_samples: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_dark <= 1.0:
             raise ValueError(f"p_dark must lie in [0, 1], got {self.p_dark}")
-        for name in ("alpha", "sigma_w", "dwell_samples"):
+        for name in ("alpha", "sigma_w"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
@@ -75,8 +70,6 @@ class MirrorModel:
                 f"n_samples must be an int, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if self.dwell_samples < 0:
-            raise ValueError("dwell_samples must be nonnegative")
 
 
 class IQRecord(NamedTuple):
@@ -98,26 +91,6 @@ class MirrorSweepRow(NamedTuple):
     var_i_rev_analytic: float
 
 
-def _mirror_states(m: MirrorModel, rng: np.random.Generator,
-                   buf: np.ndarray | None = None) -> np.ndarray:
-    """Boolean states of one record; uniforms are drawn into buf if given."""
-    if m.dwell_samples == 0.0:
-        return rng.random(m.n_samples, out=buf) < m.p_dark
-    # Each sample independently redraws the state with probability q chosen so
-    # holding times are geometric with mean dwell_samples; the marginal stays
-    # Bernoulli(p_dark).
-    q = -np.expm1(-1.0 / m.dwell_samples)
-    redraw = rng.random(m.n_samples, out=buf) < q
-    redraw[0] = True
-    fresh = rng.random(m.n_samples, out=buf) < m.p_dark
-    # Index of each sample's last redraw, in the smallest unsigned dtype
-    # that holds n_samples - 1.
-    idx = np.arange(m.n_samples, dtype=np.min_scalar_type(m.n_samples - 1))
-    idx *= redraw
-    np.maximum.accumulate(idx, out=idx)
-    return fresh[idx]
-
-
 def _rng(m: MirrorModel) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(m.seed)))
 
@@ -125,7 +98,7 @@ def _rng(m: MirrorModel) -> np.random.Generator:
 def simulate_mirror(m: MirrorModel) -> IQRecord:
     """Draw one quadrature record from the blinking-mirror model."""
     rng = _rng(m)
-    x = _mirror_states(m, rng).astype(float)
+    x = (rng.random(m.n_samples) < m.p_dark).astype(float)
     i_samples = np.real(m.alpha) * x + rng.normal(0.0, m.sigma_w, m.n_samples)
     q_samples = np.imag(m.alpha) * x + rng.normal(0.0, m.sigma_w, m.n_samples)
     return IQRecord(i_samples=i_samples, q_samples=q_samples)
@@ -149,31 +122,34 @@ def _record_variances(m: MirrorModel) -> tuple[float, float]:
     in simulate_mirror's order (states, then w, then v), sigma_w * z equals
     normal(0, sigma_w) up to the sign of a zero, and the variance repeats
     np.var(ddof=1)'s steps: pairwise mean, subtract, square, pairwise sum.
+    A variance beyond the float range comes out inf or NaN without a
+    RuntimeWarning; numpy's error state is the calling thread's, so it is
+    set here, in the worker that draws the record.
     """
     n = m.n_samples
     _check_two_samples(n)
     rng = _rng(m)
     buf = np.empty(n)
-    x = _mirror_states(m, rng, buf)
+    x = rng.random(n, out=buf) < m.p_dark
     variances = []
-    for amp in (np.real(m.alpha), np.imag(m.alpha)):
-        rng.standard_normal(out=buf)
-        buf *= m.sigma_w
-        if amp != 0:
-            # Adds amp where X = 1 and leaves the rest, as buf += amp * x
-            # does up to the sign of a zero, without an n-sample temporary.
-            np.add(buf, amp, out=buf, where=x)
-        buf -= buf.mean()
-        np.square(buf, out=buf)
-        variances.append(float(buf.sum() / (n - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amp in (np.real(m.alpha), np.imag(m.alpha)):
+            rng.standard_normal(out=buf)
+            buf *= m.sigma_w
+            if amp != 0:
+                # Adds amp where X = 1 and leaves the rest, as buf += amp * x
+                # does up to the sign of a zero, without an n-sample temporary.
+                np.add(buf, amp, out=buf, where=x)
+            buf -= buf.mean()
+            np.square(buf, out=buf)
+            variances.append(float(buf.sum() / (n - 1)))
     return variances[0], variances[1]
 
 
-# An upper bound on one worker's scratch bytes per record sample: its record's
-# float64 buffer plus, at the peak of a dwell-mode record, three bool arrays
-# and a state index of at most 8 bytes a sample: at most 19 bytes in all.
-_WORKER_BYTES_PER_SAMPLE = 19
-# The workers' scratch together stays under this (2^18 samples: 53 workers).
+# One worker's scratch bytes per record sample: its record's float64 buffer
+# and its bool states.
+_WORKER_BYTES_PER_SAMPLE = 9
+# The workers' scratch together stays under this (2^18 samples: 113 workers).
 _SCRATCH_BUDGET = 2 ** 28
 
 
@@ -251,8 +227,8 @@ def _spawn_seeds(seed: int, n: int) -> list[int]:
 
 
 def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
-                      sigma_w: float, seed: int, n_samples: int = 2 ** 18,
-                      dwell_samples: float = 0.0) -> list[MirrorSweepRow]:
+                      sigma_w: float, seed: int,
+                      n_samples: int = 2 ** 18) -> list[MirrorSweepRow]:
     """Quadrature-variance sweep over drive power for both drive directions.
 
     The field amplitude scales as alpha = sqrt(power); each (power, direction)
@@ -266,7 +242,8 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
     under _SCRATCH_BUDGET. Each record is drawn into a float64 buffer of its
     own and its variances are computed there in place; the rows equal those
     rebuilt from ``simulate_mirror`` and ``iq_variance``, the sample-level
-    reference, bit for bit, whatever the number of CPUs.
+    reference, bit for bit, whatever the number of CPUs. A sample variance
+    that is not finite raises ValueError naming its power.
     """
     powers = np.asarray(powers, dtype=float)
     if not np.all(np.isfinite(powers)):
@@ -276,13 +253,17 @@ def variance_vs_power(p_dark_fwd: float, p_dark_rev: float, powers,
     seeds = _spawn_seeds(seed, 2 * powers.size)
     alphas = [np.sqrt(p) for p in powers]
     models = [MirrorModel(p_dark=p_dark, alpha=alpha, sigma_w=sigma_w,
-                          n_samples=n_samples, seed=seeds[2 * k + side],
-                          dwell_samples=dwell_samples)
+                          n_samples=n_samples, seed=seeds[2 * k + side])
               for k, alpha in enumerate(alphas)
               for side, p_dark in enumerate((p_dark_fwd, p_dark_rev))]
     _check_two_samples(n_samples)
     workers = max(1, _SCRATCH_BUDGET // (_WORKER_BYTES_PER_SAMPLE * n_samples))
     variances = _map_records(models, workers)
+    # One row per power: var_i and var_q forward, then var_i and var_q reverse.
+    bad = ~np.isfinite(np.reshape(variances, (-1, 4))).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"sample variance at power {powers[bad][0]} is not finite")
     return [MirrorSweepRow(
                 power=float(p),
                 var_i_fwd=vi_f, var_i_rev=vi_r, var_q_fwd=vq_f, var_q_rev=vq_r,

@@ -1243,12 +1243,19 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "'n_taus'" in capsys.readouterr().err
 
-    def test_removed_gamma_exc_key_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, steady_payload(
-            direction="forward", port="transmitted", gamma_exc_hz=0.0))
-        assert run(["spectrum", "--config", cfg,
+    @pytest.mark.parametrize("mode, payload, key", [
+        ("spectrum", steady_payload(direction="forward", port="transmitted",
+                                    gamma_exc_hz=0.0), "gamma_exc_hz"),
+        ("mirror-mc", {"p_dark_fwd": 0.6, "p_dark_rev": 0.05, "sigma_w": 0.05,
+                       "power_min": 0.5, "power_max": 2.0, "n_powers": 3,
+                       "dwell_samples": 10.0}, "dwell_samples"),
+    ], ids=["gamma_exc_hz", "dwell_samples"])
+    def test_removed_gamma_exc_key_rejected(self, tmp_path, capsys, mode,
+                                            payload, key):
+        cfg = write_config(tmp_path, payload)
+        assert run([mode, "--config", cfg,
                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "unknown key 'gamma_exc_hz'" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_ragged_fit_input(self, tmp_path, capsys):
         scan = tmp_path / "scan.csv"
@@ -1307,19 +1314,48 @@ class TestExitCodes:
 
     def test_overflowing_frequency_grid_is_a_config_error(self, tmp_path,
                                                           capsys):
-        # gamma_2 times the span overflows, so the grid holds infinities: the
-        # closed form refuses it rather than write NaN transmissions.
-        cfg = write_config(tmp_path, {"gamma_r_hz": 1e300,
-                                      "power_over_gamma_r": 0.1,
-                                      "span_linewidths": 1e10})
+        # gamma_2 times the span overflows, or the span from -half_span to
+        # half_span does: the grid is refused before np.linspace would warn
+        # and fill it with infinities and NaNs.
+        for gamma_r_hz, span in ((1e300, 1e10), (70e6, 5e299)):
+            cfg = write_config(tmp_path, {"gamma_r_hz": gamma_r_hz,
+                                          "power_over_gamma_r": 0.1,
+                                          "span_linewidths": span})
+            out = tmp_path / "out"
+            assert run(["sweep-frequency", "--config", cfg,
+                        "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: detuning grid must be finite\n")
+            assert not (out / "run_manifest.json").exists()
+
+    def test_overflowing_power_grid_is_a_config_error(self, tmp_path, capsys):
+        # gamma_bar times power_max_over_gammabar overflows: refused before
+        # the grid is scaled, which would warn.
+        cfg = write_config(tmp_path, {
+            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
+            "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1e308,
+            "n_powers": 3})
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            # np.linspace warns as it spans the infinite range.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = run(["sweep-frequency", "--config", cfg, "--out", str(out)])
-        assert code == EXIT_CONFIG
+        assert run(["sweep-power", "--config", cfg,
+                    "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: detuning grid must be finite\n")
+            "config error: drive power must be finite and >= 0, got inf\n")
+        assert not (out / "run_manifest.json").exists()
+
+    def test_overflowing_mirror_variance_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        # At alpha = 1e154 the squares of the record's deviations sum beyond
+        # the float range: no inf is written beside the finite closed form.
+        cfg = write_config(tmp_path, {"p_dark_fwd": 0.5, "p_dark_rev": 0.5,
+                                      "sigma_w": 0.1, "power_min": 0,
+                                      "power_max": 1e308, "n_powers": 2,
+                                      "n_samples": 16})
+        out = tmp_path / "out"
+        assert run(["mirror-mc", "--config", cfg,
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: sample variance at power 1e+308 is not finite\n")
+        assert not (out / "mirror_sweep.csv").exists()
         assert not (out / "run_manifest.json").exists()
 
     def test_far_detuned_frequency_grid_transmits(self, tmp_path):

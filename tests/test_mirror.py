@@ -27,9 +27,7 @@ from qdiode import mirror
 from qdiode.mirror import (
     IQRecord,
     MirrorModel,
-    _mirror_states,
     _record_variances,
-    _rng,
     _spawn_seeds,
     analytic_iq_variance,
     iq_variance,
@@ -143,60 +141,6 @@ class TestVarianceOracle:
         assert np.argmax(rows) == 2
 
 
-class TestDwellMode:
-    def test_marginal_occupation_preserved(self):
-        p, n, dwell = 0.3, 2 ** 18, 25.0
-        m = MirrorModel(p_dark=p, alpha=1.0, sigma_w=0.0, n_samples=n,
-                        seed=21, dwell_samples=dwell)
-        r = simulate_mirror(m)
-        occupation = np.mean(r.i_samples)
-        # Correlated samples inflate the standard error by roughly the
-        # square root of twice the dwell time.
-        se = np.sqrt(p * (1.0 - p) / n) * np.sqrt(2.0 * dwell)
-        assert abs(occupation - p) < 4.0 * se
-
-    def test_dwell_correlates_consecutive_samples(self):
-        kwargs = dict(p_dark=0.5, alpha=1.0, sigma_w=0.0, n_samples=2 ** 16,
-                      seed=33)
-        iid = simulate_mirror(MirrorModel(dwell_samples=0.0, **kwargs)).i_samples
-        slow = simulate_mirror(MirrorModel(dwell_samples=50.0, **kwargs)).i_samples
-
-        def lag_one(x):
-            d = x - x.mean()
-            return np.mean(d[1:] * d[:-1]) / np.mean(d * d)
-
-        assert abs(lag_one(iid)) < 0.02
-        assert lag_one(slow) > 0.9
-
-    def test_dwell_variance_matches_analytic(self):
-        p, a, n = 0.4, 1.8, 2 ** 18
-        m = MirrorModel(p_dark=p, alpha=a, sigma_w=0.0, n_samples=n,
-                        seed=55, dwell_samples=10.0)
-        vi, _ = iq_variance(simulate_mirror(m))
-        expected, _ = analytic_iq_variance(p, a, 0.0)
-        se = variance_standard_error(p, a, 0.0, n) * np.sqrt(2.0 * 10.0)
-        assert abs(vi - expected) < 4.0 * se
-
-    @pytest.mark.parametrize("n", [2, 3, 65537])
-    @pytest.mark.parametrize("dwell", [0.3, 4.0, 25.0])
-    def test_states_equal_the_int64_index_construction(self, dwell, n):
-        # The state index is built in the smallest unsigned dtype that holds
-        # n - 1 (uint8 for n = 2 and 3, uint32 for 65537); the states must
-        # be those of an int64 index.
-        m = MirrorModel(p_dark=0.4, alpha=1.0, sigma_w=0.0, n_samples=n,
-                        seed=17, dwell_samples=dwell)
-        rng = _rng(m)
-        q = -np.expm1(-1.0 / m.dwell_samples)
-        redraw = rng.random(n) < q
-        redraw[0] = True
-        fresh = rng.random(n) < m.p_dark
-        idx = np.where(redraw, np.arange(n, dtype=np.int64), 0)
-        np.maximum.accumulate(idx, out=idx)
-        np.testing.assert_array_equal(_mirror_states(m, _rng(m)), fresh[idx])
-        np.testing.assert_array_equal(
-            _mirror_states(m, _rng(m), np.empty(n)), fresh[idx])
-
-
 # ----------------------------------------------------------------------------
 #                         Power sweeps and validation
 # ----------------------------------------------------------------------------
@@ -252,7 +196,9 @@ class TestVarianceVsPower:
 
     @pytest.mark.parametrize("power, message", [
         (-1.0, "powers must be nonnegative"),
-        (np.nan, "powers must be finite"), (np.inf, "powers must be finite")])
+        (np.nan, "powers must be finite"), (np.inf, "powers must be finite"),
+        # At alpha = 1e154 the deviations' squares sum beyond the float range.
+        (1e308, r"^sample variance at power 1e\+308 is not finite$")])
     def test_sweep_row_checks_its_power(self, power, message):
         with pytest.raises(ValueError, match=message):
             variance_vs_power(0.5, 0.1, [power], sigma_w=0.1, seed=1,
@@ -275,11 +221,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_samples"):
             MirrorModel(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=0,
                         seed=0)
-
-    def test_negative_dwell_rejected(self):
-        with pytest.raises(ValueError, match="dwell"):
-            MirrorModel(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=10,
-                        seed=0, dwell_samples=-1.0)
 
     @pytest.mark.parametrize("bad", [16.0, True])
     def test_n_samples_must_be_an_int(self, bad):
@@ -322,13 +263,7 @@ def in_place_variances(m):
 class TestRecordVariances:
     @pytest.mark.parametrize("kwargs", [
         dict(p_dark=0.37, alpha=2.2, sigma_w=0.3, n_samples=4096),
-        dict(p_dark=0.4, alpha=1.8, sigma_w=0.2, n_samples=4096,
-             dwell_samples=10.0),
-        dict(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=4096,
-             dwell_samples=0.3),
         dict(p_dark=0.6, alpha=-1.3 + 0.7j, sigma_w=0.15, n_samples=3001),
-        dict(p_dark=0.6, alpha=-1.3 - 0.7j, sigma_w=0.15, n_samples=3001,
-             dwell_samples=4.0),
         dict(p_dark=0.5, alpha=0.0, sigma_w=0.2, n_samples=1000),
         dict(p_dark=0.5, alpha=-0.5j, sigma_w=0.2, n_samples=1000),
         dict(p_dark=0.3, alpha=1.5 + 0.4j, sigma_w=0.0, n_samples=1000),
@@ -336,8 +271,6 @@ class TestRecordVariances:
         dict(p_dark=0.0, alpha=-2.0, sigma_w=0.0, n_samples=1000),
         dict(p_dark=1.0, alpha=2.0 + 1.0j, sigma_w=0.1, n_samples=1000),
         dict(p_dark=0.5, alpha=1.0 + 1.0j, sigma_w=0.1, n_samples=2),
-        dict(p_dark=0.5, alpha=1.0, sigma_w=0.0, n_samples=2,
-             dwell_samples=1.0),
         dict(p_dark=0.45, alpha=1.1, sigma_w=0.1, n_samples=2 ** 18),
     ])
     def test_equals_the_sample_route(self, kwargs):
@@ -359,27 +292,25 @@ class TestRecordVariances:
            zero_part=st.sampled_from(["none", "re", "im", "both"]),
            sigma_w=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
            n=st.integers(2, 3000),
-           dwell=st.one_of(st.just(0.0), st.floats(0.01, 500.0)),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_the_sample_route_on_drawn_models(
-            self, p_dark, re, im, zero_part, sigma_w, n, dwell, seed):
+            self, p_dark, re, im, zero_part, sigma_w, n, seed):
         alpha = complex(0.0 if zero_part in ("re", "both") else re,
                         0.0 if zero_part in ("im", "both") else im)
         m = MirrorModel(p_dark=p_dark, alpha=alpha, sigma_w=sigma_w,
-                        n_samples=n, seed=seed, dwell_samples=dwell)
+                        n_samples=n, seed=seed)
         assert in_place_variances(m) == reference_variances(m)
 
-    @pytest.mark.parametrize("dwell", [0.0, 7.5])
-    def test_sweep_rows_equal_rows_from_records(self, dwell):
+    def test_sweep_rows_equal_rows_from_records(self):
         p_fwd, p_rev, sw, seed, n = 0.55, 0.08, 0.12, 314, 5000
         powers = [0.0, 0.25, 1.0, 2.5]
         rows = variance_vs_power(p_fwd, p_rev, powers, sigma_w=sw, seed=seed,
-                                 n_samples=n, dwell_samples=dwell)
+                                 n_samples=n)
         seeds = _spawn_seeds(seed, 2 * len(powers))
         for k, (p, row) in enumerate(zip(powers, rows)):
             fwd, rev = (reference_variances(MirrorModel(
                 p_dark=pd, alpha=np.sqrt(p), sigma_w=sw, n_samples=n,
-                seed=s, dwell_samples=dwell))
+                seed=s))
                 for pd, s in ((p_fwd, seeds[2 * k]),
                               (p_rev, seeds[2 * k + 1])))
             assert row.power == p
@@ -388,7 +319,7 @@ class TestRecordVariances:
             # The sweep of the powers up to this one ends with the same row.
             assert variance_vs_power(
                 p_fwd, p_rev, powers[:k + 1], sigma_w=sw, seed=seed,
-                n_samples=n, dwell_samples=dwell)[-1] == row
+                n_samples=n)[-1] == row
 
 
 # ----------------------------------------------------------------------------
@@ -438,13 +369,11 @@ def allow_cpus(monkeypatch, n):
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("dwell", [0.0, 7.5])
-    def test_rows_equal_with_one_cpu_and_with_the_real_mask(
-            self, monkeypatch, dwell):
-        real = variance_vs_power(**SWEEP, dwell_samples=dwell)
+    def test_rows_equal_with_one_cpu_and_with_the_real_mask(self, monkeypatch):
+        real = variance_vs_power(**SWEEP)
         allow_cpus(monkeypatch, 1)
         calls = spy_records(monkeypatch)
-        assert variance_vs_power(**SWEEP, dwell_samples=dwell) == real
+        assert variance_vs_power(**SWEEP) == real
         # One allowed CPU: every record is computed inline, in order.
         assert [k for k, _, _ in calls] == list(range(10))
         assert {t for _, t, _ in calls} == {threading.current_thread()}
@@ -568,11 +497,10 @@ class TestWorkers:
         if workers == 1:
             assert {t for _, t, _ in calls} == {threading.current_thread()}
 
-    @pytest.mark.parametrize("dwell", [0.0, 7.5])
-    def test_worker_scratch_within_its_estimate(self, dwell):
+    def test_worker_scratch_within_its_estimate(self):
         n = 2 ** 15
         m = MirrorModel(p_dark=0.3, alpha=1.0 + 0.5j, sigma_w=0.1,
-                        n_samples=n, seed=5, dwell_samples=dwell)
+                        n_samples=n, seed=5)
         _record_variances(m)   # first-call allocations
         tracemalloc.start()
         try:
@@ -593,13 +521,12 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("field, bad", [
         ("sigma_w", np.nan), ("sigma_w", np.inf),
-        ("dwell_samples", np.nan), ("dwell_samples", np.inf),
         ("alpha", np.nan), ("alpha", np.inf), ("alpha", complex(1.0, np.nan)),
         ("alpha", complex(-np.inf, 0.0)),
     ])
     def test_non_finite_model_field_rejected(self, field, bad):
         kwargs = dict(p_dark=0.5, alpha=1.0, sigma_w=0.1, n_samples=10,
-                      seed=0, dwell_samples=0.0)
+                      seed=0)
         kwargs[field] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             MirrorModel(**kwargs)
