@@ -11,11 +11,11 @@ sample is a fresh interpreter that imports qdiode from one tree, the
 parent's and this tree's alternating which goes first.
 
 - ``in_process``: on perfbench power-scan's sweep device at seed 0 (400
-  powers), the median of ``--reps`` calls of a one-sided
-  ``diode.power_sweep`` (forward, all 400 powers) and of one
-  ``diode.driven_state`` (forward, at the middle power), after two warm-up
-  calls; each sample's medians are one entry of its quartiles. Both are
-  public calls, so a sample runs in either tree.
+  powers), the median of ``--reps`` calls of ``diode.power_sweep`` (both
+  sides, 800 solves) and of one ``diode.driven_state`` (forward, at the
+  middle power), after two warm-up calls; each sample's medians are one
+  entry of its quartiles. Both are public calls, so a sample runs in either
+  tree.
 - ``cold_jobs``: perfbench power-scan's sweep and degenerate jobs at seed 0,
   the time inside ``cli.run`` of each.
 - ``pairs``: ``bench_pairs.paired_record`` on every workload, with the claim
@@ -65,8 +65,7 @@ if kind == "in_process":
                 times.append(time.perf_counter() - t0)
         return 1e3 * statistics.median(times)
 
-    out = {"side_sweep_ms": median_ms(
-               lambda: diode.power_sweep(c, powers, ("forward",))),
+    out = {"sweep_ms": median_ms(lambda: diode.power_sweep(c, powers)),
            "driven_state_ms": median_ms(
                lambda: diode.driven_state(c, mid, 0.0))}
 else:

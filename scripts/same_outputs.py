@@ -12,6 +12,7 @@ summary gives the largest absolute and relative move of its numbers, in the
 order they are written, and whether the text between them is the same.
 """
 
+import argparse
 import json
 import os
 import re
@@ -61,8 +62,26 @@ def largest_move(got: bytes, want: bytes) -> dict:
     return {"max_abs": move, "max_rel": rel, "same_text": same_text}
 
 
+def parse_args(argv):
+    """(PARENT_DIR, seeds); prints the usage line and exits 2 unless
+    PARENT_DIR is a checkout with ``src/qdiode``, and prints the help and
+    exits 0 on -h or --help."""
+    summary, _, details = __doc__.split("\n\n", 2)
+    ap = argparse.ArgumentParser(
+        description=f"{summary}\n\n{details}",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", metavar="PARENT_DIR",
+                    help="checkout of the parent commit")
+    ap.add_argument("seeds", metavar="SEED", type=int, nargs="*",
+                    default=[0, 11], help="seeds to run (default 0 and 11)")
+    args = ap.parse_args(argv)
+    if not os.path.isdir(os.path.join(args.parent, "src", "qdiode")):
+        ap.error(f"PARENT_DIR {args.parent!r} has no src/qdiode")
+    return args.parent, args.seeds
+
+
 def main(argv):
-    parent, seeds = argv[0], [int(s) for s in argv[1:]] or [0, 11]
+    parent, seeds = parse_args(argv)
     diffs, moves, runs = [], {}, 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:

@@ -125,9 +125,8 @@ def _run_sweep_power(cfg: RunConfig, out_dir: str):
     powers = np.geomspace(p["power_min_over_gammabar"],
                           p["power_max_over_gammabar"],
                           p["n_powers"]) * gamma_bar
-    sides = ("forward", "reverse") if p["side"] == "both" else (p["side"],)
     info: dict = {}
-    rows = power_sweep(c, powers, sides, info)
+    rows = power_sweep(c, powers, info=info)
     path = os.path.join(out_dir, "power_sweep.csv")
     io.write_sweep_csv(path, rows, gamma_bar)
     notes = [f"p/gammabar = {r.power / gamma_bar:.6g}: {r.error}"

@@ -71,9 +71,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "power_max_over_gammabar": _num(required=True, minimum=0.0,
                                         exclusive_min=True),
         "n_powers": _int(required=True, minimum=2),
-        # The driven side: forward from the left, reverse from the right.
-        "side": Field(str, default="both",
-                      choices=("forward", "reverse", "both")),
     },
     "sweep-frequency": {
         "gamma_r_hz": _num(required=True, minimum=0.0, exclusive_min=True),

@@ -26,10 +26,10 @@ drive over the scales, which takes one eigendecomposition and leaves each
 point it cannot prove to the SVD rule of ``operators.steady_states``, which
 so decides every failure. There are two ways in, one per job:
 
-- ``power_sweep`` is the one sweep: one ``_drive_sweep`` of its sides over
-  all its amplitudes, which solves the sides in turn. It takes one 1-d
-  array of powers in any order, and its row, ``DiodeOperatingPoint``, is
-  the one result type: ``operating_point`` is a one-power sweep.
+- ``power_sweep`` is the one sweep: one ``_drive_sweep`` of both sides
+  over all its amplitudes, which solves the sides in turn. It takes one
+  1-d array of powers in any order, and its row, ``DiodeOperatingPoint``,
+  is the one result type: ``operating_point`` is a one-power sweep.
 - ``driven_state`` is the one single-point solve: it scales a drive from
   both sides as one and returns the state with the model it solved.
   ``spectrum.psd`` reads its state and model from it, and a drive from one
@@ -187,9 +187,6 @@ def _chain(c: DiodeConfig, alpha: complex = 0.0, beta: complex = 0.0):
             c.phase, alpha, beta)
 
 
-_SIDES = ("forward", "reverse")
-
-
 def _drive(direction: str, amp):
     """(alpha, beta) for a drive of amplitude ``amp`` from one side."""
     if direction == "forward":
@@ -235,8 +232,8 @@ def _drive_sweep(c: DiodeConfig, drives, scales):
 
 def _gap_diagnostics(info: dict, gaps, residuals) -> None:
     """Set the smallest null gap, the largest residual (each None without
-    points) and ``near_degenerate_rows``, the number of points with a side
-    whose null gap is below NEAR_DEGENERATE_GAP, from (sides, points)
+    points) and ``near_degenerate_rows``, the number of points with a drive
+    whose null gap is below NEAR_DEGENERATE_GAP, from (drives, points)
     arrays."""
     info["min_null_gap"] = float(gaps.min()) if gaps.size else None
     info["max_residual"] = float(residuals.max()) if residuals.size else None
@@ -282,8 +279,8 @@ def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
     """Solve the device under complex amplitudes alpha (from the left) and
     beta (from the right) at once: the one single-point solve. Raises
     ValueError for a non-finite amplitude and SolverError if the steady
-    state is not unique; if ``info`` is a dict, sets the solve's diagnostics
-    in it as a one-power, one-sided ``power_sweep`` sets them.
+    state is not unique; if ``info`` is a dict, sets the diagnostics of its
+    one solve in it, as ``power_sweep`` sets those of its two.
 
     One ``_drive_sweep`` of the drive at unit total amplitude solves it at
     s = ||(alpha, beta)||, and ``model`` is formed at s from its two builds,
@@ -308,27 +305,24 @@ def driven_state(c: DiodeConfig, alpha: complex, beta: complex,
         model=model)
 
 
-def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
+def power_sweep(c: DiodeConfig, powers, *,
                 info: dict | None = None) -> list[DiodeOperatingPoint]:
     """Transmission, efficiency and dark population at each drive power
     (photon flux |amp|^2) of the 1-d ``powers``, in any order, one row per
-    power, driving from each side in the tuple ``sides``, which names one
-    or both directions, each once (ValueError otherwise).
+    power, driving from each side in turn.
 
-    One ``_drive_sweep`` solves each side's powers in turn; the sides share
-    only the undriven model, so a side's values do not depend on the other.
-    A side not in ``sides`` gets NaN transmission and dark population, so
-    the efficiency is NaN unless both sides are solved. A power whose solve
-    fails on any side becomes a row of NaN values whose ``error`` is the
-    first failed side's ``SteadyStates.error`` message; the sweep goes on.
+    One ``_drive_sweep`` solves the forward and then the reverse drive at
+    every power; the sides share only the undriven model, so a side's
+    values do not depend on the other. A power whose solve fails on either
+    side becomes a row of NaN values whose ``error`` is the first failed
+    side's ``SteadyStates.error`` message; the sweep goes on.
 
     If ``info`` is a dict, three solver diagnostics are set in it from the
-    ``null_gap`` and ``residual`` fields of each solved side's
-    ``SteadyStates``, over the rows that did not fail: ``"min_null_gap"``,
-    the smallest s_{-2} / s_max, or lower bound on it where the pencil
-    solved the row (see ``operators.pencil_states``), and
-    ``"max_residual"``, the largest residual ||L vec(rho)||, each None if
-    every row failed; and
+    ``null_gap`` and ``residual`` fields of both sides' ``SteadyStates``,
+    over the rows that did not fail: ``"min_null_gap"``, the smallest
+    s_{-2} / s_max, or lower bound on it where the pencil solved the row
+    (see ``operators.pencil_states``), and ``"max_residual"``, the largest
+    residual ||L vec(rho)||, each None if every row failed; and
     ``"near_degenerate_rows"``, the number of those rows with a side whose
     null gap is below ``NEAR_DEGENERATE_GAP``.
     """
@@ -336,38 +330,22 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
     if powers.ndim != 1:
         raise ValueError(f"powers must be 1-d, got shape {powers.shape}")
     _check_power(powers)
-    if isinstance(sides, str):
-        raise ValueError(f"sides must be a tuple of directions, such as "
-                         f"({sides!r},), not the string {sides!r}")
-    unknown = set(sides) - set(_SIDES)
-    if unknown:
-        raise ValueError(f"unknown direction(s) {sorted(unknown)}")
-    if not sides or len(set(sides)) != len(sides):
-        raise ValueError(f"sides must name each direction to solve once, "
-                         f"got {tuple(sides)!r}")
     amps = np.sqrt(powers)
-    # One row per direction in _SIDES, one column per power.
-    t = np.full((2, len(powers)), complex(np.nan, np.nan))
-    dark = np.full((2, len(powers)), np.nan)
-    errors: list = [None] * len(powers)
-    gaps, resids = [], []
-    for side, (solved, a_mean, b_mean, _) in zip(sides, _drive_sweep(
-            c, [_drive(side, 1.0) for side in sides], amps)):
-        k = _SIDES.index(side)
-        out = a_mean if side == "forward" else b_mean
-        # t = <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0; a failed
-        # point keeps its NaN at a = 0 too.
-        t[k] = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
-                         where=amps != 0)
-        dark[k] = dark_state_population(solved.rho)
-        # A power keeps the message of its first failed side.
-        errors = [s if e is None else e for e, s in zip(errors, solved.error)]
-        gaps.append(solved.null_gap)
-        resids.append(solved.residual)
+    (fwd, a_mean, _, _), (rev, _, b_mean, _) = _drive_sweep(
+        c, [(1.0, 0.0), (0.0, 1.0)], amps)
+    # One row per side, forward then reverse, one column per power: t =
+    # <a_out>/a forward, <b_out>/a reverse, and 0 at a = 0, where a failed
+    # point keeps its NaN.
+    out = np.array([a_mean, b_mean])
+    t = np.divide(out, amps, out=np.where(np.isnan(out), out, 0.0),
+                  where=amps != 0)
+    dark = np.array([dark_state_population(fwd.rho),
+                     dark_state_population(rev.rho)])
+    # A power keeps the message of its first failed side.
+    errors = [f if f is not None else r for f, r in zip(fwd.error, rev.error)]
     failed = np.array([e is not None for e in errors], dtype=bool)
     t[:, failed] = complex(np.nan, np.nan)
     dark[:, failed] = np.nan
-    # NaN from a failed or unsolved side propagates into the efficiency.
     rows = [DiodeOperatingPoint(
                 power=p, t_forward=t_f, t_reverse=t_r,
                 efficiency=diode_efficiency(t_f, t_r),
@@ -376,7 +354,8 @@ def power_sweep(c: DiodeConfig, powers, sides=("forward", "reverse"),
             for p, t_f, t_r, dark_f, dark_r, e
             in zip(powers.tolist(), *t.tolist(), *dark.tolist(), errors)]
     if info is not None:
-        # One row per solved side, one column per power; keep the accepted.
-        _gap_diagnostics(info, np.array(gaps)[:, ~failed],
-                         np.array(resids)[:, ~failed])
+        # One row per side, one column per power; keep the accepted.
+        _gap_diagnostics(info,
+                         np.array([fwd.null_gap, rev.null_gap])[:, ~failed],
+                         np.array([fwd.residual, rev.residual])[:, ~failed])
     return rows

@@ -170,8 +170,8 @@ def psd(c: DiodeConfig, direction: str, port: str, power: float,
     ``driven_state`` of a drive from that side at that power: the state is
     the ``power_sweep`` state of that side, and the spectrum's L and output
     field are the ``model`` the state solves. A failed solve raises its
-    SolverError. If ``info`` is a dict, the solve's diagnostics are set
-    in it as that ``power_sweep`` sets them.
+    SolverError. If ``info`` is a dict, the diagnostics of that one solve
+    are set in it (see ``driven_state``).
     """
     if port not in ("transmitted", "reflected"):
         raise ValueError(f"unknown port {port!r}")

@@ -56,12 +56,12 @@ def test_stacked_side_solve_matches_direct_solves(c, ps, side):
     powers = np.sort(ps) * c.gamma_bar
     amps = np.sqrt(powers)
     solved = _drive_sweep(c, [_drive(side, 1.0)], amps)[0][0]
-    rows = power_sweep(c, powers, (side,))
-    t_col = [r.t_forward if side == "forward" else r.t_reverse for r in rows]
-    dark_col = [r.dark_population_forward if side == "forward"
-                else r.dark_population_reverse for r in rows]
-    for amp, t, dark, rho_got, error in zip(amps, t_col, dark_col,
-                                            solved.rho, solved.error):
+    rows = power_sweep(c, powers)
+    other = "reverse" if side == "forward" else "forward"
+    for amp, row, rho_got, error in zip(amps, rows, solved.rho, solved.error):
+        t, dark = ((row.t_forward, row.dark_population_forward)
+                   if side == "forward"
+                   else (row.t_reverse, row.dark_population_reverse))
         lv, a_out, b_out = one_sided(c, side, amp)
         try:
             rho = steady_state(lv)
@@ -70,6 +70,13 @@ def test_stacked_side_solve_matches_direct_solves(c, ps, side):
             assert np.isnan(t) and np.isnan(dark)
             continue
         assert error is None, error
+        if row.error is not None:
+            # Only the other side failed: the row is NaN with its message.
+            with pytest.raises(SolverError) as caught:
+                steady_state(one_sided(c, other, amp)[0])
+            assert row.error == str(caught.value)
+            assert np.isnan(t) and np.isnan(dark)
+            continue
         port = a_out if side == "forward" else b_out
         np.testing.assert_allclose(t, expectation(port, rho) / amp,
                                    rtol=0, atol=1e-9)

@@ -36,7 +36,8 @@ from qdiode import io
 from qdiode.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SOLVER,
                         _diode_config, run)
 from qdiode.config import MODES, TWO_PI, ConfigError, load, validate
-from qdiode.diode import DiodeOperatingPoint, power_sweep
+from qdiode.diode import (DiodeOperatingPoint, _drive, _drive_sweep,
+                          _gap_diagnostics, power_sweep)
 from qdiode.mirror import MirrorSweepRow
 from qdiode.single_qubit import QubitParams, transmission_analytic
 from qdiode.spectrum import LorentzianFit, SpectrumResult
@@ -242,14 +243,22 @@ class TestValidation:
 
     def test_sweep_frequency_side_is_an_unknown_key(self, tmp_path):
         # One emitter is reciprocal, so sweep-frequency drives it from the
-        # left only; sweep-power keeps its side, as the diode is not.
-        for side in ("forward", "reverse", "both"):
-            raw = {"gamma_r_hz": 70e6, "power_over_gamma_r": 0.1,
-                   "side": side}
-            with pytest.raises(ConfigError, match="unknown key 'side'"):
-                validate("sweep-frequency", raw)
-        assert run(["sweep-frequency", "--config", write_config(tmp_path, raw),
-                    "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        # left only; sweep-power drives the diode from both sides, as its
+        # efficiency compares them. Neither takes a side.
+        for mode, payload in (
+                ("sweep-frequency", {"gamma_r_hz": 70e6,
+                                     "power_over_gamma_r": 0.1}),
+                ("sweep-power", {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
+                                 "delta": DELTA,
+                                 "power_min_over_gammabar": 0.01,
+                                 "power_max_over_gammabar": 1.0,
+                                 "n_powers": 3})):
+            for side in ("forward", "reverse", "both"):
+                raw = {**payload, "side": side}
+                with pytest.raises(ConfigError, match="unknown key 'side'"):
+                    validate(mode, raw)
+            assert run([mode, "--config", write_config(tmp_path, raw),
+                        "--out", str(tmp_path / mode)]) == EXIT_CONFIG
 
     def test_power_ordering_enforced(self):
         raw = {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
@@ -288,7 +297,7 @@ class TestValidation:
             "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
             "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1.0,
             "n_powers": 3})
-        assert power.echo["side"] == "both"
+        assert "side" not in power.echo
         freq = validate("sweep-frequency", {"gamma_r_hz": 70e6,
                                             "power_over_gamma_r": 0.1})
         assert "side" not in freq.echo
@@ -777,22 +786,6 @@ class TestCliRuns:
                                            "max_residual": None,
                                            "near_degenerate_rows": 0}
 
-    def test_sweep_power_reverse_only(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6, "delta": DELTA,
-            "power_min_over_gammabar": 0.01, "power_max_over_gammabar": 1.0,
-            "n_powers": 3, "side": "reverse"})
-        out = tmp_path / "out"
-        assert run(["sweep-power", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        table = np.genfromtxt(out / "power_sweep.csv", delimiter=",",
-                              names=True)
-        for col in ("t_rev_abs", "t_rev_arg", "dark_pop_rev"):
-            assert np.all(np.isfinite(table[col]))
-        for col in ("t_fwd_abs", "dark_pop_fwd", "efficiency"):
-            assert np.all(np.isnan(table[col]))
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert "notes" not in manifest
-
     def test_sweep_power_file_is_library_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
             "gamma_r1_hz": 70e6, "gamma_r2_hz": 65e6, "gamma_nr_hz": 2e5,
@@ -998,20 +991,19 @@ class TestCliRuns:
         assert cold_run_modules(tmp_path, {"argparse", "gettext", "locale"}) == (
             [0, 0, 0, 0, 0, 0], [])
 
-    @pytest.mark.parametrize("mode, payload, sides", [
-        ("steady-state", {}, ("forward", "reverse")),
-        ("steady-state", {"p_over_gammabar": 0.0, "alpha": 0.3},
-         ("forward",)),
+    @pytest.mark.parametrize("mode, payload, side", [
+        ("steady-state", {}, None),
+        ("steady-state", {"p_over_gammabar": 0.0, "alpha": 0.3}, "forward"),
         ("spectrum", {"direction": "reverse", "port": "reflected",
-                      "n_freq": 65}, ("reverse",)),
+                      "n_freq": 65}, "reverse"),
         ("mirror-mc", {"sigma_w": 0.05, "n_samples": 64, "power_min": 0.0,
-                       "power_max": 1.0, "n_powers": 2},
-         ("forward", "reverse")),
+                       "power_max": 1.0, "n_powers": 2}, None),
     ], ids=["operating-point", "general-drive", "spectrum", "mirror-mc"])
     def test_single_point_manifest_diagnostics(self, tmp_path, mode,
-                                               payload, sides):
+                                               payload, side):
         # Each single-point mode reports the solver diagnostics of its one
-        # steady state, the ones a power_sweep at that point reports.
+        # steady state: an operating point those of a power_sweep at that
+        # power, and a drive from one side those of that side's solve.
         cfg = write_config(tmp_path, steady_payload(
             gamma_r2_hz=66e6, gamma_nr_hz=2e5, gamma_phi_hz=2e5, **payload))
         out = tmp_path / "out"
@@ -1022,7 +1014,13 @@ class TestCliRuns:
         power = (p["alpha"] ** 2 if "alpha" in payload
                  else p["p_over_gammabar"]) * c.gamma_bar
         info: dict = {}
-        power_sweep(c, [power], sides, info)
+        if side is None:
+            power_sweep(c, [power], info=info)
+        else:
+            solved = _drive_sweep(c, [_drive(side, 1.0)],
+                                  [np.sqrt(power)])[0][0]
+            _gap_diagnostics(info, solved.null_gap[None],
+                             solved.residual[None])
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["diagnostics"] == info
         assert set(info) == {"min_null_gap", "max_residual",
@@ -1249,7 +1247,11 @@ class TestExitCodes:
         ("mirror-mc", {"p_dark_fwd": 0.6, "p_dark_rev": 0.05, "sigma_w": 0.05,
                        "power_min": 0.5, "power_max": 2.0, "n_powers": 3,
                        "dwell_samples": 10.0}, "dwell_samples"),
-    ], ids=["gamma_exc_hz", "dwell_samples"])
+        ("sweep-power", {"gamma_r1_hz": 70e6, "gamma_r2_hz": 70e6,
+                         "delta": DELTA, "power_min_over_gammabar": 0.01,
+                         "power_max_over_gammabar": 1.0, "n_powers": 3,
+                         "side": "reverse"}, "side"),
+    ], ids=["gamma_exc_hz", "dwell_samples", "side"])
     def test_removed_gamma_exc_key_rejected(self, tmp_path, capsys, mode,
                                             payload, key):
         cfg = write_config(tmp_path, payload)

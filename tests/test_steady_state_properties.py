@@ -137,8 +137,8 @@ def ideal_lossy_device():
 
 
 def near_degenerate_rows(solved):
-    """A sweep's ``near_degenerate_rows`` diagnostic, as power_sweep sets
-    it for one side."""
+    """A sweep's ``near_degenerate_rows`` diagnostic, as
+    ``_gap_diagnostics`` sets it for one side's accepted points."""
     info = {}
     ok = np.array([e is None for e in solved.error], dtype=bool)
     _gap_diagnostics(info, solved.null_gap[None, ok],
